@@ -13,15 +13,22 @@ equivalently  sum_{l | n} l * nu(l) = beta(n)/sqrt(n).  Both beta and nu are
 stored as 0 at even indices so full-range Dirichlet sums need no parity
 branching; the point API for beta still rejects even arguments.
 
-Everything is built from one pass of prime sieves:
+Everything is built in one multiplicative pass over the smallest-prime-factor
+sieve: each sweep peels one prime power p^e || n off every unfinished n, and
 
     lambda(n) = (-1)^Omega(n)           (Omega counted with multiplicity)
-    h(n)      = product of p^floor(e/2) over p^e || n
+    d(n)      = product of (e + 1)
+    h(n)      = product of p^floor(e/2)
+    mu(n)     = lambda(n) if h(n) = 1 (n squarefree), else 0
     beta(n)   = lambda(n) * h(n)        (odd n; mu(k) = lambda(k) for
                                          squarefree k, and lambda(h^2) = 1)
 
-nu is then a single Dirichlet-convolution sweep, accumulated in increasing
-order of the beta-carrying divisor to limit cancellation error.
+nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
+
+    nu(n) = lambda(n)/n * prod_{p | n} (1 + p^-1/2),
+
+a product of positive factors with no cancellation.  The defining
+convolution above stays an independent check (bounds.convolution).
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
            "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
            "save_table", "load_table"]
 
-CACHE_MAGIC = b"ARITHv1"
+CACHE_MAGIC = b"ARITHv2"
 
 # fixed on-disk order: (name, dtype)
 _CACHE_FIELDS = (
@@ -82,31 +89,20 @@ def suffix_abs_max(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.abs(values)[::-1])[::-1]
 
 
-def _primes_and_spf(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p::p] = False
-    primes = np.nonzero(is_p)[0]
-
+def _smallest_prime_factors(limit: int) -> np.ndarray:
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in primes:
-        if p * p > limit:
-            break
-        sl = spf[p * p::p]
-        sl[sl == 0] = p
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:  # p is prime: no smaller prime has marked it
+            sl = spf[p * p::p]
+            sl[sl == 0] = p
     untouched = spf == 0
     untouched[:2] = False
     spf[untouched] = np.nonzero(untouched)[0]
-    return primes, spf
+    return spf
 
 
-def build_table(limit: int, config=None) -> ArithTable:
+def build_table(limit: int) -> ArithTable:
     """Sieve every arithmetic array up to `limit` (inclusive).
-
-    `config` is accepted for interface symmetry with the series evaluators
-    and is currently unused: every quantity here is a finite exact sum.
 
     Raises:
         InvalidArgumentError: for limit < 1.
@@ -116,69 +112,38 @@ def build_table(limit: int, config=None) -> ArithTable:
     if limit < 1:
         raise InvalidArgumentError(f"table limit must be >= 1, got {limit}")
     n = int(limit)
+    spf = _smallest_prime_factors(n)
 
-    primes, spf = _primes_and_spf(n)
-
-    # Omega(n) with multiplicity, via one pass per prime power
-    omega = np.zeros(n + 1, dtype=np.int8)
-    for p in primes:
-        pk = int(p)
-        while pk <= n:
-            omega[pk::pk] += 1
-            pk *= int(p)
-    lam = np.where(omega & 1, -1, 1).astype(np.int8)
-    lam[0] = 0
-
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-        p2 = int(p) * int(p)
-        if p2 <= n:
-            mu[p2::p2] = 0
-
-    # d(n): multiply (e_p + 1) per prime, exponents counted over prime powers
+    lam = np.ones(n + 1, dtype=np.int8)
     dcount = np.ones(n + 1, dtype=np.int32)
-    dcount[0] = 0
-    for p in primes:
-        expo = np.ones(n // int(p), dtype=np.int32)
-        pk = int(p) * int(p)
-        while pk <= n:
-            step = pk // int(p)
-            expo[step - 1::step] += 1
-            pk *= int(p)
-        dcount[p::p] *= expo + 1
+    h = np.ones(n + 1, dtype=np.int32)
+    nu_weight = np.ones(n + 1, dtype=np.float64)   # prod_{p|m} (1 + p^-1/2)
+    # each sweep peels the smallest remaining prime p, with its exponent e,
+    # off every unfinished m = todo[i]; rest[i] is what is left of that m
+    todo = np.arange(2, n + 1)
+    rest = todo.copy()
+    while todo.size:
+        p = spf[rest]
+        rest //= p
+        e = np.ones_like(rest)
+        again = np.nonzero(spf[rest] == p)[0]
+        while again.size:
+            rest[again] //= p[again]
+            e[again] += 1
+            again = again[spf[rest[again]] == p[again]]
+        lam[todo] *= 1 - 2 * (e & 1)
+        dcount[todo] *= e + 1
+        h[todo] *= p ** (e // 2)
+        nu_weight[todo] *= 1.0 + p ** -0.5
+        unfinished = rest > 1
+        todo, rest = todo[unfinished], rest[unfinished]
+    lam[0] = dcount[0] = h[0] = 0
 
-    # h(n) = sqrt of the largest square divisor: one factor p per p^(2j) | n
-    h = np.ones(n + 1, dtype=np.int64)
-    h[0] = 0
-    for p in primes:
-        q = int(p) * int(p)
-        if q > n:
-            break
-        while q <= n:
-            h[q::q] *= int(p)
-            q *= int(p) * int(p)
-
-    beta = (lam.astype(np.int64) * h)
+    mu = np.where(h == 1, lam, 0).astype(np.int8)  # squarefree iff h = 1
+    beta = lam * h   # int32
     beta[0::2] = 0
-    beta = beta.astype(np.int32)
-
-    # n*nu(n) = sum over factorizations n = k*l (both odd) of mu(k)*beta(l)/sqrt(l),
-    # accumulated with the beta-carrying divisor l increasing
-    idx = np.arange(n + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weighted_beta = np.where(idx > 0, beta / np.sqrt(idx), 0.0)
-    mu_odd = mu[1::2].astype(np.float64)
-    conv = np.zeros(n + 1, dtype=np.float64)
-    for l in range(1, n + 1, 2):
-        cl = weighted_beta[l]
-        if cl == 0.0:
-            continue
-        count = (n // l - 1) // 2 + 1  # odd cofactors k with k*l <= n
-        conv[l::2 * l] += cl * mu_odd[:count]
     nu = np.zeros(n + 1, dtype=np.float64)
-    nu[1:] = conv[1:] / idx[1:]
+    nu[1::2] = lam[1::2] * nu_weight[1::2] / np.arange(1, n + 1, 2, dtype=np.float64)
     nu_cumsum = np.cumsum(nu)
 
     return ArithTable(limit=n, spf=spf, liouville=lam, mobius=mu,

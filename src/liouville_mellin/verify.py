@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTable
-from .errors import PoleError
-from .kernels import (DEFAULT_KERNEL_CONFIG, KernelConfig, config_for_table,
-                      fermi_deficit, kernel_M, kernel_M_prime,
-                      kernel_M_with_bound, kernel_N_with_bound,
+from .errors import LiouvilleMellinError, PoleError
+from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig,
+                      config_for_table, fermi_deficit, kernel_M,
+                      kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
                       residue_estimate, _kernel_M_abel_real_array,
                       _kernel_M_half_real_array, _kernel_N_real_array, _ws)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
@@ -337,7 +337,7 @@ def verify_theorem2(table: ArithTable,
             lhs = zeta_lambda(s)
             try:
                 res = integrate_mellin(integrand, s, spec)
-            except Exception as exc:   # non-convergence carries diagnostics
+            except LiouvilleMellinError as exc:   # non-convergence carries diagnostics
                 reports.append(make_report(
                     check_id, {"s": str(s)}, lhs, 0.0, passed=False,
                     notes=f"integration failed: {exc}"))
@@ -590,7 +590,7 @@ def verify_bounds(table: ArithTable,
     # nu at s = 1, remainder bounded by summation by parts
     lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1]))
     rhs = zeta_nu(1.0, config)
-    tail_s1 = 2.0 * max(float(table.s_tail_max[N_l]), 5.4e-4) / N_l
+    tail_s1 = 2.0 * max(float(table.s_tail_max[N_l]), S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
         "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, lhs, rhs, tol_abs=tail_s1,
         budget={"abel_tail": tail_s1, "tail_kind": "empirical S envelope"},

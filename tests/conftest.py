@@ -14,7 +14,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `oracles`
 
-from liouville_mellin import KernelConfig, build_table, load_table, save_table
+from liouville_mellin import (CacheFormatError, KernelConfig, build_table,
+                              load_table, save_table)
 
 ACCEPTANCE_LIMIT = 2_000_001
 
@@ -50,7 +51,7 @@ def table_main():
     if path.exists():
         try:
             return load_table(path)
-        except Exception:
+        except CacheFormatError:  # stale layout or corrupt file: rebuild
             path.unlink()
     table = build_table(ACCEPTANCE_LIMIT)
     save_table(table, path)

@@ -1,5 +1,6 @@
 """Sieve tables against brute-force oracles, invariants, and the cache file."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -107,6 +108,35 @@ def test_convolution_identity(table_small):
                   for l in range(1, n + 1) if n % l == 0)
         assert acc == pytest.approx(beta_value(table_small, n) / math.sqrt(n),
                                     abs=1e-12), n
+
+
+def test_convolution_identity_100k(table_100k):
+    # the closed-form nu against its defining convolution at every odd n
+    n = table_100k.limit
+    conv = np.zeros(n + 1)
+    for l in range(1, n + 1, 2):
+        conv[l::2 * l] += l * table_100k.nu[l]
+    odd = np.arange(1, n + 1, 2)
+    target = table_100k.beta[1::2] / np.sqrt(odd)
+    assert np.abs(conv[1::2] - target).max() <= 1e-12
+
+
+# sha256 of the raw array bytes at limit 100_001, recorded from an
+# independent per-prime-loop sieve
+_DIGESTS_100K = {
+    "spf": "8c706e670ba506d3977035bfda23fc500c314f0cd39148ac81114128d52097b3",
+    "liouville": "f5a3c804bdbc75da6e7be4ee3e222fa86533b6b1eb27aea4202b3211632ec357",
+    "mobius": "bbead92519d8305103ea8c2b6cbe8665345585853338720f74a4b2f7b320b294",
+    "dcount": "08014ae1fd113e02994ac4cd770677e81eeae8fae8b53755454ac4167ff968a3",
+    "beta": "6bfe7093609b056e0b0623e83fcb90c206c72a0bd7fe27af4793f8988a5cd0b6",
+}
+
+
+def test_integer_arrays_pinned_100k(table_100k):
+    assert table_100k.limit == 100_001
+    for name, digest in _DIGESTS_100K.items():
+        arr = getattr(table_100k, name)
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
 
 
 def test_bound_scans_small(table_small):

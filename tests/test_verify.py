@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from liouville_mellin import (QuadratureSpec, probe_decay, run_group,
-                              verify_bounds, verify_functional_equations,
-                              verify_identity_MN, verify_theorem1,
-                              verify_theorem2)
+from liouville_mellin import (NonConvergenceError, QuadratureSpec, probe_decay,
+                              run_group, verify, verify_bounds,
+                              verify_functional_equations, verify_identity_MN,
+                              verify_theorem1, verify_theorem2)
 from liouville_mellin.verify import (default_theorem2_grid, list_checks,
                                      make_report, verify_residues)
 
@@ -103,6 +103,28 @@ def test_theorem2_smoke(table_100k, kconfig_100k):
     for r in reports:
         assert r.passed, (r.check_id, r.inputs, r.rel_err, r.notes)
         assert r.budget["tail_bound_kind"] == "empirical decay envelope"
+
+
+def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, kconfig_100k,
+                                                        monkeypatch):
+    grid = [complex(-0.75)]
+
+    def not_converged(integrand, s, spec):
+        raise NonConvergenceError("panel budget exhausted")
+
+    monkeypatch.setattr(verify, "integrate_mellin", not_converged)
+    reports = verify_theorem2(table_100k, kconfig_100k, None, grid)
+    assert len(reports) == 2
+    for r in reports:
+        assert not r.passed
+        assert r.notes == "integration failed: panel budget exhausted"
+
+    def buggy(integrand, s, spec):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(verify, "integrate_mellin", buggy)
+    with pytest.raises(TypeError):
+        verify_theorem2(table_100k, kconfig_100k, None, grid)
 
 
 def test_residues_group(table_100k, kconfig_100k):
