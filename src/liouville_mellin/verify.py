@@ -34,7 +34,7 @@ from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig,
                       config_for_table, fermi_deficit, kernel_M,
                       kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
                       residue_estimate, _kernel_M_abel_real_array,
-                      _kernel_M_half_real_array, _kernel_N_real_array, _ws)
+                      _kernel_M_half_real_array, _kernel_N_real_array)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
 from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
@@ -621,13 +621,12 @@ def verify_bounds(table: ArithTable,
 
     # second form of the alpha/beta equation at s = -1.25: truncated series
     s = -1.25
-    ws = _ws(table)
-    series = float(np.sum(ws.coef_N * (math.pi * ws.n_odd) ** (s - 0.5)))
+    series = float(np.sum(ratio * (math.pi * n_odd) ** (s - 0.5)))
     target = (zeta_beta(1.0 - s, config) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
-    tail = math.pi ** (s - 0.5) * ws.n_odd[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
+    tail = math.pi ** (s - 0.5) * n_odd[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
     reports.append(make_report(
-        "bounds.second-form", {"s": s, "terms": len(ws.n_odd)}, series, target,
+        "bounds.second-form", {"s": s, "terms": len(n_odd)}, series, target,
         tol_abs=abs(tail),
         budget={"analytic_tail": abs(tail)},
         notes="truncated beta series vs zeta_beta(1-s) pi^(s-1/2)"))

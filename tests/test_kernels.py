@@ -10,8 +10,13 @@ from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
                               fermi_deficit, kernel_M, kernel_M_prime,
                               kernel_N, kernel_N_series, residue_estimate,
                               zeta_beta, zeta_imp, zeta_nu)
-from liouville_mellin.kernels import (kernel_M_with_bound, kernel_N_with_bound,
-                                      nearest_pole)
+from liouville_mellin.kernels import (_CHUNK, _TAYLOR_TERMS, _fermi_real,
+                                      _kernel_M_abel_real_array,
+                                      _kernel_M_half_real_array,
+                                      _kernel_N_real_array, _tanh_coefficients,
+                                      _ws, config_for_table, kernel_M_with_bound,
+                                      kernel_N_with_bound, nearest_pole)
+from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
 
 PI = math.pi
 
@@ -238,3 +243,164 @@ def test_x_m_product_regression_guard(table_100k, kconfig_100k):
         m = kernel_M(x, table_100k, kconfig_100k, form="plain").real
         worst = max(worst, x * abs(m))
     assert worst <= 1.2  # frozen from the oracle run (observed max 1.103)
+
+
+# ------------------------------------------- exact references per route ----
+#
+# Each route sums a short exact head and takes the rest of the truncated
+# series from cached power moments.  The references below sum the very same
+# float terms of the truncated series with math.fsum, so any gap is rounding
+# or the Taylor remainder of the moment tail.
+
+REAL_X = (0.01, 1.0, 3.0, 3.5, 100.0, 5000.0)
+NEAR_POLE = [1j * PI * (2 * l + 1) + 2.0 ** -j for l in range(3) for j in (4, 8, 12, 16, 20)]
+
+
+def _csum(terms):
+    terms = np.asarray(terms)
+    if np.iscomplexobj(terms):
+        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return math.fsum(terms)
+
+
+def _ref_N(z, ws, M):
+    n, c = ws.n_odd[:M], ws.coef_N[:M]
+    return _csum(c * (2.0 * z / (z * z + (PI * n) ** 2)))
+
+
+def _ref_M_half(z, ws, M):
+    return _csum(ws.nu_odd[:M] * 0.5 * np.tanh(z / (2.0 * ws.n_odd[:M])))
+
+
+def _plain_stop_ref(x, ws, M, tol):
+    stop = 0
+    while stop < M:  # first chunk boundary whose Abel bound is below tol
+        stop = min(stop + _CHUNK, M)
+        g_edge = 0.5 - float(_fermi_real(np.array([x / (2.0 * stop + 1.0)]))[0])
+        if 2.0 * ws.s_sup_beyond(stop - 1) * g_edge < tol:
+            break
+    return stop, g_edge
+
+
+def _ref_plain(x, ws, M, tol):
+    stop, g_edge = _plain_stop_ref(x, ws, M, tol)
+    f = _fermi_real(x / ws.n_odd[:stop])
+    return math.fsum([float(ws.S_odd[stop - 1]) * (0.5 - g_edge)]
+                     + list(-ws.nu_odd[:stop] * f)), stop, g_edge
+
+
+def _assert_close(got, want, tol=1e-14):
+    # absolute, except near poles where the kernel itself is ~1/r
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
+
+
+def test_routes_match_fsum_on_real_axis(table_100k, kconfig_100k):
+    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
+    x = np.array(REAL_X)
+    n_vals, _ = _kernel_N_real_array(x, table_100k, kconfig_100k)
+    half, _ = _kernel_M_half_real_array(x, table_100k, kconfig_100k)
+    plain, _ = _kernel_M_abel_real_array(x, table_100k, kconfig_100k)
+    for j, xj in enumerate(REAL_X):
+        _assert_close(n_vals[j], _ref_N(xj, ws, kconfig_100k.n_terms_N))
+        _assert_close(half[j], _ref_M_half(xj, ws, M))
+        _assert_close(plain[j], _ref_plain(xj, ws, M, kconfig_100k.abel_tail_tol)[0])
+        w = xj / ws.n_odd[:M]
+        e = np.exp(-w)
+        ref = math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
+        _assert_close(kernel_M_prime(xj, table_100k, kconfig_100k), ref)
+
+
+def test_routes_match_fsum_off_axis(table_100k, kconfig_100k):
+    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
+    for z in [complex(p) for p in DEFAULT_IDENTITY_POINTS] + NEAR_POLE:
+        zs = z.real if z.imag == 0.0 else z
+        _assert_close(kernel_N_with_bound(z, table_100k, kconfig_100k)[0],
+                      _ref_N(zs, ws, kconfig_100k.n_terms_N))
+        _assert_close(kernel_M_with_bound(z, table_100k, kconfig_100k)[0],
+                      _ref_M_half(zs, ws, M))
+    # plain form off the axis: no early stop, all M terms
+    for z in (1.0 + 1.0j, 2.5 - 1.0j, -1.5 + 0j):
+        f = 1.0 / (np.exp(z / ws.n_odd[:M]) + 1.0)
+        f_next = 1.0 / (np.exp(z / (2.0 * M + 1.0)) + 1.0)
+        ref = _csum(np.concatenate([[ws.S_odd[M - 1] * f_next], -ws.nu_odd[:M] * f]))
+        _assert_close(kernel_M_with_bound(z, table_100k, kconfig_100k, form="plain")[0], ref)
+
+
+def test_plain_form_real_array_is_odd_with_positive_bound(table_100k, kconfig_100k):
+    x = np.array([0.5, 5.0, 50.0])
+    pos, pos_bound = _kernel_M_abel_real_array(x, table_100k, kconfig_100k)
+    neg, neg_bound = _kernel_M_abel_real_array(-x, table_100k, kconfig_100k)
+    assert np.all(np.abs(neg + pos) <= 1e-14)
+    assert neg_bound == pytest.approx(pos_bound, rel=1e-12)
+    assert np.all(pos_bound > 0.0)
+
+
+def test_plain_form_early_stop_matches_fsum(table_main):
+    # on the 2e6 table the plain form stops at multiples of the chunk size
+    config = config_for_table(table_main)
+    ws, M = _ws(table_main), config.n_terms_M
+    xs = (3.5, 8.0, 20.0, 60.0, 150.0)
+    vals, _ = _kernel_M_abel_real_array(np.array(xs), table_main, config)
+    stops = set()
+    for j, x in enumerate(xs):
+        ref, stop, _ = _ref_plain(x, ws, M, config.abel_tail_tol)
+        stops.add(stop)
+        _assert_close(vals[j], ref)
+    assert len(stops - {M}) >= 2  # several early-stop boundaries crossed
+
+
+def test_tanh_coefficients_from_recurrence():
+    c = _tanh_coefficients(_TAYLOR_TERMS)
+    for k in range(_TAYLOR_TERMS):
+        want = 2.0 * (-1.0) ** k * PI ** (-(2 * k + 2)) * zeta_imp(2.0 * k + 2.0).real
+        assert c[k] == pytest.approx(want, rel=1e-13)
+
+
+def _tail_remainder(x, ws, M):
+    # Taylor remainder of the moment tail: (|u|/4)(|u|/pi)^(2K)/(1-(|u|/pi)^2)
+    # times sum |nu| past the head, u = x/n_b, n_b the first breakpoint >= 2x
+    b = 0
+    while b < M and 2 * b + 1 < 2.0 * x:
+        b = 1 if b == 0 else 2 * b
+    if b >= M:
+        return 0.0
+    u = x / (2.0 * b + 1.0)
+    r2 = (u / PI) ** 2
+    return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(ws.nu_odd[b:M]).sum())
+
+
+def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfig_100k):
+    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
+    _, bounds = _kernel_M_abel_real_array(np.array(REAL_X), table_100k, kconfig_100k)
+    for j, x in enumerate(REAL_X):
+        stop, g_edge = _plain_stop_ref(x, ws, M, kconfig_100k.abel_tail_tol)
+        abel = 2.0 * ws.s_sup_beyond(stop - 1) * g_edge
+        remainder = _tail_remainder(x, ws, stop)
+        assert remainder < 1e-20
+        assert abs((bounds[j] - abel) - remainder) <= 2.0 * math.ulp(abel)
+
+
+def test_kernel_N_bound_covers_worst_case_tail(table_100k):
+    # worst case |beta(n)|/sqrt(n) = 1 for every omitted term; the first
+    # 10^6 omitted terms are summed exactly, the rest bounded by 1/(4L)
+    L = 10 ** 6
+    for M in (1, 2, 5, 20):
+        config = KernelConfig(n_terms_N=M, n_terms_M=50_001, abel_tail_tol=1e-6)
+        n = 2.0 * np.arange(M, M + L) + 1.0
+        for z in (0.1, 0.5, 3.0, 1.0 + 2.0j, 0.3 + 2.7j, 5.0 - 1.0j):
+            z = complex(z)
+            zabs = abs(z)
+            worst = math.fsum(2.0 * zabs / np.abs(z * z + (PI * n) ** 2))
+            edge = PI * (2.0 * (M + L) + 1.0)
+            worst += 2.0 * zabs / PI ** 2 / (4.0 * (M + L)) / (1.0 - (zabs / edge) ** 2)
+            _, bound = kernel_N_with_bound(z, table_100k, config)
+            assert bound >= worst, (M, z, bound, worst)
+            if z.imag == 0.0:
+                _, real_bound = _kernel_N_real_array(np.array([z.real]), table_100k, config)
+                assert real_bound[0] >= worst
+                if M == 1:  # the integral from M undercounts the tail
+                    assert 2.0 * zabs / (2.0 * PI ** 2 * 3.0) < worst
+    # past 0.866 pi (2M+1) the inflation factor is no longer a bound
+    config = KernelConfig(n_terms_N=1, n_terms_M=50_001, abel_tail_tol=1e-6)
+    with pytest.raises(TruncationBudgetError):
+        kernel_N_with_bound(8.5j, table_100k, config)
