@@ -261,10 +261,11 @@ def load_table(path: str | os.PathLike) -> ArithTable:
         raise CacheFormatError(f"unexpected field layout in {path}")
     arrays = {}
     offset = 0
+    view = memoryview(payload)  # slices share the payload; .copy() is the one copy
     for f in header["fields"]:
         dt = np.dtype(f["dtype"])
         nbytes = dt.itemsize * f["len"]
-        arrays[f["name"]] = np.frombuffer(payload[offset:offset + nbytes], dtype=dt).copy()
+        arrays[f["name"]] = np.frombuffer(view[offset:offset + nbytes], dtype=dt).copy()
         offset += nbytes
     if offset != len(payload):
         raise CacheFormatError(f"trailing bytes in {path}")

@@ -17,16 +17,16 @@ analytic for |u| < pi:
     M, half-shifted:  w = nu(n),            phi(u) = tanh(u/2)/2
     M' (real axis):   w = nu(n)/n,          phi(u) = sech^2(u/2)/4
 
-Each is evaluated as a short exact head plus a power-moment tail.  The head
-sums the terms directly up to b, the first breakpoint with 2b+1 >= 2|z|;
-the breakpoints are the powers of two, the chunk multiples where the plain
-form may stop early, and the truncation end.  On the tail |z/n| <= 1/2, so
-phi is replaced by _TAYLOR_TERMS terms of its power series and the tail
-becomes sum_k a_k z^p_k sum_{b<=m<end} w_m n^-p_k.  Those inner sums, the
-power moments, are computed once per table and weight array and cached on
-the table's workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has
-|c_k| <= pi^-2k/4 (c_k from the recurrence tanh' = 1 - tanh^2), as have N's
-coefficients, so the discarded series is below
+Each is evaluated in up to three zones over m.  The head sums the terms
+directly up to b, the first breakpoint with 2b+1 >= 2|z|; the breakpoints
+are the powers of two, the chunk multiples where the plain form may stop
+early, and the truncation end.  On the tail past b, |z/n| <= 1/2, so phi is
+replaced by _TAYLOR_TERMS terms of its power series and the tail becomes
+sum_k a_k z^p_k sum_{b<=m<end} w_m n^-p_k.  Those inner sums, the power
+moments, are computed once per table and weight array and cached on the
+table's workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <= pi^-2k/4
+(c_k from the recurrence tanh' = 1 - tanh^2), as have N's coefficients, so
+the discarded series is below
 
     (|u|/4) (|u|/pi)^(2K) / (1 - (|u|/pi)^2) * sum_tail |w_n|,  u = z/(2b+1),
 
@@ -42,7 +42,22 @@ S(2m+1), which also yields a computable remainder bound
 
 Its head stays in plain form, whose terms are exponentially small for
 n << x; past the head, 1/(e^u+1) = 1/2 - tanh(u/2)/2 turns the rest into
-half a difference of partial sums minus the half-shifted moment tail.
+half a difference of partial sums minus the half-shifted moment tail.  On
+the real axis only the first _PLAIN_PREFIX head terms are summed directly:
+the rest of the head is cut into blocks, three geometric ones per octave of
+m, split further at every breakpoint so that each head ends on a block
+edge.  On a block 1/n = w0 + delta tau with tau in [-1, 1], so
+f(x/n) = sum_k b_k tau^k around u0 = x w0, with b_k from the Riccati
+equation f' = f^2 - f, and the block sums to sum_k b_k mu_k with the cached
+block moments mu_k = sum_B nu_n tau_n^k.  The poles of f lie on the
+imaginary axis, so |f| <= 1/(1 - e^(-|u0|/2)) on the disc |u - u0| <= |u0|/2,
+and Cauchy's estimate bounds the discarded terms k >= _BLOCK_TERMS by
+
+    1/(1 - e^(-|u0|/2)) * rho^K / (1 - rho) * sum_B |nu_n|,  rho = 2 delta/w0,
+
+with rho < 0.231, so rho^K/(1 - rho) < 1.8e-18; the returned bound includes
+it.  Complex arguments keep the direct head, since a pole may fall inside a
+block's disc there.
 
 The sup factor uses the table's suffix envelope inside the sieve range and
 a frozen empirical constant beyond it, so these bounds are honest but not
@@ -177,6 +192,9 @@ def _fermi_real(x: np.ndarray) -> np.ndarray:
 
 _TAYLOR_TERMS = 14   # series terms of phi used on the tail, where |z/n| <= 1/2
 _BLOCK = 1 << 20     # elements per temporary of a head sum (8 MiB of float64)
+_PLAIN_PREFIX = 32   # real plain-form head terms summed directly
+_BLOCK_TERMS = 28    # Taylor terms of f per block of the real plain head
+_BLOCKS_PER_OCTAVE = 3
 _K2 = np.array([2.0 * k for k in range(_TAYLOR_TERMS)])
 
 
@@ -324,6 +342,81 @@ class _Moments:
         return acc * scale, form.remainder(np.abs(u)) * self.abs_sum[i] * scale
 
 
+class _PlainBlocks:
+    """Taylor moments of nu over the blocks of the real plain-form head.
+
+    The blocks tile [_PLAIN_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
+    blocks per octave of m, split at every moment breakpoint.  On block B,
+    1/n = w0 + delta tau with tau in [-1, 1], and
+
+        mu[B, k]   = sum_B nu_m tau_m^k,  k < _BLOCK_TERMS,
+        abs_sum[B] = sum_B |nu_m|,
+
+    computed for the blocks a call reaches and kept for later calls.
+    """
+
+    def __init__(self, breaks: np.ndarray, end: int):
+        geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
+                     for j in range(_PLAIN_PREFIX.bit_length() - 1, end.bit_length())
+                     for i in range(_BLOCKS_PER_OCTAVE)}
+        edges = {e for e in geometric if _PLAIN_PREFIX <= e < end}
+        self.edges = np.array(sorted(edges | {int(b) for b in breaks if b >= _PLAIN_PREFIX}),
+                              dtype=np.int64)
+        inv_first = 1.0 / (2.0 * self.edges[:-1] + 1.0)
+        inv_last = 1.0 / (2.0 * self.edges[1:] - 1.0)
+        self.w0 = 0.5 * (inv_first + inv_last)
+        self.delta = 0.5 * (inv_first - inv_last)
+        rho = 2.0 * self.delta / self.w0  # Taylor radius over the Cauchy radius |u0|/2
+        self.cauchy = rho ** _BLOCK_TERMS / (1.0 - rho)
+        self.mu = np.zeros((0, _BLOCK_TERMS))
+        self.abs_sum = np.zeros(0)
+
+    def _extend(self, count: int, n_odd: np.ndarray, nu: np.ndarray) -> None:
+        done = len(self.abs_sum)
+        if count <= done:
+            return
+        mu = np.zeros((count - done, _BLOCK_TERMS))
+        abs_sum = np.zeros(count - done)
+        for j, B in enumerate(range(done, count)):
+            lo, hi = int(self.edges[B]), int(self.edges[B + 1])
+            tau = (1.0 / n_odd[lo:hi] - self.w0[B]) / self.delta[B] if hi - lo > 1 else 0.0
+            term = nu[lo:hi].copy()
+            for k in range(_BLOCK_TERMS):
+                mu[j, k] = term.sum()
+                term *= tau
+            abs_sum[j] = np.abs(nu[lo:hi]).sum()
+        self.mu = np.vstack([self.mu, mu])
+        self.abs_sum = np.concatenate([self.abs_sum, abs_sum])
+
+    def head(self, x: np.ndarray, heads: np.ndarray,
+             ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{_PLAIN_PREFIX <= m < heads[j]} nu_m f(x_j/n_m) per point, and
+        the bound on the discarded Taylor terms; each head is a block edge."""
+        count = np.searchsorted(self.edges, heads)
+        self._extend(int(count.max(initial=0)), ws.n_odd, ws.nu_odd)
+        vals = np.zeros(len(x))
+        bounds = np.zeros(len(x))
+        rows = max(1, _BLOCK // (_BLOCK_TERMS * max(1, len(self.abs_sum))))
+        for a in range(0, len(x), rows):
+            c = count[a:a + rows]
+            node = np.repeat(np.arange(a, a + len(c)), c)
+            block = np.arange(len(node)) - np.repeat(np.cumsum(c) - c, c)
+            u0 = x[node] * self.w0[block]
+            step = x[node] * self.delta[block]
+            # scaled Taylor coefficients b_k = f^(k)(u0) step^k / k! from
+            # f' = f^2 - f: (k+1) b_(k+1) = step (sum_i b_i b_(k-i) - b_k)
+            b = np.empty((_BLOCK_TERMS, len(node)))
+            b[0] = _fermi_real(u0)
+            for k in range(_BLOCK_TERMS - 1):
+                b[k + 1] = step * (np.einsum("ip,ip->p", b[:k + 1], b[k::-1]) - b[k]) / (k + 1)
+            sums = np.einsum("kp,pk->p", b, self.mu[block])
+            sup_f = -1.0 / np.expm1(-0.5 * np.abs(u0))
+            vals[a:a + len(c)] = np.bincount(node - a, sums, len(c))
+            bounds[a:a + len(c)] = np.bincount(
+                node - a, sup_f * self.cauchy[block] * self.abs_sum[block], len(c))
+        return vals, bounds
+
+
 class _Workspace:
     """Cached per-table odd-index views and tail moments used by every kernel sum."""
 
@@ -335,6 +428,7 @@ class _Workspace:
         self.S_odd = table.nu_cumsum[1::2]
         self.s_tail_odd = table.s_tail_max[1::2]
         self._moments: dict[tuple, _Moments] = {}
+        self._plain_blocks: dict[int, _PlainBlocks] = {}
 
     def s_sup_beyond(self, m_index: int) -> float:
         """sup |S| over m > m_index, table envelope plus frozen beyond-table cap."""
@@ -350,6 +444,14 @@ class _Workspace:
             mom = _Moments(self.n_odd, getattr(self, form.weights), form.q + form.p0, end)
             self._moments[key] = mom
         return mom
+
+    def plain_blocks(self, end: int) -> _PlainBlocks:
+        """Block moments of the real plain-form head for the series truncated at `end`."""
+        blocks = self._plain_blocks.get(end)
+        if blocks is None:
+            blocks = _PlainBlocks(self.moments(_FORM_M, end).breaks, end)
+            self._plain_blocks[end] = blocks
+        return blocks
 
 
 def _ws(table: ArithTable) -> _Workspace:
@@ -403,9 +505,10 @@ def _plain_sum(z: np.ndarray, ws: _Workspace, end: int,
     """sum_{m < stops[j]} nu_m / (e^(z_j/n_m) + 1) per point; stops are breakpoints.
 
     The head stays in plain form, whose terms are exponentially small for
-    n << Re z.  Past the head, 1/(e^u + 1) = 1/2 - tanh(u/2)/2 turns the rest
-    into half a difference of partial sums S minus the half-shifted tail
-    between the head and the stop.
+    n << Re z: summed directly for complex z, and on the real axis directly
+    for m < _PLAIN_PREFIX and from block moments beyond.  Past the head,
+    1/(e^u + 1) = 1/2 - tanh(u/2)/2 turns the rest into half a difference of
+    partial sums S minus the half-shifted tail between the head and the stop.
     """
     mom = ws.moments(_FORM_M, end)
     i = mom.index(z)
@@ -415,8 +518,15 @@ def _plain_sum(z: np.ndarray, ws: _Workspace, end: int,
     s_head = np.where(heads > 0, ws.S_odd[heads - 1], 0.0)
     rest = 0.5 * (ws.S_odd[stops - 1] - s_head) - (tail_head - tail_stop)
     has_rest = heads < stops
-    vals = _head_sum(_head_plain, z, heads, ws.nu_odd, ws.n_odd)
-    return vals + np.where(has_rest, rest, 0.0), np.where(has_rest, remainder, 0.0)
+    remainder = np.where(has_rest, remainder, 0.0)
+    if np.iscomplexobj(z):
+        vals = _head_sum(_head_plain, z, heads, ws.nu_odd, ws.n_odd)
+    else:
+        vals = _head_sum(_head_plain, z, np.minimum(heads, _PLAIN_PREFIX), ws.nu_odd, ws.n_odd)
+        blocks, block_bound = ws.plain_blocks(end).head(z, heads, ws)
+        vals = vals + blocks
+        remainder = remainder + block_bound
+    return vals + np.where(has_rest, rest, 0.0), remainder
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +666,20 @@ def _abel_remainder_bound(z, M: int, ws: _Workspace):
     return ws.s_sup_beyond(M - 1) * 3.0 * g_edge
 
 
-def _plain_stop(x: float, ws: _Workspace, M_cap: int,
-                tol: float) -> tuple[int, float, float]:
-    """Where the plain form at real x stops: the first chunk boundary whose
-    remainder bound is below tol (else M_cap), that bound, and f there."""
-    m_done = 0
-    while m_done < M_cap:
-        m_done = min(m_done + _CHUNK, M_cap)
-        f_next = float(_fermi_real(np.array([x / (2.0 * m_done + 1.0)]))[0])
-        # remainder bound after this chunk: monotone variation of f, which
-        # tends to 1/2 from below for x > 0 and from above for x < 0
-        bound = 2.0 * ws.s_sup_beyond(m_done - 1) * abs(0.5 - f_next)
-        if bound < tol:
-            break
-    return m_done, bound, f_next
+def _plain_stops(x: np.ndarray, ws: _Workspace, M_cap: int,
+                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the plain form at each real x stops: the first chunk boundary
+    whose remainder bound is below tol (else M_cap), that bound, and f there."""
+    cuts = np.minimum(_CHUNK * np.arange(1, -(-M_cap // _CHUNK) + 1), M_cap)
+    f_next = _fermi_real(x[:, None] / (2.0 * cuts + 1.0))
+    # remainder bound after each chunk: monotone variation of f, which
+    # tends to 1/2 from below for x > 0 and from above for x < 0
+    sup = np.array([ws.s_sup_beyond(int(c) - 1) for c in cuts])
+    bound = 2.0 * sup * np.abs(0.5 - f_next)
+    below = bound < tol
+    first = np.where(below.any(axis=1), below.argmax(axis=1), len(cuts) - 1)
+    rows = np.arange(len(x))
+    return cuts[first], bound[rows, first], f_next[rows, first]
 
 
 def kernel_M(z: complex, table: ArithTable,
@@ -600,12 +710,7 @@ def _kernel_M_abel_real_array(x: np.ndarray, table: ArithTable,
     ws = _ws(table)
     M_cap = min(config.n_terms_M, ws.m_avail + 1)
     x = np.asarray(x, dtype=np.float64)
-    stops = np.empty(len(x), dtype=np.int64)
-    bounds = np.empty(len(x))
-    f_next = np.empty(len(x))
-    for j, xj in enumerate(x):
-        stops[j], bounds[j], f_next[j] = _plain_stop(float(xj), ws, M_cap,
-                                                      config.abel_tail_tol)
+    stops, bounds, f_next = _plain_stops(x, ws, M_cap, config.abel_tail_tol)
     acc, remainder = _plain_sum(x, ws, M_cap, stops)
     return ws.S_odd[stops - 1] * f_next - acc, bounds + remainder
 

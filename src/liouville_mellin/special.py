@@ -22,7 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidArgumentError, PoleError
+from .errors import (DomainError, InvalidArgumentError, PoleError,
+                     TruncationBudgetError)
 
 __all__ = ["EvalConfig", "DEFAULT_EVAL_CONFIG", "gamma", "zeta_alternating",
            "zeta", "eta_continued"]
@@ -35,14 +36,16 @@ class EvalConfig:
     """Knobs for the series evaluators.
 
     series_terms: hard cap on the number of terms any alternating-series
-        evaluation may consume.
+        evaluation may consume; an evaluation whose error model needs more
+        raises TruncationBudgetError.  The default 128 covers zeta(2s) for
+        |Im s| <= 60 (order 127 at |Im 2s| = 120).
     accel_order: order of the fixed-coefficient acceleration scheme.
     target_rel_err: requested relative accuracy of series evaluations.
     zero_threshold: |denominator| scale below which a quotient is treated
         as division by an exact-zero candidate and reported as an error.
     """
 
-    series_terms: int = 120
+    series_terms: int = 128
     accel_order: int = 50
     target_rel_err: float = 1e-12
     zero_threshold: float = 1e-13
@@ -95,8 +98,11 @@ def _require_finite(s: complex, where: str) -> complex:
 def gamma(s: complex) -> complex:
     """Complex Gamma function.
 
-    Accurate to better than 1e-12 relative error for |Re s| <= 10,
-    |Im s| <= 10; the reflection formula handles Re s < 1/2.
+    Verified against mpmath, at least 0.05 away from the poles, to 1e-12
+    relative error on |Re s|, |Im s| <= 10, and to 1e-11 (worst seen 5e-14)
+    on Re s in [-1.5, 2.5], |Im s| <= 60, where the functional equations of
+    the zeta family call it.  No accuracy is claimed outside those domains.
+    The reflection formula handles Re s < 1/2.
 
     Raises:
         PoleError: when s sits on a non-positive integer.
@@ -154,6 +160,12 @@ def zeta_alternating(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> co
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 
 
+def _borwein_error(t: float, n: int) -> float:
+    """The error model 3 (3+sqrt 8)^-n (1 + 2t) e^(pi t/2) of order-n Borwein
+    acceleration at |Im s| = t."""
+    return 3.0 * (1.0 + 2.0 * t) * math.exp(0.5 * math.pi * t - n * _BORWEIN_RATE)
+
+
 def _borwein_order(s: complex, config: EvalConfig) -> int:
     """Acceleration order meeting target_rel_err under the error model
     3 (3+sqrt 8)^-n (1 + 2|t|) e^(pi |t|/2), capped by series_terms."""
@@ -165,7 +177,21 @@ def _borwein_order(s: complex, config: EvalConfig) -> int:
 
 
 def _eta_borwein(s: complex, config: EvalConfig) -> complex:
+    """Borwein-accelerated eta(s).
+
+    Raises:
+        TruncationBudgetError: when the cap series_terms binds and the error
+            model at that order exceeds target_rel_err (|Im s| above about
+            122 at the defaults).
+    """
     n = _borwein_order(s, config)
+    if n == config.series_terms:
+        bound = _borwein_error(abs(s.imag), n)
+        if bound > config.target_rel_err:
+            raise TruncationBudgetError(
+                f"eta: Borwein order capped at series_terms={n} for s={s}; "
+                f"error model {bound:.1e} > {config.target_rel_err:.1e}",
+                achieved_bound=bound)
     d = _borwein_coefficients(n)
     dn = d[n]
     total = 0.0 + 0.0j

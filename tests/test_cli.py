@@ -128,6 +128,14 @@ def test_report_renders_and_propagates_failures(cache_env, capsys, tmp_path):
     assert "FAIL theorem1.final" in capsys.readouterr().out
 
 
+def test_eval_past_borwein_budget_exits_2(capsys):
+    # typed TruncationBudgetError goes through the error handler, no traceback
+    assert main(["eval", "zeta", "--s", "0.7+200i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "series_terms" in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["eval", "zeta", "--s", "2+"]) == 2
     assert main(["nonsense"]) == 2

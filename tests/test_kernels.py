@@ -13,9 +13,10 @@ from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
 from liouville_mellin.kernels import (_CHUNK, _TAYLOR_TERMS, _fermi_real,
                                       _kernel_M_abel_real_array,
                                       _kernel_M_half_real_array,
-                                      _kernel_N_real_array, _tanh_coefficients,
-                                      _ws, config_for_table, kernel_M_with_bound,
-                                      kernel_N_with_bound, nearest_pole)
+                                      _kernel_N_real_array, _plain_stops,
+                                      _tanh_coefficients, _ws, config_for_table,
+                                      kernel_M_with_bound, kernel_N_with_bound,
+                                      nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
 
 PI = math.pi
@@ -277,7 +278,7 @@ def _plain_stop_ref(x, ws, M, tol):
     while stop < M:  # first chunk boundary whose Abel bound is below tol
         stop = min(stop + _CHUNK, M)
         g_edge = 0.5 - float(_fermi_real(np.array([x / (2.0 * stop + 1.0)]))[0])
-        if 2.0 * ws.s_sup_beyond(stop - 1) * g_edge < tol:
+        if 2.0 * ws.s_sup_beyond(stop - 1) * abs(g_edge) < tol:
             break
     return stop, g_edge
 
@@ -356,17 +357,44 @@ def test_tanh_coefficients_from_recurrence():
         assert c[k] == pytest.approx(want, rel=1e-13)
 
 
+def _head_end(x, M):
+    # first power of two b with 2b+1 >= 2|x|, capped at M (x <= 1e5 here, so
+    # no chunk multiple past _CHUNK = 2^17 comes first)
+    b = 0
+    while b < M and 2 * b + 1 < 2.0 * abs(x):
+        b = 1 if b == 0 else 2 * b
+    return min(b, M)
+
+
 def _tail_remainder(x, ws, M):
     # Taylor remainder of the moment tail: (|u|/4)(|u|/pi)^(2K)/(1-(|u|/pi)^2)
     # times sum |nu| past the head, u = x/n_b, n_b the first breakpoint >= 2x
-    b = 0
-    while b < M and 2 * b + 1 < 2.0 * x:
-        b = 1 if b == 0 else 2 * b
+    b = _head_end(x, M)
     if b >= M:
         return 0.0
     u = x / (2.0 * b + 1.0)
     r2 = (u / PI) ** 2
     return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(ws.nu_odd[b:M]).sum())
+
+
+def _block_remainder(x, ws, head):
+    # Cauchy bound on the 28-term Taylor expansion of f = 1/(e^u+1) over each
+    # block of the real plain head past its first 32 terms.  The blocks are
+    # three geometric ones per octave of m, split at powers of two and chunk
+    # multiples.  On a block, 1/n = w0 + delta tau with |tau| <= 1; around
+    # u0 = x w0, |f| <= 1/(1 - e^(-|u0|/2)) within radius |u0|/2, and
+    # rho = |x| delta / (|u0|/2).
+    edges = {round(2.0 ** (j + i / 3.0)) for j in range(5, 21) for i in range(3)}
+    edges |= set(range(_CHUNK, head, _CHUNK)) | {head}
+    edges = sorted(e for e in edges if 32 <= e <= head)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        inv_first, inv_last = 1.0 / (2 * a + 1), 1.0 / (2 * b - 1)
+        w0, delta = (inv_first + inv_last) / 2.0, (inv_first - inv_last) / 2.0
+        rho = 2.0 * delta / w0
+        sup_f = 1.0 / (1.0 - math.exp(-abs(x) * w0 / 2.0))
+        total += sup_f * rho ** 28 / (1.0 - rho) * math.fsum(np.abs(ws.nu_odd[a:b]))
+    return total
 
 
 def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfig_100k):
@@ -376,8 +404,52 @@ def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfi
         stop, g_edge = _plain_stop_ref(x, ws, M, kconfig_100k.abel_tail_tol)
         abel = 2.0 * ws.s_sup_beyond(stop - 1) * g_edge
         remainder = _tail_remainder(x, ws, stop)
-        assert remainder < 1e-20
-        assert abs((bounds[j] - abel) - remainder) <= 2.0 * math.ulp(abel)
+        blocks = _block_remainder(x, ws, _head_end(x, stop))
+        assert remainder < 1e-20 and blocks < 1e-16
+        assert (blocks > 0.0) == (x > 16.0)  # blocks start after 32 head terms
+        assert abs((bounds[j] - abel) - (remainder + blocks)) <= 2.0 * math.ulp(abel)
+
+
+PLAIN_BLOCK_X = (-500.0, 500.0, 5000.0, 5e4, 99952.9)
+
+
+def test_plain_block_head_matches_fsum(table_main):
+    # heads of up to 2^17 terms, all but the first 32 from block moments
+    config = config_for_table(table_main)
+    ws, M, tol = _ws(table_main), config.n_terms_M, config.abel_tail_tol
+    vals, bounds = _kernel_M_abel_real_array(np.array(PLAIN_BLOCK_X), table_main, config)
+    for j, x in enumerate(PLAIN_BLOCK_X):
+        ref, stop, _ = _ref_plain(x, ws, M, tol)
+        _assert_close(vals[j], ref)
+        blocks = _block_remainder(x, ws, _head_end(x, stop))
+        assert 0.0 < blocks < 1e-16
+        assert bounds[j] >= blocks
+
+
+def _plain_stop_loop(x, ws, M, tol):
+    # the per-point search the vectorised one replaced, bound and f included
+    stop = 0
+    while stop < M:
+        stop = min(stop + _CHUNK, M)
+        f_next = float(_fermi_real(np.array([x / (2.0 * stop + 1.0)]))[0])
+        bound = 2.0 * ws.s_sup_beyond(stop - 1) * abs(0.5 - f_next)
+        if bound < tol:
+            break
+    return stop, bound, f_next
+
+
+def test_plain_stops_match_loop_bit_for_bit(table_main):
+    config = config_for_table(table_main)
+    ws, M, tol = _ws(table_main), config.n_terms_M, config.abel_tail_tol
+    xs = np.geomspace(3.0, 1e5, 200)
+    stops, bounds, f_next = _plain_stops(xs, ws, M, tol)
+    assert len(set(stops.tolist())) >= 3  # early stops and the full table
+    for j, x in enumerate(xs):
+        assert stops[j] == _plain_stop_ref(float(x), ws, M, tol)[0]
+    for x_signed in (xs, -xs):
+        stops, bounds, f_next = _plain_stops(x_signed, ws, M, tol)
+        for j, x in enumerate(x_signed):
+            assert (stops[j], bounds[j], f_next[j]) == _plain_stop_loop(float(x), ws, M, tol)
 
 
 def test_kernel_N_bound_covers_worst_case_tail(table_100k):

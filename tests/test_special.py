@@ -5,9 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liouville_mellin import (DomainError, EvalConfig, InvalidArgumentError,
-                              PoleError, gamma, zeta, zeta_alternating)
+                              PoleError, TruncationBudgetError, gamma, zeta,
+                              zeta_alternating)
 from liouville_mellin.special import eta_continued
 
 mpmath.mp.dps = 30
@@ -29,6 +32,16 @@ def test_gamma_against_mpmath_grid():
         ref = complex(mpmath.gamma(mpmath.mpc(s.real, s.imag)))
         worst = max(worst, abs(gamma(s) - ref) / abs(ref))
     assert worst < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-1.5, 2.5), st.floats(-60.0, 60.0))
+def test_gamma_matches_mpmath_on_zeta_family_domain(re, im):
+    # the domain the functional equations use, 0.05 away from the poles 0, -1
+    s = complex(re, im)
+    assume(min(abs(s), abs(s + 1.0)) >= 0.05)
+    ref = complex(mpmath.gamma(mpmath.mpc(re, im)))
+    assert abs(gamma(s) - ref) <= 1e-11 * abs(ref)
 
 
 def test_gamma_pole_errors():
@@ -160,3 +173,19 @@ def test_zeta_accurate_at_height_forty():
     s = complex(0.8, 40.0)
     ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
     assert zeta(s) == pytest.approx(ref, rel=1e-11)
+
+
+def test_zeta_raises_where_borwein_order_exceeds_budget():
+    # the error model needs order 198 at |Im s| = 200; the cap is 128
+    with pytest.raises(TruncationBudgetError) as err:
+        zeta(complex(0.7, 200.0))
+    assert err.value.achieved_bound > EvalConfig().target_rel_err
+    # reflected points reach eta at the same height
+    with pytest.raises(TruncationBudgetError):
+        zeta(complex(-0.7, 200.0))
+
+
+def test_zeta_accurate_at_height_hundred():
+    s = complex(0.7, 100.0)
+    ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+    assert abs(zeta(s) - ref) <= 1e-11 * abs(ref)
