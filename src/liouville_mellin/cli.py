@@ -33,8 +33,8 @@ from pathlib import Path
 from . import __version__
 from .arith import ArithTable, build_table, load_table, save_table
 from .errors import LiouvilleMellinError
-from .kernels import (config_for_table, kernel_M, kernel_M_prime,
-                      kernel_N, kernel_N_series)
+from .kernels import (config_for_table, kernel_M, kernel_M_prime, kernel_N,
+                      kernel_N_series)
 from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
 from .verify import (GROUPS, default_theorem2_spec, list_checks, run_group,
                      verify_functional_equations, verify_theorem2)
@@ -44,6 +44,10 @@ from .zeta_family import (zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
+
+# table size of sieve, kernel and verify when neither --limit nor
+# LIOUMEL_LIMIT is given, so that all three share one cached table
+DEFAULT_LIMIT = 200001
 
 
 def parse_complex(text: str) -> complex:
@@ -165,8 +169,7 @@ def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "liouville-mellin"
 
 
-def acquire_table(limit: int, cache_dir: Path, rebuild: bool = False,
-                  quiet: bool = False) -> ArithTable:
+def acquire_table(limit: int, cache_dir: Path, rebuild: bool = False) -> ArithTable:
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"arith_{limit}.bin"
     if path.exists() and not rebuild:
@@ -174,8 +177,7 @@ def acquire_table(limit: int, cache_dir: Path, rebuild: bool = False,
             return load_table(path)
         except LiouvilleMellinError as exc:
             print(f"cache {path} unusable ({exc}); rebuilding", file=sys.stderr)
-    if not quiet:
-        print(f"sieving to {limit} ...", file=sys.stderr)
+    print(f"sieving to {limit} ...", file=sys.stderr)
     table = build_table(limit)
     save_table(table, path)
     return table
@@ -259,9 +261,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def _limit(args) -> int:
+    return args.limit or int(_env("LIMIT", DEFAULT_LIMIT))
+
+
 def _dispatch(args) -> int:
     if args.command == "sieve":
-        limit = args.limit or int(_env("LIMIT", 100000))
+        limit = _limit(args)
         cache = args.cache_dir or _default_cache_dir()
         table = acquire_table(limit, cache, rebuild=args.force)
         print(f"table ready: limit={table.limit} "
@@ -274,21 +280,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "kernel":
-        limit = args.limit or int(_env("LIMIT", 100001))
-        cache = args.cache_dir or _default_cache_dir()
-        table = acquire_table(limit, cache)
-        config = config_for_table(table)
+        table = acquire_table(_limit(args), args.cache_dir or _default_cache_dir())
         if args.name == "N":
-            value = kernel_N(args.z, table, config)
+            value = kernel_N(args.z, table)
         elif args.name == "M":
-            value = kernel_M(args.z, table, config, form=args.form)
+            value = kernel_M(args.z, table, form=args.form)
         elif args.name == "Mprime":
             if args.z.imag != 0.0:
                 print("error: Mprime takes a real nonnegative --z", file=sys.stderr)
                 return 2
-            value = kernel_M_prime(args.z.real, table, config)
+            value = kernel_M_prime(args.z.real, table)
         else:
-            value = kernel_N_series(args.z, config)
+            value = kernel_N_series(args.z)
         print(format_complex(complex(value)))
         return 0
 
@@ -323,7 +326,7 @@ def _run_verify(args) -> int:
                 print(f"{group:10s} {cid}")
         return 0
     started = _timestamp()
-    limit = args.limit or int(_env("LIMIT", 200001))
+    limit = _limit(args)
     tol = args.tol if args.tol is not None else (
         float(_env("TOL")) if _env("TOL") else None)
     fmt = args.format or _env("FORMAT", "jsonl")

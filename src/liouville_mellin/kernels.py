@@ -62,11 +62,22 @@ block's disc there.
 The sup factor uses the table's suffix envelope inside the sieve range and
 a frozen empirical constant beyond it, so these bounds are honest but not
 purely analytic; reports downstream flag them as such.
+
+Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
+kernel_M_prime) takes a scalar or a 1-d array: a scalar gets scalars back,
+an array gets arrays.  The input dtype picks the path.  Real input (a
+scalar with Im z == 0 counts as real) runs without pole checks, since the
+poles lie off the axis; N's tail bound there needs no inflation, as
+|x^2 + pi^2 n^2| >= pi^2 n^2, and the plain form stops early at x of
+either sign.  Complex input is checked point by point for poles, N's bound
+is inflated by 1/(1 - (|z|/(pi(2M+1)))^2), and the plain form sums all M
+terms.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -462,13 +473,18 @@ def _ws(table: ArithTable) -> _Workspace:
     return ws
 
 
-def _terms_N(table: ArithTable, config: KernelConfig) -> int:
-    ws = _ws(table)
-    if ws.m_avail + 1 < config.n_terms_N:
-        raise InvalidArgumentError(
-            f"table limit {table.limit} supports {ws.m_avail + 1} partial-fraction "
-            f"terms, config requests {config.n_terms_N} (need limit >= 2*n_terms_N+1)")
-    return config.n_terms_N
+def _points(z, what: str) -> tuple[np.ndarray, bool]:
+    """z as a 1-d float array (real input) or a pole-checked complex array,
+    and whether z was a scalar."""
+    zs = np.asarray(z)
+    scalar = zs.ndim == 0
+    if scalar and zs.imag == 0.0:
+        zs = zs.real
+    if not np.iscomplexobj(zs):
+        return np.atleast_1d(zs).astype(np.float64), scalar
+    for zj in np.atleast_1d(zs):
+        _check_pole(zj, what)
+    return np.atleast_1d(zs).astype(np.complex128), scalar
 
 
 def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
@@ -533,77 +549,61 @@ def _plain_sum(z: np.ndarray, ws: _Workspace, end: int,
 # partial-fraction kernel
 # ---------------------------------------------------------------------------
 
-def _N_truncation_bound(zabs, M: int):
-    # |beta(n)|/sqrt(n) <= 1, and sum_{m>=M} (2m+1)^-2 <= 1/(4M) by midpoint
-    # convexity, so on the real axis |tail| <= 2|x|/(4 M pi^2)
-    return zabs / (2.0 * math.pi ** 2 * M)
-
-
-def kernel_N_with_bound(z: complex, table: ArithTable,
-                        config: KernelConfig | None = None
-                        ) -> tuple[complex, float]:
+def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None):
     """Truncated partial-fraction kernel and its analytic tail bound.
 
     The tail uses |beta(2m+1)|/sqrt(2m+1) <= 1:
         |tail| <= |2z| sum_{m>M} 1/|z^2 + pi^2 (2m+1)^2|,
     with |z^2 + pi^2 n^2| >= pi^2 n^2 (1 - (|z|/(pi(2M+1)))^2) past the
-    truncation; the bound also carries the Taylor remainder of the tail.
+    truncation off the axis; the bound also carries the Taylor remainder of
+    the tail.  A scalar z gives (complex, float), an array z two arrays.
 
     With config=None the truncation is sized to the table; an explicit
     config must satisfy table limit >= 2*n_terms_N + 1.
 
     Raises:
-        TruncationBudgetError: |z| > 0.866 pi (2M+1), where the first omitted
-            poles are too close for the tail bound.
+        TruncationBudgetError: complex |z| > 0.866 pi (2M+1), where the first
+            omitted poles are too close for the tail bound.
     """
     if config is None:
         config = config_for_table(table)
-    z = _check_pole(z, "kernel_N")
-    M = _terms_N(table, config)
-    zabs = abs(z)
-    shrink = (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
-    if shrink > 0.75:
-        raise TruncationBudgetError(
-            f"kernel_N: |z|={zabs:.6g} is within a factor 0.866 of the first "
-            f"omitted pole pi*{2 * M + 1}", achieved_bound=math.inf)
-    zs = np.array([z.real]) if z.imag == 0.0 else np.array([z])
-    vals, remainder = _kernel_sum(_FORM_N, zs, _ws(table), M)
-    bound = _N_truncation_bound(zabs, M) / (1.0 - shrink) + float(remainder[0])
-    return complex(vals[0]), bound
+    zs, scalar = _points(z, "kernel_N")
+    ws, M = _ws(table), config.n_terms_N
+    if ws.m_avail + 1 < M:
+        raise InvalidArgumentError(
+            f"table limit {table.limit} supports {ws.m_avail + 1} partial-fraction "
+            f"terms, config requests {M} (need limit >= 2*n_terms_N+1)")
+    zabs = np.abs(zs)
+    # |beta(n)|/sqrt(n) <= 1, and sum_{m>=M} (2m+1)^-2 <= 1/(4M) by midpoint
+    # convexity, so on the real axis |tail| <= 2|x|/(4 M pi^2)
+    bound = zabs / (2.0 * math.pi ** 2 * M)
+    if np.iscomplexobj(zs):
+        shrink = (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
+        if shrink.max() > 0.75:
+            raise TruncationBudgetError(
+                f"kernel_N: |z|={zabs.max():.6g} is within a factor 0.866 of the "
+                f"first omitted pole pi*{2 * M + 1}", achieved_bound=math.inf)
+        bound = bound / (1.0 - shrink)
+    vals, remainder = _kernel_sum(_FORM_N, zs, ws, M)
+    bound = bound + remainder
+    return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
 
 
-def kernel_N(z: complex, table: ArithTable,
-             config: KernelConfig | None = None) -> complex:
+def kernel_N(z, table: ArithTable, config: KernelConfig | None = None):
     """Partial-fraction kernel N(z); odd in z, N(0) = 0."""
     return kernel_N_with_bound(z, table, config)[0]
-
-
-def _kernel_N_real_array(x: np.ndarray, table: ArithTable,
-                         config: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized kernel_N on a real grid (no pole checks: poles are off-axis)."""
-    M = _terms_N(table, config)
-    x = np.asarray(x, dtype=np.float64)
-    vals, remainder = _kernel_sum(_FORM_N, x, _ws(table), M)
-    return vals, _N_truncation_bound(np.abs(x), M) + remainder
 
 
 # ---------------------------------------------------------------------------
 # power series of the kernel around 0
 # ---------------------------------------------------------------------------
 
-_series_coef_cache: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def kernel_series_coefficients(order: int) -> np.ndarray:
     """Coefficients c_k = 2 (-1)^k pi^(-(2k+2)) zeta_beta(2k + 5/2), k <= order."""
-    cached = _series_coef_cache.get(order)
-    if cached is None:
-        ks = np.arange(order + 1)
-        cached = np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
-                           * zeta_beta(2 * k + 2.5, DEFAULT_EVAL_CONFIG).real
-                           for k in ks])
-        _series_coef_cache[order] = cached
-    return cached
+    return np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
+                     * zeta_beta(2 * k + 2.5, DEFAULT_EVAL_CONFIG).real
+                     for k in np.arange(order + 1)])
 
 
 def kernel_N_series(z: complex,
@@ -628,35 +628,42 @@ def kernel_N_series(z: complex,
 # exponential kernel (half-shifted and plain forms)
 # ---------------------------------------------------------------------------
 
-def kernel_M_with_bound(z: complex, table: ArithTable,
-                        config: KernelConfig | None = None,
-                        form: str = "half-shifted") -> tuple[complex, float]:
+def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None,
+                        form: str = "half-shifted"):
     """Truncated exponential kernel and a summation-by-parts remainder bound.
 
     form="half-shifted": sum nu(2m+1) tanh(z/(2(2m+1)))/2, any z off poles.
     form="plain": S(2M+1) f(M+1) - sum_{m<=M} nu(2m+1) f(m) with
-        f(m) = 1/(e^(z/(2m+1)) + 1); on real z >= 0 the sum stops early once
+        f(m) = 1/(e^(z/(2m+1)) + 1); on the real axis the sum stops early once
         the remainder bound drops below config.abel_tail_tol.
-    Both bounds also carry the Taylor remainder of the moment tail.
+    Both bounds also carry the Taylor remainder of the moment tail.  A scalar
+    z gives (value, float), the value real for the plain form on the real
+    axis and complex otherwise; an array z gives two arrays.
     """
     if config is None:
         config = config_for_table(table)
-    z = _check_pole(z, "kernel_M")
+    zs, scalar = _points(z, "kernel_M")
     ws = _ws(table)
     M = min(config.n_terms_M, ws.m_avail + 1)
     if form == "half-shifted":
-        zs = np.array([z.real]) if z.imag == 0.0 else np.array([z])
         vals, remainder = _kernel_sum(_FORM_M, zs, ws, M)
-        return complex(vals[0]), float(_abel_remainder_bound(z, M, ws) + remainder[0])
-    if form == "plain":
-        if z.imag == 0.0 and z.real >= 0.0:
-            vals, bounds = _kernel_M_abel_real_array(np.array([z.real]), table, config)
-            return float(vals[0]), float(bounds[0])
-        acc, remainder = _plain_sum(np.array([z]), ws, M, np.array([M]))
-        f_next = 1.0 / (cmath.exp(z / (2.0 * M + 1.0)) + 1.0)
-        val = complex(ws.S_odd[M - 1] * f_next - acc[0])
-        return val, float(_abel_remainder_bound(z, M, ws) + remainder[0])
-    raise DomainError(f"unknown kernel_M form {form!r}")
+        bound = _abel_remainder_bound(zs, M, ws) + remainder
+    elif form == "plain":
+        if np.iscomplexobj(zs):
+            stops = np.full(len(zs), M)
+            abel = _abel_remainder_bound(zs, M, ws)
+            f_next = _head_plain(zs, 2.0 * M + 1.0)
+        else:
+            stops, abel, f_next = _plain_stops(zs, ws, M, config.abel_tail_tol)
+        acc, remainder = _plain_sum(zs, ws, M, stops)
+        vals = ws.S_odd[stops - 1] * f_next - acc
+        bound = abel + remainder
+    else:
+        raise DomainError(f"unknown kernel_M form {form!r}")
+    if not scalar:
+        return vals, bound
+    value = float(vals[0]) if form == "plain" and not np.iscomplexobj(vals) else complex(vals[0])
+    return value, float(bound[0])
 
 
 def _abel_remainder_bound(z, M: int, ws: _Workspace):
@@ -682,9 +689,8 @@ def _plain_stops(x: np.ndarray, ws: _Workspace, M_cap: int,
     return cuts[first], bound[rows, first], f_next[rows, first]
 
 
-def kernel_M(z: complex, table: ArithTable,
-             config: KernelConfig | None = None,
-             form: str = "half-shifted") -> complex:
+def kernel_M(z, table: ArithTable, config: KernelConfig | None = None,
+             form: str = "half-shifted"):
     """Exponential kernel M(z).
 
     Raises:
@@ -695,58 +701,39 @@ def kernel_M(z: complex, table: ArithTable,
     if config is None:
         config = config_for_table(table)
     val, bound = kernel_M_with_bound(z, table, config, form)
-    if form == "plain" and complex(z).imag == 0.0 and complex(z).real >= 0.0 \
-            and bound > config.abel_tail_tol:
+    worst = float(np.max(bound))
+    # the plain form returns real values exactly when it ran on the real axis
+    if form == "plain" and not np.iscomplexobj(val) and worst > config.abel_tail_tol:
+        x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: table exhausted at remainder bound {bound:.3e} "
-            f"(> {config.abel_tail_tol:.1e}) for x={complex(z).real}",
-            achieved_bound=bound)
+            f"kernel_M: table exhausted at remainder bound {worst:.3e} "
+            f"(> {config.abel_tail_tol:.1e}) for x={x}", achieved_bound=worst)
     return val
 
 
-def _kernel_M_abel_real_array(x: np.ndarray, table: ArithTable,
-                              config: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Plain-form kernel over a real grid; per-point early stopping."""
-    ws = _ws(table)
-    M_cap = min(config.n_terms_M, ws.m_avail + 1)
-    x = np.asarray(x, dtype=np.float64)
-    stops, bounds, f_next = _plain_stops(x, ws, M_cap, config.abel_tail_tol)
-    acc, remainder = _plain_sum(x, ws, M_cap, stops)
-    return ws.S_odd[stops - 1] * f_next - acc, bounds + remainder
-
-
-def _kernel_M_half_real_array(x: np.ndarray, table: ArithTable,
-                              config: KernelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Half-shifted kernel over a real grid."""
-    ws = _ws(table)
-    M = min(config.n_terms_M, ws.m_avail + 1)
-    x = np.asarray(x, dtype=np.float64)
-    vals, remainder = _kernel_sum(_FORM_M, x, ws, M)
-    return vals, _abel_remainder_bound(x, M, ws) + remainder
-
-
-def kernel_M_prime(x: float, table: ArithTable,
-                   config: KernelConfig | None = None) -> float:
+def kernel_M_prime(x, table: ArithTable, config: KernelConfig | None = None):
     """Termwise derivative sum_m nu(2m+1)/(2m+1) e^w/(e^w+1)^2, w = x/(2m+1).
 
     Absolutely convergent; each head term is evaluated in the overflow-safe
-    form e^(-w)/(1+e^(-w))^2, the tail from the sech^2 power series.
+    form e^(-w)/(1+e^(-w))^2, the tail from the sech^2 power series.  A
+    scalar x gives a float, an array x an array.
     """
     if config is None:
         config = config_for_table(table)
-    if x < 0.0:
-        raise DomainError(f"kernel_M_prime requires x >= 0, got {x}")
+    xs = np.asarray(x, dtype=np.float64)
+    if (xs < 0.0).any():
+        raise DomainError(f"kernel_M_prime requires x >= 0, got {xs.min()}")
     ws = _ws(table)
     M = min(config.n_terms_M, ws.m_avail + 1)
-    vals, remainder = _kernel_sum(_FORM_M_PRIME, np.array([float(x)]), ws, M)
+    vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws, M)
     # remainder via summation by parts on phi(m) = sig/(2m+1)
     phi_edge = 0.25 / (2.0 * M + 1.0)
-    bound = 3.0 * ws.s_sup_beyond(M - 1) * phi_edge + float(remainder[0])
+    bound = float(np.max(3.0 * ws.s_sup_beyond(M - 1) * phi_edge + remainder))
     if bound > config.abel_tail_tol:
         raise TruncationBudgetError(
             f"kernel_M_prime: remainder bound {bound:.3e} above tolerance",
             achieved_bound=bound)
-    return float(vals[0])
+    return float(vals[0]) if xs.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -764,22 +751,13 @@ def residue_estimate(kernel: str, l: int, table: ArithTable,
     Raises:
         EstimationFailureError: if the extrapolated sequence has not settled.
     """
-    if config is None:
-        config = config_for_table(table)
     if kernel not in ("N", "M"):
         raise DomainError(f"kernel must be 'N' or 'M', got {kernel!r}")
     if l < 0:
         raise DomainError("pole index l must be >= 0")
     pole = 1j * math.pi * (2 * l + 1)
-    fs = []
-    for j in range(4, 21):
-        r = 2.0 ** (-j)
-        zj = pole + r
-        if kernel == "N":
-            fs.append(r * kernel_N(zj, table, config))
-        else:
-            fs.append(r * kernel_M(zj, table, config, form="half-shifted"))
-    f = np.array(fs)
+    r = 2.0 ** -np.arange(4, 21)
+    f = r * (kernel_N if kernel == "N" else kernel_M)(pole + r, table, config)
     r1 = 2.0 * f[1:] - f[:-1]
     r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
     if abs(r2[-1] - r2[-2]) > 1e-5 * max(1.0, abs(r2[-1])):

@@ -18,12 +18,17 @@ less than tail_stop_rel of the accumulated integral, or once the trusted
 range max_x is reached, in which case the discarded tail is bounded
 analytically with the supplied decay envelope |f(x)| <= decay_const * x^(-decay_power).
 
+Both integrals run through one integration loop, which takes the
+integrand, the exponent, the mass below the smallest node and a tail
+policy; the public functions only check their domain and supply those.
+
 Node positions depend only on the spec, never on s or the integrand, so
 integrand evaluations can be memoized across a grid of s values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,13 +106,9 @@ def de_nodes(a: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
     return x[good], w[good]
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def panel_sequence(spec: QuadratureSpec, im_s: float = 0.0):
@@ -130,6 +131,60 @@ def _panel_xw(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * xg, half * wg
 
 
+def _integrate(integrand, expo: complex, spec: QuadratureSpec, near: tuple, tail,
+               name: str, offset: complex = 0.0) -> IntegralResult:
+    """integral_0^inf f(x) x^expo dx on the spec's node layout, plus `offset`.
+
+    integrand(x) -> (values, truncation_bounds); the bounds are folded into
+    est_error with the quadrature weights.
+
+    near = (c, q): below the smallest node x_min, |f(x) x^expo| <= c x^(q-1),
+    so the mass cut off there is c x_min^q / q, counted with 50% slack;
+    c = None measures the slope |f(x_min)|/x_min of an f vanishing linearly.
+
+    tail(edge, last) bounds the integral past the last panel edge; `last` is
+    |last panel| when the panel criterion stopped the loop and None when the
+    trusted range max_x ran out.  A None return means no bound applies.
+    """
+
+    def rule(nodes):
+        # sum_j f(x_j) x_j^expo w_j, the weighted truncation bounds, x and f
+        x, w = nodes
+        f, bounds = integrand(x)
+        wt = x ** expo
+        return np.sum(f * wt * w), float(np.sum(np.abs(wt) * w * bounds)), x, f
+
+    # singular-endpoint region, with an embedded coarse rule for the estimate
+    fine, trunc, x0, f0 = rule(de_nodes(spec.split_point, spec.de_levels))
+    coarse = rule(de_nodes(spec.split_point, spec.de_levels - 1))[0]
+    i_min = np.argmin(x0)
+    x_min, (c, q) = float(x0[i_min]), near
+    c = abs(f0[i_min]) / x_min if c is None else c
+    est = abs(fine - coarse) + trunc + 1.5 * c * x_min ** q / q
+    total = fine
+
+    tail_bound = None
+    panels = 0
+    nsub = max(2, spec.panel_nodes // 2)
+    for a, b in panel_sequence(spec, expo.imag):
+        contrib, trunc, _, _ = rule(_panel_xw(a, b, spec.panel_nodes))
+        embedded = rule(_panel_xw(a, b, nsub))[0]
+        est = est + abs(contrib - embedded) + trunc
+        total += contrib
+        panels += 1
+        if abs(contrib) < spec.tail_stop_rel * max(abs(total), 1e-300):
+            tail_bound = tail(b, abs(contrib))
+            break
+        if b >= spec.max_x:
+            tail_bound = tail(b, None)
+    result = IntegralResult(value=complex(total + offset), est_error=float(est),
+                            tail_bound=float(tail_bound or 0.0), panels_used=panels)
+    if tail_bound is None:
+        raise NonConvergenceError(f"{name}: no tail criterion met after {panels} panels",
+                                  partial=result)
+    return result
+
+
 def integrate_mellin(integrand, s: complex, spec: QuadratureSpec) -> IntegralResult:
     """integral_0^inf f(x) x^(s-1/2) dx for a kernel-type integrand.
 
@@ -146,68 +201,18 @@ def integrate_mellin(integrand, s: complex, spec: QuadratureSpec) -> IntegralRes
     s = complex(s)
     if not -1.5 < s.real < 0.5:
         raise DomainError(f"integrate_mellin requires -3/2 < Re s < 1/2, got {s}")
-    expo = s - 0.5
 
-    # singular-endpoint region, with an embedded coarse rule for the estimate
-    x0, w0 = de_nodes(spec.split_point, spec.de_levels)
-    f0, b0 = integrand(x0)
-    wt0 = x0 ** expo
-    fine = np.sum(f0 * wt0 * w0)
-    xc, wc = de_nodes(spec.split_point, spec.de_levels - 1)
-    fc, _ = integrand(xc)
-    coarse = np.sum(fc * xc ** expo * wc)
-    est = abs(fine - coarse)
-    est += float(np.sum(np.abs(wt0) * w0 * b0))
-    # mass cut off below the smallest node, using near-0 linearity of f
-    x_min = float(x0.min())
-    slope = abs(f0[np.argmin(x0)]) / x_min
-    est += 1.5 * slope * x_min ** (s.real + 1.5) / (s.real + 1.5)
-    total = fine
-
-    tail_bound = 0.0
-    panels = 0
-    converged = False
-    nsub = max(2, spec.panel_nodes // 2)
-    for a, b in panel_sequence(spec, s.imag):
-        xp, wp = _panel_xw(a, b, spec.panel_nodes)
-        fp, bp = integrand(xp)
-        wtp = xp ** expo
-        contrib = np.sum(fp * wtp * wp)
-        xq, wq = _panel_xw(a, b, nsub)
-        fq, _ = integrand(xq)
-        embedded = np.sum(fq * xq ** expo * wq)
-        est += abs(contrib - embedded)
-        est += float(np.sum(np.abs(wtp) * wp * bp))
-        total += contrib
-        panels += 1
-        if abs(contrib) < spec.tail_stop_rel * max(abs(total), 1e-300):
-            tail_bound = _envelope_tail(spec, s.real, b, fallback=abs(contrib))
-            converged = True
-            break
-        if b >= spec.max_x:
-            if spec.decay_const is None:
-                break  # no envelope: fall through to the non-convergence error
-            tail_bound = _envelope_tail(spec, s.real, b, fallback=None)
-            converged = True
-            break
-    result = IntegralResult(value=complex(total), est_error=float(est),
-                            tail_bound=float(tail_bound), panels_used=panels)
-    if not converged:
-        raise NonConvergenceError(
-            f"integrate_mellin: no tail criterion met after {panels} panels",
-            partial=result)
-    return result
-
-
-def _envelope_tail(spec: QuadratureSpec, sigma: float, edge: float,
-                   fallback: float | None) -> float:
-    """Bound on integral_edge^inf |f| x^(sigma-1/2) dx from the decay envelope."""
-    if spec.decay_const is not None:
-        p = spec.decay_power - sigma - 0.5
-        if p <= 0:
+    def envelope_tail(edge, last):
+        # integral_edge^inf |f| x^(sigma-1/2) dx under the decay envelope
+        if spec.decay_const is None:
+            return last
+        q = spec.decay_power - s.real - 0.5
+        if q <= 0:
             raise DomainError("decay envelope too weak for this sigma")
-        return spec.decay_const * edge ** (-p) / p
-    return fallback if fallback is not None else 0.0
+        return spec.decay_const * edge ** (-q) / q
+
+    return _integrate(integrand, s - 0.5, spec, (None, s.real + 1.5), envelope_tail,
+                      "integrate_mellin")
 
 
 def integrate_gamma_zeta_a(s: complex, spec: QuadratureSpec) -> IntegralResult:
@@ -222,56 +227,25 @@ def integrate_gamma_zeta_a(s: complex, spec: QuadratureSpec) -> IntegralResult:
         DomainError: for Re s <= -1, Re s = 0, or s = 0.
     """
     s = complex(s)
-    subtracted = False
-    if s.real <= 0.0:
-        if not -1.0 < s.real < 0.0:
-            raise DomainError(f"integrate_gamma_zeta_a needs Re s > 0 or -1 < Re s < 0, got {s}")
-        subtracted = True
-    expo = s - 1.0
+    if s.real <= 0.0 and not -1.0 < s.real < 0.0:
+        raise DomainError(f"integrate_gamma_zeta_a needs Re s > 0 or -1 < Re s < 0, got {s}")
+    subtracted = s.real < 0.0
+    split = spec.split_point
+    # near 0 the kernel is 1/2, with 1/2 subtracted -t/4; given, not measured,
+    # as fermi(t) - 1/2 rounds to 0 at the smallest node
+    near = (0.25, s.real + 1.0) if subtracted else (0.5, s.real)
 
-    def fermi_arr(t):
-        e = np.exp(-np.abs(t))
-        return np.where(t >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    def integrand(t):
+        e = np.exp(-t)  # t > 0
+        f = e / (1.0 + e) - (0.5 if subtracted else 0.0) * (t < split)
+        return f, np.zeros(len(t))
 
-    if subtracted:
-        near = lambda t: fermi_arr(t) - 0.5   # ~ -t/4 near 0
-    else:
-        near = fermi_arr
+    def exponential_tail(edge, last):
+        # kernel < e^-t out here; no bound applies where max_x cut the panels
+        if last is not None and edge > abs(s):
+            return math.exp(-edge) * 2.0 * edge ** (s.real - 1.0)
+        return last
 
-    x0, w0 = de_nodes(spec.split_point, spec.de_levels)
-    fine = np.sum(near(x0) * x0 ** expo * w0)
-    xc, wc = de_nodes(spec.split_point, spec.de_levels - 1)
-    coarse = np.sum(near(xc) * xc ** expo * wc)
-    est = abs(fine - coarse)
-    x_min = float(x0.min())
-    if subtracted:
-        est += 0.375 * x_min ** (s.real + 1.0) / (s.real + 1.0)
-    else:
-        est += 0.75 * x_min ** s.real / max(s.real, 1e-300)
-    total = fine
-
-    panels = 0
-    tail_bound = 0.0
-    converged = False
-    nsub = max(2, spec.panel_nodes // 2)
-    for a, b in panel_sequence(spec, s.imag):
-        xp, wp = _panel_xw(a, b, spec.panel_nodes)
-        contrib = np.sum(fermi_arr(xp) * xp ** expo * wp)
-        xq, wq = _panel_xw(a, b, nsub)
-        est += abs(contrib - np.sum(fermi_arr(xq) * xq ** expo * wq))
-        total += contrib
-        panels += 1
-        if abs(contrib) < spec.tail_stop_rel * max(abs(total), 1e-300):
-            # kernel < e^-a out here: exponential tail bound
-            tail_bound = math.exp(-b) * 2.0 * b ** (s.real - 1.0) if b > abs(s) else abs(contrib)
-            converged = True
-            break
-    if subtracted:
-        total += spec.split_point ** s / (2.0 * s)
-    result = IntegralResult(value=complex(total), est_error=float(est),
-                            tail_bound=float(tail_bound), panels_used=panels)
-    if not converged:
-        raise NonConvergenceError(
-            f"integrate_gamma_zeta_a: tail not reached after {panels} panels",
-            partial=result)
-    return result
+    offset = split ** s / (2.0 * s) if subtracted else 0.0
+    return _integrate(integrand, s - 1.0, spec, near, exponential_tail,
+                      "integrate_gamma_zeta_a", offset)

@@ -33,8 +33,7 @@ from .errors import LiouvilleMellinError, PoleError
 from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig,
                       config_for_table, fermi_deficit, kernel_M,
                       kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
-                      residue_estimate, _kernel_M_abel_real_array,
-                      _kernel_M_half_real_array, _kernel_N_real_array)
+                      residue_estimate)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
 from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
@@ -269,6 +268,13 @@ def default_theorem2_spec(table: ArithTable) -> QuadratureSpec:
                           decay_const=QUAD_DECAY_CONST, decay_power=1.0)
 
 
+# The three routes of the theorem-2 integrand, bound to the names under which
+# perfbench/tracer.py times each kernel route (its boundaries verify.<name>).
+_kernel_N_real_array = kernel_N_with_bound
+_kernel_M_half_real_array = kernel_M_with_bound
+_kernel_M_abel_real_array = kernel_M_with_bound
+
+
 class _KernelIntegrand:
     """Memoizing integrand: one kernel route near 0, the Abel route far out.
 
@@ -278,11 +284,10 @@ class _KernelIntegrand:
     """
 
     def __init__(self, table: ArithTable, config: KernelConfig, near_route: str,
-                 splice: float = KERNEL_SPLICE_X, cache: dict | None = None):
+                 cache: dict | None = None):
         self.table = table
         self.config = config
         self.near_route = near_route  # "N" or "M"
-        self.splice = splice
         self.cache = cache if cache is not None else {}
 
     def _eval_route(self, route: str, xs: np.ndarray):
@@ -290,28 +295,19 @@ class _KernelIntegrand:
             return _kernel_N_real_array(xs, self.table, self.config)
         if route == "M":
             return _kernel_M_half_real_array(xs, self.table, self.config)
-        return _kernel_M_abel_real_array(xs, self.table, self.config)
+        return _kernel_M_abel_real_array(xs, self.table, self.config, form="plain")
 
     def __call__(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        vals = np.empty(len(x), dtype=np.float64)
-        bounds = np.empty(len(x), dtype=np.float64)
-        missing: dict[str, list[int]] = {}
-        for i, xi in enumerate(x):
-            route = self.near_route if xi <= self.splice else "abel"
-            key = (route, float(xi))
-            hit = self.cache.get(key)
-            if hit is None:
-                missing.setdefault(route, []).append(i)
-            else:
-                vals[i], bounds[i] = hit
-        for route, idxs in missing.items():
-            xs = x[idxs]
-            v, b = self._eval_route(route, xs)
-            for j, i in enumerate(idxs):
-                self.cache[(route, float(x[i]))] = (float(np.real(v[j])), float(b[j]))
-                vals[i], bounds[i] = float(np.real(v[j])), float(b[j])
-        return vals, bounds
+        keys = [(self.near_route if xi <= KERNEL_SPLICE_X else "abel", xi)
+                for xi in np.asarray(x, dtype=np.float64).tolist()]
+        missing: dict[str, list[float]] = {}
+        for route, xi in keys:
+            if (route, xi) not in self.cache:
+                missing.setdefault(route, []).append(xi)
+        for route, xs in missing.items():
+            vals, bounds = self._eval_route(route, np.array(xs))
+            self.cache.update(zip([(route, xi) for xi in xs], zip(vals.tolist(), bounds.tolist())))
+        return np.array([self.cache[key] for key in keys]).T  # values, bounds
 
 
 def verify_theorem2(table: ArithTable,
@@ -459,15 +455,12 @@ def probe_decay(table: ArithTable,
     bound on M', and the exploratory x |M(x)| record."""
     config = config_for_table(table, config)
     x_grid = sorted(float(x) for x in x_grid)
-    reports = []
-    m_vals = {}
-    for x in x_grid:
-        val, bound = kernel_M_with_bound(x, table, config, form="plain")
-        m_vals[x] = float(np.real(val))
-        reports.append(make_report(
-            "decay.m-checkpoint", {"x": x}, m_vals[x], 0.0, passed=True,
-            budget={"abel_remainder_bound": bound},
-            notes="informational: M(x) sample"))
+    vals, bounds = kernel_M_with_bound(np.array(x_grid), table, config, form="plain")
+    m_vals = dict(zip(x_grid, vals.tolist()))
+    reports = [make_report("decay.m-checkpoint", {"x": x}, m_vals[x], 0.0, passed=True,
+                           budget={"abel_remainder_bound": bound},
+                           notes="informational: M(x) sample")
+               for x, bound in zip(x_grid, bounds.tolist())]
 
     reports.append(make_report(
         "decay.m-at-zero", {"x": 0.0},
@@ -483,7 +476,7 @@ def probe_decay(table: ArithTable,
         notes="number of |M| increases along the tail grid (must be 0)"))
 
     xs = np.linspace(0.0, 100.0, 201)
-    mp = np.array([kernel_M_prime(float(x), table, config) for x in xs])
+    mp = kernel_M_prime(xs, table, config)
     mp_max = float(np.abs(mp).max())
     reports.append(make_report(
         "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, mp_max, 0.0,

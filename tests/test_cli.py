@@ -65,6 +65,15 @@ def test_sieve_writes_cache(cache_env, capsys):
     assert (cache_env / "cache" / "arith_5001.bin").exists()
 
 
+def test_default_limit_shared_by_sieve_and_verify(cache_env, capsys, monkeypatch):
+    # a bare `sieve` warms the very table a bare `verify` reads
+    monkeypatch.delenv("LIOUMEL_LIMIT", raising=False)
+    assert main(["sieve"]) == 0
+    assert "sieving to" in capsys.readouterr().err
+    assert main(["verify", "theorem1", "--out", str(cache_env / "t1.jsonl")]) == 0
+    assert "sieving to" not in capsys.readouterr().err
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out

@@ -11,10 +11,8 @@ from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
                               kernel_N, kernel_N_series, residue_estimate,
                               zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin.kernels import (_CHUNK, _TAYLOR_TERMS, _fermi_real,
-                                      _kernel_M_abel_real_array,
-                                      _kernel_M_half_real_array,
-                                      _kernel_N_real_array, _plain_stops,
-                                      _tanh_coefficients, _ws, config_for_table,
+                                      _plain_stops, _tanh_coefficients, _ws,
+                                      config_for_table,
                                       kernel_M_with_bound, kernel_N_with_bound,
                                       nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
@@ -298,9 +296,9 @@ def _assert_close(got, want, tol=1e-14):
 def test_routes_match_fsum_on_real_axis(table_100k, kconfig_100k):
     ws, M = _ws(table_100k), kconfig_100k.n_terms_M
     x = np.array(REAL_X)
-    n_vals, _ = _kernel_N_real_array(x, table_100k, kconfig_100k)
-    half, _ = _kernel_M_half_real_array(x, table_100k, kconfig_100k)
-    plain, _ = _kernel_M_abel_real_array(x, table_100k, kconfig_100k)
+    n_vals, _ = kernel_N_with_bound(x, table_100k, kconfig_100k)
+    half, _ = kernel_M_with_bound(x, table_100k, kconfig_100k)
+    plain, _ = kernel_M_with_bound(x, table_100k, kconfig_100k, form="plain")
     for j, xj in enumerate(REAL_X):
         _assert_close(n_vals[j], _ref_N(xj, ws, kconfig_100k.n_terms_N))
         _assert_close(half[j], _ref_M_half(xj, ws, M))
@@ -329,8 +327,8 @@ def test_routes_match_fsum_off_axis(table_100k, kconfig_100k):
 
 def test_plain_form_real_array_is_odd_with_positive_bound(table_100k, kconfig_100k):
     x = np.array([0.5, 5.0, 50.0])
-    pos, pos_bound = _kernel_M_abel_real_array(x, table_100k, kconfig_100k)
-    neg, neg_bound = _kernel_M_abel_real_array(-x, table_100k, kconfig_100k)
+    pos, pos_bound = kernel_M_with_bound(x, table_100k, kconfig_100k, form="plain")
+    neg, neg_bound = kernel_M_with_bound(-x, table_100k, kconfig_100k, form="plain")
     assert np.all(np.abs(neg + pos) <= 1e-14)
     assert neg_bound == pytest.approx(pos_bound, rel=1e-12)
     assert np.all(pos_bound > 0.0)
@@ -341,7 +339,7 @@ def test_plain_form_early_stop_matches_fsum(table_main):
     config = config_for_table(table_main)
     ws, M = _ws(table_main), config.n_terms_M
     xs = (3.5, 8.0, 20.0, 60.0, 150.0)
-    vals, _ = _kernel_M_abel_real_array(np.array(xs), table_main, config)
+    vals, _ = kernel_M_with_bound(np.array(xs), table_main, config, form="plain")
     stops = set()
     for j, x in enumerate(xs):
         ref, stop, _ = _ref_plain(x, ws, M, config.abel_tail_tol)
@@ -399,7 +397,7 @@ def _block_remainder(x, ws, head):
 
 def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfig_100k):
     ws, M = _ws(table_100k), kconfig_100k.n_terms_M
-    _, bounds = _kernel_M_abel_real_array(np.array(REAL_X), table_100k, kconfig_100k)
+    _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, kconfig_100k, form="plain")
     for j, x in enumerate(REAL_X):
         stop, g_edge = _plain_stop_ref(x, ws, M, kconfig_100k.abel_tail_tol)
         abel = 2.0 * ws.s_sup_beyond(stop - 1) * g_edge
@@ -417,7 +415,7 @@ def test_plain_block_head_matches_fsum(table_main):
     # heads of up to 2^17 terms, all but the first 32 from block moments
     config = config_for_table(table_main)
     ws, M, tol = _ws(table_main), config.n_terms_M, config.abel_tail_tol
-    vals, bounds = _kernel_M_abel_real_array(np.array(PLAIN_BLOCK_X), table_main, config)
+    vals, bounds = kernel_M_with_bound(np.array(PLAIN_BLOCK_X), table_main, config, form="plain")
     for j, x in enumerate(PLAIN_BLOCK_X):
         ref, stop, _ = _ref_plain(x, ws, M, tol)
         _assert_close(vals[j], ref)
@@ -468,7 +466,7 @@ def test_kernel_N_bound_covers_worst_case_tail(table_100k):
             _, bound = kernel_N_with_bound(z, table_100k, config)
             assert bound >= worst, (M, z, bound, worst)
             if z.imag == 0.0:
-                _, real_bound = _kernel_N_real_array(np.array([z.real]), table_100k, config)
+                _, real_bound = kernel_N_with_bound(np.array([z.real]), table_100k, config)
                 assert real_bound[0] >= worst
                 if M == 1:  # the integral from M undercounts the tail
                     assert 2.0 * zabs / (2.0 * PI ** 2 * 3.0) < worst
@@ -476,3 +474,37 @@ def test_kernel_N_bound_covers_worst_case_tail(table_100k):
     config = KernelConfig(n_terms_N=1, n_terms_M=50_001, abel_tail_tol=1e-6)
     with pytest.raises(TruncationBudgetError):
         kernel_N_with_bound(8.5j, table_100k, config)
+
+
+# ------------------------------------------------ one call = many calls ----
+
+MIXED_REAL = np.array([0.0, 0.01, -0.7, 1.0, 3.0, -3.5, 17.0, 100.0, -250.0, 5000.0])
+MIXED_COMPLEX = np.array([complex(p) for p in DEFAULT_IDENTITY_POINTS if complex(p).imag]
+                         + NEAR_POLE)
+
+
+def test_array_call_equals_scalar_calls_bit_for_bit(table_100k, kconfig_100k):
+    t, c = table_100k, kconfig_100k
+    for form in ("half-shifted", "plain", None):
+        for points in (MIXED_REAL, MIXED_COMPLEX):
+            if form is None:
+                vals, bounds = kernel_N_with_bound(points, t, c)
+                scalar = [kernel_N_with_bound(z.item(), t, c) for z in points]
+            else:
+                vals, bounds = kernel_M_with_bound(points, t, c, form=form)
+                scalar = [kernel_M_with_bound(z.item(), t, c, form=form) for z in points]
+            assert vals.dtype == points.dtype and bounds.dtype == np.float64
+            assert [(v, b) for v, b in scalar] == list(zip(vals, bounds)), (form, points)
+    xs = np.linspace(0.0, 100.0, 201)
+    assert kernel_M_prime(xs, t, c).tolist() == [kernel_M_prime(x, t, c) for x in xs.tolist()]
+
+
+def test_array_calls_check_every_point(table_100k, kconfig_100k):
+    t, c = table_100k, kconfig_100k
+    with pytest.raises(PoleError):
+        kernel_N(np.array([1.0 + 1.0j, 3j * PI]), t, c)
+    with pytest.raises(DomainError):
+        kernel_M_prime(np.array([1.0, -1.0]), t, c)
+    tight = KernelConfig(n_terms_N=50_001, n_terms_M=50_001, abel_tail_tol=1e-12)
+    with pytest.raises(TruncationBudgetError):
+        kernel_M(np.array([1.0, -50.0]), t, tight, form="plain")

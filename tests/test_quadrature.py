@@ -140,3 +140,28 @@ def test_spec_validation():
         QuadratureSpec(split_point=-1.0)
     with pytest.raises(InvalidArgumentError):
         QuadratureSpec(max_x=0.5)
+
+
+# (value, panels_used) recorded with the two per-integral loops that the
+# shared integration loop replaced
+GAMMA_ETA_PINS = {
+    2.0: (0.8224670334241132 + 0j, 6),
+    1.0: (0.6931471805599453 + 0j, 6),
+    0.5 + 1j: (0.2746404655858677 - 0.21373200239376963j, 6),
+    -0.5: (-1.3474364769222806 + 0j, 6),
+    -0.5 + 0.5j: (-0.602785498155847 - 0.22233454901351246j, 6),
+}
+MELLIN_GAUGE_PINS = {
+    -0.75 + 0.5j: (0.834929965973747 - 0.4063818800581324j, 6),
+    -1.25: (3.6256099082219087 + 0j, 6),
+}
+
+
+def test_shared_loop_reproduces_recorded_integrals():
+    spec = QuadratureSpec()
+    runs = [(integrate_gamma_zeta_a(s, spec), pin) for s, pin in GAMMA_ETA_PINS.items()]
+    runs += [(integrate_mellin(_gauge(), complex(s), spec), pin)
+             for s, pin in MELLIN_GAUGE_PINS.items()]
+    for res, (value, panels) in runs:
+        assert abs(res.value - value) <= 1e-15 * abs(value)
+        assert res.panels_used == panels
