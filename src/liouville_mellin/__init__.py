@@ -7,7 +7,7 @@ Layer map:
     special      complex Gamma, accelerated alternating zeta, continuation
     zeta_family  derived Dirichlet quotients and functional equations
     kernels      the two meromorphic kernel sums (partial-fraction / exponential)
-    quadrature   tanh-sinh plus geometric-panel semi-infinite integration
+    quadrature   power-series head plus geometric Gauss panels on (0, inf)
     verify       machine-checkable certificates for every analytic claim
     cli          command-line front end over all of the above
 """

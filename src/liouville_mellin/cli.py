@@ -280,18 +280,19 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "kernel":
-        table = acquire_table(_limit(args), args.cache_dir or _default_cache_dir())
-        if args.name == "N":
-            value = kernel_N(args.z, table)
-        elif args.name == "M":
-            value = kernel_M(args.z, table, form=args.form)
-        elif args.name == "Mprime":
-            if args.z.imag != 0.0:
-                print("error: Mprime takes a real nonnegative --z", file=sys.stderr)
-                return 2
-            value = kernel_M_prime(args.z.real, table)
-        else:
+        if args.name == "Mprime" and (args.z.imag != 0.0 or args.z.real < 0.0):
+            print("error: Mprime takes a real nonnegative --z", file=sys.stderr)
+            return 2
+        if args.name == "series":  # needs no table
             value = kernel_N_series(args.z)
+        else:
+            table = acquire_table(_limit(args), args.cache_dir or _default_cache_dir())
+            if args.name == "N":
+                value = kernel_N(args.z, table)
+            elif args.name == "M":
+                value = kernel_M(args.z, table, form=args.form)
+            else:
+                value = kernel_M_prime(args.z.real, table)
         print(format_complex(complex(value)))
         return 0
 

@@ -40,24 +40,10 @@ S(2m+1), which also yields a computable remainder bound
 
     |remainder| <= sup_{m>M} |S(2m+1)| * O(kernel variation beyond M).
 
-Its head stays in plain form, whose terms are exponentially small for
-n << x; past the head, 1/(e^u+1) = 1/2 - tanh(u/2)/2 turns the rest into
-half a difference of partial sums minus the half-shifted moment tail.  On
-the real axis only the first _PLAIN_PREFIX head terms are summed directly:
-the rest of the head is cut into blocks, three geometric ones per octave of
-m, split further at every breakpoint so that each head ends on a block
-edge.  On a block 1/n = w0 + delta tau with tau in [-1, 1], so
-f(x/n) = sum_k b_k tau^k around u0 = x w0, with b_k from the Riccati
-equation f' = f^2 - f, and the block sums to sum_k b_k mu_k with the cached
-block moments mu_k = sum_B nu_n tau_n^k.  The poles of f lie on the
-imaginary axis, so |f| <= 1/(1 - e^(-|u0|/2)) on the disc |u - u0| <= |u0|/2,
-and Cauchy's estimate bounds the discarded terms k >= _BLOCK_TERMS by
-
-    1/(1 - e^(-|u0|/2)) * rho^K / (1 - rho) * sum_B |nu_n|,  rho = 2 delta/w0,
-
-with rho < 0.231, so rho^K/(1 - rho) < 1.8e-18; the returned bound includes
-it.  Complex arguments keep the direct head, since a pole may fall inside a
-block's disc there.
+Its head stays in plain form (_plain_sum); on the real axis all but the
+first _PLAIN_PREFIX head terms come from per-block Taylor moments
+(_PlainBlocks).  Complex arguments keep the direct head, since a pole may
+fall inside a block's disc there.
 
 The sup factor uses the table's suffix envelope inside the sieve range and
 a frozen empirical constant beyond it, so these bounds are honest but not
@@ -93,7 +79,7 @@ from .zeta_family import zeta_beta
 __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
            "kernel_N", "kernel_N_series", "kernel_M", "kernel_M_prime",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
-           "nearest_pole"]
+           "nearest_pole", "fermi_series", "kernel_series_with_bound"]
 
 _POLE_TOL = 1e-12
 _CHUNK = 1 << 17  # plain-form early-stop granularity; moment block length
@@ -357,13 +343,20 @@ class _PlainBlocks:
     """Taylor moments of nu over the blocks of the real plain-form head.
 
     The blocks tile [_PLAIN_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
-    blocks per octave of m, split at every moment breakpoint.  On block B,
-    1/n = w0 + delta tau with tau in [-1, 1], and
+    blocks per octave of m, split at every moment breakpoint so that each
+    head ends on a block edge.  On block B, 1/n = w0 + delta tau with tau in
+    [-1, 1], and
 
         mu[B, k]   = sum_B nu_m tau_m^k,  k < _BLOCK_TERMS,
         abs_sum[B] = sum_B |nu_m|,
 
-    computed for the blocks a call reaches and kept for later calls.
+    computed for the blocks a call reaches and kept for later calls.  With
+    f(x/n) = sum_k b_k tau^k around u0 = x w0 (b_k from the Riccati equation
+    f' = f^2 - f) the block sums to sum_k b_k mu[B, k].  The poles of f lie
+    on the imaginary axis, so |f| <= 1/(1 - e^(-|u0|/2)) on the disc
+    |u - u0| <= |u0|/2, and Cauchy's estimate bounds the terms k >= K by
+    1/(1 - e^(-|u0|/2)) rho^K/(1 - rho) abs_sum[B], rho = 2 delta/w0 < 0.231,
+    so rho^K/(1 - rho) < 1.8e-18.
     """
 
     def __init__(self, breaks: np.ndarray, end: int):
@@ -574,9 +567,7 @@ def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None
             f"table limit {table.limit} supports {ws.m_avail + 1} partial-fraction "
             f"terms, config requests {M} (need limit >= 2*n_terms_N+1)")
     zabs = np.abs(zs)
-    # |beta(n)|/sqrt(n) <= 1, and sum_{m>=M} (2m+1)^-2 <= 1/(4M) by midpoint
-    # convexity, so on the real axis |tail| <= 2|x|/(4 M pi^2)
-    bound = zabs / (2.0 * math.pi ** 2 * M)
+    bound = _N_tail_bound(zabs, M)
     if np.iscomplexobj(zs):
         shrink = (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
         if shrink.max() > 0.75:
@@ -587,6 +578,12 @@ def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None
     vals, remainder = _kernel_sum(_FORM_N, zs, ws, M)
     bound = bound + remainder
     return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
+
+
+def _N_tail_bound(xabs, M: int):
+    # |beta(n)|/sqrt(n) <= 1, and sum_{m>=M} (2m+1)^-2 <= 1/(4M) by midpoint
+    # convexity, so on the real axis |tail| <= 2|x|/(4 M pi^2)
+    return xabs / (2.0 * math.pi ** 2 * M)
 
 
 def kernel_N(z, table: ArithTable, config: KernelConfig | None = None):
@@ -622,6 +619,49 @@ def kernel_N_series(z: complex,
     for k in range(len(c) - 1, -1, -1):
         acc = acc * w + c[k]
     return acc * z
+
+
+def _series_disc(a: float) -> None:
+    if not 0.0 < a < math.pi:
+        raise InvalidArgumentError(f"power series need 0 < a < pi, got a={a}")
+
+
+def fermi_series(a: float):
+    """1/(e^t + 1) = 1/2 - sum_k c_k t^(2k+1) on 0 < t <= a < pi, c_k the tanh
+    coefficients, in the format of kernel_series_with_bound."""
+    _series_disc(a)
+    order = 2 * _TAYLOR_TERMS + 1
+    return (np.concatenate([[0.0], 1.0 + _K2]), np.concatenate([[0.5], -_TANH]),
+            np.array([order]), np.array([_FORM_M.remainder(a) / a ** order]))
+
+
+def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
+                             config: KernelConfig | None = None):
+    """Truncated kernel N or (half-shifted) M on 0 < x <= a < pi as a power series.
+
+    Returns (powers, coef, err_pow, err): the kernel is sum_j coef_j x^p_j + E(x)
+    with |E(x)| <= sum_i err_i x^q_i.  coef comes from the table's moments at
+    breakpoint 0, not from kernel_series_coefficients, so that N and M stay
+    independent routes; err holds the route's real-axis truncation bound,
+    linear in x, and the Taylor remainder at radius a times sum_m |w_m|.
+    Raises DomainError for another kernel, InvalidArgumentError unless a < pi.
+    """
+    if kernel not in ("N", "M"):
+        raise DomainError(f"kernel must be 'N' or 'M', got {kernel!r}")
+    _series_disc(a)
+    if config is None:
+        config = config_for_table(table)
+    ws = _ws(table)
+    # clamped to the table; the bounds hold for the terms actually summed
+    M = min(config.n_terms_N if kernel == "N" else config.n_terms_M, ws.m_avail + 1)
+    if kernel == "N":
+        form, slope = _FORM_N, _N_tail_bound(1.0, M)
+    else:
+        form, slope = _FORM_M, float(_abel_remainder_bound(1.0, M, ws))
+    mom = ws.moments(form, M)
+    order = form.p0 + 2 * _TAYLOR_TERMS
+    return (form.p0 + _K2, form.coef * mom.scaled[0], np.array([1.0, order]),
+            np.array([slope, form.remainder(a) * mom.abs_sum[0] / a ** order]))
 
 
 # ---------------------------------------------------------------------------

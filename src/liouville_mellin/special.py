@@ -11,9 +11,9 @@ Riemann functional equation
 
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s).
 
-eta itself is evaluated with Borwein's fixed-order acceleration of the
-alternating series, whose error decays like (3 + sqrt 8)^(-n); the default
-order 50 reaches double-precision roundoff on the domains used here.
+eta itself is evaluated with Borwein's acceleration, whose error decays like
+(3 + sqrt 8)^(-n); n comes from that error model, with floor accel_order (50)
+and cap series_terms (128), past which eta raises TruncationBudgetError.
 """
 
 from __future__ import annotations

@@ -30,10 +30,9 @@ import numpy as np
 
 from .arith import ArithTable
 from .errors import LiouvilleMellinError, PoleError
-from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig,
-                      config_for_table, fermi_deficit, kernel_M,
-                      kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
-                      residue_estimate)
+from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig, config_for_table,
+                      fermi_deficit, kernel_M, kernel_M_prime, kernel_M_with_bound,
+                      kernel_N_with_bound, kernel_series_with_bound, residue_estimate)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
 from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
@@ -264,8 +263,7 @@ def default_theorem2_grid() -> list[complex]:
 
 
 def default_theorem2_spec(table: ArithTable) -> QuadratureSpec:
-    return QuadratureSpec(max_x=max(64.0, table.limit / 20.0),
-                          decay_const=QUAD_DECAY_CONST, decay_power=1.0)
+    return QuadratureSpec(max_x=max(64.0, table.limit / 20.0), decay_const=QUAD_DECAY_CONST)
 
 
 # The three routes of the theorem-2 integrand, bound to the names under which
@@ -276,7 +274,8 @@ _kernel_M_abel_real_array = kernel_M_with_bound
 
 
 class _KernelIntegrand:
-    """Memoizing integrand: one kernel route near 0, the Abel route far out.
+    """Memoizing Gauss-panel integrand: the near route ("N" or half-shifted "M",
+    whose series is the head on (0, split_point]) to KERNEL_SPLICE_X, Abel beyond.
 
     Values are cached per x across every s on the grid (node positions do
     not depend on s), so a full 9-point, two-route theorem-2 run costs one
@@ -328,11 +327,12 @@ def verify_theorem2(table: ArithTable,
     reports = []
     for route, check_id in (("N", "theorem2.n-form"), ("M", "theorem2.m-form")):
         integrand = _KernelIntegrand(table, config, route, cache=shared_cache)
+        series = kernel_series_with_bound(route, spec.split_point, table, config)
         for s in s_grid:
             s = complex(s)
             lhs = zeta_lambda(s)
             try:
-                res = integrate_mellin(integrand, s, spec)
+                res = integrate_mellin(integrand, s, spec, series)
             except LiouvilleMellinError as exc:   # non-convergence carries diagnostics
                 reports.append(make_report(
                     check_id, {"s": str(s)}, lhs, 0.0, passed=False,

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from liouville_mellin import kernel_N_series
 from liouville_mellin.cli import (RunManifest, format_complex, main,
                                   parse_complex, read_report_file)
 
@@ -163,8 +164,19 @@ def test_theorem2_grid_flag(cache_env, capsys, tmp_path):
 
 
 def test_mprime_rejects_complex(cache_env, capsys):
-    assert main(["kernel", "Mprime", "--z", "1+1i", "--limit", "5001"]) == 2
-    capsys.readouterr()
+    for z in ("1+1i", "-1"):
+        assert main(["kernel", "Mprime", "--z", z, "--limit", "5001"]) == 2
+    assert capsys.readouterr().err.count("real nonnegative") == 2
+    # rejected before any table is sieved
+    assert not list((cache_env / "cache").glob("arith_*.bin"))
+
+
+def test_kernel_series_needs_no_table(cache_env, capsys):
+    assert main(["kernel", "series", "--z", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    assert parse_complex(out.strip()) == pytest.approx(kernel_N_series(0.5), rel=1e-12)
+    assert "sieving" not in err
+    assert not list((cache_env / "cache").glob("arith_*.bin"))
 
 
 def test_tol_override_rescores(cache_env, tmp_path):

@@ -1,6 +1,8 @@
-"""Module boundaries: no package module imports another one's private names."""
+"""Module boundaries: no package module imports another one's private names,
+and every module exports only names it defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import liouville_mellin
@@ -26,3 +28,15 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 9
     assert [hit for m in modules for hit in _private_imports(m)] == []
+
+
+def test_every_exported_name_exists():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # runs the CLI on import
+        suffix = "" if path.stem == "__init__" else f".{path.stem}"
+        module = importlib.import_module(f"liouville_mellin{suffix}")
+        stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []

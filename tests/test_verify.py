@@ -109,7 +109,7 @@ def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, kconfig_100k
                                                         monkeypatch):
     grid = [complex(-0.75)]
 
-    def not_converged(integrand, s, spec):
+    def not_converged(integrand, s, spec, series):
         raise NonConvergenceError("panel budget exhausted")
 
     monkeypatch.setattr(verify, "integrate_mellin", not_converged)
@@ -119,7 +119,7 @@ def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, kconfig_100k
         assert not r.passed
         assert r.notes == "integration failed: panel budget exhausted"
 
-    def buggy(integrand, s, spec):
+    def buggy(integrand, s, spec, series):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(verify, "integrate_mellin", buggy)
@@ -162,14 +162,15 @@ def test_theorem2_integrand_refinement_honest(table_100k, kconfig_100k):
     # doubling the node density moves the kernel integrals by less than the
     # reported est_error, at every acceptance-grid point and for both routes
     from liouville_mellin import integrate_mellin
+    from liouville_mellin.kernels import kernel_series_with_bound
     from liouville_mellin.verify import _KernelIntegrand, default_theorem2_spec
     base = default_theorem2_spec(table_100k)
-    fine = QuadratureSpec(de_levels=base.de_levels + 1,
-                          panel_nodes=base.panel_nodes * 2,
+    fine = QuadratureSpec(panel_nodes=base.panel_nodes * 2,
                           max_x=base.max_x, decay_const=base.decay_const)
     for route in ("N", "M"):
         integrand = _KernelIntegrand(table_100k, kconfig_100k, route, cache={})
+        series = kernel_series_with_bound(route, base.split_point, table_100k, kconfig_100k)
         for s in default_theorem2_grid():
-            r1 = integrate_mellin(integrand, s, base)
-            r2 = integrate_mellin(integrand, s, fine)
+            r1 = integrate_mellin(integrand, s, base, series)
+            r2 = integrate_mellin(integrand, s, fine, series)
             assert abs(r1.value - r2.value) <= r1.est_error, (route, s)
