@@ -6,7 +6,8 @@ Both sides are computed by completely different routes:
 where phi collects the cosine/Gamma prefactor and the kernel is evaluated
 from the sieve tables.  The integral is run twice, once per kernel route.
 
-Run:  python demos/04_integral_representation.py        (~15 s)
+Run:  python demos/04_integral_representation.py   (about 0.5 s on a 2-vCPU Xeon,
+      sieve included)
 """
 
 import time

@@ -37,7 +37,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +77,6 @@ class ArithTable:
     beta: np.ndarray         # beta(n) for odd n, 0 for even, int32
     nu: np.ndarray           # nu(n), float64, 0 for even n
     nu_cumsum: np.ndarray    # S(n) = sum_{m<=n} nu(m), float64
-    # suffix envelope sup_{m>=n} |S(m)| within the table; derived, rebuilt on load
-    s_tail_max: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.s_tail_max is None:
-            self.s_tail_max = suffix_abs_max(self.nu_cumsum)
-
-
-def suffix_abs_max(values: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(np.abs(values)[::-1])[::-1]
 
 
 def _smallest_prime_factors(limit: int) -> np.ndarray:

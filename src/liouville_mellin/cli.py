@@ -97,6 +97,9 @@ class RunManifest:
     @classmethod
     def from_record(cls, record: dict) -> "RunManifest":
         fields = {f.name for f in dataclasses.fields(cls)}
+        missing = fields - record.keys()
+        if missing:
+            raise ValueError(f"manifest lacks {', '.join(sorted(missing))}")
         return cls(**{k: v for k, v in record.items() if k in fields})
 
 
@@ -148,13 +151,15 @@ def read_report_file(path: str) -> tuple[RunManifest | None, list[dict]]:
         import csv as _csv
         rdr = _csv.DictReader(io.StringIO("\n".join(text.splitlines()[1:])))
         for row in rdr:
-            row["pass"] = row["pass"] == "true"
+            row["pass"] = {"true": True, "false": False}.get(row.get("pass"))
             rows.append(row)
         return manifest, rows
     for line in text.splitlines():
         if not line.strip():
             continue
         rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError(f"record is not an object: {line[:60]!r}")
         if rec.get("type") == "manifest":
             manifest = RunManifest.from_record(rec)
         else:
@@ -304,20 +309,34 @@ def _dispatch(args) -> int:
             manifest, rows = read_report_file(args.infile)
         except (OSError, ValueError) as exc:
             raise LiouvilleMellinError(f"cannot read report {args.infile}: {exc}")
-        if manifest:
-            print(f"manifest: {manifest.command} limit={manifest.table_limit} "
-                  f"version={manifest.tool_version} finished={manifest.finished}")
+        _check_report(args.infile, manifest, rows)
+        print(f"manifest: {manifest.command} limit={manifest.table_limit} "
+              f"version={manifest.tool_version} finished={manifest.finished}")
         bad = 0
         for row in rows:
             ok = row["pass"] if isinstance(row["pass"], bool) else row["pass"] == "true"
             bad += 0 if ok else 1
             status = "PASS" if ok else "FAIL"
-            print(f"{status} {row['check_id']} inputs={row['inputs']} "
-                  f"abs={row['abs_err']} rel={row['rel_err']}")
+            print(f"{status} {row['check_id']} inputs={row.get('inputs')} "
+                  f"abs={row.get('abs_err')} rel={row.get('rel_err')}")
         print(f"{len(rows)} checks, {len(rows) - bad} passed, {bad} failed")
         return 0 if bad == 0 else 1
 
     raise LiouvilleMellinError(f"unhandled command {args.command}")
+
+
+def _check_report(path: str, manifest: RunManifest | None, rows: list[dict]) -> None:
+    """A report file must hold a manifest and at least one row, and every
+    row a check id and a pass flag; anything less is not a run to score."""
+    if manifest is None:
+        raise LiouvilleMellinError(f"report {path} has no manifest")
+    if not rows:
+        raise LiouvilleMellinError(f"report {path} has no report rows")
+    for i, row in enumerate(rows, 1):
+        missing = [key for key in ("check_id", "pass") if row.get(key) is None]
+        if missing:
+            raise LiouvilleMellinError(
+                f"report {path}: row {i} lacks {' and '.join(missing)}")
 
 
 def _run_verify(args) -> int:

@@ -17,14 +17,13 @@ analytic for |u| < pi:
     M, half-shifted:  w = nu(n),            phi(u) = tanh(u/2)/2
     M' (real axis):   w = nu(n)/n,          phi(u) = sech^2(u/2)/4
 
-Each is evaluated in up to three zones over m.  The head sums the terms
-directly up to b, the first breakpoint with 2b+1 >= 2|z|; the breakpoints
-are the powers of two, the chunk multiples where the plain form may stop
-early, and the truncation end.  On the tail past b, |z/n| <= 1/2, so phi is
-replaced by _TAYLOR_TERMS terms of its power series and the tail becomes
-sum_k a_k z^p_k sum_{b<=m<end} w_m n^-p_k.  Those inner sums, the power
-moments, are computed once per table and weight array and cached on the
-table's workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <= pi^-2k/4
+Each is evaluated in two zones over m.  The head sums the terms directly
+up to b, the first breakpoint with 2b+1 >= 2|z|; the breakpoints are the
+powers of two and the truncation end.  On the tail past b, |z/n| <= 1/2,
+so phi is replaced by _TAYLOR_TERMS terms of its power series and the tail
+becomes sum_k a_k z^p_k sum_{b<=m<end} w_m n^-p_k.  Those inner sums, the
+power moments, are computed once per table and weight array and cached on
+the table's workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <= pi^-2k/4
 (c_k from the recurrence tanh' = 1 - tanh^2), as have N's coefficients, so
 the discarded series is below
 
@@ -43,21 +42,21 @@ S(2m+1), which also yields a computable remainder bound
 Its head stays in plain form (_plain_sum); on the real axis all but the
 first _PLAIN_PREFIX head terms come from per-block Taylor moments
 (_PlainBlocks).  Complex arguments keep the direct head, since a pole may
-fall inside a block's disc there.
+fall inside a block's disc there.  Like every other form it sums all M
+terms of the truncation.
 
-The sup factor uses the table's suffix envelope inside the sieve range and
-a frozen empirical constant beyond it, so these bounds are honest but not
-purely analytic; reports downstream flag them as such.
+The sup factor is the largest |S| the table holds past M, floored by a
+frozen empirical constant for what lies beyond the table, so these bounds
+are honest but not purely analytic; reports downstream flag them as such.
 
 Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
 kernel_M_prime) takes a scalar or a 1-d array: a scalar gets scalars back,
 an array gets arrays.  The input dtype picks the path.  Real input (a
 scalar with Im z == 0 counts as real) runs without pole checks, since the
 poles lie off the axis; N's tail bound there needs no inflation, as
-|x^2 + pi^2 n^2| >= pi^2 n^2, and the plain form stops early at x of
-either sign.  Complex input is checked point by point for poles, N's bound
-is inflated by 1/(1 - (|z|/(pi(2M+1)))^2), and the plain form sums all M
-terms.
+|x^2 + pi^2 n^2| >= pi^2 n^2, and the plain form's remainder bound uses
+the monotone variation of f.  Complex input is checked point by point for
+poles and N's bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import numpy as np
 from .arith import ArithTable
 from .errors import (DomainError, EstimationFailureError, InvalidArgumentError,
                      PoleError, TruncationBudgetError)
-from .special import DEFAULT_EVAL_CONFIG
+from .special import DEFAULT_EVAL_CONFIG, POLE_TOL
 from .zeta_family import zeta_beta
 
 __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
@@ -81,8 +80,7 @@ __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
            "nearest_pole", "fermi_series", "kernel_series_with_bound"]
 
-_POLE_TOL = 1e-12
-_CHUNK = 1 << 17  # plain-form early-stop granularity; moment block length
+_CHUNK = 1 << 17  # segment length of the moment loop
 
 # sup of |S(n)| beyond any table this package builds; frozen from a sieve run
 # to 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
@@ -99,8 +97,9 @@ class KernelConfig:
     series_order_K: power-series truncation order; capped at 60 because the
         coefficients fall below double-precision underflow near |z| <= 1
         well before that.
-    abel_tail_tol: stopping tolerance for the summation-by-parts remainder
-        of the plain-form kernel on the real axis.
+    abel_tail_tol: the largest remainder bound kernel_M (plain form, real
+        axis) and kernel_M_prime accept; above it they raise
+        TruncationBudgetError.
     """
 
     n_terms_N: int = 10 ** 6
@@ -150,8 +149,8 @@ def nearest_pole(z: complex) -> tuple[complex, int]:
 def _check_pole(z: complex, what: str) -> complex:
     z = complex(z)
     pole, l = nearest_pole(z)
-    if abs(z - pole) < _POLE_TOL:
-        raise PoleError(f"{what}: z={z} is within {_POLE_TOL} of pole {pole}",
+    if abs(z - pole) < POLE_TOL:
+        raise PoleError(f"{what}: z={z} is within {POLE_TOL} of pole {pole}",
                         location=pole, index=l)
     return z
 
@@ -281,8 +280,8 @@ class _Moments:
     """Suffix power moments of one weight array, cached at fixed breakpoints.
 
     A breakpoint b is a term index; its tail is b <= m < end and starts at
-    n_b = 2b + 1.  The breakpoints are 0, the powers of two, the multiples of
-    _CHUNK (where the plain form may stop early) and end.  Per breakpoint,
+    n_b = 2b + 1.  The breakpoints are 0, the powers of two and end.
+    Per breakpoint,
 
         scaled[i, k] = sum_tail v_m (n_b / n_m)^(e0 + 2k),
         abs_sum[i]   = sum_tail |v_m|,
@@ -291,8 +290,7 @@ class _Moments:
     """
 
     def __init__(self, n_odd: np.ndarray, v: np.ndarray, e0: int, end: int):
-        points = {0, end, *(1 << j for j in range(end.bit_length())),
-                  *range(_CHUNK, end, _CHUNK)}
+        points = {0, end, *(1 << j for j in range(end.bit_length()))}
         self.breaks = np.array(sorted(points), dtype=np.int64)
         self.n_break = 2.0 * self.breaks + 1.0
         self.scaled = np.zeros((len(self.breaks), _TAYLOR_TERMS))
@@ -343,9 +341,9 @@ class _PlainBlocks:
     """Taylor moments of nu over the blocks of the real plain-form head.
 
     The blocks tile [_PLAIN_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
-    blocks per octave of m, split at every moment breakpoint so that each
-    head ends on a block edge.  On block B, 1/n = w0 + delta tau with tau in
-    [-1, 1], and
+    blocks per octave of m.  Their edges include every power of two and end,
+    so each head, which ends on a moment breakpoint, ends on a block edge.
+    On block B, 1/n = w0 + delta tau with tau in [-1, 1], and
 
         mu[B, k]   = sum_B nu_m tau_m^k,  k < _BLOCK_TERMS,
         abs_sum[B] = sum_B |nu_m|,
@@ -359,13 +357,12 @@ class _PlainBlocks:
     so rho^K/(1 - rho) < 1.8e-18.
     """
 
-    def __init__(self, breaks: np.ndarray, end: int):
+    def __init__(self, end: int):
         geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
                      for j in range(_PLAIN_PREFIX.bit_length() - 1, end.bit_length())
                      for i in range(_BLOCKS_PER_OCTAVE)}
-        edges = {e for e in geometric if _PLAIN_PREFIX <= e < end}
-        self.edges = np.array(sorted(edges | {int(b) for b in breaks if b >= _PLAIN_PREFIX}),
-                              dtype=np.int64)
+        edges = sorted(e for e in geometric | {end} if _PLAIN_PREFIX <= e <= end)
+        self.edges = np.array(edges, dtype=np.int64)
         inv_first = 1.0 / (2.0 * self.edges[:-1] + 1.0)
         inv_last = 1.0 / (2.0 * self.edges[1:] - 1.0)
         self.w0 = 0.5 * (inv_first + inv_last)
@@ -430,15 +427,14 @@ class _Workspace:
         self.coef_N = table.beta[1::2].astype(np.float64) / np.sqrt(self.n_odd)
         self.nu_odd = table.nu[1::2]
         self.S_odd = table.nu_cumsum[1::2]
-        self.s_tail_odd = table.s_tail_max[1::2]
         self._moments: dict[tuple, _Moments] = {}
         self._plain_blocks: dict[int, _PlainBlocks] = {}
 
     def s_sup_beyond(self, m_index: int) -> float:
-        """sup |S| over m > m_index, table envelope plus frozen beyond-table cap."""
-        if m_index + 1 < len(self.s_tail_odd):
-            return max(float(self.s_tail_odd[m_index + 1]), S_TAIL_BEYOND_TABLE)
-        return S_TAIL_BEYOND_TABLE
+        """sup |S| over m > m_index: the table's values, floored by the
+        frozen beyond-table cap."""
+        in_table = float(np.abs(self.S_odd[m_index + 1:]).max(initial=0.0))
+        return max(in_table, S_TAIL_BEYOND_TABLE)
 
     def moments(self, form: _Form, end: int) -> _Moments:
         """Tail moments of form's weights for the series truncated at `end` terms."""
@@ -453,7 +449,7 @@ class _Workspace:
         """Block moments of the real plain-form head for the series truncated at `end`."""
         blocks = self._plain_blocks.get(end)
         if blocks is None:
-            blocks = _PlainBlocks(self.moments(_FORM_M, end).breaks, end)
+            blocks = _PlainBlocks(end)
             self._plain_blocks[end] = blocks
         return blocks
 
@@ -509,25 +505,22 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace,
     return head + tail, remainder
 
 
-def _plain_sum(z: np.ndarray, ws: _Workspace, end: int,
-               stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{m < stops[j]} nu_m / (e^(z_j/n_m) + 1) per point; stops are breakpoints.
+def _plain_sum(z: np.ndarray, ws: _Workspace,
+               end: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{m < end} nu_m / (e^(z_j/n_m) + 1) per point.
 
     The head stays in plain form, whose terms are exponentially small for
     n << Re z: summed directly for complex z, and on the real axis directly
     for m < _PLAIN_PREFIX and from block moments beyond.  Past the head,
     1/(e^u + 1) = 1/2 - tanh(u/2)/2 turns the rest into half a difference of
-    partial sums S minus the half-shifted tail between the head and the stop.
+    partial sums S minus the half-shifted tail.
     """
     mom = ws.moments(_FORM_M, end)
     i = mom.index(z)
-    heads = np.minimum(mom.breaks[i], stops)
-    tail_head, remainder = mom.tail(_FORM_M, z, i)
-    tail_stop, _ = mom.tail(_FORM_M, z, np.searchsorted(mom.breaks, stops))
+    heads = mom.breaks[i]
+    tail, remainder = mom.tail(_FORM_M, z, i)
     s_head = np.where(heads > 0, ws.S_odd[heads - 1], 0.0)
-    rest = 0.5 * (ws.S_odd[stops - 1] - s_head) - (tail_head - tail_stop)
-    has_rest = heads < stops
-    remainder = np.where(has_rest, remainder, 0.0)
+    rest = 0.5 * (ws.S_odd[end - 1] - s_head) - tail
     if np.iscomplexobj(z):
         vals = _head_sum(_head_plain, z, heads, ws.nu_odd, ws.n_odd)
     else:
@@ -535,7 +528,7 @@ def _plain_sum(z: np.ndarray, ws: _Workspace, end: int,
         blocks, block_bound = ws.plain_blocks(end).head(z, heads, ws)
         vals = vals + blocks
         remainder = remainder + block_bound
-    return vals + np.where(has_rest, rest, 0.0), remainder
+    return vals + rest, remainder
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +666,15 @@ def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None
     """Truncated exponential kernel and a summation-by-parts remainder bound.
 
     form="half-shifted": sum nu(2m+1) tanh(z/(2(2m+1)))/2, any z off poles.
-    form="plain": S(2M+1) f(M+1) - sum_{m<=M} nu(2m+1) f(m) with
-        f(m) = 1/(e^(z/(2m+1)) + 1); on the real axis the sum stops early once
-        the remainder bound drops below config.abel_tail_tol.
-    Both bounds also carry the Taylor remainder of the moment tail.  A scalar
-    z gives (value, float), the value real for the plain form on the real
-    axis and complex otherwise; an array z gives two arrays.
+    form="plain": S(2M-1) f(M) - sum_{m<M} nu(2m+1) f(m) with
+        f(m) = 1/(e^(z/(2m+1)) + 1).  Its remainder bound is
+        2 sup|S| |1/2 - f(M)| on the real axis, where f is monotone in m,
+        and the half-shifted form's bound off it.
+    Both bounds carry sup|S| past M (see s_sup_beyond) and the Taylor
+    remainder of the moment tail; config.abel_tail_tol plays no part here,
+    only kernel_M checks the bound against it.  A scalar z gives (value,
+    float), the value real for the plain form on the real axis and complex
+    otherwise; an array z gives two arrays.
     """
     if config is None:
         config = config_for_table(table)
@@ -689,14 +685,13 @@ def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None
         vals, remainder = _kernel_sum(_FORM_M, zs, ws, M)
         bound = _abel_remainder_bound(zs, M, ws) + remainder
     elif form == "plain":
+        acc, remainder = _plain_sum(zs, ws, M)
+        f_next = _head_plain(zs, 2.0 * M + 1.0)
+        vals = ws.S_odd[M - 1] * f_next - acc
         if np.iscomplexobj(zs):
-            stops = np.full(len(zs), M)
             abel = _abel_remainder_bound(zs, M, ws)
-            f_next = _head_plain(zs, 2.0 * M + 1.0)
-        else:
-            stops, abel, f_next = _plain_stops(zs, ws, M, config.abel_tail_tol)
-        acc, remainder = _plain_sum(zs, ws, M, stops)
-        vals = ws.S_odd[stops - 1] * f_next - acc
+        else:  # f tends to 1/2 monotonically past M, from either side
+            abel = 2.0 * ws.s_sup_beyond(M - 1) * np.abs(0.5 - f_next)
         bound = abel + remainder
     else:
         raise DomainError(f"unknown kernel_M form {form!r}")
@@ -713,30 +708,14 @@ def _abel_remainder_bound(z, M: int, ws: _Workspace):
     return ws.s_sup_beyond(M - 1) * 3.0 * g_edge
 
 
-def _plain_stops(x: np.ndarray, ws: _Workspace, M_cap: int,
-                 tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the plain form at each real x stops: the first chunk boundary
-    whose remainder bound is below tol (else M_cap), that bound, and f there."""
-    cuts = np.minimum(_CHUNK * np.arange(1, -(-M_cap // _CHUNK) + 1), M_cap)
-    f_next = _fermi_real(x[:, None] / (2.0 * cuts + 1.0))
-    # remainder bound after each chunk: monotone variation of f, which
-    # tends to 1/2 from below for x > 0 and from above for x < 0
-    sup = np.array([ws.s_sup_beyond(int(c) - 1) for c in cuts])
-    bound = 2.0 * sup * np.abs(0.5 - f_next)
-    below = bound < tol
-    first = np.where(below.any(axis=1), below.argmax(axis=1), len(cuts) - 1)
-    rows = np.arange(len(x))
-    return cuts[first], bound[rows, first], f_next[rows, first]
-
-
 def kernel_M(z, table: ArithTable, config: KernelConfig | None = None,
              form: str = "half-shifted"):
     """Exponential kernel M(z).
 
     Raises:
-        TruncationBudgetError: when the table is exhausted before the
-            remainder bound reaches config.abel_tail_tol (plain form on the
-            real axis only; elsewhere the bound is informational).
+        TruncationBudgetError: when the remainder bound exceeds
+            config.abel_tail_tol (plain form on the real axis only;
+            elsewhere the bound is informational).
     """
     if config is None:
         config = config_for_table(table)
@@ -746,7 +725,7 @@ def kernel_M(z, table: ArithTable, config: KernelConfig | None = None,
     if form == "plain" and not np.iscomplexobj(val) and worst > config.abel_tail_tol:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: table exhausted at remainder bound {worst:.3e} "
+            f"kernel_M: remainder bound {worst:.3e} "
             f"(> {config.abel_tail_tol:.1e}) for x={x}", achieved_bound=worst)
     return val
 

@@ -26,7 +26,7 @@ from .errors import (DomainError, InvalidArgumentError, PoleError,
                      TruncationBudgetError)
 
 __all__ = ["EvalConfig", "DEFAULT_EVAL_CONFIG", "gamma", "zeta_alternating",
-           "zeta", "eta_continued"]
+           "zeta", "eta_continued", "POLE_TOL"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -85,7 +85,7 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-_POLE_TOL = 1e-12
+POLE_TOL = 1e-12  # distance to a pole below which evaluators raise PoleError
 
 
 def _require_finite(s: complex, where: str) -> complex:
@@ -110,7 +110,7 @@ def gamma(s: complex) -> complex:
     s = _require_finite(s, "gamma")
     if s.imag == 0.0 and s.real <= 0.5:
         nearest = round(s.real)
-        if nearest <= 0 and abs(s.real - nearest) < _POLE_TOL:
+        if nearest <= 0 and abs(s.real - nearest) < POLE_TOL:
             raise PoleError(f"gamma pole at s={nearest}", location=complex(nearest),
                             index=int(nearest))
     if s.real < 0.5:
@@ -229,7 +229,7 @@ def zeta(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
         PoleError: at s = 1.
     """
     s = _require_finite(s, "zeta")
-    if abs(s - 1.0) < _POLE_TOL:
+    if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta pole at s=1", location=1.0 + 0.0j, index=1)
     if s.real > 0.0 or abs(s) < 0.4:
         den = 1.0 - 2.0 ** (1.0 - s)

@@ -583,7 +583,8 @@ def verify_bounds(table: ArithTable,
     # nu at s = 1, remainder bounded by summation by parts
     lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1]))
     rhs = zeta_nu(1.0, config)
-    tail_s1 = 2.0 * max(float(table.s_tail_max[N_l]), S_TAIL_BEYOND_TABLE) / N_l
+    s_sup = float(np.abs(table.nu_cumsum[N_l:]).max())
+    tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
         "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, lhs, rhs, tol_abs=tail_s1,
         budget={"abel_tail": tail_s1, "tail_kind": "empirical S envelope"},

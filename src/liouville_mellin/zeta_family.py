@@ -24,13 +24,11 @@ import cmath
 import math
 
 from .errors import DomainError, NearZeroDenominatorError, PoleError
-from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta
+from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, EvalConfig, eta_continued, gamma, zeta
 
 __all__ = ["zeta_imp", "zeta_lambda", "zeta_mu", "zeta_alpha", "zeta_beta",
            "zeta_nu", "functional_eq_rhs_zeta_a", "functional_eq_rhs_zeta_alpha",
            "mellin_prefactor", "alpha_to_lambda_factor"]
-
-_POLE_TOL = 1e-12
 
 
 def _guarded_div(num: complex, den: complex, what: str,
@@ -44,7 +42,7 @@ def _guarded_div(num: complex, den: complex, what: str,
 def zeta_imp(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
     """Dirichlet series over odd integers, (1 - 2^-s) zeta(s)."""
     s = complex(s)
-    if abs(s - 1.0) < _POLE_TOL:
+    if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_imp pole at s=1", location=1.0 + 0.0j)
     return (1.0 - 2.0 ** (-s)) * zeta(s, config)
 
@@ -52,10 +50,10 @@ def zeta_imp(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
 def zeta_lambda(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
     """zeta(2s)/zeta(s), the generating function of the Liouville function."""
     s = complex(s)
-    if abs(s - 1.0) < _POLE_TOL:
+    if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_lambda: zeta pole in denominator at s=1",
                         location=1.0 + 0.0j)
-    if abs(2.0 * s - 1.0) < _POLE_TOL:
+    if abs(2.0 * s - 1.0) < POLE_TOL:
         raise PoleError("zeta_lambda: zeta(2s) pole at s=1/2", location=0.5 + 0.0j)
     return _guarded_div(zeta(2.0 * s, config), zeta(s, config), "zeta_lambda", config)
 
@@ -88,7 +86,7 @@ def zeta_alpha(s: complex, mode: str = "definition",
 def zeta_beta(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
     """zeta_imp(2s-1)/zeta_imp(s), generating function of beta."""
     s = complex(s)
-    if abs(s - 1.0) < _POLE_TOL:
+    if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_beta pole at s=1 (numerator pole at 2s-1=1)",
                         location=1.0 + 0.0j)
     return _guarded_div(zeta_imp(2.0 * s - 1.0, config), zeta_imp(s, config),

@@ -199,6 +199,58 @@ def test_report_missing_or_malformed_exits_2(cache_env, capsys, tmp_path):
     capsys.readouterr()
 
 
+def _theorem1_report(tmp_path):
+    out_file = tmp_path / "report.jsonl"
+    assert main(["verify", "theorem1", "--limit", "5001", "--out", str(out_file)]) == 0
+    manifest, *rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert manifest["type"] == "manifest" and rows
+    return out_file, manifest, rows
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def _assert_report_exits_2(path, capsys, message):
+    capsys.readouterr()
+    assert main(["report", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_report_empty_file_exits_2(cache_env, capsys, tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    _assert_report_exits_2(empty, capsys, "no manifest")
+
+
+def test_report_without_manifest_exits_2(cache_env, capsys, tmp_path):
+    out_file, _, rows = _theorem1_report(tmp_path)
+    _write_jsonl(out_file, rows)
+    _assert_report_exits_2(out_file, capsys, "no manifest")
+
+
+def test_report_manifest_missing_field_exits_2(cache_env, capsys, tmp_path):
+    out_file, manifest, rows = _theorem1_report(tmp_path)
+    del manifest["command"]
+    _write_jsonl(out_file, [manifest] + rows)
+    _assert_report_exits_2(out_file, capsys, "manifest lacks command")
+
+
+def test_report_without_rows_exits_2(cache_env, capsys, tmp_path):
+    out_file, manifest, _ = _theorem1_report(tmp_path)
+    _write_jsonl(out_file, [manifest])
+    _assert_report_exits_2(out_file, capsys, "no report rows")
+
+
+@pytest.mark.parametrize("key", ["pass", "check_id"])
+def test_report_row_missing_key_exits_2(cache_env, capsys, tmp_path, key):
+    out_file, manifest, rows = _theorem1_report(tmp_path)
+    del rows[-1][key]
+    _write_jsonl(out_file, [manifest] + rows)
+    _assert_report_exits_2(out_file, capsys, f"row {len(rows)} lacks {key}")
+
+
 def test_sieve_force_rebuilds(cache_env, capsys):
     assert main(["sieve", "--limit", "4001"]) == 0
     cache_file = cache_env / "cache" / "arith_4001.bin"

@@ -10,8 +10,8 @@ from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
                               fermi_deficit, kernel_M, kernel_M_prime,
                               kernel_N, kernel_N_series, residue_estimate,
                               zeta_beta, zeta_imp, zeta_nu)
-from liouville_mellin.kernels import (_CHUNK, _TAYLOR_TERMS, _fermi_real,
-                                      _plain_stops, _tanh_coefficients, _ws,
+from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
+                                      _fermi_real, _tanh_coefficients, _ws,
                                       config_for_table,
                                       kernel_M_with_bound, kernel_N_with_bound,
                                       nearest_pole)
@@ -271,21 +271,11 @@ def _ref_M_half(z, ws, M):
     return _csum(ws.nu_odd[:M] * 0.5 * np.tanh(z / (2.0 * ws.n_odd[:M])))
 
 
-def _plain_stop_ref(x, ws, M, tol):
-    stop = 0
-    while stop < M:  # first chunk boundary whose Abel bound is below tol
-        stop = min(stop + _CHUNK, M)
-        g_edge = 0.5 - float(_fermi_real(np.array([x / (2.0 * stop + 1.0)]))[0])
-        if 2.0 * ws.s_sup_beyond(stop - 1) * abs(g_edge) < tol:
-            break
-    return stop, g_edge
-
-
-def _ref_plain(x, ws, M, tol):
-    stop, g_edge = _plain_stop_ref(x, ws, M, tol)
-    f = _fermi_real(x / ws.n_odd[:stop])
-    return math.fsum([float(ws.S_odd[stop - 1]) * (0.5 - g_edge)]
-                     + list(-ws.nu_odd[:stop] * f)), stop, g_edge
+def _ref_plain(x, ws, M):
+    # S(2M-1) f(x/(2M+1)) - sum_{m<M} nu_m f(x/n_m), every term of the truncation
+    f_next = float(_fermi_real(np.array([x / (2.0 * M + 1.0)]))[0])
+    f = _fermi_real(x / ws.n_odd[:M])
+    return math.fsum([float(ws.S_odd[M - 1]) * f_next] + list(-ws.nu_odd[:M] * f))
 
 
 def _assert_close(got, want, tol=1e-14):
@@ -302,7 +292,7 @@ def test_routes_match_fsum_on_real_axis(table_100k, kconfig_100k):
     for j, xj in enumerate(REAL_X):
         _assert_close(n_vals[j], _ref_N(xj, ws, kconfig_100k.n_terms_N))
         _assert_close(half[j], _ref_M_half(xj, ws, M))
-        _assert_close(plain[j], _ref_plain(xj, ws, M, kconfig_100k.abel_tail_tol)[0])
+        _assert_close(plain[j], _ref_plain(xj, ws, M))
         w = xj / ws.n_odd[:M]
         e = np.exp(-w)
         ref = math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
@@ -317,7 +307,7 @@ def test_routes_match_fsum_off_axis(table_100k, kconfig_100k):
                       _ref_N(zs, ws, kconfig_100k.n_terms_N))
         _assert_close(kernel_M_with_bound(z, table_100k, kconfig_100k)[0],
                       _ref_M_half(zs, ws, M))
-    # plain form off the axis: no early stop, all M terms
+    # plain form off the axis, all M terms
     for z in (1.0 + 1.0j, 2.5 - 1.0j, -1.5 + 0j):
         f = 1.0 / (np.exp(z / ws.n_odd[:M]) + 1.0)
         f_next = 1.0 / (np.exp(z / (2.0 * M + 1.0)) + 1.0)
@@ -334,18 +324,14 @@ def test_plain_form_real_array_is_odd_with_positive_bound(table_100k, kconfig_10
     assert np.all(pos_bound > 0.0)
 
 
-def test_plain_form_early_stop_matches_fsum(table_main):
-    # on the 2e6 table the plain form stops at multiples of the chunk size
+def test_plain_form_sums_all_terms_on_2e6_table(table_main):
+    # the plain form sums all M = 10^6 terms at every real x
     config = config_for_table(table_main)
     ws, M = _ws(table_main), config.n_terms_M
-    xs = (3.5, 8.0, 20.0, 60.0, 150.0)
+    xs = (3.5, 8.0, 20.0, 60.0, 150.0, 330.0, 400.0)
     vals, _ = kernel_M_with_bound(np.array(xs), table_main, config, form="plain")
-    stops = set()
     for j, x in enumerate(xs):
-        ref, stop, _ = _ref_plain(x, ws, M, config.abel_tail_tol)
-        stops.add(stop)
-        _assert_close(vals[j], ref)
-    assert len(stops - {M}) >= 2  # several early-stop boundaries crossed
+        _assert_close(vals[j], _ref_plain(x, ws, M))
 
 
 def test_tanh_coefficients_from_recurrence():
@@ -356,8 +342,7 @@ def test_tanh_coefficients_from_recurrence():
 
 
 def _head_end(x, M):
-    # first power of two b with 2b+1 >= 2|x|, capped at M (x <= 1e5 here, so
-    # no chunk multiple past _CHUNK = 2^17 comes first)
+    # first power of two b with 2b+1 >= 2|x|, capped at M
     b = 0
     while b < M and 2 * b + 1 < 2.0 * abs(x):
         b = 1 if b == 0 else 2 * b
@@ -378,12 +363,12 @@ def _tail_remainder(x, ws, M):
 def _block_remainder(x, ws, head):
     # Cauchy bound on the 28-term Taylor expansion of f = 1/(e^u+1) over each
     # block of the real plain head past its first 32 terms.  The blocks are
-    # three geometric ones per octave of m, split at powers of two and chunk
-    # multiples.  On a block, 1/n = w0 + delta tau with |tau| <= 1; around
-    # u0 = x w0, |f| <= 1/(1 - e^(-|u0|/2)) within radius |u0|/2, and
+    # three geometric ones per octave of m, split at powers of two.  On a
+    # block, 1/n = w0 + delta tau with |tau| <= 1; around u0 = x w0,
+    # |f| <= 1/(1 - e^(-|u0|/2)) within radius |u0|/2, and
     # rho = |x| delta / (|u0|/2).
     edges = {round(2.0 ** (j + i / 3.0)) for j in range(5, 21) for i in range(3)}
-    edges |= set(range(_CHUNK, head, _CHUNK)) | {head}
+    edges.add(head)
     edges = sorted(e for e in edges if 32 <= e <= head)
     total = 0.0
     for a, b in zip(edges, edges[1:]):
@@ -399,10 +384,10 @@ def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfi
     ws, M = _ws(table_100k), kconfig_100k.n_terms_M
     _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, kconfig_100k, form="plain")
     for j, x in enumerate(REAL_X):
-        stop, g_edge = _plain_stop_ref(x, ws, M, kconfig_100k.abel_tail_tol)
-        abel = 2.0 * ws.s_sup_beyond(stop - 1) * g_edge
-        remainder = _tail_remainder(x, ws, stop)
-        blocks = _block_remainder(x, ws, _head_end(x, stop))
+        g_edge = 0.5 - float(_fermi_real(np.array([x / (2.0 * M + 1.0)]))[0])
+        abel = 2.0 * ws.s_sup_beyond(M - 1) * abs(g_edge)
+        remainder = _tail_remainder(x, ws, M)
+        blocks = _block_remainder(x, ws, _head_end(x, M))
         assert remainder < 1e-20 and blocks < 1e-16
         assert (blocks > 0.0) == (x > 16.0)  # blocks start after 32 head terms
         assert abs((bounds[j] - abel) - (remainder + blocks)) <= 2.0 * math.ulp(abel)
@@ -414,40 +399,39 @@ PLAIN_BLOCK_X = (-500.0, 500.0, 5000.0, 5e4, 99952.9)
 def test_plain_block_head_matches_fsum(table_main):
     # heads of up to 2^17 terms, all but the first 32 from block moments
     config = config_for_table(table_main)
-    ws, M, tol = _ws(table_main), config.n_terms_M, config.abel_tail_tol
+    ws, M = _ws(table_main), config.n_terms_M
     vals, bounds = kernel_M_with_bound(np.array(PLAIN_BLOCK_X), table_main, config, form="plain")
     for j, x in enumerate(PLAIN_BLOCK_X):
-        ref, stop, _ = _ref_plain(x, ws, M, tol)
-        _assert_close(vals[j], ref)
-        blocks = _block_remainder(x, ws, _head_end(x, stop))
+        _assert_close(vals[j], _ref_plain(x, ws, M))
+        blocks = _block_remainder(x, ws, _head_end(x, M))
         assert 0.0 < blocks < 1e-16
         assert bounds[j] >= blocks
 
 
-def _plain_stop_loop(x, ws, M, tol):
-    # the per-point search the vectorised one replaced, bound and f included
-    stop = 0
-    while stop < M:
-        stop = min(stop + _CHUNK, M)
-        f_next = float(_fermi_real(np.array([x / (2.0 * stop + 1.0)]))[0])
-        bound = 2.0 * ws.s_sup_beyond(stop - 1) * abs(0.5 - f_next)
-        if bound < tol:
-            break
-    return stop, bound, f_next
+# -------------------------------------- truncations shorter than the table ----
+
+SHORT_REAL = (0.5, 3.0, -7.0, 40.0)
+SHORT_COMPLEX = (1.0 + 1.0j, 2.5 - 1.0j, 0.3 + 2.7j)
 
 
-def test_plain_stops_match_loop_bit_for_bit(table_main):
-    config = config_for_table(table_main)
-    ws, M, tol = _ws(table_main), config.n_terms_M, config.abel_tail_tol
-    xs = np.geomspace(3.0, 1e5, 200)
-    stops, bounds, f_next = _plain_stops(xs, ws, M, tol)
-    assert len(set(stops.tolist())) >= 3  # early stops and the full table
-    for j, x in enumerate(xs):
-        assert stops[j] == _plain_stop_ref(float(x), ws, M, tol)[0]
-    for x_signed in (xs, -xs):
-        stops, bounds, f_next = _plain_stops(x_signed, ws, M, tol)
-        for j, x in enumerate(x_signed):
-            assert (stops[j], bounds[j], f_next[j]) == _plain_stop_loop(float(x), ws, M, tol)
+def test_s_sup_beyond_is_the_suffix_sup(table_100k):
+    ws = _ws(table_100k)
+    S = np.abs(ws.S_odd).tolist()
+    for m in (0, 10, 4_999, 30_000, 50_000):
+        want = max(max(S[m + 1:], default=0.0), S_TAIL_BEYOND_TABLE)
+        assert ws.s_sup_beyond(m) == want, m
+
+
+def test_short_truncation_within_both_bounds(table_100k, kconfig_100k):
+    # a truncation at M terms and the full one differ by the terms between,
+    # which both remainder bounds must cover
+    for M in (501, 5_001, 20_001):
+        short = KernelConfig(n_terms_N=M, n_terms_M=M, abel_tail_tol=1e-6)
+        for form in ("half-shifted", "plain"):
+            for points in (np.array(SHORT_REAL), np.array(SHORT_COMPLEX)):
+                v_short, b_short = kernel_M_with_bound(points, table_100k, short, form=form)
+                v_full, b_full = kernel_M_with_bound(points, table_100k, kconfig_100k, form=form)
+                assert np.all(np.abs(v_short - v_full) <= b_short + b_full), (M, form, points)
 
 
 def test_kernel_N_bound_covers_worst_case_tail(table_100k):
