@@ -33,7 +33,7 @@ for z in (0.5, 1.0, 2.0, 0.5 + 0.5j, 2.0 - 1.0j):
 
 # Near the origin both collapse to one power series.
 z = 0.8
-print(f"\npower series at z={z}: {kernel_N_series(z, config).real:.12f} "
+print(f"\npower series at z={z}: {kernel_N_series(z).real:.12f} "
       f"vs direct {kernel_N(z, table, config).real:.12f}")
 
 # The shared poles carry residues beta(2l+1)/sqrt(2l+1); extract them
@@ -45,8 +45,8 @@ for l in (0, 1, 2):
     rm = residue_estimate("M", l, table, config)
     print(f"  l={l}: N-> {rn.real:+.6f}, M-> {rm.real:+.6f}, expected {want:+.6f}")
 
-# On the real axis the exponential form is summed by parts using the cached
-# partial sums of nu, which is what makes the far field computable at all.
+# The plain exponential form is the half-shifted sum plus one boundary term
+# from the cached partial sums of nu; summation by parts bounds its remainder.
 print("\ndecay along the real axis:")
 for x in (1.0, 5.0, 10.0, 50.0, 100.0):
     m = kernel_M(x, table, config, form="plain").real

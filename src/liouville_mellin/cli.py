@@ -15,7 +15,7 @@ manifest timestamps too (CI byte-identity).
 
 Environment overrides (lowest precedence below explicit flags):
     LIOUMEL_LIMIT, LIOUMEL_CACHE_DIR, LIOUMEL_FORMAT, LIOUMEL_OUT,
-    LIOUMEL_TOL, LIOUMEL_TIMESTAMP
+    LIOUMEL_TIMESTAMP
 """
 
 from __future__ import annotations
@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("group", nargs="?", choices=list(GROUPS) + ["all"], default="all")
     vp.add_argument("--list", action="store_true", help="list check ids and exit")
     vp.add_argument("--limit", type=int, default=None)
-    vp.add_argument("--tol", type=float, default=None,
-                    help="override the primary pass tolerance of scored checks")
     vp.add_argument("--grid", type=str, default=None,
                     help="comma-separated complex points for theorem2/functional")
     vp.add_argument("--out", type=Path, default=None)
@@ -239,18 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("report", help="render a previous run")
     rp.add_argument("--in", dest="infile", type=Path, required=True)
     return p
-
-
-def _rescore(reports, tol: float):
-    """Re-score checks that carry an explicit tolerance against `tol`."""
-    for r in reports:
-        if "tol_rel" in r.budget:
-            r.passed = r.rel_err <= tol
-            r.budget["tol_rel"] = tol
-        elif "tol_abs" in r.budget:
-            r.passed = r.abs_err <= tol
-            r.budget["tol_abs"] = tol
-    return reports
 
 
 def main(argv=None) -> int:
@@ -347,8 +333,6 @@ def _run_verify(args) -> int:
         return 0
     started = _timestamp()
     limit = _limit(args)
-    tol = args.tol if args.tol is not None else (
-        float(_env("TOL")) if _env("TOL") else None)
     fmt = args.format or _env("FORMAT", "jsonl")
     out = args.out or (_env("OUT") and Path(_env("OUT")))
     cache = args.cache_dir or _default_cache_dir()
@@ -366,13 +350,10 @@ def _run_verify(args) -> int:
     else:
         reports = run_group(args.group, table, DEFAULT_EVAL_CONFIG, kconf,
                             default_theorem2_spec(table))
-    if tol is not None:
-        reports = _rescore(reports, tol)
 
     manifest = RunManifest(
         command=f"verify {args.group}",
-        parameters={"limit": limit, "tol": tol, "grid": args.grid,
-                    "format": fmt},
+        parameters={"limit": limit, "grid": args.grid, "format": fmt},
         table_limit=limit,
         config_snapshot={
             "eval": dataclasses.asdict(DEFAULT_EVAL_CONFIG),

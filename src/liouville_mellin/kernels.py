@@ -33,17 +33,16 @@ about 1e-22; every returned bound includes it (M' uses the same bound with
 the extra factor 2k+1).  The truncation itself is unchanged: the same number
 of terms and the same remainder bounds as a direct sum.
 
-The plain variant converges only because the nu series sums to zero; it is
-evaluated through summation by parts with the cached partial sums
-S(2m+1), which also yields a computable remainder bound
+The plain variant converges only because the nu series sums to zero.  For
+the same truncation it is the half-shifted sum plus one boundary term,
 
-    |remainder| <= sup_{m>M} |S(2m+1)| * O(kernel variation beyond M).
+    plain = half-shifted - S(2M-1) tanh(z/(2(2M+1)))/2,
 
-Its head stays in plain form (_plain_sum); on the real axis all but the
-first _PLAIN_PREFIX head terms come from per-block Taylor moments
-(_PlainBlocks).  Complex arguments keep the direct head, since a pole may
-fall inside a block's disc there.  Like every other form it sums all M
-terms of the truncation.
+with S the cached partial sums of nu; summation by parts bounds its
+remainder by sup_{m>=M} |S(2m+1)| times the variation of the kernel beyond M.
+On the real axis every M head past its first _HEAD_PREFIX terms comes from
+per-block Taylor moments (_HeadBlocks), so a node costs O(log |x|).  Complex
+arguments keep the direct head, since a pole may fall inside a block's disc.
 
 The sup factor is the largest |S| the table holds past M, floored by a
 frozen empirical constant for what lies beyond the table, so these bounds
@@ -55,7 +54,7 @@ an array gets arrays.  The input dtype picks the path.  Real input (a
 scalar with Im z == 0 counts as real) runs without pole checks, since the
 poles lie off the axis; N's tail bound there needs no inflation, as
 |x^2 + pi^2 n^2| >= pi^2 n^2, and the plain form's remainder bound uses
-the monotone variation of f.  Complex input is checked point by point for
+the monotone variation of tanh.  Complex input is checked point by point for
 poles and N's bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2).
 """
 
@@ -78,7 +77,8 @@ from .zeta_family import zeta_beta
 __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
            "kernel_N", "kernel_N_series", "kernel_M", "kernel_M_prime",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
-           "nearest_pole", "fermi_series", "kernel_series_with_bound"]
+           "nearest_pole", "fermi_series", "kernel_series_with_bound",
+           "SERIES_ORDER_K"]
 
 _CHUNK = 1 << 17  # segment length of the moment loop
 
@@ -87,6 +87,10 @@ _CHUNK = 1 << 17  # segment length of the moment loop
 # 5.34e-4), decreasing steadily over every octave past 2^14.
 S_TAIL_BEYOND_TABLE = 5.4e-4
 
+# order of kernel_N_series; its coefficients fall below double precision at
+# |z| <= 1 well before this
+SERIES_ORDER_K = 30
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -94,9 +98,6 @@ class KernelConfig:
 
     n_terms_N: number of partial-fraction terms (index m runs to this).
     n_terms_M: number of exponential-kernel terms.
-    series_order_K: power-series truncation order; capped at 60 because the
-        coefficients fall below double-precision underflow near |z| <= 1
-        well before that.
     abel_tail_tol: the largest remainder bound kernel_M (plain form, real
         axis) and kernel_M_prime accept; above it they raise
         TruncationBudgetError.
@@ -104,14 +105,11 @@ class KernelConfig:
 
     n_terms_N: int = 10 ** 6
     n_terms_M: int = 10 ** 6
-    series_order_K: int = 30
     abel_tail_tol: float = 5e-8
 
     def __post_init__(self):
-        if min(self.n_terms_N, self.n_terms_M, self.series_order_K) < 1:
+        if min(self.n_terms_N, self.n_terms_M) < 1:
             raise InvalidArgumentError("kernel truncations must be positive")
-        if self.series_order_K > 60:
-            raise InvalidArgumentError("series_order_K must be <= 60")
         if self.abel_tail_tol <= 0:
             raise InvalidArgumentError("abel_tail_tol must be positive")
 
@@ -127,7 +125,6 @@ def config_for_table(table: ArithTable,
         return base
     return KernelConfig(n_terms_N=min(base.n_terms_N, available),
                         n_terms_M=min(base.n_terms_M, available),
-                        series_order_K=base.series_order_K,
                         abel_tail_tol=base.abel_tail_tol)
 
 
@@ -176,20 +173,14 @@ def fermi_deficit(z: complex) -> complex:
     return 0.5 * cmath.tanh(0.5 * z)
 
 
-def _fermi_real(x: np.ndarray) -> np.ndarray:
-    """Vectorized 1/(e^x + 1) on real arrays, stable in both directions."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
-
-
 # ---------------------------------------------------------------------------
 # kernel forms and their power series on the tail
 # ---------------------------------------------------------------------------
 
 _TAYLOR_TERMS = 14   # series terms of phi used on the tail, where |z/n| <= 1/2
 _BLOCK = 1 << 20     # elements per temporary of a head sum (8 MiB of float64)
-_PLAIN_PREFIX = 32   # real plain-form head terms summed directly
-_BLOCK_TERMS = 28    # Taylor terms of f per block of the real plain head
+_HEAD_PREFIX = 32    # real M head terms summed directly, before the blocks
+_BLOCK_TERMS = 28    # Taylor terms of tanh(u/2)/2 per block of the real M head
 _BLOCKS_PER_OCTAVE = 3
 _K2 = np.array([2.0 * k for k in range(_TAYLOR_TERMS)])
 
@@ -251,13 +242,6 @@ def _head_M(z: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _head_M_prime(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     e = np.exp(-x / n)  # x >= 0: the overflow-safe side of e^w/(e^w+1)^2
     return e / (1.0 + e) ** 2 / n
-
-
-def _head_plain(z: np.ndarray, n: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(z):
-        with np.errstate(over="ignore"):  # exp overflow cleanly yields f = 0
-            return 1.0 / (np.exp(z / n) + 1.0)
-    return _fermi_real(z / n)
 
 
 _TANH = _tanh_coefficients(_TAYLOR_TERMS)
@@ -337,10 +321,10 @@ class _Moments:
         return acc * scale, form.remainder(np.abs(u)) * self.abs_sum[i] * scale
 
 
-class _PlainBlocks:
-    """Taylor moments of nu over the blocks of the real plain-form head.
+class _HeadBlocks:
+    """Taylor moments of nu over the blocks of the real M head.
 
-    The blocks tile [_PLAIN_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
+    The blocks tile [_HEAD_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
     blocks per octave of m.  Their edges include every power of two and end,
     so each head, which ends on a moment breakpoint, ends on a block edge.
     On block B, 1/n = w0 + delta tau with tau in [-1, 1], and
@@ -349,19 +333,20 @@ class _PlainBlocks:
         abs_sum[B] = sum_B |nu_m|,
 
     computed for the blocks a call reaches and kept for later calls.  With
-    f(x/n) = sum_k b_k tau^k around u0 = x w0 (b_k from the Riccati equation
-    f' = f^2 - f) the block sums to sum_k b_k mu[B, k].  The poles of f lie
-    on the imaginary axis, so |f| <= 1/(1 - e^(-|u0|/2)) on the disc
+    g(x/n) = sum_k b_k tau^k around u0 = x w0, g(u) = tanh(u/2)/2 (b_k from
+    the Riccati equation g' = 1/4 - g^2), the block sums to
+    sum_k b_k mu[B, k].  |tanh(w)| <= coth(Re w) and the poles of g lie on
+    the imaginary axis, so |g| <= coth(|u0|/4)/2 on the disc
     |u - u0| <= |u0|/2, and Cauchy's estimate bounds the terms k >= K by
-    1/(1 - e^(-|u0|/2)) rho^K/(1 - rho) abs_sum[B], rho = 2 delta/w0 < 0.231,
+    coth(|u0|/4)/2 rho^K/(1 - rho) abs_sum[B], rho = 2 delta/w0 < 0.231,
     so rho^K/(1 - rho) < 1.8e-18.
     """
 
     def __init__(self, end: int):
         geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
-                     for j in range(_PLAIN_PREFIX.bit_length() - 1, end.bit_length())
+                     for j in range(_HEAD_PREFIX.bit_length() - 1, end.bit_length())
                      for i in range(_BLOCKS_PER_OCTAVE)}
-        edges = sorted(e for e in geometric | {end} if _PLAIN_PREFIX <= e <= end)
+        edges = sorted(e for e in geometric | {end} if _HEAD_PREFIX <= e <= end)
         self.edges = np.array(edges, dtype=np.int64)
         inv_first = 1.0 / (2.0 * self.edges[:-1] + 1.0)
         inv_last = 1.0 / (2.0 * self.edges[1:] - 1.0)
@@ -391,7 +376,7 @@ class _PlainBlocks:
 
     def head(self, x: np.ndarray, heads: np.ndarray,
              ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{_PLAIN_PREFIX <= m < heads[j]} nu_m f(x_j/n_m) per point, and
+        """sum_{_HEAD_PREFIX <= m < heads[j]} nu_m g(x_j/n_m) per point, and
         the bound on the discarded Taylor terms; each head is a block edge."""
         count = np.searchsorted(self.edges, heads)
         self._extend(int(count.max(initial=0)), ws.n_odd, ws.nu_odd)
@@ -404,17 +389,18 @@ class _PlainBlocks:
             block = np.arange(len(node)) - np.repeat(np.cumsum(c) - c, c)
             u0 = x[node] * self.w0[block]
             step = x[node] * self.delta[block]
-            # scaled Taylor coefficients b_k = f^(k)(u0) step^k / k! from
-            # f' = f^2 - f: (k+1) b_(k+1) = step (sum_i b_i b_(k-i) - b_k)
+            # scaled Taylor coefficients b_k = g^(k)(u0) step^k / k! from
+            # g' = 1/4 - g^2: (k+1) b_(k+1) = step ([k=0]/4 - sum_i b_i b_(k-i))
             b = np.empty((_BLOCK_TERMS, len(node)))
-            b[0] = _fermi_real(u0)
+            b[0] = _head_M(u0, 1.0)
             for k in range(_BLOCK_TERMS - 1):
-                b[k + 1] = step * (np.einsum("ip,ip->p", b[:k + 1], b[k::-1]) - b[k]) / (k + 1)
+                b[k + 1] = step * ((k == 0) / 4.0
+                                   - np.einsum("ip,ip->p", b[:k + 1], b[k::-1])) / (k + 1)
             sums = np.einsum("kp,pk->p", b, self.mu[block])
-            sup_f = -1.0 / np.expm1(-0.5 * np.abs(u0))
+            sup_g = 0.5 / np.tanh(0.25 * np.abs(u0))
             vals[a:a + len(c)] = np.bincount(node - a, sums, len(c))
             bounds[a:a + len(c)] = np.bincount(
-                node - a, sup_f * self.cauchy[block] * self.abs_sum[block], len(c))
+                node - a, sup_g * self.cauchy[block] * self.abs_sum[block], len(c))
         return vals, bounds
 
 
@@ -428,7 +414,7 @@ class _Workspace:
         self.nu_odd = table.nu[1::2]
         self.S_odd = table.nu_cumsum[1::2]
         self._moments: dict[tuple, _Moments] = {}
-        self._plain_blocks: dict[int, _PlainBlocks] = {}
+        self._head_blocks: dict[int, _HeadBlocks] = {}
 
     def s_sup_beyond(self, m_index: int) -> float:
         """sup |S| over m > m_index: the table's values, floored by the
@@ -445,12 +431,12 @@ class _Workspace:
             self._moments[key] = mom
         return mom
 
-    def plain_blocks(self, end: int) -> _PlainBlocks:
-        """Block moments of the real plain-form head for the series truncated at `end`."""
-        blocks = self._plain_blocks.get(end)
+    def head_blocks(self, end: int) -> _HeadBlocks:
+        """Block moments of the real M head for the series truncated at `end`."""
+        blocks = self._head_blocks.get(end)
         if blocks is None:
-            blocks = _PlainBlocks(end)
-            self._plain_blocks[end] = blocks
+            blocks = _HeadBlocks(end)
+            self._head_blocks[end] = blocks
         return blocks
 
 
@@ -494,41 +480,25 @@ def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
 
 def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace,
                 end: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{m<end} w_m phi(z/n_m) per point: direct head plus moment tail,
-    and the bound on the tail's discarded series."""
+    """sum_{m<end} w_m phi(z/n_m) per point: head plus moment tail, and the
+    bound on the discarded series.  The head is summed directly, except that
+    the M form on the real axis takes all but its first _HEAD_PREFIX terms
+    from block moments."""
     mom = ws.moments(form, end)
     i = mom.index(z)
+    heads = mom.breaks[i]
     tail, remainder = mom.tail(form, z, i)
-    head = _head_sum(form.head, z, mom.breaks[i], getattr(ws, form.weights), ws.n_odd)
+    blocked = (form is _FORM_M and not np.iscomplexobj(z)
+               and heads.max(initial=0) > _HEAD_PREFIX)
+    direct = np.minimum(heads, _HEAD_PREFIX) if blocked else heads
+    head = _head_sum(form.head, z, direct, getattr(ws, form.weights), ws.n_odd)
+    if blocked:
+        blocks, block_bound = ws.head_blocks(end).head(z, heads, ws)
+        head = head + blocks
+        remainder = remainder + block_bound
     if form.outer is not None:
         head = form.outer(z) * head
     return head + tail, remainder
-
-
-def _plain_sum(z: np.ndarray, ws: _Workspace,
-               end: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{m < end} nu_m / (e^(z_j/n_m) + 1) per point.
-
-    The head stays in plain form, whose terms are exponentially small for
-    n << Re z: summed directly for complex z, and on the real axis directly
-    for m < _PLAIN_PREFIX and from block moments beyond.  Past the head,
-    1/(e^u + 1) = 1/2 - tanh(u/2)/2 turns the rest into half a difference of
-    partial sums S minus the half-shifted tail.
-    """
-    mom = ws.moments(_FORM_M, end)
-    i = mom.index(z)
-    heads = mom.breaks[i]
-    tail, remainder = mom.tail(_FORM_M, z, i)
-    s_head = np.where(heads > 0, ws.S_odd[heads - 1], 0.0)
-    rest = 0.5 * (ws.S_odd[end - 1] - s_head) - tail
-    if np.iscomplexobj(z):
-        vals = _head_sum(_head_plain, z, heads, ws.nu_odd, ws.n_odd)
-    else:
-        vals = _head_sum(_head_plain, z, np.minimum(heads, _PLAIN_PREFIX), ws.nu_odd, ws.n_odd)
-        blocks, block_bound = ws.plain_blocks(end).head(z, heads, ws)
-        vals = vals + blocks
-        remainder = remainder + block_bound
-    return vals + rest, remainder
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +566,9 @@ def kernel_series_coefficients(order: int) -> np.ndarray:
                      for k in np.arange(order + 1)])
 
 
-def kernel_N_series(z: complex,
-                    config: KernelConfig = DEFAULT_KERNEL_CONFIG) -> complex:
-    """Power series 2 sum_k (-1)^k z^(2k+1) pi^(-(2k+2)) zeta_beta(2k+5/2).
+def kernel_N_series(z: complex) -> complex:
+    """Power series 2 sum_k (-1)^k z^(2k+1) pi^(-(2k+2)) zeta_beta(2k+5/2),
+    k <= SERIES_ORDER_K.
 
     Raises:
         DomainError: outside the disc of convergence |z| < pi.
@@ -606,7 +576,7 @@ def kernel_N_series(z: complex,
     z = complex(z)
     if abs(z) >= math.pi:
         raise DomainError(f"kernel series requires |z| < pi, got |z|={abs(z)}")
-    c = kernel_series_coefficients(config.series_order_K)
+    c = kernel_series_coefficients(SERIES_ORDER_K)
     w = z * z
     acc = 0.0 + 0.0j
     for k in range(len(c) - 1, -1, -1):
@@ -636,7 +606,10 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
     with |E(x)| <= sum_i err_i x^q_i.  coef comes from the table's moments at
     breakpoint 0, not from kernel_series_coefficients, so that N and M stay
     independent routes; err holds the route's real-axis truncation bound,
-    linear in x, and the Taylor remainder at radius a times sum_m |w_m|.
+    linear in x, and the Taylor remainder of every term.  That remainder,
+    R(x/n_m) |w_m| with R(r)/r^p increasing in r (p the series order), is
+    at most x^p R(a)/a^p sum_m |v_m| n_m^-(q+p) <= x^p R(a)/a^p
+    (|v_0| + 3^-(q+p) sum_{m>0} |v_m|), since n_m >= 3 past m = 0.
     Raises DomainError for another kernel, InvalidArgumentError unless a < pi.
     """
     if kernel not in ("N", "M"):
@@ -653,8 +626,10 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
         form, slope = _FORM_M, float(_abel_remainder_bound(1.0, M, ws))
     mom = ws.moments(form, M)
     order = form.p0 + 2 * _TAYLOR_TERMS
+    v0 = abs(float(getattr(ws, form.weights)[0]))
+    weight = v0 + 3.0 ** -(form.q + order) * (mom.abs_sum[0] - v0)
     return (form.p0 + _K2, form.coef * mom.scaled[0], np.array([1.0, order]),
-            np.array([slope, form.remainder(a) * mom.abs_sum[0] / a ** order]))
+            np.array([slope, form.remainder(a) * weight / a ** order]))
 
 
 # ---------------------------------------------------------------------------
@@ -665,36 +640,35 @@ def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None
                         form: str = "half-shifted"):
     """Truncated exponential kernel and a summation-by-parts remainder bound.
 
-    form="half-shifted": sum nu(2m+1) tanh(z/(2(2m+1)))/2, any z off poles.
-    form="plain": S(2M-1) f(M) - sum_{m<M} nu(2m+1) f(m) with
-        f(m) = 1/(e^(z/(2m+1)) + 1).  Its remainder bound is
-        2 sup|S| |1/2 - f(M)| on the real axis, where f is monotone in m,
+    form="half-shifted": sum_{m<M} nu(2m+1) g(z/(2m+1)), g(u) = tanh(u/2)/2,
+        any z off poles.
+    form="plain": -sum_{m<M} nu(2m+1) / (e^(z/(2m+1)) + 1) plus the boundary
+        term S(2M-1) / (e^(z/(2M+1)) + 1), computed as the half-shifted sum
+        minus S(2M-1) g(z/(2M+1)).  Its remainder bound is
+        2 sup|S| |g(z/(2M+1))| on the real axis, where g is monotone in m,
         and the half-shifted form's bound off it.
     Both bounds carry sup|S| past M (see s_sup_beyond) and the Taylor
-    remainder of the moment tail; config.abel_tail_tol plays no part here,
-    only kernel_M checks the bound against it.  A scalar z gives (value,
-    float), the value real for the plain form on the real axis and complex
-    otherwise; an array z gives two arrays.
+    remainders of the moment tail and head blocks; config.abel_tail_tol
+    plays no part here, only kernel_M checks the bound against it.  A scalar
+    z gives (value, float), the value real for the plain form on the real
+    axis and complex otherwise; an array z gives two arrays.
     """
+    if form not in ("half-shifted", "plain"):
+        raise DomainError(f"unknown kernel_M form {form!r}")
     if config is None:
         config = config_for_table(table)
     zs, scalar = _points(z, "kernel_M")
     ws = _ws(table)
     M = min(config.n_terms_M, ws.m_avail + 1)
-    if form == "half-shifted":
-        vals, remainder = _kernel_sum(_FORM_M, zs, ws, M)
-        bound = _abel_remainder_bound(zs, M, ws) + remainder
-    elif form == "plain":
-        acc, remainder = _plain_sum(zs, ws, M)
-        f_next = _head_plain(zs, 2.0 * M + 1.0)
-        vals = ws.S_odd[M - 1] * f_next - acc
-        if np.iscomplexobj(zs):
-            abel = _abel_remainder_bound(zs, M, ws)
-        else:  # f tends to 1/2 monotonically past M, from either side
-            abel = 2.0 * ws.s_sup_beyond(M - 1) * np.abs(0.5 - f_next)
-        bound = abel + remainder
+    vals, bound = _kernel_sum(_FORM_M, zs, ws, M)
+    if form == "plain":
+        g_next = _head_M(zs, 2.0 * M + 1.0)
+        vals = vals - ws.S_odd[M - 1] * g_next
+    if form == "plain" and not np.iscomplexobj(zs):
+        # g tends to 0 monotonically past M, from either side
+        bound = bound + 2.0 * ws.s_sup_beyond(M - 1) * np.abs(g_next)
     else:
-        raise DomainError(f"unknown kernel_M form {form!r}")
+        bound = bound + _abel_remainder_bound(zs, M, ws)
     if not scalar:
         return vals, bound
     value = float(vals[0]) if form == "plain" and not np.iscomplexobj(vals) else complex(vals[0])

@@ -30,9 +30,10 @@ import numpy as np
 
 from .arith import ArithTable
 from .errors import LiouvilleMellinError, PoleError
-from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, KernelConfig, config_for_table,
-                      fermi_deficit, kernel_M, kernel_M_prime, kernel_M_with_bound,
-                      kernel_N_with_bound, kernel_series_with_bound, residue_estimate)
+from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, KernelConfig,
+                      config_for_table, fermi_deficit, kernel_M, kernel_M_prime,
+                      kernel_M_with_bound, kernel_N_with_bound, kernel_series_with_bound,
+                      residue_estimate)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
 from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
@@ -54,7 +55,7 @@ THEOREM1_ENVELOPE_OCTAVE = 14        # envelope must fall from this octave on
 MPRIME_FROZEN_BOUND = 0.19           # frozen; observed max |M'| = 0.186190 at x=0
 XM_PRODUCT_INFO_CAP = 1.2            # informational; observed max x|M(x)| = 1.103
 QUAD_DECAY_CONST = 1.2               # envelope |kernel(x)| <= 1.2/x, empirical
-KERNEL_SPLICE_X = 3.0                # partial-fraction form below, Abel form above
+KERNEL_SPLICE_X = 3.0                # near route below, plain exponential form above
 
 THEOREM2_REL_TOL = 1e-4
 THEOREM2_ABS_TOL_DEGENERATE = 1e-8   # at s = -1 both sides vanish
@@ -241,11 +242,11 @@ def verify_identity_MN(table: ArithTable,
     # so the tolerance is a rounding allowance.
     for z in (1.0, 1j, (0.6 + 0.8j)):
         z = complex(z)
-        ks = np.arange(config.series_order_K + 1)
+        ks = np.arange(SERIES_ORDER_K + 1)
         coeffs = np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
                            * zeta_imp(2 * k + 2.0).real for k in ks])
         series = complex(np.sum(coeffs * z ** (2 * ks + 1)))
-        trunc = 2.0 * math.pi ** (-(2 * config.series_order_K + 4))
+        trunc = 2.0 * math.pi ** (-(2 * SERIES_ORDER_K + 4))
         reports.append(make_report(
             "identity.fermi-power-series", {"z": str(z)},
             fermi_deficit(z), series, tol_abs=trunc + 5e-14,
@@ -275,7 +276,8 @@ _kernel_M_abel_real_array = kernel_M_with_bound
 
 class _KernelIntegrand:
     """Memoizing Gauss-panel integrand: the near route ("N" or half-shifted "M",
-    whose series is the head on (0, split_point]) to KERNEL_SPLICE_X, Abel beyond.
+    whose series is the head on (0, split_point]) to KERNEL_SPLICE_X, the
+    plain exponential form beyond.
 
     Values are cached per x across every s on the grid (node positions do
     not depend on s), so a full 9-point, two-route theorem-2 run costs one

@@ -179,16 +179,9 @@ def test_kernel_series_needs_no_table(cache_env, capsys):
     assert not list((cache_env / "cache").glob("arith_*.bin"))
 
 
-def test_tol_override_rescores(cache_env, tmp_path):
-    # an absurdly tight tolerance must flip the scored Dirichlet checks
-    out_file = tmp_path / "tight.jsonl"
-    code = main(["verify", "bounds", "--limit", "50001", "--tol", "1e-30",
-                 "--out", str(out_file)])
-    assert code == 1
-    _, rows = read_report_file(out_file)
-    flipped = [r for r in rows
-               if r["check_id"] == "bounds.dirichlet-lambda" and not r["pass"]]
-    assert flipped
+def test_verify_has_no_tolerance_override(cache_env):
+    # every check keeps its own frozen tolerance; --tol is not an option
+    assert main(["verify", "bounds", "--limit", "50001", "--tol", "1"]) == 2
 
 
 def test_report_missing_or_malformed_exits_2(cache_env, capsys, tmp_path):

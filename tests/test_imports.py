@@ -1,5 +1,6 @@
 """Module boundaries: no package module imports another one's private names,
-and every module exports only names it defines."""
+every module exports only names it defines, and no private name is left
+unused."""
 
 import ast
 import importlib
@@ -40,3 +41,28 @@ def test_every_exported_name_exists():
         stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
     assert stale == []
+
+
+def test_no_unused_private_names():
+    # a module-level _name that nothing in the package references is dead code
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in used) == []

@@ -11,8 +11,7 @@ from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
                               kernel_N, kernel_N_series, residue_estimate,
                               zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _fermi_real, _tanh_coefficients, _ws,
-                                      config_for_table,
+                                      _tanh_coefficients, _ws, config_for_table,
                                       kernel_M_with_bound, kernel_N_with_bound,
                                       nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
@@ -94,7 +93,7 @@ def test_kernel_N_odd(table_100k, kconfig_100k):
 
 def test_kernel_N_vs_series(table_100k, kconfig_100k):
     val, bound = kernel_N_with_bound(1.0, table_100k, kconfig_100k)
-    series = kernel_N_series(1.0, kconfig_100k)
+    series = kernel_N_series(1.0)
     # series truncation is below double precision at |z|=1
     assert abs(val - series) <= bound + 1e-13
 
@@ -106,14 +105,14 @@ def test_kernel_N_pole_and_size_guard(table_100k, kconfig_100k):
         kernel_N(1.0, table_100k, KernelConfig(n_terms_N=10 ** 6))
 
 
-def test_kernel_series_domain_and_leading_term(table_100k, kconfig_100k):
-    assert kernel_N_series(0.0, kconfig_100k) == 0.0
+def test_kernel_series_domain_and_leading_term():
+    assert kernel_N_series(0.0) == 0.0
     with pytest.raises(DomainError):
-        kernel_N_series(3.2, kconfig_100k)
+        kernel_N_series(3.2)
     # leading-term dominance: the z^3 correction sits at 1.02e-3 relative
     z = 0.1
     leading = 2.0 * z * zeta_beta(2.5).real / PI ** 2
-    assert kernel_N_series(z, kconfig_100k).real == pytest.approx(
+    assert kernel_N_series(z).real == pytest.approx(
         leading, rel=1.1e-3)
 
 
@@ -205,8 +204,6 @@ def test_residue_bad_kernel(table_100k, kconfig_100k):
 
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
-        KernelConfig(series_order_K=61)
-    with pytest.raises(InvalidArgumentError):
         KernelConfig(n_terms_N=0)
     with pytest.raises(InvalidArgumentError):
         KernelConfig(abel_tail_tol=-1.0)
@@ -271,10 +268,16 @@ def _ref_M_half(z, ws, M):
     return _csum(ws.nu_odd[:M] * 0.5 * np.tanh(z / (2.0 * ws.n_odd[:M])))
 
 
+def _logistic(u):
+    # 1/(e^u + 1) on a real array, without overflow on either side
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
 def _ref_plain(x, ws, M):
     # S(2M-1) f(x/(2M+1)) - sum_{m<M} nu_m f(x/n_m), every term of the truncation
-    f_next = float(_fermi_real(np.array([x / (2.0 * M + 1.0)]))[0])
-    f = _fermi_real(x / ws.n_odd[:M])
+    f_next = float(_logistic(np.array([x / (2.0 * M + 1.0)]))[0])
+    f = _logistic(x / ws.n_odd[:M])
     return math.fsum([float(ws.S_odd[M - 1]) * f_next] + list(-ws.nu_odd[:M] * f))
 
 
@@ -361,11 +364,11 @@ def _tail_remainder(x, ws, M):
 
 
 def _block_remainder(x, ws, head):
-    # Cauchy bound on the 28-term Taylor expansion of f = 1/(e^u+1) over each
-    # block of the real plain head past its first 32 terms.  The blocks are
+    # Cauchy bound on the 28-term Taylor expansion of g = tanh(u/2)/2 over
+    # each block of the real M head past its first 32 terms.  The blocks are
     # three geometric ones per octave of m, split at powers of two.  On a
     # block, 1/n = w0 + delta tau with |tau| <= 1; around u0 = x w0,
-    # |f| <= 1/(1 - e^(-|u0|/2)) within radius |u0|/2, and
+    # |g| <= coth(|u0|/4)/2 within radius |u0|/2, and
     # rho = |x| delta / (|u0|/2).
     edges = {round(2.0 ** (j + i / 3.0)) for j in range(5, 21) for i in range(3)}
     edges.add(head)
@@ -375,8 +378,8 @@ def _block_remainder(x, ws, head):
         inv_first, inv_last = 1.0 / (2 * a + 1), 1.0 / (2 * b - 1)
         w0, delta = (inv_first + inv_last) / 2.0, (inv_first - inv_last) / 2.0
         rho = 2.0 * delta / w0
-        sup_f = 1.0 / (1.0 - math.exp(-abs(x) * w0 / 2.0))
-        total += sup_f * rho ** 28 / (1.0 - rho) * math.fsum(np.abs(ws.nu_odd[a:b]))
+        sup_g = 0.5 / math.tanh(abs(x) * w0 / 4.0)
+        total += sup_g * rho ** 28 / (1.0 - rho) * math.fsum(np.abs(ws.nu_odd[a:b]))
     return total
 
 
@@ -384,7 +387,7 @@ def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfi
     ws, M = _ws(table_100k), kconfig_100k.n_terms_M
     _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, kconfig_100k, form="plain")
     for j, x in enumerate(REAL_X):
-        g_edge = 0.5 - float(_fermi_real(np.array([x / (2.0 * M + 1.0)]))[0])
+        g_edge = 0.5 * float(np.tanh(x / (2.0 * (2.0 * M + 1.0))))
         abel = 2.0 * ws.s_sup_beyond(M - 1) * abs(g_edge)
         remainder = _tail_remainder(x, ws, M)
         blocks = _block_remainder(x, ws, _head_end(x, M))
@@ -400,9 +403,12 @@ def test_plain_block_head_matches_fsum(table_main):
     # heads of up to 2^17 terms, all but the first 32 from block moments
     config = config_for_table(table_main)
     ws, M = _ws(table_main), config.n_terms_M
-    vals, bounds = kernel_M_with_bound(np.array(PLAIN_BLOCK_X), table_main, config, form="plain")
+    xs = np.array(PLAIN_BLOCK_X)
+    vals, bounds = kernel_M_with_bound(xs, table_main, config, form="plain")
+    half, _ = kernel_M_with_bound(xs, table_main, config)
     for j, x in enumerate(PLAIN_BLOCK_X):
         _assert_close(vals[j], _ref_plain(x, ws, M))
+        _assert_close(half[j], _ref_M_half(x, ws, M))
         blocks = _block_remainder(x, ws, _head_end(x, M))
         assert 0.0 < blocks < 1e-16
         assert bounds[j] >= blocks

@@ -9,7 +9,7 @@ import pytest
 from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceError,
                               QuadratureSpec, gamma, integrate_gamma_zeta_a,
                               integrate_mellin, zeta_alternating)
-from liouville_mellin.kernels import (fermi_series, kernel_M_with_bound,
+from liouville_mellin.kernels import (_ws, fermi_series, kernel_M_with_bound,
                                       kernel_N_with_bound, kernel_series_with_bound)
 from liouville_mellin.quadrature import _series_head, panel_sequence
 from liouville_mellin.verify import default_theorem2_grid, verify_theorem2
@@ -132,6 +132,20 @@ def test_kernel_series_majorant_holds_pointwise(route, table_100k, kconfig_100k,
     assert (np.abs(series - near.real) <= taylor + 1e-16).all()
     far, far_bound = evaluate(x, table_main)
     assert (np.abs(series - far.real) <= majorant + far_bound).all()
+
+
+@pytest.mark.parametrize("route", ["N", "M"])
+def test_kernel_series_taylor_majorant_is_led_by_the_first_term(route, table_main):
+    # term m's Taylor remainder scales as n_m^-(q+29) and n_m >= 3 past m = 0,
+    # so the x^29 coefficient is within a hair of term 0's, R(a)/a^29 |v_0|
+    a = 1.0
+    _, _, err_pow, err = kernel_series_with_bound(route, a, table_main)
+    r2 = (a / PI) ** 2
+    first = 0.25 * a * r2 ** 14 / (1.0 - r2) / a ** 29
+    ws = _ws(table_main)
+    v0 = abs(float(ws.coef_N[0] if route == "N" else ws.nu_odd[0]))
+    assert err_pow[-1] == 29
+    assert first * v0 <= err[-1] <= 1.01 * first * v0
 
 
 def test_split_point_at_or_past_pi_raises(table_100k):
