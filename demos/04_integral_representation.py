@@ -13,7 +13,6 @@ Run:  python demos/04_integral_representation.py   (about 0.5 s on a 2-vCPU Xeon
 import time
 
 from liouville_mellin import build_table, verify_theorem2
-from liouville_mellin.verify import default_theorem2_spec
 
 LIMIT = 400_001
 print(f"sieving to {LIMIT} ...")
@@ -23,7 +22,7 @@ grid = [complex(-0.75), complex(-1.25), complex(-1.0, 0.5), complex(-0.75, 1.0)]
 print(f"comparing the two sides at {len(grid)} strip points, both kernel routes:\n")
 
 t0 = time.time()
-reports = verify_theorem2(table, spec=default_theorem2_spec(table), s_grid=grid)
+reports = verify_theorem2(table, s_grid=grid)
 for r in reports:
     route = "partial-fraction" if r.check_id.endswith("n-form") else "exponential"
     print(f"  s={r.inputs['s']:<12} {route:<16} lhs={r.lhs:.8f}")

@@ -4,7 +4,8 @@ Subcommands:
     sieve    build (and cache) an arithmetic table
     eval     evaluate any zeta-family member or gamma at a complex point
     kernel   evaluate N / M / Mprime / series at a point
-    verify   run verification groups, emitting JSONL or CSV reports
+    verify   run verification groups, emitting JSONL or CSV reports; --grid
+             sets the s points of theorem2 and functional (both under all)
     report   render a previously written report file
 
 Structured output goes to --out when given, else to stdout; human progress
@@ -21,6 +22,7 @@ Environment overrides (lowest precedence below explicit flags):
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime
 import io
@@ -32,12 +34,11 @@ from pathlib import Path
 
 from . import __version__
 from .arith import ArithTable, build_table, load_table, save_table
-from .errors import LiouvilleMellinError
+from .errors import InvalidArgumentError, LiouvilleMellinError
 from .kernels import (config_for_table, kernel_M, kernel_M_prime, kernel_N,
                       kernel_N_series)
 from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
-from .verify import (GROUPS, default_theorem2_spec, list_checks, run_group,
-                     verify_functional_equations, verify_theorem2)
+from .verify import GRID_GROUPS, GROUPS, default_theorem2_spec, list_checks, run_group
 from .zeta_family import (zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
                           zeta_mu, zeta_nu)
 
@@ -127,16 +128,15 @@ def write_reports(stream, reports, manifest: RunManifest, fmt: str) -> None:
             stream.write(json.dumps(rec, sort_keys=True, default=_json_default) + "\n")
     elif fmt == "csv":
         stream.write("# manifest: " + json.dumps(manifest.to_record(), sort_keys=True) + "\n")
-        stream.write(",".join(CSV_COLUMNS) + "\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for r in reports:
             rec = r.to_record()
-            row = [rec["check_id"],
-                   '"' + json.dumps(rec["inputs"], sort_keys=True).replace('"', '""') + '"',
-                   _fmt(rec["lhs_re"]), _fmt(rec["lhs_im"]),
-                   _fmt(rec["rhs_re"]), _fmt(rec["rhs_im"]),
-                   _fmt(rec["abs_err"]), _fmt(rec["rel_err"]),
-                   str(rec["pass"]).lower()]
-            stream.write(",".join(row) + "\n")
+            writer.writerow([rec["check_id"], json.dumps(rec["inputs"], sort_keys=True),
+                             _fmt(rec["lhs_re"]), _fmt(rec["lhs_im"]),
+                             _fmt(rec["rhs_re"]), _fmt(rec["rhs_im"]),
+                             _fmt(rec["abs_err"]), _fmt(rec["rel_err"]),
+                             str(rec["pass"]).lower()])
     else:
         raise LiouvilleMellinError(f"unknown format {fmt!r}")
 
@@ -148,8 +148,7 @@ def read_report_file(path: str) -> tuple[RunManifest | None, list[dict]]:
     first = text.splitlines()[0] if text else ""
     if first.startswith("# manifest:"):
         manifest = RunManifest.from_record(json.loads(first[len("# manifest:"):]))
-        import csv as _csv
-        rdr = _csv.DictReader(io.StringIO("\n".join(text.splitlines()[1:])))
+        rdr = csv.DictReader(io.StringIO("\n".join(text.splitlines()[1:])))
         for row in rdr:
             row["pass"] = {"true": True, "false": False}.get(row.get("pass"))
             rows.append(row)
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--list", action="store_true", help="list check ids and exit")
     vp.add_argument("--limit", type=int, default=None)
     vp.add_argument("--grid", type=str, default=None,
-                    help="comma-separated complex points for theorem2/functional")
+                    help="comma-separated complex points for theorem2, functional or all")
     vp.add_argument("--out", type=Path, default=None)
     vp.add_argument("--format", choices=["jsonl", "csv"], default=None)
     vp.add_argument("--cache-dir", type=Path, default=None)
@@ -336,20 +335,18 @@ def _run_verify(args) -> int:
     fmt = args.format or _env("FORMAT", "jsonl")
     out = args.out or (_env("OUT") and Path(_env("OUT")))
     cache = args.cache_dir or _default_cache_dir()
+    grid = None
+    if args.grid:  # checked before any table is sieved
+        if args.group not in GRID_GROUPS:
+            raise InvalidArgumentError(
+                f"--grid applies to {', '.join(GRID_GROUPS)}, not {args.group}")
+        try:
+            grid = [parse_complex(tok) for tok in args.grid.split(",") if tok]
+        except argparse.ArgumentTypeError as exc:
+            raise InvalidArgumentError(f"--grid: {exc}") from None
 
     table = acquire_table(limit, cache)
-    kconf = config_for_table(table)
-    grid = None
-    if args.grid:
-        grid = [parse_complex(tok) for tok in args.grid.split(",") if tok]
-
-    if args.group == "theorem2":
-        reports = verify_theorem2(table, kconf, default_theorem2_spec(table), grid)
-    elif args.group == "functional" and grid is not None:
-        reports = verify_functional_equations(grid)
-    else:
-        reports = run_group(args.group, table, DEFAULT_EVAL_CONFIG, kconf,
-                            default_theorem2_spec(table))
+    reports = run_group(args.group, table, grid)
 
     manifest = RunManifest(
         command=f"verify {args.group}",
@@ -357,7 +354,7 @@ def _run_verify(args) -> int:
         table_limit=limit,
         config_snapshot={
             "eval": dataclasses.asdict(DEFAULT_EVAL_CONFIG),
-            "kernel": dataclasses.asdict(kconf),
+            "kernel": dataclasses.asdict(config_for_table(table)),
             "quadrature": dataclasses.asdict(default_theorem2_spec(table)),
         },
         tool_version=__version__,

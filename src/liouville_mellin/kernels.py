@@ -64,14 +64,14 @@ import cmath
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arith import ArithTable
 from .errors import (DomainError, EstimationFailureError, InvalidArgumentError,
                      PoleError, TruncationBudgetError)
-from .special import DEFAULT_EVAL_CONFIG, POLE_TOL
+from .special import POLE_TOL
 from .zeta_family import zeta_beta
 
 __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
@@ -117,15 +117,13 @@ class KernelConfig:
 DEFAULT_KERNEL_CONFIG = KernelConfig()
 
 
-def config_for_table(table: ArithTable,
-                     base: KernelConfig = DEFAULT_KERNEL_CONFIG) -> KernelConfig:
-    """`base` with its truncation depths clamped to what the table can serve."""
+def config_for_table(table: ArithTable) -> KernelConfig:
+    """DEFAULT_KERNEL_CONFIG with its truncation depths clamped to what the
+    table can serve."""
     available = (table.limit - 1) // 2 + 1
-    if base.n_terms_N <= available and base.n_terms_M <= available:
-        return base
-    return KernelConfig(n_terms_N=min(base.n_terms_N, available),
-                        n_terms_M=min(base.n_terms_M, available),
-                        abel_tail_tol=base.abel_tail_tol)
+    return replace(DEFAULT_KERNEL_CONFIG,
+                   n_terms_N=min(DEFAULT_KERNEL_CONFIG.n_terms_N, available),
+                   n_terms_M=min(DEFAULT_KERNEL_CONFIG.n_terms_M, available))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +560,7 @@ def kernel_N(z, table: ArithTable, config: KernelConfig | None = None):
 def kernel_series_coefficients(order: int) -> np.ndarray:
     """Coefficients c_k = 2 (-1)^k pi^(-(2k+2)) zeta_beta(2k + 5/2), k <= order."""
     return np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
-                     * zeta_beta(2 * k + 2.5, DEFAULT_EVAL_CONFIG).real
+                     * zeta_beta(2 * k + 2.5).real
                      for k in np.arange(order + 1)])
 
 

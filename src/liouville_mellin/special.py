@@ -33,14 +33,15 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Knobs for the series evaluators.
+    """The fixed budget of the series evaluators; DEFAULT_EVAL_CONFIG is the
+    one instance the package uses.
 
     series_terms: hard cap on the number of terms any alternating-series
         evaluation may consume; an evaluation whose error model needs more
-        raises TruncationBudgetError.  The default 128 covers zeta(2s) for
-        |Im s| <= 60 (order 127 at |Im 2s| = 120).
-    accel_order: order of the fixed-coefficient acceleration scheme.
-    target_rel_err: requested relative accuracy of series evaluations.
+        raises TruncationBudgetError.  128 covers zeta(2s) for |Im s| <= 60
+        (order 127 at |Im 2s| = 120).
+    accel_order: the smallest order of the Borwein acceleration.
+    target_rel_err: relative accuracy the acceleration order is chosen for.
     zero_threshold: |denominator| scale below which a quotient is treated
         as division by an exact-zero candidate and reported as an error.
     """
@@ -49,16 +50,6 @@ class EvalConfig:
     accel_order: int = 50
     target_rel_err: float = 1e-12
     zero_threshold: float = 1e-13
-
-    def __post_init__(self):
-        if self.series_terms < 1 or self.accel_order < 1:
-            raise InvalidArgumentError("series_terms and accel_order must be positive")
-        if self.series_terms < self.accel_order:
-            raise InvalidArgumentError("series_terms must be >= accel_order")
-        if not 0.0 < self.target_rel_err < 1.0:
-            raise InvalidArgumentError("target_rel_err must lie in (0, 1)")
-        if self.zero_threshold <= 0.0:
-            raise InvalidArgumentError("zero_threshold must be positive")
 
 
 DEFAULT_EVAL_CONFIG = EvalConfig()
@@ -144,7 +135,7 @@ def _borwein_coefficients(n: int) -> tuple[float, ...]:
     return out
 
 
-def zeta_alternating(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_alternating(s: complex) -> complex:
     """eta(s) = sum (-1)^(n-1) n^(-s) for Re s > 0, accelerated.
 
     Raises:
@@ -154,7 +145,7 @@ def zeta_alternating(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> co
     s = _require_finite(s, "zeta_alternating")
     if s.real <= 0.0:
         raise DomainError(f"zeta_alternating requires Re s > 0, got {s}")
-    return _eta_borwein(s, config)
+    return _eta_borwein(s, DEFAULT_EVAL_CONFIG)
 
 
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
@@ -166,17 +157,17 @@ def _borwein_error(t: float, n: int) -> float:
     return 3.0 * (1.0 + 2.0 * t) * math.exp(0.5 * math.pi * t - n * _BORWEIN_RATE)
 
 
-def _borwein_order(s: complex, config: EvalConfig) -> int:
+def _borwein_order(s: complex, budget: EvalConfig) -> int:
     """Acceleration order meeting target_rel_err under the error model
     3 (3+sqrt 8)^-n (1 + 2|t|) e^(pi |t|/2), capped by series_terms."""
     t = abs(s.imag)
     needed = (0.5 * math.pi * t + math.log(3.0 * (1.0 + 2.0 * t))
-              - math.log(config.target_rel_err)) / _BORWEIN_RATE
-    n = max(config.accel_order, int(math.ceil(needed)))
-    return min(n, config.series_terms)
+              - math.log(budget.target_rel_err)) / _BORWEIN_RATE
+    n = max(budget.accel_order, int(math.ceil(needed)))
+    return min(n, budget.series_terms)
 
 
-def _eta_borwein(s: complex, config: EvalConfig) -> complex:
+def _eta_borwein(s: complex, budget: EvalConfig) -> complex:
     """Borwein-accelerated eta(s).
 
     Raises:
@@ -184,13 +175,13 @@ def _eta_borwein(s: complex, config: EvalConfig) -> complex:
             model at that order exceeds target_rel_err (|Im s| above about
             122 at the defaults).
     """
-    n = _borwein_order(s, config)
-    if n == config.series_terms:
+    n = _borwein_order(s, budget)
+    if n == budget.series_terms:
         bound = _borwein_error(abs(s.imag), n)
-        if bound > config.target_rel_err:
+        if bound > budget.target_rel_err:
             raise TruncationBudgetError(
                 f"eta: Borwein order capped at series_terms={n} for s={s}; "
-                f"error model {bound:.1e} > {config.target_rel_err:.1e}",
+                f"error model {bound:.1e} > {budget.target_rel_err:.1e}",
                 achieved_bound=bound)
     d = _borwein_coefficients(n)
     dn = d[n]
@@ -202,7 +193,7 @@ def _eta_borwein(s: complex, config: EvalConfig) -> complex:
     return total / dn
 
 
-def eta_continued(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def eta_continued(s: complex) -> complex:
     """eta(s) on the whole plane: accelerated series for Re s > 0, else
     (1 - 2^(1-s)) zeta(s) with zeta continued by the functional equation.
 
@@ -210,11 +201,11 @@ def eta_continued(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> compl
     """
     s = _require_finite(s, "eta_continued")
     if s.real > 0.0:
-        return _eta_borwein(s, config)
-    return (1.0 - 2.0 ** (1.0 - s)) * zeta(s, config)
+        return _eta_borwein(s, DEFAULT_EVAL_CONFIG)
+    return (1.0 - 2.0 ** (1.0 - s)) * zeta(s)
 
 
-def zeta(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta for any s != 1.
 
     For Re s > 0 the accelerated alternating series is used through
@@ -237,7 +228,7 @@ def zeta(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
             # removable zero of the denominator at s = 1 + 2 pi i k/ln 2,
             # k != 0; near the k = 0 pole the quotient is left alone so the
             # blow-up stays genuine
-            return 0.5 * (zeta(s + 1e-6, config) + zeta(s - 1e-6, config))
-        return _eta_borwein(s, config) / den
+            return 0.5 * (zeta(s + 1e-6) + zeta(s - 1e-6))
+        return _eta_borwein(s, DEFAULT_EVAL_CONFIG) / den
     return (2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s) * zeta(1.0 - s, config))
+            * gamma(1.0 - s) * zeta(1.0 - s))

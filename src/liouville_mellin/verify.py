@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTable
-from .errors import LiouvilleMellinError, PoleError
-from .kernels import (DEFAULT_KERNEL_CONFIG, S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, KernelConfig,
-                      config_for_table, fermi_deficit, kernel_M, kernel_M_prime,
-                      kernel_M_with_bound, kernel_N_with_bound, kernel_series_with_bound,
-                      residue_estimate)
+from .errors import (InvalidArgumentError, LiouvilleMellinError, PoleError,
+                     TruncationBudgetError)
+from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, KernelConfig, config_for_table,
+                      fermi_deficit, kernel_M, kernel_M_prime, kernel_M_with_bound,
+                      kernel_N_with_bound, kernel_series_with_bound, residue_estimate)
 from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
-from .special import DEFAULT_EVAL_CONFIG, EvalConfig, eta_continued, gamma, zeta, zeta_alternating
+from .special import eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
                           zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
@@ -43,7 +43,7 @@ from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
 
 __all__ = ["VerificationReport", "verify_theorem1", "verify_identity_MN",
            "verify_theorem2", "verify_functional_equations", "probe_decay",
-           "verify_bounds", "run_group", "list_checks", "GROUPS",
+           "verify_bounds", "run_group", "list_checks", "GROUPS", "GRID_GROUPS",
            "default_theorem2_grid", "default_theorem2_spec"]
 
 # --------------------------------------------------------------------------
@@ -204,11 +204,10 @@ DEFAULT_IDENTITY_POINTS = (
 
 
 def verify_identity_MN(table: ArithTable,
-                       config: KernelConfig = DEFAULT_KERNEL_CONFIG,
                        points=DEFAULT_IDENTITY_POINTS) -> list[VerificationReport]:
     """M(z) == N(z) pointwise, plus the power-series coefficient identity and
     the Fermi-kernel power series."""
-    config = config_for_table(table, config)
+    config = config_for_table(table)
     reports = []
     for z in points:
         z = complex(z)
@@ -312,17 +311,14 @@ class _KernelIntegrand:
 
 
 def verify_theorem2(table: ArithTable,
-                    config: KernelConfig = DEFAULT_KERNEL_CONFIG,
-                    spec: QuadratureSpec | None = None,
                     s_grid: list[complex] | None = None) -> list[VerificationReport]:
     """zeta(2s)/zeta(s) against the integral representation, both kernel routes.
 
     The degenerate grid point s = -1 (where the cosine prefactor and the
     zeta(2s) trivial zero both force 0) is scored absolutely.
     """
-    config = config_for_table(table, config)
-    if spec is None:
-        spec = default_theorem2_spec(table)
+    config = config_for_table(table)
+    spec = default_theorem2_spec(table)
     if s_grid is None:
         s_grid = default_theorem2_grid()
     shared_cache: dict = {}
@@ -369,9 +365,7 @@ def _strip_points(rng, n, re_lo, re_hi, im_max):
     return pts
 
 
-def verify_functional_equations(s_grid: list[complex] | None = None,
-                                config: EvalConfig = DEFAULT_EVAL_CONFIG
-                                ) -> list[VerificationReport]:
+def verify_functional_equations(s_grid: list[complex] | None = None) -> list[VerificationReport]:
     """Riemann, eta, and alpha/beta functional equations plus the algebraic
     bridge between the eta and zeta quotients."""
     rng = np.random.default_rng(_RNG_SEED)
@@ -379,18 +373,17 @@ def verify_functional_equations(s_grid: list[complex] | None = None,
 
     def rhs29(s: complex) -> complex:
         return (2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-                * gamma(1.0 - s) * zeta(1.0 - s, config))
+                * gamma(1.0 - s) * zeta(1.0 - s))
 
     # classical values through the continuation path
     reports.append(make_report("functional.riemann-classical", {"s": "-1"},
-                               zeta(-1.0, config), -1.0 / 12.0,
-                               tol_abs=CLASSICAL_ABS_TOL))
+                               zeta(-1.0), -1.0 / 12.0, tol_abs=CLASSICAL_ABS_TOL))
     reports.append(make_report("functional.riemann-classical", {"s": "-2"},
-                               zeta(-2.0, config), 0.0, tol_abs=CLASSICAL_ABS_TOL))
+                               zeta(-2.0), 0.0, tol_abs=CLASSICAL_ABS_TOL))
 
     # self-consistency inside the critical strip: direct vs reflected
     for s in _strip_points(rng, 20, 0.05, 0.95, 5.0):
-        direct = zeta(s, config)
+        direct = zeta(s)
         reflected = rhs29(s)
         reports.append(make_report("functional.riemann-selfconsistency",
                                    {"s": str(s)}, direct, reflected,
@@ -400,44 +393,40 @@ def verify_functional_equations(s_grid: list[complex] | None = None,
 
     # eta equation: eta(s) = -2 pi^(s-1) sin(pi s/2) Gamma(1-s) zeta_imp(1-s)
     reports.append(make_report("functional.eta", {"s": "-1"},
-                               eta_continued(-1.0, config), 0.25,
+                               eta_continued(-1.0), 0.25,
                                tol_abs=CLASSICAL_ABS_TOL,
                                notes="eta(-1) = (1-4) zeta(-1) = 1/4"))
     reports.append(make_report("functional.eta", {"s": "-2"},
-                               functional_eq_rhs_zeta_a(-2.0, config), 0.0,
+                               functional_eq_rhs_zeta_a(-2.0), 0.0,
                                tol_abs=CLASSICAL_ABS_TOL, notes="trivial zero"))
     reports.append(make_report("functional.eta", {"s": "0.5"},
-                               zeta_alternating(0.5, config),
-                               functional_eq_rhs_zeta_a(0.5, config),
+                               zeta_alternating(0.5), functional_eq_rhs_zeta_a(0.5),
                                tol_rel=FUNCTIONAL_REL_TOL, notes="critical-line spot"))
     for s in strip:
         reports.append(make_report("functional.eta", {"s": str(s)},
-                                   eta_continued(s, config),
-                                   functional_eq_rhs_zeta_a(s, config),
+                                   eta_continued(s), functional_eq_rhs_zeta_a(s),
                                    tol_rel=FUNCTIONAL_REL_TOL))
 
     # alpha/beta equation (the analytic backbone of the integral formula)
     reports.append(make_report("functional.alpha-beta", {"s": "-1"},
-                               zeta_alpha(-1.0, config=config),
-                               functional_eq_rhs_zeta_alpha(-1.0, config),
+                               zeta_alpha(-1.0), functional_eq_rhs_zeta_alpha(-1.0),
                                tol_abs=CLASSICAL_ABS_TOL,
                                notes="cosine zero at odd integer"))
     for s in strip + [complex(-1.25, 0.5), complex(-1.25, -0.5), complex(-0.75, 0.0)]:
         reports.append(make_report("functional.alpha-beta", {"s": str(s)},
-                                   zeta_alpha(s, config=config),
-                                   functional_eq_rhs_zeta_alpha(s, config),
+                                   zeta_alpha(s), functional_eq_rhs_zeta_alpha(s),
                                    tol_rel=FUNCTIONAL_REL_TOL))
 
     # algebraic bridge: zeta_lambda (1 - 2^(1-2s)) = zeta_alpha (1 - 2^(1-s))
     for s in strip:
-        lhs = zeta_lambda(s, config) * (1.0 - 2.0 ** (1.0 - 2.0 * s))
-        rhs = zeta_alpha(s, config=config) * (1.0 - 2.0 ** (1.0 - s))
+        lhs = zeta_lambda(s) * (1.0 - 2.0 ** (1.0 - 2.0 * s))
+        rhs = zeta_alpha(s) * (1.0 - 2.0 ** (1.0 - s))
         reports.append(make_report("functional.lambda-alpha-bridge", {"s": str(s)},
                                    lhs, rhs, tol_rel=EQ10_REL_TOL))
 
     # mu inversion: zeta_mu(s) zeta(s) = 1 wherever both are defined
     for s in (2.0, 3.0, 4.0, complex(2.0, 2.0), complex(0.5, 3.0)):
-        prod = zeta_mu(s, config) * zeta(s, config)
+        prod = zeta_mu(s) * zeta(s)
         reports.append(make_report("functional.mu-inversion", {"s": str(s)},
                                    prod, 1.0, tol_rel=1e-12))
     return _sorted(reports)
@@ -450,12 +439,10 @@ def verify_functional_equations(s_grid: list[complex] | None = None,
 DEFAULT_DECAY_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-def probe_decay(table: ArithTable,
-                config: KernelConfig = DEFAULT_KERNEL_CONFIG,
-                x_grid=DEFAULT_DECAY_GRID) -> list[VerificationReport]:
+def probe_decay(table: ArithTable, x_grid=DEFAULT_DECAY_GRID) -> list[VerificationReport]:
     """Real-axis behavior of the exponential kernel: decay of M, the frozen
     bound on M', and the exploratory x |M(x)| record."""
-    config = config_for_table(table, config)
+    config = config_for_table(table)
     x_grid = sorted(float(x) for x in x_grid)
     vals, bounds = kernel_M_with_bound(np.array(x_grid), table, config, form="plain")
     m_vals = dict(zip(x_grid, vals.tolist()))
@@ -478,14 +465,19 @@ def probe_decay(table: ArithTable,
         notes="number of |M| increases along the tail grid (must be 0)"))
 
     xs = np.linspace(0.0, 100.0, 201)
-    mp = kernel_M_prime(xs, table, config)
-    mp_max = float(np.abs(mp).max())
-    reports.append(make_report(
-        "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, mp_max, 0.0,
-        tol_abs=MPRIME_FROZEN_BOUND,
-        budget={"frozen_bound": MPRIME_FROZEN_BOUND,
-                "argmax": float(xs[int(np.abs(mp).argmax())])},
-        notes="max |M'| against the frozen regression constant"))
+    try:
+        mp = np.abs(kernel_M_prime(xs, table, config))
+    except TruncationBudgetError as exc:  # a table too short for the tolerance
+        reports.append(make_report(
+            "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, 0.0, 0.0,
+            tol_abs=MPRIME_FROZEN_BOUND, budget={"frozen_bound": MPRIME_FROZEN_BOUND},
+            passed=False, notes=f"M' not evaluated: {exc}"))
+    else:
+        reports.append(make_report(
+            "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, float(mp.max()), 0.0,
+            tol_abs=MPRIME_FROZEN_BOUND, budget={"frozen_bound": MPRIME_FROZEN_BOUND,
+                                                 "argmax": float(xs[int(mp.argmax())])},
+            notes="max |M'| against the frozen regression constant"))
 
     xm = {x: x * abs(m_vals[x]) for x in x_grid}
     reports.append(make_report(
@@ -500,8 +492,7 @@ def probe_decay(table: ArithTable,
 # sieve-level bounds and Dirichlet-sum oracles
 # --------------------------------------------------------------------------
 
-def verify_bounds(table: ArithTable,
-                  config: EvalConfig = DEFAULT_EVAL_CONFIG) -> list[VerificationReport]:
+def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     """Inequality scans over the full table plus table-partial-sum vs
     closed-form checks for every generating function."""
     reports = []
@@ -549,7 +540,7 @@ def verify_bounds(table: ArithTable,
 
     N_l = min(10 ** 6, limit)
     lhs = float(np.sum(table.liouville[1:N_l + 1] / idx[1:N_l + 1] ** 3))
-    rhs = zeta(6.0, config) / zeta(3.0, config)
+    rhs = zeta(6.0) / zeta(3.0)
     reports.append(make_report(
         "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lhs, rhs,
         tol_abs=tail_power(N_l, 3.0),
@@ -557,7 +548,7 @@ def verify_bounds(table: ArithTable,
         notes="table partial sum vs zeta(6)/zeta(3)"))
 
     lhs = float(np.sum(table.mobius[1:N_l + 1] / idx[1:N_l + 1] ** 3))
-    rhs = zeta_mu(3.0, config)
+    rhs = zeta_mu(3.0)
     reports.append(make_report(
         "bounds.dirichlet-mu", {"s": 3, "N": N_l}, lhs, rhs,
         tol_abs=tail_power(N_l, 3.0),
@@ -566,7 +557,7 @@ def verify_bounds(table: ArithTable,
 
     N_b = min(10 ** 5, limit)
     lhs = float(np.sum(table.beta[1:N_b + 1:2] / idx[1:N_b + 1:2] ** 3))
-    rhs = zeta_beta(3.0, config)
+    rhs = zeta_beta(3.0)
     tail_b = 1.5 * N_b ** -1.5  # sum_{n>N} sqrt(n)/n^3 <= int + edge
     reports.append(make_report(
         "bounds.dirichlet-beta", {"s": 3, "N": N_b}, lhs, rhs, tol_abs=tail_b,
@@ -574,7 +565,7 @@ def verify_bounds(table: ArithTable,
         notes="odd-n partial sum vs zeta_imp(5)/zeta_imp(3)"))
 
     lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1] ** 3))
-    rhs = zeta_nu(3.0, config)
+    rhs = zeta_nu(3.0)
     tail_nu = 2.0 * (math.log(N_l) + 2.0) / N_l ** 3 + 2e-14
     reports.append(make_report(
         "bounds.dirichlet-nu", {"s": 3, "N": N_l}, lhs, rhs, tol_abs=tail_nu,
@@ -584,7 +575,7 @@ def verify_bounds(table: ArithTable,
 
     # nu at s = 1, remainder bounded by summation by parts
     lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1]))
-    rhs = zeta_nu(1.0, config)
+    rhs = zeta_nu(1.0)
     s_sup = float(np.abs(table.nu_cumsum[N_l:]).max())
     tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
@@ -595,7 +586,7 @@ def verify_bounds(table: ArithTable,
     # absolute beta sums stay under the squarefree-times-square double sum
     n_odd_f = idx[1::2]
     partial = np.cumsum(np.abs(table.beta[1::2]) / n_odd_f ** 1.5)
-    cap = (zeta(1.5, config) * zeta(2.0, config)).real
+    cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(
         "bounds.beta-abs-partial", {"n_max": limit}, float(partial.max()), cap,
         passed=bool(partial.max() < cap),
@@ -618,7 +609,7 @@ def verify_bounds(table: ArithTable,
     # second form of the alpha/beta equation at s = -1.25: truncated series
     s = -1.25
     series = float(np.sum(ratio * (math.pi * n_odd) ** (s - 0.5)))
-    target = (zeta_beta(1.0 - s, config) * math.pi ** (s - 0.5)).real
+    target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
     tail = math.pi ** (s - 0.5) * n_odd[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
     reports.append(make_report(
@@ -647,11 +638,9 @@ def verify_bounds(table: ArithTable,
 # residues (exercised through the identity group's CLI name "identity")
 # --------------------------------------------------------------------------
 
-def verify_residues(table: ArithTable,
-                    config: KernelConfig = DEFAULT_KERNEL_CONFIG,
-                    l_values=(0, 1, 2)) -> list[VerificationReport]:
+def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationReport]:
     """Numerical residues of both kernels at i pi (2l+1) vs beta(2l+1)/sqrt(2l+1)."""
-    config = config_for_table(table, config)
+    config = config_for_table(table)
     reports = []
     for l in l_values:
         n = 2 * l + 1
@@ -669,6 +658,7 @@ def verify_residues(table: ArithTable,
 # --------------------------------------------------------------------------
 
 GROUPS = ("theorem1", "identity", "theorem2", "functional", "decay", "bounds")
+GRID_GROUPS = ("theorem2", "functional", "all")  # the groups a grid of s applies to
 
 _CHECK_IDS = {
     "theorem1": ["theorem1.checkpoint", "theorem1.final", "theorem1.envelope"],
@@ -698,26 +688,26 @@ def list_checks() -> dict[str, list[str]]:
 
 
 def run_group(group: str, table: ArithTable,
-              eval_config: EvalConfig = DEFAULT_EVAL_CONFIG,
-              kernel_config: KernelConfig = DEFAULT_KERNEL_CONFIG,
-              spec: QuadratureSpec | None = None) -> list[VerificationReport]:
-    """Dispatch one verification group (or 'all') over a prepared table."""
+              grid: list[complex] | None = None) -> list[VerificationReport]:
+    """Dispatch one verification group (or 'all') over a prepared table; a grid
+    replaces the s points of theorem2 and functional, and other groups refuse it."""
+    if grid is not None and group not in GRID_GROUPS:
+        raise InvalidArgumentError(f"verification group {group!r} takes no grid")
     if group == "theorem1":
         return verify_theorem1(table)
     if group == "identity":
-        return _sorted(verify_identity_MN(table, kernel_config)
-                       + verify_residues(table, kernel_config))
+        return _sorted(verify_identity_MN(table) + verify_residues(table))
     if group == "theorem2":
-        return verify_theorem2(table, kernel_config, spec)
+        return verify_theorem2(table, grid)
     if group == "functional":
-        return verify_functional_equations(config=eval_config)
+        return verify_functional_equations(grid)
     if group == "decay":
-        return probe_decay(table, kernel_config)
+        return probe_decay(table)
     if group == "bounds":
-        return verify_bounds(table, eval_config)
+        return verify_bounds(table)
     if group == "all":
         out = []
         for g in GROUPS:
-            out.extend(run_group(g, table, eval_config, kernel_config, spec))
+            out.extend(run_group(g, table, grid if g in GRID_GROUPS else None))
         return _sorted(out)
     raise ValueError(f"unknown verification group {group!r}")

@@ -24,30 +24,29 @@ import cmath
 import math
 
 from .errors import DomainError, NearZeroDenominatorError, PoleError
-from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, EvalConfig, eta_continued, gamma, zeta
+from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, eta_continued, gamma, zeta
 
 __all__ = ["zeta_imp", "zeta_lambda", "zeta_mu", "zeta_alpha", "zeta_beta",
            "zeta_nu", "functional_eq_rhs_zeta_a", "functional_eq_rhs_zeta_alpha",
            "mellin_prefactor", "alpha_to_lambda_factor"]
 
 
-def _guarded_div(num: complex, den: complex, what: str,
-                 config: EvalConfig) -> complex:
-    if abs(den) < config.zero_threshold * max(1.0, abs(num)):
+def _guarded_div(num: complex, den: complex, what: str) -> complex:
+    if abs(den) < DEFAULT_EVAL_CONFIG.zero_threshold * max(1.0, abs(num)):
         raise NearZeroDenominatorError(
             f"{what}: denominator {den} is numerically zero (numerator {num})")
     return num / den
 
 
-def zeta_imp(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_imp(s: complex) -> complex:
     """Dirichlet series over odd integers, (1 - 2^-s) zeta(s)."""
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_imp pole at s=1", location=1.0 + 0.0j)
-    return (1.0 - 2.0 ** (-s)) * zeta(s, config)
+    return (1.0 - 2.0 ** (-s)) * zeta(s)
 
 
-def zeta_lambda(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_lambda(s: complex) -> complex:
     """zeta(2s)/zeta(s), the generating function of the Liouville function."""
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
@@ -55,17 +54,16 @@ def zeta_lambda(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex
                         location=1.0 + 0.0j)
     if abs(2.0 * s - 1.0) < POLE_TOL:
         raise PoleError("zeta_lambda: zeta(2s) pole at s=1/2", location=0.5 + 0.0j)
-    return _guarded_div(zeta(2.0 * s, config), zeta(s, config), "zeta_lambda", config)
+    return _guarded_div(zeta(2.0 * s), zeta(s), "zeta_lambda")
 
 
-def zeta_mu(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_mu(s: complex) -> complex:
     """1/zeta(s), the generating function of the Moebius function."""
     s = complex(s)
-    return _guarded_div(1.0 + 0.0j, zeta(s, config), "zeta_mu", config)
+    return _guarded_div(1.0 + 0.0j, zeta(s), "zeta_mu")
 
 
-def zeta_alpha(s: complex, mode: str = "definition",
-               config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_alpha(s: complex, mode: str = "definition") -> complex:
     """eta(2s)/eta(s), by definition or through the zeta_lambda relation.
 
     mode="definition":       eta(2s) / eta(s) with eta continued everywhere.
@@ -75,33 +73,29 @@ def zeta_alpha(s: complex, mode: str = "definition",
     """
     s = complex(s)
     if mode == "definition":
-        return _guarded_div(eta_continued(2.0 * s, config),
-                            eta_continued(s, config), "zeta_alpha", config)
+        return _guarded_div(eta_continued(2.0 * s), eta_continued(s), "zeta_alpha")
     if mode == "lambda-relation":
-        num = zeta_lambda(s, config) * (1.0 - 2.0 ** (1.0 - 2.0 * s))
-        return _guarded_div(num, 1.0 - 2.0 ** (1.0 - s), "zeta_alpha", config)
+        num = zeta_lambda(s) * (1.0 - 2.0 ** (1.0 - 2.0 * s))
+        return _guarded_div(num, 1.0 - 2.0 ** (1.0 - s), "zeta_alpha")
     raise DomainError(f"unknown zeta_alpha mode {mode!r}")
 
 
-def zeta_beta(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_beta(s: complex) -> complex:
     """zeta_imp(2s-1)/zeta_imp(s), generating function of beta."""
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_beta pole at s=1 (numerator pole at 2s-1=1)",
                         location=1.0 + 0.0j)
-    return _guarded_div(zeta_imp(2.0 * s - 1.0, config), zeta_imp(s, config),
-                        "zeta_beta", config)
+    return _guarded_div(zeta_imp(2.0 * s - 1.0), zeta_imp(s), "zeta_beta")
 
 
-def zeta_nu(s: complex, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def zeta_nu(s: complex) -> complex:
     """zeta_beta(s+3/2)/zeta_imp(s+1), generating function of nu."""
     s = complex(s)
-    return _guarded_div(zeta_beta(s + 1.5, config), zeta_imp(s + 1.0, config),
-                        "zeta_nu", config)
+    return _guarded_div(zeta_beta(s + 1.5), zeta_imp(s + 1.0), "zeta_nu")
 
 
-def functional_eq_rhs_zeta_a(s: complex,
-                             config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def functional_eq_rhs_zeta_a(s: complex) -> complex:
     """-2 pi^(s-1) sin(pi s/2) Gamma(1-s) zeta_imp(1-s).
 
     The right-hand side of the eta functional equation; meaningful as a
@@ -110,11 +104,10 @@ def functional_eq_rhs_zeta_a(s: complex,
     """
     s = complex(s)
     return (-2.0 * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s) * zeta_imp(1.0 - s, config))
+            * gamma(1.0 - s) * zeta_imp(1.0 - s))
 
 
-def functional_eq_rhs_zeta_alpha(s: complex,
-                                 config: EvalConfig = DEFAULT_EVAL_CONFIG) -> complex:
+def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
     """2^(1-2s) pi^(s-1/2) cos(pi s/2) Gamma(1/2-s) zeta_beta(1-s).
 
     Right-hand side of the functional equation linking zeta_alpha to
@@ -124,7 +117,7 @@ def functional_eq_rhs_zeta_alpha(s: complex,
     s = complex(s)
     return (2.0 ** (1.0 - 2.0 * s) * math.pi ** (s - 0.5)
             * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s)
-            * zeta_beta(1.0 - s, config))
+            * zeta_beta(1.0 - s))
 
 
 def mellin_prefactor(s: complex) -> complex:

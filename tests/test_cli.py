@@ -161,6 +161,27 @@ def test_theorem2_grid_flag(cache_env, capsys, tmp_path):
     _, rows = read_report_file(out_file)
     assert len(rows) == 4  # two points, both kernel routes
     assert all(r["pass"] for r in rows)
+    # `all` applies the grid to theorem2 as well
+    assert main(["verify", "all", "--limit", "100001",
+                 "--grid=-0.75,-1.25", "--out", str(out_file)]) == 0
+    _, rows = read_report_file(out_file)
+    assert sum(r["check_id"].startswith("theorem2.") for r in rows) == 4
+    # a group without a grid rejects one, before any table is sieved
+    assert main(["verify", "decay", "--limit", "5001", "--grid=-0.75"]) == 2
+    assert "--grid applies to" in capsys.readouterr().err
+    assert not list((cache_env / "cache").glob("arith_5001.bin"))
+    assert main(["verify", "theorem2", "--limit", "5001", "--grid=-0.75,x"]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_verify_all_on_a_small_table_reports_failures(cache_env, tmp_path):
+    # M' misses its remainder tolerance at 3001: a failed row, not an abort
+    out_file = tmp_path / "small.jsonl"
+    assert main(["verify", "all", "--limit", "3001", "--out", str(out_file)]) == 1
+    _, rows = read_report_file(out_file)
+    decay = [r for r in rows if r["check_id"] == "decay.m-prime-bound"]
+    assert len(decay) == 1 and decay[0]["pass"] is False
+    assert "remainder bound" in decay[0]["notes"]
 
 
 def test_mprime_rejects_complex(cache_env, capsys):

@@ -1,9 +1,10 @@
 """Module boundaries: no package module imports another one's private names,
-every module exports only names it defines, and no private name is left
-unused."""
+every module exports only names it defines, no private name is left unused,
+and no public evaluator or verify group takes a configuration object."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import liouville_mellin
@@ -66,3 +67,17 @@ def test_no_unused_private_names():
                 used.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in defined.items()
                   if name not in used) == []
+
+
+def test_no_public_function_takes_a_configuration():
+    # the zeta layer and the verify groups derive their budgets themselves
+    banned = {"config", "eval_config", "kernel_config", "spec"}
+    found = []
+    for stem in ("special", "zeta_family", "verify"):
+        module = importlib.import_module(f"liouville_mellin.{stem}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                found += [f"{stem}.{name}({p})" for p in inspect.signature(obj).parameters
+                          if p in banned]
+    assert found == []

@@ -217,9 +217,6 @@ def test_config_for_table_clamps(table_100k):
     assert clamped.n_terms_N == 50_001
     assert clamped.n_terms_M == 50_001
     assert clamped.abel_tail_tol == DEFAULT_KERNEL_CONFIG.abel_tail_tol
-    # a config that already fits is returned unchanged
-    small = KernelConfig(n_terms_N=100, n_terms_M=100)
-    assert config_for_table(table_100k, small) is small
 
 
 def test_fermi_complex_far_field():

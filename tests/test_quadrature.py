@@ -12,7 +12,7 @@ from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceE
 from liouville_mellin.kernels import (_ws, fermi_series, kernel_M_with_bound,
                                       kernel_N_with_bound, kernel_series_with_bound)
 from liouville_mellin.quadrature import _series_head, panel_sequence
-from liouville_mellin.verify import default_theorem2_grid, verify_theorem2
+from liouville_mellin.verify import default_theorem2_grid
 
 mpmath.mp.dps = 40
 
@@ -155,9 +155,6 @@ def test_split_point_at_or_past_pi_raises(table_100k):
             integrate_gamma_zeta_a(1.0, spec)
         with pytest.raises(InvalidArgumentError):
             kernel_series_with_bound("N", split, table_100k)
-    with pytest.raises(InvalidArgumentError):
-        verify_theorem2(table_100k, spec=QuadratureSpec(split_point=PI, max_x=64.0),
-                        s_grid=[complex(-0.75)])
     with pytest.raises(DomainError):
         kernel_series_with_bound("plain", 1.0, table_100k)
 

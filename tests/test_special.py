@@ -141,15 +141,6 @@ def test_zeta_removable_points_guarded():
     assert val == pytest.approx(ref, rel=1e-6)
 
 
-def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        EvalConfig(series_terms=10, accel_order=20)
-    with pytest.raises(InvalidArgumentError):
-        EvalConfig(target_rel_err=2.0)
-    with pytest.raises(InvalidArgumentError):
-        EvalConfig(zero_threshold=0.0)
-
-
 def test_nonfinite_rejected():
     with pytest.raises(InvalidArgumentError):
         zeta(complex(float("nan"), 0.0))

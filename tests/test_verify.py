@@ -44,8 +44,8 @@ def test_theorem1_checkpoint_values(table_100k):
     assert vals[3] == pytest.approx(1.0 - (1.0 + 3.0 ** -0.5) / 3.0, abs=1e-15)
 
 
-def test_identity_group(table_100k, kconfig_100k):
-    reports = verify_identity_MN(table_100k, kconfig_100k)
+def test_identity_group(table_100k):
+    reports = verify_identity_MN(table_100k)
     assert all(r.passed for r in reports), [r.check_id for r in reports if not r.passed]
     points = [r for r in reports if r.check_id == "identity.point"]
     assert len(points) == 20
@@ -53,10 +53,9 @@ def test_identity_group(table_100k, kconfig_100k):
     assert len(coeffs) == 11 and all(r.rel_err <= 1e-10 for r in coeffs)
 
 
-def test_identity_skips_pole_points(table_100k, kconfig_100k):
+def test_identity_skips_pole_points(table_100k):
     import math
-    reports = verify_identity_MN(table_100k, kconfig_100k,
-                                 points=[complex(0.0, math.pi)])
+    reports = verify_identity_MN(table_100k, points=[complex(0.0, math.pi)])
     pt = [r for r in reports if r.check_id == "identity.point"][0]
     assert pt.passed and "skipped" in pt.notes
 
@@ -71,8 +70,8 @@ def test_functional_group():
     assert "functional.lambda-alpha-bridge" in ids
 
 
-def test_decay_group(table_100k, kconfig_100k):
-    reports = probe_decay(table_100k, kconfig_100k)
+def test_decay_group(table_100k):
+    reports = probe_decay(table_100k)
     by_id = {}
     for r in reports:
         by_id.setdefault(r.check_id, []).append(r)
@@ -95,25 +94,23 @@ def test_bounds_group(table_100k):
         assert expect in ids, expect
 
 
-def test_theorem2_smoke(table_100k, kconfig_100k):
-    spec = QuadratureSpec(max_x=table_100k.limit / 20.0, decay_const=1.2)
+def test_theorem2_smoke(table_100k):
     grid = [complex(-0.75), complex(-1.25), complex(-1.0, 0.5)]
-    reports = verify_theorem2(table_100k, kconfig_100k, spec, grid)
+    reports = verify_theorem2(table_100k, grid)
     assert len(reports) == 6  # both routes over the grid
     for r in reports:
         assert r.passed, (r.check_id, r.inputs, r.rel_err, r.notes)
         assert r.budget["tail_bound_kind"] == "empirical decay envelope"
 
 
-def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, kconfig_100k,
-                                                        monkeypatch):
+def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, monkeypatch):
     grid = [complex(-0.75)]
 
     def not_converged(integrand, s, spec, series):
         raise NonConvergenceError("panel budget exhausted")
 
     monkeypatch.setattr(verify, "integrate_mellin", not_converged)
-    reports = verify_theorem2(table_100k, kconfig_100k, None, grid)
+    reports = verify_theorem2(table_100k, grid)
     assert len(reports) == 2
     for r in reports:
         assert not r.passed
@@ -124,19 +121,18 @@ def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, kconfig_100k
 
     monkeypatch.setattr(verify, "integrate_mellin", buggy)
     with pytest.raises(TypeError):
-        verify_theorem2(table_100k, kconfig_100k, None, grid)
+        verify_theorem2(table_100k, grid)
 
 
-def test_residues_group(table_100k, kconfig_100k):
-    reports = verify_residues(table_100k, kconfig_100k, l_values=(0, 1))
+def test_residues_group(table_100k):
+    reports = verify_residues(table_100k, l_values=(0, 1))
     assert all(r.passed for r in reports)
     assert {r.check_id for r in reports} == {"identity.residue-N",
                                              "identity.residue-M"}
 
 
-def test_run_group_all_covers_registry(table_100k, kconfig_100k):
-    spec = QuadratureSpec(max_x=table_100k.limit / 20.0, decay_const=1.2)
-    reports = run_group("all", table_100k, kernel_config=kconfig_100k, spec=spec)
+def test_run_group_all_covers_registry(table_100k):
+    reports = run_group("all", table_100k)
     seen = {r.check_id for r in reports}
     for group, ids in list_checks().items():
         for cid in ids:
@@ -145,9 +141,9 @@ def test_run_group_all_covers_registry(table_100k, kconfig_100k):
         run_group("nonsense", table_100k)
 
 
-def test_reports_deterministic(table_100k, kconfig_100k):
-    a = verify_identity_MN(table_100k, kconfig_100k)
-    b = verify_identity_MN(table_100k, kconfig_100k)
+def test_reports_deterministic(table_100k):
+    a = verify_identity_MN(table_100k)
+    b = verify_identity_MN(table_100k)
     dump = lambda rs: json.dumps([r.to_record() for r in rs], sort_keys=True)
     assert dump(a) == dump(b)
 
