@@ -21,11 +21,9 @@ from .errors import (CacheFormatError, DomainError, EstimationFailureError,
                      InvalidArgumentError, LiouvilleMellinError,
                      NearZeroDenominatorError, NonConvergenceError, PoleError,
                      RangeError, TruncationBudgetError)
-from .kernels import (DEFAULT_KERNEL_CONFIG, KernelConfig, fermi,
-                      fermi_deficit, kernel_M, kernel_M_prime, kernel_N,
+from .kernels import (fermi, fermi_deficit, kernel_M, kernel_M_prime, kernel_N,
                       kernel_N_series, residue_estimate)
-from .quadrature import (IntegralResult, QuadratureSpec,
-                         integrate_gamma_zeta_a, integrate_mellin)
+from .quadrature import IntegralResult, integrate_gamma_zeta_a, integrate_mellin
 from .special import DEFAULT_EVAL_CONFIG, EvalConfig, gamma, zeta, zeta_alternating
 from .verify import (VerificationReport, probe_decay, run_group,
                      verify_bounds, verify_functional_equations,

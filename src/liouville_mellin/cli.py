@@ -37,8 +37,9 @@ from .arith import ArithTable, build_table, load_table, save_table
 from .errors import InvalidArgumentError, LiouvilleMellinError
 from .kernels import (config_for_table, kernel_M, kernel_M_prime, kernel_N,
                       kernel_N_series)
+from .quadrature import DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT, TAIL_STOP_REL
 from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
-from .verify import GRID_GROUPS, GROUPS, default_theorem2_spec, list_checks, run_group
+from .verify import GRID_GROUPS, GROUPS, list_checks, run_group, theorem2_max_x
 from .zeta_family import (zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
                           zeta_mu, zeta_nu)
 
@@ -252,7 +253,13 @@ def main(argv=None) -> int:
 
 
 def _limit(args) -> int:
-    return args.limit or int(_env("LIMIT", DEFAULT_LIMIT))
+    if args.limit is not None:
+        return args.limit
+    text = _env("LIMIT", str(DEFAULT_LIMIT))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"LIOUMEL_LIMIT: not an integer: {text!r}") from None
 
 
 def _dispatch(args) -> int:
@@ -355,7 +362,9 @@ def _run_verify(args) -> int:
         config_snapshot={
             "eval": dataclasses.asdict(DEFAULT_EVAL_CONFIG),
             "kernel": dataclasses.asdict(config_for_table(table)),
-            "quadrature": dataclasses.asdict(default_theorem2_spec(table)),
+            "quadrature": {"split_point": SPLIT_POINT, "panel_nodes": PANEL_NODES,
+                           "tail_stop_rel": TAIL_STOP_REL, "max_panels": MAX_PANELS,
+                           "max_x": theorem2_max_x(table), "decay_const": DECAY_CONST},
         },
         tool_version=__version__,
         started=started,

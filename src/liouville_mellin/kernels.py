@@ -44,9 +44,13 @@ On the real axis every M head past its first _HEAD_PREFIX terms comes from
 per-block Taylor moments (_HeadBlocks), so a node costs O(log |x|).  Complex
 arguments keep the direct head, since a pole may fall inside a block's disc.
 
-The sup factor is the largest |S| the table holds past M, floored by a
-frozen empirical constant for what lies beyond the table, so these bounds
-are honest but not purely analytic; reports downstream flag them as such.
+The sup factor is the largest |S| the table holds past M, floored by the
+frozen S_TAIL_BEYOND_TABLE for what lies beyond the table.  That cap is
+empirical and understates sup|S| past tables below about 1e6 (1.05e-3 past
+200,001), so at such a table's full depth these bounds are not bounds: the
+half-shifted values of a 10,001 table differ from a 100,001 table's by 3.0
+times the sum of both printed bounds, where the same truncation inside the
+100,001 table, which holds the sup, differs by 0.31 times.
 
 Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
 kernel_M_prime) takes a scalar or a 1-d array: a scalar gets scalars back,
@@ -64,7 +68,7 @@ import cmath
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +78,7 @@ from .errors import (DomainError, EstimationFailureError, InvalidArgumentError,
 from .special import POLE_TOL
 from .zeta_family import zeta_beta
 
-__all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
+__all__ = ["KernelConfig", "config_for_table", "fermi", "fermi_deficit",
            "kernel_N", "kernel_N_series", "kernel_M", "kernel_M_prime",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
            "nearest_pole", "fermi_series", "kernel_series_with_bound",
@@ -82,9 +86,10 @@ __all__ = ["KernelConfig", "DEFAULT_KERNEL_CONFIG", "fermi", "fermi_deficit",
 
 _CHUNK = 1 << 17  # segment length of the moment loop
 
-# sup of |S(n)| beyond any table this package builds; frozen from a sieve run
-# to 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
-# 5.34e-4), decreasing steadily over every octave past 2^14.
+# floor for sup |S(n)| past the table, empirical; frozen from a sieve run to
+# 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
+# 5.34e-4), decreasing steadily over every octave past 2^14.  Past tables
+# below about 1e6 the true sup is larger (see the module docstring).
 S_TAIL_BEYOND_TABLE = 5.4e-4
 
 # order of kernel_N_series; its coefficients fall below double precision at
@@ -94,7 +99,7 @@ SERIES_ORDER_K = 30
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Truncation depths and tolerances for the kernel sums.
+    """Truncation depths and tolerance of the kernel sums over one table.
 
     n_terms_N: number of partial-fraction terms (index m runs to this).
     n_terms_M: number of exponential-kernel terms.
@@ -103,27 +108,16 @@ class KernelConfig:
         TruncationBudgetError.
     """
 
-    n_terms_N: int = 10 ** 6
-    n_terms_M: int = 10 ** 6
-    abel_tail_tol: float = 5e-8
-
-    def __post_init__(self):
-        if min(self.n_terms_N, self.n_terms_M) < 1:
-            raise InvalidArgumentError("kernel truncations must be positive")
-        if self.abel_tail_tol <= 0:
-            raise InvalidArgumentError("abel_tail_tol must be positive")
-
-
-DEFAULT_KERNEL_CONFIG = KernelConfig()
+    n_terms_N: int
+    n_terms_M: int
+    abel_tail_tol: float
 
 
 def config_for_table(table: ArithTable) -> KernelConfig:
-    """DEFAULT_KERNEL_CONFIG with its truncation depths clamped to what the
-    table can serve."""
-    available = (table.limit - 1) // 2 + 1
-    return replace(DEFAULT_KERNEL_CONFIG,
-                   n_terms_N=min(DEFAULT_KERNEL_CONFIG.n_terms_N, available),
-                   n_terms_M=min(DEFAULT_KERNEL_CONFIG.n_terms_M, available))
+    """The one place the kernel sums' depths are decided: 10^6 terms, or
+    every odd number the table holds if fewer; remainders up to 5e-8."""
+    depth = min(10 ** 6, (table.limit - 1) // 2 + 1)
+    return KernelConfig(n_terms_N=depth, n_terms_M=depth, abel_tail_tol=5e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,6 @@ class _Workspace:
     """Cached per-table odd-index views and tail moments used by every kernel sum."""
 
     def __init__(self, table: ArithTable):
-        self.m_avail = (table.limit - 1) // 2  # odd numbers 1..limit -> m_avail+1 terms
         self.n_odd = np.arange(1, table.limit + 1, 2, dtype=np.float64)
         self.coef_N = table.beta[1::2].astype(np.float64) / np.sqrt(self.n_odd)
         self.nu_odd = table.nu[1::2]
@@ -503,7 +496,7 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace,
 # partial-fraction kernel
 # ---------------------------------------------------------------------------
 
-def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None):
+def kernel_N_with_bound(z, table: ArithTable):
     """Truncated partial-fraction kernel and its analytic tail bound.
 
     The tail uses |beta(2m+1)|/sqrt(2m+1) <= 1:
@@ -512,21 +505,12 @@ def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None
     truncation off the axis; the bound also carries the Taylor remainder of
     the tail.  A scalar z gives (complex, float), an array z two arrays.
 
-    With config=None the truncation is sized to the table; an explicit
-    config must satisfy table limit >= 2*n_terms_N + 1.
-
     Raises:
         TruncationBudgetError: complex |z| > 0.866 pi (2M+1), where the first
             omitted poles are too close for the tail bound.
     """
-    if config is None:
-        config = config_for_table(table)
     zs, scalar = _points(z, "kernel_N")
-    ws, M = _ws(table), config.n_terms_N
-    if ws.m_avail + 1 < M:
-        raise InvalidArgumentError(
-            f"table limit {table.limit} supports {ws.m_avail + 1} partial-fraction "
-            f"terms, config requests {M} (need limit >= 2*n_terms_N+1)")
+    M = config_for_table(table).n_terms_N
     zabs = np.abs(zs)
     bound = _N_tail_bound(zabs, M)
     if np.iscomplexobj(zs):
@@ -536,7 +520,7 @@ def kernel_N_with_bound(z, table: ArithTable, config: KernelConfig | None = None
                 f"kernel_N: |z|={zabs.max():.6g} is within a factor 0.866 of the "
                 f"first omitted pole pi*{2 * M + 1}", achieved_bound=math.inf)
         bound = bound / (1.0 - shrink)
-    vals, remainder = _kernel_sum(_FORM_N, zs, ws, M)
+    vals, remainder = _kernel_sum(_FORM_N, zs, _ws(table), M)
     bound = bound + remainder
     return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
 
@@ -547,9 +531,9 @@ def _N_tail_bound(xabs, M: int):
     return xabs / (2.0 * math.pi ** 2 * M)
 
 
-def kernel_N(z, table: ArithTable, config: KernelConfig | None = None):
+def kernel_N(z, table: ArithTable):
     """Partial-fraction kernel N(z); odd in z, N(0) = 0."""
-    return kernel_N_with_bound(z, table, config)[0]
+    return kernel_N_with_bound(z, table)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +580,7 @@ def fermi_series(a: float):
             np.array([order]), np.array([_FORM_M.remainder(a) / a ** order]))
 
 
-def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
-                             config: KernelConfig | None = None):
+def kernel_series_with_bound(kernel: str, a: float, table: ArithTable):
     """Truncated kernel N or (half-shifted) M on 0 < x <= a < pi as a power series.
 
     Returns (powers, coef, err_pow, err): the kernel is sum_j coef_j x^p_j + E(x)
@@ -613,11 +596,8 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
     if kernel not in ("N", "M"):
         raise DomainError(f"kernel must be 'N' or 'M', got {kernel!r}")
     _series_disc(a)
-    if config is None:
-        config = config_for_table(table)
-    ws = _ws(table)
-    # clamped to the table; the bounds hold for the terms actually summed
-    M = min(config.n_terms_N if kernel == "N" else config.n_terms_M, ws.m_avail + 1)
+    config, ws = config_for_table(table), _ws(table)
+    M = config.n_terms_N if kernel == "N" else config.n_terms_M
     if kernel == "N":
         form, slope = _FORM_N, _N_tail_bound(1.0, M)
     else:
@@ -634,8 +614,7 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable,
 # exponential kernel (half-shifted and plain forms)
 # ---------------------------------------------------------------------------
 
-def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None,
-                        form: str = "half-shifted"):
+def kernel_M_with_bound(z, table: ArithTable, form: str = "half-shifted"):
     """Truncated exponential kernel and a summation-by-parts remainder bound.
 
     form="half-shifted": sum_{m<M} nu(2m+1) g(z/(2m+1)), g(u) = tanh(u/2)/2,
@@ -646,18 +625,20 @@ def kernel_M_with_bound(z, table: ArithTable, config: KernelConfig | None = None
         2 sup|S| |g(z/(2M+1))| on the real axis, where g is monotone in m,
         and the half-shifted form's bound off it.
     Both bounds carry sup|S| past M (see s_sup_beyond) and the Taylor
-    remainders of the moment tail and head blocks; config.abel_tail_tol
-    plays no part here, only kernel_M checks the bound against it.  A scalar
-    z gives (value, float), the value real for the plain form on the real
-    axis and complex otherwise; an array z gives two arrays.
+    remainders of the moment tail and head blocks; abel_tail_tol plays no
+    part here, only kernel_M checks the bound against it.  A scalar z gives
+    (value, float), the value real for the plain form on the real axis and
+    complex otherwise; an array z gives two arrays.
     """
+    return _kernel_M_truncated(z, table, config_for_table(table).n_terms_M, form)
+
+
+def _kernel_M_truncated(z, table: ArithTable, M: int, form: str):
+    """kernel_M_with_bound truncated at M terms, M at most the table's."""
     if form not in ("half-shifted", "plain"):
         raise DomainError(f"unknown kernel_M form {form!r}")
-    if config is None:
-        config = config_for_table(table)
     zs, scalar = _points(z, "kernel_M")
     ws = _ws(table)
-    M = min(config.n_terms_M, ws.m_avail + 1)
     vals, bound = _kernel_sum(_FORM_M, zs, ws, M)
     if form == "plain":
         g_next = _head_M(zs, 2.0 * M + 1.0)
@@ -680,42 +661,38 @@ def _abel_remainder_bound(z, M: int, ws: _Workspace):
     return ws.s_sup_beyond(M - 1) * 3.0 * g_edge
 
 
-def kernel_M(z, table: ArithTable, config: KernelConfig | None = None,
-             form: str = "half-shifted"):
+def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
     """Exponential kernel M(z).
 
     Raises:
         TruncationBudgetError: when the remainder bound exceeds
-            config.abel_tail_tol (plain form on the real axis only;
-            elsewhere the bound is informational).
+            abel_tail_tol (plain form on the real axis only; elsewhere the
+            bound is informational).
     """
-    if config is None:
-        config = config_for_table(table)
-    val, bound = kernel_M_with_bound(z, table, config, form)
+    val, bound = kernel_M_with_bound(z, table, form)
     worst = float(np.max(bound))
+    tol = config_for_table(table).abel_tail_tol
     # the plain form returns real values exactly when it ran on the real axis
-    if form == "plain" and not np.iscomplexobj(val) and worst > config.abel_tail_tol:
+    if form == "plain" and not np.iscomplexobj(val) and worst > tol:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: remainder bound {worst:.3e} "
-            f"(> {config.abel_tail_tol:.1e}) for x={x}", achieved_bound=worst)
+            f"kernel_M: remainder bound {worst:.3e} (> {tol:.1e}) for x={x}",
+            achieved_bound=worst)
     return val
 
 
-def kernel_M_prime(x, table: ArithTable, config: KernelConfig | None = None):
+def kernel_M_prime(x, table: ArithTable):
     """Termwise derivative sum_m nu(2m+1)/(2m+1) e^w/(e^w+1)^2, w = x/(2m+1).
 
     Absolutely convergent; each head term is evaluated in the overflow-safe
     form e^(-w)/(1+e^(-w))^2, the tail from the sech^2 power series.  A
     scalar x gives a float, an array x an array.
     """
-    if config is None:
-        config = config_for_table(table)
     xs = np.asarray(x, dtype=np.float64)
     if (xs < 0.0).any():
         raise DomainError(f"kernel_M_prime requires x >= 0, got {xs.min()}")
-    ws = _ws(table)
-    M = min(config.n_terms_M, ws.m_avail + 1)
+    ws, config = _ws(table), config_for_table(table)
+    M = config.n_terms_M
     vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws, M)
     # remainder via summation by parts on phi(m) = sig/(2m+1)
     phi_edge = 0.25 / (2.0 * M + 1.0)
@@ -731,8 +708,7 @@ def kernel_M_prime(x, table: ArithTable, config: KernelConfig | None = None):
 # numerical residues
 # ---------------------------------------------------------------------------
 
-def residue_estimate(kernel: str, l: int, table: ArithTable,
-                     config: KernelConfig | None = None) -> complex:
+def residue_estimate(kernel: str, l: int, table: ArithTable) -> complex:
     """Residue of N or M at the pole i*pi*(2l+1) by Richardson extrapolation.
 
     Protocol: approach along the real direction with radii 2^-j, 4 <= j <= 20,
@@ -748,7 +724,7 @@ def residue_estimate(kernel: str, l: int, table: ArithTable,
         raise DomainError("pole index l must be >= 0")
     pole = 1j * math.pi * (2 * l + 1)
     r = 2.0 ** -np.arange(4, 21)
-    f = r * (kernel_N if kernel == "N" else kernel_M)(pole + r, table, config)
+    f = r * (kernel_N if kernel == "N" else kernel_M)(pole + r, table)
     r1 = 2.0 * f[1:] - f[:-1]
     r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
     if abs(r2[-1] - r2[-2]) > 1e-5 * max(1.0, abs(r2[-1])):

@@ -9,7 +9,7 @@ infinity, plus the classical calibration integral
 
     Gamma(s) eta(s) = integral_0^inf t^(s-1) / (e^t + 1) dt.
 
-Scheme: on (0, a], a = split_point, the caller's power series
+Scheme: on (0, a], a = SPLIT_POINT, the caller's power series
 series = (powers, coef, err_pow, err), meaning
 
     f(x) = sum_j coef_j x^p_j + E(x),    |E(x)| <= sum_i err_i x^q_i,
@@ -18,9 +18,10 @@ integrates against x^e in closed form, sum_j coef_j a^(p_j+e+1)/(p_j+e+1),
 with an error below the integrated majorant.  Geometrically growing
 Gauss-Legendre panels follow, their widths capped so the log-oscillation of
 x^(i Im s) stays below pi/4 per panel.  Panels stop once a panel contributes
-less than tail_stop_rel of the accumulated integral, or at the trusted range
-max_x, past which the decay envelope |f(x)| <= decay_const / x bounds the
-tail.  Node positions depend only on the spec, never on s or the integrand,
+less than TAIL_STOP_REL of the accumulated integral, or at the trusted range
+max_x, past which the empirical decay envelope |f(x)| <= DECAY_CONST / x
+bounds the tail.  Node positions depend on max_x, and on Im s only once the
+oscillation cap binds, |Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand,
 so integrand evaluations can be memoized across a grid of s values.
 """
 
@@ -32,46 +33,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 from .kernels import fermi_series
 
-__all__ = ["QuadratureSpec", "IntegralResult", "integrate_mellin",
-           "integrate_gamma_zeta_a", "panel_sequence"]
+__all__ = ["IntegralResult", "integrate_mellin", "integrate_gamma_zeta_a",
+           "panel_sequence", "SPLIT_POINT", "PANEL_NODES", "TAIL_STOP_REL",
+           "MAX_PANELS", "DECAY_CONST"]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node layout and tail policy for the semi-infinite integrals.
-
-    split_point: end of the power-series head, start of the panels.
-    panel_nodes: Gauss-Legendre order per panel.
-    tail_stop_rel: stop once a panel contributes less than this fraction.
-    max_panels: hard cap on the number of panels.
-    max_x: trusted upper edge; beyond it the decay envelope takes over.
-    decay_const: envelope |f(x)| <= decay_const / x used to bound the
-        discarded tail (None disables the envelope).
-    """
-
-    split_point: float = 1.0
-    panel_nodes: int = 32
-    tail_stop_rel: float = 1e-9
-    max_panels: int = 60
-    max_x: float = math.inf
-    decay_const: float | None = None
-
-    def __post_init__(self):
-        if self.split_point <= 0 or self.panel_nodes < 2:
-            raise InvalidArgumentError("bad quadrature spec: positive split and nodes required")
-        if self.tail_stop_rel <= 0 or self.max_panels < 1:
-            raise InvalidArgumentError("tail_stop_rel and max_panels must be positive")
-        if self.max_x <= self.split_point:
-            raise InvalidArgumentError("max_x must exceed split_point")
+SPLIT_POINT = 1.0     # end of the power-series head, start of the panels
+PANEL_NODES = 32      # Gauss-Legendre order per panel
+TAIL_STOP_REL = 1e-9  # stop once a panel contributes less than this fraction
+MAX_PANELS = 60       # hard cap on the number of panels
+DECAY_CONST = 1.2     # envelope |kernel(x)| <= 1.2/x past max_x, empirical
 
 
 @dataclass
 class IntegralResult:
     """Value plus an error budget: est_error = the head's integrated majorant
-    + per panel |panel_nodes rule - half-order rule| + the integrand's weighted
+    + per panel |PANEL_NODES rule - half-order rule| + the integrand's weighted
     truncation bounds; tail_bound bounds the integral past the last panel."""
 
     value: complex
@@ -85,16 +65,17 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)  # first use imports numpy.polynomial
 
 
-def panel_sequence(spec: QuadratureSpec, im_s: float = 0.0):
-    """Yield (a, b) panel edges: doubling widths, oscillation-capped."""
+def panel_sequence(im_s: float, max_x: float):
+    """Yield (a, b) panel edges from SPLIT_POINT to at most max_x: doubling
+    widths, oscillation-capped."""
     ratio_cap = math.inf
     if abs(im_s) > 1e-12:
         ratio_cap = math.exp((math.pi / 4.0) / abs(im_s))
-    a = spec.split_point
-    for _ in range(spec.max_panels):
-        b = min(a * 2.0, a * ratio_cap, spec.max_x)
+    a = SPLIT_POINT
+    for _ in range(MAX_PANELS):
+        b = min(a * 2.0, a * ratio_cap, max_x)
         yield a, b
-        if b >= spec.max_x:
+        if b >= max_x:
             return
         a = b
 
@@ -110,13 +91,13 @@ def _series_head(series, expo: complex, a: float) -> tuple[complex, float]:
     return complex(np.sum(coef * a ** e / e)), float(np.sum(err * a ** q / q))
 
 
-def _integrate(integrand, expo: complex, spec: QuadratureSpec, series, tail,
+def _integrate(integrand, expo: complex, series, max_x: float, tail,
                name: str) -> IntegralResult:
-    """integral_0^inf f(x) x^expo dx: series head on (0, split_point], then panels.
+    """integral_0^inf f(x) x^expo dx: series head on (0, SPLIT_POINT], then panels.
 
     tail(edge, last) bounds the integral past the last panel edge; `last` is
     |last panel| when the panel criterion stopped the loop and None when the
-    trusted range max_x ran out.  A None return means no bound applies.
+    trusted range max_x ran out.
     """
 
     def rule(a, b, n):
@@ -128,20 +109,19 @@ def _integrate(integrand, expo: complex, spec: QuadratureSpec, series, tail,
         wt = x ** expo
         return np.sum(f * wt * w), float(np.sum(np.abs(wt) * w * bounds))
 
-    total, est = _series_head(series, expo, spec.split_point)
+    total, est = _series_head(series, expo, SPLIT_POINT)
     tail_bound = None
     panels = 0
-    nsub = max(2, spec.panel_nodes // 2)
-    for a, b in panel_sequence(spec, expo.imag):
-        contrib, trunc = rule(a, b, spec.panel_nodes)
-        embedded = rule(a, b, nsub)[0]
+    for a, b in panel_sequence(expo.imag, max_x):
+        contrib, trunc = rule(a, b, PANEL_NODES)
+        embedded = rule(a, b, PANEL_NODES // 2)[0]
         est = est + abs(contrib - embedded) + trunc
         total += contrib
         panels += 1
-        if abs(contrib) < spec.tail_stop_rel * max(abs(total), 1e-300):
+        if abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
             tail_bound = tail(b, abs(contrib))
             break
-        if b >= spec.max_x:
+        if b >= max_x:
             tail_bound = tail(b, None)
     result = IntegralResult(value=complex(total), est_error=float(est),
                             tail_bound=float(tail_bound or 0.0), panels_used=panels)
@@ -151,19 +131,21 @@ def _integrate(integrand, expo: complex, spec: QuadratureSpec, series, tail,
     return result
 
 
-def integrate_mellin(integrand, s: complex, spec: QuadratureSpec, series) -> IntegralResult:
+def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralResult:
     """integral_0^inf f(x) x^(s-1/2) dx for a kernel-type integrand.
 
     `integrand(x_array) -> (values, truncation_bounds)` must be pure and
     expose a per-point bound on its own series-truncation error; those
     bounds are folded into est_error with the quadrature weights.  series is
-    f's power series on (0, split_point], in the format of the module docstring.
+    f's power series on (0, SPLIT_POINT], in the format of the module
+    docstring; past max_x, or past the panel where the TAIL_STOP_REL
+    criterion stops, tail_bound integrates the DECAY_CONST / x envelope.
 
     Raises:
         DomainError: outside the strip -3/2 < Re s < 1/2.
-        NonConvergenceError: max_panels exhausted before either the
-            tail_stop_rel criterion or the max_x envelope policy applied
-            (the partial result rides on the exception).
+        NonConvergenceError: MAX_PANELS exhausted before either the
+            TAIL_STOP_REL criterion or max_x applied (the partial result
+            rides on the exception).
     """
     s = complex(s)
     if not -1.5 < s.real < 0.5:
@@ -171,14 +153,12 @@ def integrate_mellin(integrand, s: complex, spec: QuadratureSpec, series) -> Int
 
     def envelope_tail(edge, last):
         # integral_edge^inf (C/x) x^(sigma-1/2) dx under the decay envelope
-        if spec.decay_const is None:
-            return last
-        return spec.decay_const * edge ** (s.real - 0.5) / (0.5 - s.real)
+        return DECAY_CONST * edge ** (s.real - 0.5) / (0.5 - s.real)
 
-    return _integrate(integrand, s - 0.5, spec, series, envelope_tail, "integrate_mellin")
+    return _integrate(integrand, s - 0.5, series, max_x, envelope_tail, "integrate_mellin")
 
 
-def integrate_gamma_zeta_a(s: complex, spec: QuadratureSpec) -> IntegralResult:
+def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
     """integral_0^inf t^(s-1)/(e^t+1) dt, to compare against Gamma(s) eta(s).
 
     The head takes the Fermi series 1/2 - sum_k c_k t^(2k+1).  The closed form
@@ -187,7 +167,6 @@ def integrate_gamma_zeta_a(s: complex, spec: QuadratureSpec) -> IntegralResult:
 
     Raises:
         DomainError: for Re s <= -1, Re s = 0, or s = 0.
-        InvalidArgumentError: split_point >= pi, outside the series' disc.
     """
     s = complex(s)
     if s.real <= 0.0 and not -1.0 < s.real < 0.0:
@@ -198,10 +177,10 @@ def integrate_gamma_zeta_a(s: complex, spec: QuadratureSpec) -> IntegralResult:
         return e / (1.0 + e), np.zeros(len(t))
 
     def exponential_tail(edge, last):
-        # kernel < e^-t out here; no bound applies where max_x cut the panels
-        if last is not None and edge > abs(s):
+        # kernel < e^-t out here; the panels run until the stop criterion
+        if edge > abs(s):
             return math.exp(-edge) * 2.0 * edge ** (s.real - 1.0)
         return last
 
-    return _integrate(integrand, s - 1.0, spec, fermi_series(spec.split_point),
+    return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), math.inf,
                       exponential_tail, "integrate_gamma_zeta_a")

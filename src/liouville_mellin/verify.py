@@ -31,10 +31,10 @@ import numpy as np
 from .arith import ArithTable
 from .errors import (InvalidArgumentError, LiouvilleMellinError, PoleError,
                      TruncationBudgetError)
-from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, KernelConfig, config_for_table,
-                      fermi_deficit, kernel_M, kernel_M_prime, kernel_M_with_bound,
-                      kernel_N_with_bound, kernel_series_with_bound, residue_estimate)
-from .quadrature import QuadratureSpec, integrate_gamma_zeta_a, integrate_mellin
+from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, fermi_deficit, kernel_M,
+                      kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
+                      kernel_series_with_bound, residue_estimate)
+from .quadrature import SPLIT_POINT, integrate_gamma_zeta_a, integrate_mellin
 from .special import eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
@@ -44,7 +44,7 @@ from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
 __all__ = ["VerificationReport", "verify_theorem1", "verify_identity_MN",
            "verify_theorem2", "verify_functional_equations", "probe_decay",
            "verify_bounds", "run_group", "list_checks", "GROUPS", "GRID_GROUPS",
-           "default_theorem2_grid", "default_theorem2_spec"]
+           "default_theorem2_grid", "theorem2_max_x"]
 
 # --------------------------------------------------------------------------
 # frozen regression constants (oracle runs at sieve limit 2e6)
@@ -54,7 +54,6 @@ THEOREM1_FINAL_THRESHOLD = 5.0e-4    # frozen; observed |S(10^6)| = 4.577e-4
 THEOREM1_ENVELOPE_OCTAVE = 14        # envelope must fall from this octave on
 MPRIME_FROZEN_BOUND = 0.19           # frozen; observed max |M'| = 0.186190 at x=0
 XM_PRODUCT_INFO_CAP = 1.2            # informational; observed max x|M(x)| = 1.103
-QUAD_DECAY_CONST = 1.2               # envelope |kernel(x)| <= 1.2/x, empirical
 KERNEL_SPLICE_X = 3.0                # near route below, plain exponential form above
 
 THEOREM2_REL_TOL = 1e-4
@@ -207,13 +206,12 @@ def verify_identity_MN(table: ArithTable,
                        points=DEFAULT_IDENTITY_POINTS) -> list[VerificationReport]:
     """M(z) == N(z) pointwise, plus the power-series coefficient identity and
     the Fermi-kernel power series."""
-    config = config_for_table(table)
     reports = []
     for z in points:
         z = complex(z)
         try:
-            nv, nb = kernel_N_with_bound(z, table, config)
-            mv, mb = kernel_M_with_bound(z, table, config, form="half-shifted")
+            nv, nb = kernel_N_with_bound(z, table)
+            mv, mb = kernel_M_with_bound(z, table, form="half-shifted")
         except PoleError as exc:
             reports.append(make_report(
                 "identity.point", {"z": str(z)}, 0.0, 0.0, passed=True,
@@ -262,8 +260,10 @@ def default_theorem2_grid() -> list[complex]:
     return [complex(re, im) for re in (-1.25, -1.0, -0.75) for im in (0.0, 0.5, 1.0)]
 
 
-def default_theorem2_spec(table: ArithTable) -> QuadratureSpec:
-    return QuadratureSpec(max_x=max(64.0, table.limit / 20.0), decay_const=QUAD_DECAY_CONST)
+def theorem2_max_x(table: ArithTable) -> float:
+    """The trusted range of the theorem-2 integrals; the decay envelope
+    bounds what lies past it."""
+    return max(64.0, table.limit / 20.0)
 
 
 # The three routes of the theorem-2 integrand, bound to the names under which
@@ -275,27 +275,26 @@ _kernel_M_abel_real_array = kernel_M_with_bound
 
 class _KernelIntegrand:
     """Memoizing Gauss-panel integrand: the near route ("N" or half-shifted "M",
-    whose series is the head on (0, split_point]) to KERNEL_SPLICE_X, the
+    whose series is the head on (0, SPLIT_POINT]) to KERNEL_SPLICE_X, the
     plain exponential form beyond.
 
-    Values are cached per x across every s on the grid (node positions do
-    not depend on s), so a full 9-point, two-route theorem-2 run costs one
-    kernel evaluation per distinct node and route.
+    Values are cached per x across every s on the grid.  Node positions
+    depend on s only where the panels' oscillation cap binds, |Im s| >
+    pi/(4 ln 2) ~ 1.13, so on the default grid a full 9-point, two-route
+    theorem-2 run costs one kernel evaluation per distinct node and route.
     """
 
-    def __init__(self, table: ArithTable, config: KernelConfig, near_route: str,
-                 cache: dict | None = None):
+    def __init__(self, table: ArithTable, near_route: str, cache: dict | None = None):
         self.table = table
-        self.config = config
         self.near_route = near_route  # "N" or "M"
         self.cache = cache if cache is not None else {}
 
     def _eval_route(self, route: str, xs: np.ndarray):
         if route == "N":
-            return _kernel_N_real_array(xs, self.table, self.config)
+            return _kernel_N_real_array(xs, self.table)
         if route == "M":
-            return _kernel_M_half_real_array(xs, self.table, self.config)
-        return _kernel_M_abel_real_array(xs, self.table, self.config, form="plain")
+            return _kernel_M_half_real_array(xs, self.table)
+        return _kernel_M_abel_real_array(xs, self.table, form="plain")
 
     def __call__(self, x: np.ndarray):
         keys = [(self.near_route if xi <= KERNEL_SPLICE_X else "abel", xi)
@@ -317,20 +316,19 @@ def verify_theorem2(table: ArithTable,
     The degenerate grid point s = -1 (where the cosine prefactor and the
     zeta(2s) trivial zero both force 0) is scored absolutely.
     """
-    config = config_for_table(table)
-    spec = default_theorem2_spec(table)
+    max_x = theorem2_max_x(table)
     if s_grid is None:
         s_grid = default_theorem2_grid()
     shared_cache: dict = {}
     reports = []
     for route, check_id in (("N", "theorem2.n-form"), ("M", "theorem2.m-form")):
-        integrand = _KernelIntegrand(table, config, route, cache=shared_cache)
-        series = kernel_series_with_bound(route, spec.split_point, table, config)
+        integrand = _KernelIntegrand(table, route, cache=shared_cache)
+        series = kernel_series_with_bound(route, SPLIT_POINT, table)
         for s in s_grid:
             s = complex(s)
             lhs = zeta_lambda(s)
             try:
-                res = integrate_mellin(integrand, s, spec, series)
+                res = integrate_mellin(integrand, s, series, max_x)
             except LiouvilleMellinError as exc:   # non-convergence carries diagnostics
                 reports.append(make_report(
                     check_id, {"s": str(s)}, lhs, 0.0, passed=False,
@@ -442,9 +440,8 @@ DEFAULT_DECAY_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 def probe_decay(table: ArithTable, x_grid=DEFAULT_DECAY_GRID) -> list[VerificationReport]:
     """Real-axis behavior of the exponential kernel: decay of M, the frozen
     bound on M', and the exploratory x |M(x)| record."""
-    config = config_for_table(table)
     x_grid = sorted(float(x) for x in x_grid)
-    vals, bounds = kernel_M_with_bound(np.array(x_grid), table, config, form="plain")
+    vals, bounds = kernel_M_with_bound(np.array(x_grid), table, form="plain")
     m_vals = dict(zip(x_grid, vals.tolist()))
     reports = [make_report("decay.m-checkpoint", {"x": x}, m_vals[x], 0.0, passed=True,
                            budget={"abel_remainder_bound": bound},
@@ -453,7 +450,7 @@ def probe_decay(table: ArithTable, x_grid=DEFAULT_DECAY_GRID) -> list[Verificati
 
     reports.append(make_report(
         "decay.m-at-zero", {"x": 0.0},
-        kernel_M(0.0, table, config, form="half-shifted"), 0.0, tol_abs=0.0,
+        kernel_M(0.0, table, form="half-shifted"), 0.0, tol_abs=0.0,
         notes="termwise exact zero of the half-shifted form"))
 
     tail = [x for x in x_grid if x >= 10.0] or x_grid[-2:]
@@ -466,7 +463,7 @@ def probe_decay(table: ArithTable, x_grid=DEFAULT_DECAY_GRID) -> list[Verificati
 
     xs = np.linspace(0.0, 100.0, 201)
     try:
-        mp = np.abs(kernel_M_prime(xs, table, config))
+        mp = np.abs(kernel_M_prime(xs, table))
     except TruncationBudgetError as exc:  # a table too short for the tolerance
         reports.append(make_report(
             "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, 0.0, 0.0,
@@ -620,7 +617,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 
     # dominated-convergence inequality behind the sum/integral swap, sigma = -1
     sigma = -1.0
-    rhs_int = -integrate_gamma_zeta_a(complex(sigma + 0.5), QuadratureSpec()).value.real
+    rhs_int = -integrate_gamma_zeta_a(complex(sigma + 0.5)).value.real
     per_term = np.abs(table.beta[1::2]) * math.sqrt(2.0) / math.sqrt(math.pi) / n_odd_f ** 2
     csum = np.cumsum(per_term)
     for N in (10 ** 3, 10 ** 4):
@@ -639,14 +636,16 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 # --------------------------------------------------------------------------
 
 def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationReport]:
-    """Numerical residues of both kernels at i pi (2l+1) vs beta(2l+1)/sqrt(2l+1)."""
-    config = config_for_table(table)
+    """Numerical residues of both kernels at i pi (2l+1) vs beta(2l+1)/sqrt(2l+1),
+    at the poles whose beta(2l+1) the table holds."""
     reports = []
     for l in l_values:
         n = 2 * l + 1
+        if n > table.limit:
+            continue
         expect = table.beta[n] / math.sqrt(n)
         for kernel in ("N", "M"):
-            est = residue_estimate(kernel, l, table, config)
+            est = residue_estimate(kernel, l, table)
             reports.append(make_report(
                 f"identity.residue-{kernel}", {"l": l}, est, expect, tol_abs=1e-4,
                 notes=f"Richardson-extrapolated residue at i pi ({n})"))

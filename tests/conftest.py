@@ -14,8 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `oracles`
 
-from liouville_mellin import (CacheFormatError, KernelConfig, build_table,
-                              load_table, save_table)
+from liouville_mellin import CacheFormatError, build_table, load_table, save_table
 
 ACCEPTANCE_LIMIT = 2_000_001
 
@@ -36,13 +35,6 @@ def table_small():
 @pytest.fixture(scope="session")
 def table_100k():
     return build_table(100_001)
-
-
-@pytest.fixture(scope="session")
-def kconfig_100k():
-    # 50_001 odd numbers below 100_001; looser Abel tolerance because the
-    # short table cannot push remainder bounds to the default level
-    return KernelConfig(n_terms_N=50_001, n_terms_M=50_001, abel_tail_tol=1e-6)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,9 @@ import math
 
 import pytest
 
-from liouville_mellin import (QuadratureSpec, gamma, integrate_gamma_zeta_a,
-                              verify_bounds, verify_functional_equations,
-                              verify_identity_MN, verify_theorem1,
-                              verify_theorem2, zeta)
+from liouville_mellin import (gamma, integrate_gamma_zeta_a, verify_bounds,
+                              verify_functional_equations, verify_identity_MN,
+                              verify_theorem1, verify_theorem2, zeta)
 from liouville_mellin.verify import (THEOREM1_FINAL_THRESHOLD,
                                      probe_decay, verify_residues)
 
@@ -83,12 +82,11 @@ def test_criterion_4_residues(table_main):
 
 
 def test_criterion_5_calibration_integrals():
-    spec = QuadratureSpec()
-    r2 = integrate_gamma_zeta_a(2.0, spec)
+    r2 = integrate_gamma_zeta_a(2.0)
     err2 = abs(r2.value.real - math.pi ** 2 / 12.0)
-    r1 = integrate_gamma_zeta_a(1.0, spec)
+    r1 = integrate_gamma_zeta_a(1.0)
     err1 = abs(r1.value.real - math.log(2.0))
-    rs = integrate_gamma_zeta_a(-0.5, spec)
+    rs = integrate_gamma_zeta_a(-0.5)
     target = gamma(-0.5) * (1.0 - 2.0 ** 1.5) * zeta(-0.5)
     errs = abs(rs.value - target)
     print(f"  s=2: err {err2:.2e}; s=1: err {err1:.2e}; "

@@ -184,6 +184,29 @@ def test_verify_all_on_a_small_table_reports_failures(cache_env, tmp_path):
     assert "remainder bound" in decay[0]["notes"]
 
 
+def test_verify_all_on_a_three_entry_table_reports_failures(cache_env, tmp_path):
+    # the residue checks skip poles whose beta(2l+1) lies past the table
+    out_file = tmp_path / "tiny.jsonl"
+    assert main(["verify", "all", "--limit", "3", "--out", str(out_file)]) == 1
+    manifest, rows = read_report_file(out_file)
+    assert manifest.table_limit == 3
+    residues = [r for r in rows if r["check_id"].startswith("identity.residue-")]
+    assert sorted(r["inputs"]["l"] for r in residues) == [0, 0, 1, 1]
+
+
+def test_limit_zero_exits_2(cache_env, capsys):
+    # not the default table: 0 is a limit, and no table has it
+    assert main(["verify", "theorem1", "--limit", "0"]) == 2
+    assert "table limit must be >= 1" in capsys.readouterr().err
+
+
+def test_non_integer_env_limit_exits_2(cache_env, capsys, monkeypatch):
+    monkeypatch.setenv("LIOUMEL_LIMIT", "abc")
+    assert main(["verify", "theorem1"]) == 2
+    err = capsys.readouterr().err
+    assert "LIOUMEL_LIMIT" in err and "Traceback" not in err
+
+
 def test_mprime_rejects_complex(cache_env, capsys):
     for z in ("1+1i", "-1"):
         assert main(["kernel", "Mprime", "--z", z, "--limit", "5001"]) == 2

@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, InvalidArgumentError, KernelConfig,
-                              PoleError, TruncationBudgetError, fermi,
-                              fermi_deficit, kernel_M, kernel_M_prime,
-                              kernel_N, kernel_N_series, residue_estimate,
-                              zeta_beta, zeta_imp, zeta_nu)
+from liouville_mellin import (DomainError, PoleError, TruncationBudgetError,
+                              build_table, fermi, fermi_deficit, kernel_M,
+                              kernel_M_prime, kernel_N, kernel_N_series,
+                              residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _tanh_coefficients, _ws, config_for_table,
-                                      kernel_M_with_bound, kernel_N_with_bound,
-                                      nearest_pole)
+                                      _kernel_M_truncated, _tanh_coefficients, _ws,
+                                      config_for_table, kernel_M_with_bound,
+                                      kernel_N_with_bound, nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
 
 PI = math.pi
@@ -80,29 +79,27 @@ def test_nearest_pole():
 
 # ------------------------------------------------------------- kernel N ----
 
-def test_kernel_N_at_zero(table_100k, kconfig_100k):
-    assert kernel_N(0.0, table_100k, kconfig_100k) == 0.0
+def test_kernel_N_at_zero(table_100k):
+    assert kernel_N(0.0, table_100k) == 0.0
 
 
-def test_kernel_N_odd(table_100k, kconfig_100k):
+def test_kernel_N_odd(table_100k):
     for z in (0.7, 1.3 + 0.4j):
-        a = kernel_N(z, table_100k, kconfig_100k)
-        b = kernel_N(-z, table_100k, kconfig_100k)
+        a = kernel_N(z, table_100k)
+        b = kernel_N(-z, table_100k)
         assert a == pytest.approx(-b, rel=1e-14)
 
 
-def test_kernel_N_vs_series(table_100k, kconfig_100k):
-    val, bound = kernel_N_with_bound(1.0, table_100k, kconfig_100k)
+def test_kernel_N_vs_series(table_100k):
+    val, bound = kernel_N_with_bound(1.0, table_100k)
     series = kernel_N_series(1.0)
     # series truncation is below double precision at |z|=1
     assert abs(val - series) <= bound + 1e-13
 
 
-def test_kernel_N_pole_and_size_guard(table_100k, kconfig_100k):
+def test_kernel_N_pole_and_size_guard(table_100k):
     with pytest.raises(PoleError):
-        kernel_N(1j * PI, table_100k, kconfig_100k)
-    with pytest.raises(InvalidArgumentError):
-        kernel_N(1.0, table_100k, KernelConfig(n_terms_N=10 ** 6))
+        kernel_N(1j * PI, table_100k)
 
 
 def test_kernel_series_domain_and_leading_term():
@@ -118,105 +115,97 @@ def test_kernel_series_domain_and_leading_term():
 
 # ------------------------------------------------------------- kernel M ----
 
-def test_kernel_M_zero_halfshifted(table_100k, kconfig_100k):
-    assert kernel_M(0.0, table_100k, kconfig_100k, form="half-shifted") == 0.0
+def test_kernel_M_zero_halfshifted(table_100k):
+    assert kernel_M(0.0, table_100k, form="half-shifted") == 0.0
 
 
-def test_kernel_M_matches_N(table_100k, kconfig_100k):
+def test_kernel_M_matches_N(table_100k):
     for z in (1.0, 0.5 + 0.5j, 2.0):
-        nv, nb = kernel_N_with_bound(z, table_100k, kconfig_100k)
-        mv, mb = kernel_M_with_bound(z, table_100k, kconfig_100k)
+        nv, nb = kernel_N_with_bound(z, table_100k)
+        mv, mb = kernel_M_with_bound(z, table_100k)
         assert abs(mv - nv) <= nb + mb
         assert abs(mv - nv) <= 1e-6
 
 
-def test_kernel_M_forms_agree(table_100k, kconfig_100k):
+def test_kernel_M_forms_agree(table_100k):
     for x in (0.5, 2.0, 10.0):
-        half = kernel_M(x, table_100k, kconfig_100k, form="half-shifted")
-        plain = kernel_M(x, table_100k, kconfig_100k, form="plain")
+        half = kernel_M(x, table_100k, form="half-shifted")
+        plain = kernel_M(x, table_100k, form="plain")
         assert half == pytest.approx(plain, abs=5e-7)
     with pytest.raises(DomainError):
-        kernel_M(1.0, table_100k, kconfig_100k, form="bogus")
+        kernel_M(1.0, table_100k, form="bogus")
 
 
-def test_kernel_M_plain_complex_route(table_100k, kconfig_100k):
+def test_kernel_M_plain_complex_route(table_100k):
     z = 1.0 + 1.0j
-    plain = kernel_M(z, table_100k, kconfig_100k, form="plain")
-    half = kernel_M(z, table_100k, kconfig_100k, form="half-shifted")
+    plain = kernel_M(z, table_100k, form="plain")
+    half = kernel_M(z, table_100k, form="half-shifted")
     assert plain == pytest.approx(half, abs=5e-7)
 
 
-def test_kernel_M_odd(table_100k, kconfig_100k):
-    a = kernel_M(0.7, table_100k, kconfig_100k)
-    b = kernel_M(-0.7, table_100k, kconfig_100k)
+def test_kernel_M_odd(table_100k):
+    a = kernel_M(0.7, table_100k)
+    b = kernel_M(-0.7, table_100k)
     assert a == pytest.approx(-b, rel=1e-14)
 
 
 def test_kernel_M_truncation_budget_error(table_100k):
-    tight = KernelConfig(n_terms_N=50_001, n_terms_M=50_001, abel_tail_tol=1e-12)
+    # 50,001 terms leave a remainder bound of 1.35e-7 at x = 50, above 5e-8
     with pytest.raises(TruncationBudgetError) as err:
-        kernel_M(50.0, table_100k, tight, form="plain")
-    assert err.value.achieved_bound > 1e-12
+        kernel_M(50.0, table_100k, form="plain")
+    assert err.value.achieved_bound > config_for_table(table_100k).abel_tail_tol
 
 
-def test_kernel_M_pole_proximity(table_100k, kconfig_100k):
+def test_kernel_M_pole_proximity(table_100k):
     with pytest.raises(PoleError):
-        kernel_M(3j * PI + 1e-14, table_100k, kconfig_100k)
+        kernel_M(3j * PI + 1e-14, table_100k)
 
 
 # ------------------------------------------------------------ derivative ----
 
-def test_kernel_M_prime_at_zero(table_100k, kconfig_100k):
+def test_kernel_M_prime_at_zero(table_100k):
     # termwise value at 0 is nu(2m+1)/(4(2m+1)): the sum is zeta_nu(1)/4
-    val = kernel_M_prime(0.0, table_100k, kconfig_100k)
+    val = kernel_M_prime(0.0, table_100k)
     assert val == pytest.approx(zeta_nu(1.0).real / 4.0, abs=1e-6)
 
 
-def test_kernel_M_prime_finite_difference(table_100k, kconfig_100k):
+def test_kernel_M_prime_finite_difference(table_100k):
     x, h = 2.0, 1e-4
-    fd = (kernel_M(x + h, table_100k, kconfig_100k, form="plain")
-          - kernel_M(x - h, table_100k, kconfig_100k, form="plain")).real / (2 * h)
-    assert abs(fd - kernel_M_prime(x, table_100k, kconfig_100k)) <= 1e-6
+    fd = (kernel_M(x + h, table_100k, form="plain")
+          - kernel_M(x - h, table_100k, form="plain")).real / (2 * h)
+    assert abs(fd - kernel_M_prime(x, table_100k)) <= 1e-6
 
 
-def test_kernel_M_prime_domain(table_100k, kconfig_100k):
+def test_kernel_M_prime_domain(table_100k):
     with pytest.raises(DomainError):
-        kernel_M_prime(-1.0, table_100k, kconfig_100k)
+        kernel_M_prime(-1.0, table_100k)
 
 
 # -------------------------------------------------------------- residues ----
 
-def test_residues_match_beta(table_100k, kconfig_100k):
+def test_residues_match_beta(table_100k):
     # residue at i pi (2l+1) is beta(2l+1)/sqrt(2l+1)
     expected = {0: 1.0, 1: -1.0 / math.sqrt(3.0), 2: -1.0 / math.sqrt(5.0)}
     for l, want in expected.items():
-        got = residue_estimate("N", l, table_100k, kconfig_100k)
+        got = residue_estimate("N", l, table_100k)
         assert got.real == pytest.approx(want, abs=1e-4)
         assert abs(got.imag) < 1e-4
-    got = residue_estimate("M", 1, table_100k, kconfig_100k)
+    got = residue_estimate("M", 1, table_100k)
     assert got.real == pytest.approx(expected[1], abs=1e-4)
 
 
-def test_residue_bad_kernel(table_100k, kconfig_100k):
+def test_residue_bad_kernel(table_100k):
     with pytest.raises(DomainError):
-        residue_estimate("Q", 0, table_100k, kconfig_100k)
-
-
-def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        KernelConfig(n_terms_N=0)
-    with pytest.raises(InvalidArgumentError):
-        KernelConfig(abel_tail_tol=-1.0)
+        residue_estimate("Q", 0, table_100k)
 
 
 # ---------------------------------------------------------- config clamp ----
 
 def test_config_for_table_clamps(table_100k):
-    from liouville_mellin.kernels import DEFAULT_KERNEL_CONFIG, config_for_table
     clamped = config_for_table(table_100k)
     assert clamped.n_terms_N == 50_001
     assert clamped.n_terms_M == 50_001
-    assert clamped.abel_tail_tol == DEFAULT_KERNEL_CONFIG.abel_tail_tol
+    assert clamped.abel_tail_tol == 5e-8
 
 
 def test_fermi_complex_far_field():
@@ -228,12 +217,12 @@ def test_fermi_complex_far_field():
     # plain complex kernel path tolerates huge real parts without overflow
 
 
-def test_x_m_product_regression_guard(table_100k, kconfig_100k):
+def test_x_m_product_regression_guard(table_100k):
     # Whether x|M(x)| is bounded at all is an open question; this guard only
     # pins the observed values of this implementation (regression, not math).
     worst = 0.0
     for x in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
-        m = kernel_M(x, table_100k, kconfig_100k, form="plain").real
+        m = kernel_M_with_bound(x, table_100k, form="plain")[0]
         worst = max(worst, x * abs(m))
     assert worst <= 1.2  # frozen from the oracle run (observed max 1.103)
 
@@ -283,42 +272,42 @@ def _assert_close(got, want, tol=1e-14):
     assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
 
 
-def test_routes_match_fsum_on_real_axis(table_100k, kconfig_100k):
-    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
+def test_routes_match_fsum_on_real_axis(table_100k):
+    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
     x = np.array(REAL_X)
-    n_vals, _ = kernel_N_with_bound(x, table_100k, kconfig_100k)
-    half, _ = kernel_M_with_bound(x, table_100k, kconfig_100k)
-    plain, _ = kernel_M_with_bound(x, table_100k, kconfig_100k, form="plain")
+    n_vals, _ = kernel_N_with_bound(x, table_100k)
+    half, _ = kernel_M_with_bound(x, table_100k)
+    plain, _ = kernel_M_with_bound(x, table_100k, form="plain")
     for j, xj in enumerate(REAL_X):
-        _assert_close(n_vals[j], _ref_N(xj, ws, kconfig_100k.n_terms_N))
+        _assert_close(n_vals[j], _ref_N(xj, ws, config_for_table(table_100k).n_terms_N))
         _assert_close(half[j], _ref_M_half(xj, ws, M))
         _assert_close(plain[j], _ref_plain(xj, ws, M))
         w = xj / ws.n_odd[:M]
         e = np.exp(-w)
         ref = math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
-        _assert_close(kernel_M_prime(xj, table_100k, kconfig_100k), ref)
+        _assert_close(kernel_M_prime(xj, table_100k), ref)
 
 
-def test_routes_match_fsum_off_axis(table_100k, kconfig_100k):
-    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
+def test_routes_match_fsum_off_axis(table_100k):
+    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
     for z in [complex(p) for p in DEFAULT_IDENTITY_POINTS] + NEAR_POLE:
         zs = z.real if z.imag == 0.0 else z
-        _assert_close(kernel_N_with_bound(z, table_100k, kconfig_100k)[0],
-                      _ref_N(zs, ws, kconfig_100k.n_terms_N))
-        _assert_close(kernel_M_with_bound(z, table_100k, kconfig_100k)[0],
+        _assert_close(kernel_N_with_bound(z, table_100k)[0],
+                      _ref_N(zs, ws, config_for_table(table_100k).n_terms_N))
+        _assert_close(kernel_M_with_bound(z, table_100k)[0],
                       _ref_M_half(zs, ws, M))
     # plain form off the axis, all M terms
     for z in (1.0 + 1.0j, 2.5 - 1.0j, -1.5 + 0j):
         f = 1.0 / (np.exp(z / ws.n_odd[:M]) + 1.0)
         f_next = 1.0 / (np.exp(z / (2.0 * M + 1.0)) + 1.0)
         ref = _csum(np.concatenate([[ws.S_odd[M - 1] * f_next], -ws.nu_odd[:M] * f]))
-        _assert_close(kernel_M_with_bound(z, table_100k, kconfig_100k, form="plain")[0], ref)
+        _assert_close(kernel_M_with_bound(z, table_100k, form="plain")[0], ref)
 
 
-def test_plain_form_real_array_is_odd_with_positive_bound(table_100k, kconfig_100k):
+def test_plain_form_real_array_is_odd_with_positive_bound(table_100k):
     x = np.array([0.5, 5.0, 50.0])
-    pos, pos_bound = kernel_M_with_bound(x, table_100k, kconfig_100k, form="plain")
-    neg, neg_bound = kernel_M_with_bound(-x, table_100k, kconfig_100k, form="plain")
+    pos, pos_bound = kernel_M_with_bound(x, table_100k, form="plain")
+    neg, neg_bound = kernel_M_with_bound(-x, table_100k, form="plain")
     assert np.all(np.abs(neg + pos) <= 1e-14)
     assert neg_bound == pytest.approx(pos_bound, rel=1e-12)
     assert np.all(pos_bound > 0.0)
@@ -326,10 +315,9 @@ def test_plain_form_real_array_is_odd_with_positive_bound(table_100k, kconfig_10
 
 def test_plain_form_sums_all_terms_on_2e6_table(table_main):
     # the plain form sums all M = 10^6 terms at every real x
-    config = config_for_table(table_main)
-    ws, M = _ws(table_main), config.n_terms_M
+    ws, M = _ws(table_main), config_for_table(table_main).n_terms_M
     xs = (3.5, 8.0, 20.0, 60.0, 150.0, 330.0, 400.0)
-    vals, _ = kernel_M_with_bound(np.array(xs), table_main, config, form="plain")
+    vals, _ = kernel_M_with_bound(np.array(xs), table_main, form="plain")
     for j, x in enumerate(xs):
         _assert_close(vals[j], _ref_plain(x, ws, M))
 
@@ -380,9 +368,9 @@ def _block_remainder(x, ws, head):
     return total
 
 
-def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k, kconfig_100k):
-    ws, M = _ws(table_100k), kconfig_100k.n_terms_M
-    _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, kconfig_100k, form="plain")
+def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k):
+    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
+    _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, form="plain")
     for j, x in enumerate(REAL_X):
         g_edge = 0.5 * float(np.tanh(x / (2.0 * (2.0 * M + 1.0))))
         abel = 2.0 * ws.s_sup_beyond(M - 1) * abs(g_edge)
@@ -398,11 +386,10 @@ PLAIN_BLOCK_X = (-500.0, 500.0, 5000.0, 5e4, 99952.9)
 
 def test_plain_block_head_matches_fsum(table_main):
     # heads of up to 2^17 terms, all but the first 32 from block moments
-    config = config_for_table(table_main)
-    ws, M = _ws(table_main), config.n_terms_M
+    ws, M = _ws(table_main), config_for_table(table_main).n_terms_M
     xs = np.array(PLAIN_BLOCK_X)
-    vals, bounds = kernel_M_with_bound(xs, table_main, config, form="plain")
-    half, _ = kernel_M_with_bound(xs, table_main, config)
+    vals, bounds = kernel_M_with_bound(xs, table_main, form="plain")
+    half, _ = kernel_M_with_bound(xs, table_main)
     for j, x in enumerate(PLAIN_BLOCK_X):
         _assert_close(vals[j], _ref_plain(x, ws, M))
         _assert_close(half[j], _ref_M_half(x, ws, M))
@@ -425,24 +412,24 @@ def test_s_sup_beyond_is_the_suffix_sup(table_100k):
         assert ws.s_sup_beyond(m) == want, m
 
 
-def test_short_truncation_within_both_bounds(table_100k, kconfig_100k):
+def test_short_truncation_within_both_bounds(table_100k):
     # a truncation at M terms and the full one differ by the terms between,
-    # which both remainder bounds must cover
+    # which both remainder bounds must cover; the short truncation reads the
+    # sup of |S| past M from the table, not the beyond-table cap alone
     for M in (501, 5_001, 20_001):
-        short = KernelConfig(n_terms_N=M, n_terms_M=M, abel_tail_tol=1e-6)
         for form in ("half-shifted", "plain"):
             for points in (np.array(SHORT_REAL), np.array(SHORT_COMPLEX)):
-                v_short, b_short = kernel_M_with_bound(points, table_100k, short, form=form)
-                v_full, b_full = kernel_M_with_bound(points, table_100k, kconfig_100k, form=form)
+                v_short, b_short = _kernel_M_truncated(points, table_100k, M, form)
+                v_full, b_full = kernel_M_with_bound(points, table_100k, form=form)
                 assert np.all(np.abs(v_short - v_full) <= b_short + b_full), (M, form, points)
 
 
-def test_kernel_N_bound_covers_worst_case_tail(table_100k):
+def test_kernel_N_bound_covers_worst_case_tail():
     # worst case |beta(n)|/sqrt(n) = 1 for every omitted term; the first
     # 10^6 omitted terms are summed exactly, the rest bounded by 1/(4L)
     L = 10 ** 6
     for M in (1, 2, 5, 20):
-        config = KernelConfig(n_terms_N=M, n_terms_M=50_001, abel_tail_tol=1e-6)
+        table = build_table(2 * M - 1)  # M odd numbers, so M terms
         n = 2.0 * np.arange(M, M + L) + 1.0
         for z in (0.1, 0.5, 3.0, 1.0 + 2.0j, 0.3 + 2.7j, 5.0 - 1.0j):
             z = complex(z)
@@ -450,17 +437,16 @@ def test_kernel_N_bound_covers_worst_case_tail(table_100k):
             worst = math.fsum(2.0 * zabs / np.abs(z * z + (PI * n) ** 2))
             edge = PI * (2.0 * (M + L) + 1.0)
             worst += 2.0 * zabs / PI ** 2 / (4.0 * (M + L)) / (1.0 - (zabs / edge) ** 2)
-            _, bound = kernel_N_with_bound(z, table_100k, config)
+            _, bound = kernel_N_with_bound(z, table)
             assert bound >= worst, (M, z, bound, worst)
             if z.imag == 0.0:
-                _, real_bound = kernel_N_with_bound(np.array([z.real]), table_100k, config)
+                _, real_bound = kernel_N_with_bound(np.array([z.real]), table)
                 assert real_bound[0] >= worst
                 if M == 1:  # the integral from M undercounts the tail
                     assert 2.0 * zabs / (2.0 * PI ** 2 * 3.0) < worst
     # past 0.866 pi (2M+1) the inflation factor is no longer a bound
-    config = KernelConfig(n_terms_N=1, n_terms_M=50_001, abel_tail_tol=1e-6)
     with pytest.raises(TruncationBudgetError):
-        kernel_N_with_bound(8.5j, table_100k, config)
+        kernel_N_with_bound(8.5j, build_table(1))
 
 
 # ------------------------------------------------ one call = many calls ----
@@ -470,28 +456,27 @@ MIXED_COMPLEX = np.array([complex(p) for p in DEFAULT_IDENTITY_POINTS if complex
                          + NEAR_POLE)
 
 
-def test_array_call_equals_scalar_calls_bit_for_bit(table_100k, kconfig_100k):
-    t, c = table_100k, kconfig_100k
+def test_array_call_equals_scalar_calls_bit_for_bit(table_100k):
+    t = table_100k
     for form in ("half-shifted", "plain", None):
         for points in (MIXED_REAL, MIXED_COMPLEX):
             if form is None:
-                vals, bounds = kernel_N_with_bound(points, t, c)
-                scalar = [kernel_N_with_bound(z.item(), t, c) for z in points]
+                vals, bounds = kernel_N_with_bound(points, t)
+                scalar = [kernel_N_with_bound(z.item(), t) for z in points]
             else:
-                vals, bounds = kernel_M_with_bound(points, t, c, form=form)
-                scalar = [kernel_M_with_bound(z.item(), t, c, form=form) for z in points]
+                vals, bounds = kernel_M_with_bound(points, t, form=form)
+                scalar = [kernel_M_with_bound(z.item(), t, form=form) for z in points]
             assert vals.dtype == points.dtype and bounds.dtype == np.float64
             assert [(v, b) for v, b in scalar] == list(zip(vals, bounds)), (form, points)
     xs = np.linspace(0.0, 100.0, 201)
-    assert kernel_M_prime(xs, t, c).tolist() == [kernel_M_prime(x, t, c) for x in xs.tolist()]
+    assert kernel_M_prime(xs, t).tolist() == [kernel_M_prime(x, t) for x in xs.tolist()]
 
 
-def test_array_calls_check_every_point(table_100k, kconfig_100k):
-    t, c = table_100k, kconfig_100k
+def test_array_calls_check_every_point(table_100k):
+    t = table_100k
     with pytest.raises(PoleError):
-        kernel_N(np.array([1.0 + 1.0j, 3j * PI]), t, c)
+        kernel_N(np.array([1.0 + 1.0j, 3j * PI]), t)
     with pytest.raises(DomainError):
-        kernel_M_prime(np.array([1.0, -1.0]), t, c)
-    tight = KernelConfig(n_terms_N=50_001, n_terms_M=50_001, abel_tail_tol=1e-12)
-    with pytest.raises(TruncationBudgetError):
-        kernel_M(np.array([1.0, -50.0]), t, tight, form="plain")
+        kernel_M_prime(np.array([1.0, -1.0]), t)
+    with pytest.raises(TruncationBudgetError):  # the bound at -50 is above 5e-8
+        kernel_M(np.array([1.0, -50.0]), t, form="plain")

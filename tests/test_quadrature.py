@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceError,
-                              QuadratureSpec, gamma, integrate_gamma_zeta_a,
-                              integrate_mellin, zeta_alternating)
+                              gamma, integrate_gamma_zeta_a, integrate_mellin,
+                              zeta_alternating)
 from liouville_mellin.kernels import (_ws, fermi_series, kernel_M_with_bound,
                                       kernel_N_with_bound, kernel_series_with_bound)
-from liouville_mellin.quadrature import _series_head, panel_sequence
+from liouville_mellin.quadrature import (DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT,
+                                         _series_head, panel_sequence)
 from liouville_mellin.verify import default_theorem2_grid
 
 mpmath.mp.dps = 40
@@ -39,6 +40,18 @@ def _gamma_eta(s):
     return complex(mpmath.gamma(mpmath.mpc(s)) * mpmath.altzeta(mpmath.mpc(s)))
 
 
+def refined_mellin(integrand, s, series, max_x, panels, nodes=2 * PANEL_NODES):
+    """integrate_mellin's value over its series head and first `panels`
+    panels, with `nodes` Gauss nodes per panel instead of PANEL_NODES."""
+    expo = complex(s) - 0.5
+    total = _series_head(series, expo, SPLIT_POINT)[0]
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    for (a, b), _ in zip(panel_sequence(expo.imag, max_x), range(panels)):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * xg
+        total += np.sum(integrand(x)[0] * x ** expo * 0.5 * (b - a) * wg)
+    return total
+
+
 def test_series_head_absorbs_endpoint_singularity():
     # integral_0^1 x^-3/4 dx = 4 and integral_0^1 x dx = 1/2, exactly in closed form
     one = (np.array([0.0]), np.array([1.0]), np.array([0.0]), np.array([0.0]))
@@ -51,20 +64,20 @@ def test_series_head_absorbs_endpoint_singularity():
 
 def test_calibration_s2():
     # integral_0^inf x/(e^x+1) dx = pi^2/12
-    res = integrate_gamma_zeta_a(2.0, QuadratureSpec())
+    res = integrate_gamma_zeta_a(2.0)
     assert abs(res.value.real - PI ** 2 / 12.0) <= 1e-10
     assert res.est_error < 1e-10
 
 
 def test_calibration_s1():
     # integral_0^inf 1/(e^x+1) dx = ln 2
-    res = integrate_gamma_zeta_a(1.0, QuadratureSpec())
+    res = integrate_gamma_zeta_a(1.0)
     assert abs(res.value.real - math.log(2.0)) <= 1e-10
 
 
 def test_calibration_matches_gamma_eta_on_right_halfplane():
     for s in (1.5, 3.0, complex(2.0, 1.0)):
-        res = integrate_gamma_zeta_a(s, QuadratureSpec())
+        res = integrate_gamma_zeta_a(s)
         assert res.value == pytest.approx(gamma(s) * zeta_alternating(s),
                                           rel=1e-11)
 
@@ -72,7 +85,7 @@ def test_calibration_matches_gamma_eta_on_right_halfplane():
 def test_calibration_subtracted_form():
     # continued representation at s = -1/2 against Gamma(-1/2) eta(-1/2)
     s = -0.5
-    res = integrate_gamma_zeta_a(s, QuadratureSpec())
+    res = integrate_gamma_zeta_a(s)
     expect = gamma(s) * ((1.0 - 2.0 ** (1.0 - s)) *
                          (-0.2078862249773545660173067253970493022262))
     # reference: Gamma(-1/2) eta(-1/2) = -1.34743647771550797...
@@ -91,7 +104,7 @@ def test_fermi_head_matches_gamma_eta(s):
     head, bound = _series_head(fermi_series(1.0), complex(s) - 1.0, 1.0)
     assert bound < 1e-15
     assert abs(head - (_gamma_eta(s) - rest)) <= bound + 1e-14 * max(1.0, abs(head))
-    res = integrate_gamma_zeta_a(s, QuadratureSpec())
+    res = integrate_gamma_zeta_a(s)
     assert abs(res.value - _gamma_eta(s)) <= 1e-14 * max(1.0, abs(res.value))
 
 
@@ -105,10 +118,10 @@ def _dyadic_gauss(f, expo, levels=400, nodes=32):
 
 
 @pytest.mark.parametrize("route", ["N", "M"])
-def test_kernel_series_head_matches_gauss_integral(route, table_100k, kconfig_100k):
+def test_kernel_series_head_matches_gauss_integral(route, table_100k):
     evaluate = kernel_N_with_bound if route == "N" else kernel_M_with_bound
-    series = kernel_series_with_bound(route, 1.0, table_100k, kconfig_100k)
-    f = lambda x: evaluate(x, table_100k, kconfig_100k)[0].real
+    series = kernel_series_with_bound(route, 1.0, table_100k)
+    f = lambda x: evaluate(x, table_100k)[0].real
     for s in default_theorem2_grid():
         head, bound = _series_head(series, s - 0.5, 1.0)
         # below 2^-400, |K(x)| <= x / 2 adds at most this much
@@ -117,18 +130,17 @@ def test_kernel_series_head_matches_gauss_integral(route, table_100k, kconfig_10
 
 
 @pytest.mark.parametrize("route", ["N", "M"])
-def test_kernel_series_majorant_holds_pointwise(route, table_100k, kconfig_100k, table_main):
+def test_kernel_series_majorant_holds_pointwise(route, table_100k, table_main):
     # the series of the 50,001-term kernel against the 1,000,000-term kernel:
     # their gap is the truncation that the majorant's linear term bounds
     evaluate = kernel_N_with_bound if route == "N" else kernel_M_with_bound
-    powers, coef, err_pow, err = kernel_series_with_bound(route, 1.0, table_100k,
-                                                          kconfig_100k)
+    powers, coef, err_pow, err = kernel_series_with_bound(route, 1.0, table_100k)
     x = np.concatenate([np.geomspace(1e-6, 0.01, 9), np.linspace(0.02, 1.0, 50)])
     series = (coef * x[:, None] ** powers).sum(axis=1)
     majorant = (err * x[:, None] ** err_pow).sum(axis=1)
     # against the same truncation only the Taylor part of the majorant is left
     taylor = (err * x[:, None] ** err_pow)[:, err_pow > 1].sum(axis=1)
-    near, _ = evaluate(x, table_100k, kconfig_100k)
+    near, _ = evaluate(x, table_100k)
     assert (np.abs(series - near.real) <= taylor + 1e-16).all()
     far, far_bound = evaluate(x, table_main)
     assert (np.abs(series - far.real) <= majorant + far_bound).all()
@@ -150,9 +162,6 @@ def test_kernel_series_taylor_majorant_is_led_by_the_first_term(route, table_mai
 
 def test_split_point_at_or_past_pi_raises(table_100k):
     for split in (PI, 3.5):
-        spec = QuadratureSpec(split_point=split)
-        with pytest.raises(InvalidArgumentError):
-            integrate_gamma_zeta_a(1.0, spec)
         with pytest.raises(InvalidArgumentError):
             kernel_series_with_bound("N", split, table_100k)
     with pytest.raises(DomainError):
@@ -162,45 +171,42 @@ def test_split_point_at_or_past_pi_raises(table_100k):
 def test_gamma_zeta_a_domain():
     for s in (0.0, -1.0, -1.5):
         with pytest.raises(DomainError):
-            integrate_gamma_zeta_a(s, QuadratureSpec())
+            integrate_gamma_zeta_a(s)
 
 
 def test_mellin_closed_form_and_refinement():
     # integral x e^-x x^(s-1/2) dx = Gamma(s+3/2) on the acceptance grid
-    base = QuadratureSpec()
-    fine = QuadratureSpec(panel_nodes=base.panel_nodes * 2)
     for re in (-1.25, -1.0, -0.75):
         for im in (0.0, 0.5, 1.0):
             s = complex(re, im)
             want = complex(mpmath.gamma(mpmath.mpc(re, im) + 1.5))
-            r1 = integrate_mellin(_gauge(), s, base, _gauge_series())
-            r2 = integrate_mellin(_gauge(), s, fine, _gauge_series())
+            r1 = integrate_mellin(_gauge(), s, _gauge_series(), math.inf)
+            fine = refined_mellin(_gauge(), s, _gauge_series(), math.inf, r1.panels_used)
             assert abs(r1.value - want) <= max(r1.est_error, 1e-13)
             # doubling the node density moves the answer by less than est_error
-            assert abs(r1.value - r2.value) <= r1.est_error + 1e-14
+            assert abs(r1.value - fine) <= r1.est_error + 1e-14
 
 
 def test_mellin_linearity():
     s = complex(-0.75, 0.5)
-    spec = QuadratureSpec()
-    one = integrate_mellin(_gauge(1.0), s, spec, _gauge_series(1.0))
-    scaled = integrate_mellin(_gauge(123.456), s, spec, _gauge_series(123.456))
+    one = integrate_mellin(_gauge(1.0), s, _gauge_series(1.0), math.inf)
+    scaled = integrate_mellin(_gauge(123.456), s, _gauge_series(123.456), math.inf)
     assert scaled.value == pytest.approx(123.456 * one.value, rel=1e-13)
 
 
 def test_mellin_strip_enforced():
     for s in (0.5, 1.0, -1.5, -2.0):
         with pytest.raises(DomainError):
-            integrate_mellin(_gauge(), complex(s), QuadratureSpec(), _gauge_series())
+            integrate_mellin(_gauge(), complex(s), _gauge_series(), math.inf)
 
 
 def test_mellin_tail_bound_honest():
-    # envelope |x e^-x| <= C/x with C = max x^2 e^-x = 4 e^-2; cut at max_x
-    # and check the true discarded tail never exceeds tail_bound
-    C = 4.0 * math.exp(-2.0)
-    spec = QuadratureSpec(max_x=8.0, decay_const=C, tail_stop_rel=1e-30, max_panels=30)
+    # the envelope DECAY_CONST/x covers x e^-x, since max x^2 e^-x = 4 e^-2;
+    # cut at max_x and check the true discarded tail never exceeds tail_bound
+    assert 4.0 * math.exp(-2.0) <= DECAY_CONST
     for s in (-0.75, complex(-1.25, 0.5)):
-        res = integrate_mellin(_gauge(), complex(s), spec, _gauge_series())
+        res = integrate_mellin(_gauge(), complex(s), _gauge_series(), 8.0)
+        assert res.panels_used == 3  # [1, 2], [2, 4], [4, 8]: stopped by max_x
         # true tail of integral_(max_x)^inf x^(s+1/2) e^-x dx
         a = complex(s) + 1.5
         true_tail = abs(complex(mpmath.gammainc(mpmath.mpc(a.real, a.imag), 8.0,
@@ -211,34 +217,25 @@ def test_mellin_tail_bound_honest():
 
 
 def test_mellin_nonconvergence_carries_partial():
-    # f ~ 1/x at infinity decays too slowly for 5 panels at rel 1e-12
+    # f ~ 1/x at infinity: near Re s = 1/2 the panel contributions fall by
+    # 2^-0.05 per doubling, far too slowly to meet the stop criterion within
+    # MAX_PANELS panels when no max_x cuts them
     def slow(x):
         return x / (1.0 + x * x), np.zeros(len(x))
     # alternating series with falling terms on (0, 1]: |E| <= x^41
     k = np.arange(20)
     slow_series = (2.0 * k + 1.0, (-1.0) ** k, np.array([41.0]), np.array([1.0]))
-    spec = QuadratureSpec(max_panels=5, tail_stop_rel=1e-12)
     with pytest.raises(NonConvergenceError) as err:
-        integrate_mellin(slow, complex(-0.75), spec, slow_series)
+        integrate_mellin(slow, complex(0.45), slow_series, math.inf)
     assert err.value.partial is not None
-    assert err.value.partial.panels_used == 5
+    assert err.value.partial.panels_used == MAX_PANELS
 
 
 def test_oscillation_cap_on_panels():
-    spec = QuadratureSpec()
-    widths = [(b / a) for a, b in panel_sequence(spec, im_s=4.0)]
+    widths = [(b / a) for a, b in panel_sequence(4.0, math.inf)]
     assert max(widths) <= math.exp(PI / 4.0 / 4.0) + 1e-12
-    plain = [(b / a) for a, b in panel_sequence(spec, im_s=0.0)]
+    plain = [(b / a) for a, b in panel_sequence(0.0, math.inf)]
     assert max(plain) == pytest.approx(2.0)
-
-
-def test_spec_validation():
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(panel_nodes=1)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(split_point=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        QuadratureSpec(max_x=0.5)
 
 
 # (value, panels_used, relative tolerance): recorded at 1e-15 with the two
@@ -258,9 +255,8 @@ MELLIN_GAUGE_PINS = {
 
 
 def test_shared_loop_reproduces_recorded_integrals():
-    spec = QuadratureSpec()
-    runs = [(integrate_gamma_zeta_a(s, spec), pin) for s, pin in GAMMA_ETA_PINS.items()]
-    runs += [(integrate_mellin(_gauge(), complex(s), spec, _gauge_series()), pin)
+    runs = [(integrate_gamma_zeta_a(s), pin) for s, pin in GAMMA_ETA_PINS.items()]
+    runs += [(integrate_mellin(_gauge(), complex(s), _gauge_series(), math.inf), pin)
              for s, pin in MELLIN_GAUGE_PINS.items()]
     for res, (value, panels, tol) in runs:
         assert abs(res.value - value) <= tol * abs(value)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from liouville_mellin import (NonConvergenceError, QuadratureSpec, probe_decay,
+from liouville_mellin import (NonConvergenceError, probe_decay,
                               run_group, verify, verify_bounds,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
@@ -106,7 +106,7 @@ def test_theorem2_smoke(table_100k):
 def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, monkeypatch):
     grid = [complex(-0.75)]
 
-    def not_converged(integrand, s, spec, series):
+    def not_converged(integrand, s, series, max_x):
         raise NonConvergenceError("panel budget exhausted")
 
     monkeypatch.setattr(verify, "integrate_mellin", not_converged)
@@ -116,7 +116,7 @@ def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, monkeypatch)
         assert not r.passed
         assert r.notes == "integration failed: panel budget exhausted"
 
-    def buggy(integrand, s, spec, series):
+    def buggy(integrand, s, series, max_x):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(verify, "integrate_mellin", buggy)
@@ -154,19 +154,20 @@ def test_grid_default():
     assert complex(-1.0, 0.0) in grid
 
 
-def test_theorem2_integrand_refinement_honest(table_100k, kconfig_100k):
+def test_theorem2_integrand_refinement_honest(table_100k):
     # doubling the node density moves the kernel integrals by less than the
     # reported est_error, at every acceptance-grid point and for both routes
+    from test_quadrature import refined_mellin
+
     from liouville_mellin import integrate_mellin
     from liouville_mellin.kernels import kernel_series_with_bound
-    from liouville_mellin.verify import _KernelIntegrand, default_theorem2_spec
-    base = default_theorem2_spec(table_100k)
-    fine = QuadratureSpec(panel_nodes=base.panel_nodes * 2,
-                          max_x=base.max_x, decay_const=base.decay_const)
+    from liouville_mellin.quadrature import SPLIT_POINT
+    from liouville_mellin.verify import _KernelIntegrand, theorem2_max_x
+    max_x = theorem2_max_x(table_100k)
     for route in ("N", "M"):
-        integrand = _KernelIntegrand(table_100k, kconfig_100k, route, cache={})
-        series = kernel_series_with_bound(route, base.split_point, table_100k, kconfig_100k)
+        integrand = _KernelIntegrand(table_100k, route, cache={})
+        series = kernel_series_with_bound(route, SPLIT_POINT, table_100k)
         for s in default_theorem2_grid():
-            r1 = integrate_mellin(integrand, s, base, series)
-            r2 = integrate_mellin(integrand, s, fine, series)
-            assert abs(r1.value - r2.value) <= r1.est_error, (route, s)
+            r1 = integrate_mellin(integrand, s, series, max_x)
+            fine = refined_mellin(integrand, s, series, max_x, r1.panels_used)
+            assert abs(r1.value - fine) <= r1.est_error, (route, s)
