@@ -15,8 +15,7 @@ are deterministic for a fixed manifest; set LIOUMEL_TIMESTAMP to pin the
 manifest timestamps too (CI byte-identity).
 
 Environment overrides (lowest precedence below explicit flags):
-    LIOUMEL_LIMIT, LIOUMEL_CACHE_DIR, LIOUMEL_FORMAT, LIOUMEL_OUT,
-    LIOUMEL_TIMESTAMP
+    LIOUMEL_LIMIT, LIOUMEL_CACHE_DIR, LIOUMEL_TIMESTAMP
 """
 
 from __future__ import annotations
@@ -113,21 +112,14 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _json_default(o):
-    item = getattr(o, "item", None)  # numpy scalars
-    if item is not None:
-        return item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_reports(stream, reports, manifest: RunManifest, fmt: str) -> None:
     if fmt == "jsonl":
         stream.write(json.dumps(manifest.to_record(), sort_keys=True) + "\n")
         for r in reports:
             rec = r.to_record()
             rec["type"] = "report"
-            stream.write(json.dumps(rec, sort_keys=True, default=_json_default) + "\n")
-    elif fmt == "csv":
+            stream.write(json.dumps(rec, sort_keys=True) + "\n")
+    else:
         stream.write("# manifest: " + json.dumps(manifest.to_record(), sort_keys=True) + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -138,8 +130,6 @@ def write_reports(stream, reports, manifest: RunManifest, fmt: str) -> None:
                              _fmt(rec["rhs_re"]), _fmt(rec["rhs_im"]),
                              _fmt(rec["abs_err"]), _fmt(rec["rel_err"]),
                              str(rec["pass"]).lower()])
-    else:
-        raise LiouvilleMellinError(f"unknown format {fmt!r}")
 
 
 def read_report_file(path: str) -> tuple[RunManifest | None, list[dict]]:
@@ -231,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--grid", type=str, default=None,
                     help="comma-separated complex points for theorem2, functional or all")
     vp.add_argument("--out", type=Path, default=None)
-    vp.add_argument("--format", choices=["jsonl", "csv"], default=None)
+    vp.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     vp.add_argument("--cache-dir", type=Path, default=None)
 
     rp = sub.add_parser("report", help="render a previous run")
@@ -339,8 +329,6 @@ def _run_verify(args) -> int:
         return 0
     started = _timestamp()
     limit = _limit(args)
-    fmt = args.format or _env("FORMAT", "jsonl")
-    out = args.out or (_env("OUT") and Path(_env("OUT")))
     cache = args.cache_dir or _default_cache_dir()
     grid = None
     if args.grid:  # checked before any table is sieved
@@ -357,7 +345,7 @@ def _run_verify(args) -> int:
 
     manifest = RunManifest(
         command=f"verify {args.group}",
-        parameters={"limit": limit, "grid": args.grid, "format": fmt},
+        parameters={"limit": limit, "grid": args.grid, "format": args.format},
         table_limit=limit,
         config_snapshot={
             "eval": dataclasses.asdict(DEFAULT_EVAL_CONFIG),
@@ -370,12 +358,12 @@ def _run_verify(args) -> int:
         started=started,
         finished=_timestamp(),
     )
-    if out:
-        with open(out, "w") as fh:
-            write_reports(fh, reports, manifest, fmt)
-        print(f"wrote {len(reports)} reports to {out}", file=sys.stderr)
+    if args.out:
+        with open(args.out, "w") as fh:
+            write_reports(fh, reports, manifest, args.format)
+        print(f"wrote {len(reports)} reports to {args.out}", file=sys.stderr)
     else:
-        write_reports(sys.stdout, reports, manifest, fmt)
+        write_reports(sys.stdout, reports, manifest, args.format)
     failed = sum(0 if r.passed else 1 for r in reports)
     print(f"{len(reports)} checks, {len(reports) - failed} passed, {failed} failed",
           file=sys.stderr)

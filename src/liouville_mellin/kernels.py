@@ -17,15 +17,17 @@ analytic for |u| < pi:
     M, half-shifted:  w = nu(n),            phi(u) = tanh(u/2)/2
     M' (real axis):   w = nu(n)/n,          phi(u) = sech^2(u/2)/4
 
-Each is evaluated in two zones over m.  The head sums the terms directly
-up to b, the first breakpoint with 2b+1 >= 2|z|; the breakpoints are the
-powers of two and the truncation end.  On the tail past b, |z/n| <= 1/2,
-so phi is replaced by _TAYLOR_TERMS terms of its power series and the tail
-becomes sum_k a_k z^p_k sum_{b<=m<end} w_m n^-p_k.  Those inner sums, the
-power moments, are computed once per table and weight array and cached on
-the table's workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <= pi^-2k/4
-(c_k from the recurrence tanh' = 1 - tanh^2), as have N's coefficients, so
-the discarded series is below
+Each is truncated at the depth config_for_table decides, which the table's
+one workspace (_Workspace) holds with the tolerance, sup |S| past the depth
+and the moments below, and evaluated in two zones over m.  The head sums the
+terms directly up to b, the first breakpoint with 2b+1 >= 2|z|; the
+breakpoints are the powers of two and the depth.  On the tail past b,
+|z/n| <= 1/2, so phi is replaced by _TAYLOR_TERMS terms of its power series
+and the tail becomes sum_k a_k z^p_k sum_{b<=m<depth} w_m n^-p_k.  Those
+inner sums, the power moments, are computed once per weight array and
+cached on the workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <=
+pi^-2k/4 (c_k from the recurrence tanh' = 1 - tanh^2), as have N's
+coefficients, so the discarded series is below
 
     (|u|/4) (|u|/pi)^(2K) / (1 - (|u|/pi)^2) * sum_tail |w_n|,  u = z/(2b+1),
 
@@ -44,8 +46,8 @@ On the real axis every M head past its first _HEAD_PREFIX terms comes from
 per-block Taylor moments (_HeadBlocks), so a node costs O(log |x|).  Complex
 arguments keep the direct head, since a pole may fall inside a block's disc.
 
-The sup factor is the largest |S| the table holds past M, floored by the
-frozen S_TAIL_BEYOND_TABLE for what lies beyond the table.  That cap is
+The sup factor is the largest |S| the table holds past the depth, floored by
+the frozen S_TAIL_BEYOND_TABLE for what lies beyond the table.  That cap is
 empirical and understates sup|S| past tables below about 1e6 (1.05e-3 past
 200,001), so at such a table's full depth these bounds are not bounds: the
 half-shifted values of a 10,001 table differ from a 100,001 table's by 3.0
@@ -84,7 +86,7 @@ __all__ = ["KernelConfig", "config_for_table", "fermi", "fermi_deficit",
            "nearest_pole", "fermi_series", "kernel_series_with_bound",
            "SERIES_ORDER_K"]
 
-_CHUNK = 1 << 17  # segment length of the moment loop
+_CHUNK = 1 << 17  # elements per temporary of a moment segment or head batch
 
 # floor for sup |S(n)| past the table, empirical; frozen from a sieve run to
 # 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
@@ -154,8 +156,6 @@ def fermi(z: complex) -> complex:
     if z.real > 30.0:
         w = cmath.exp(-z)
         return w / (1.0 + w)
-    if z.real < -30.0:
-        return 1.0 / (1.0 + cmath.exp(z))
     return 1.0 / (cmath.exp(z) + 1.0)
 
 
@@ -170,7 +170,6 @@ def fermi_deficit(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _TAYLOR_TERMS = 14   # series terms of phi used on the tail, where |z/n| <= 1/2
-_BLOCK = 1 << 20     # elements per temporary of a head sum (8 MiB of float64)
 _HEAD_PREFIX = 32    # real M head terms summed directly, before the blocks
 _BLOCK_TERMS = 28    # Taylor terms of tanh(u/2)/2 per block of the real M head
 _BLOCKS_PER_OCTAVE = 3
@@ -334,7 +333,8 @@ class _HeadBlocks:
     so rho^K/(1 - rho) < 1.8e-18.
     """
 
-    def __init__(self, end: int):
+    def __init__(self, end: int, n_odd: np.ndarray, nu: np.ndarray):
+        self.n_odd, self.nu = n_odd, nu
         geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
                      for j in range(_HEAD_PREFIX.bit_length() - 1, end.bit_length())
                      for i in range(_BLOCKS_PER_OCTAVE)}
@@ -349,7 +349,7 @@ class _HeadBlocks:
         self.mu = np.zeros((0, _BLOCK_TERMS))
         self.abs_sum = np.zeros(0)
 
-    def _extend(self, count: int, n_odd: np.ndarray, nu: np.ndarray) -> None:
+    def _extend(self, count: int) -> None:
         done = len(self.abs_sum)
         if count <= done:
             return
@@ -357,24 +357,23 @@ class _HeadBlocks:
         abs_sum = np.zeros(count - done)
         for j, B in enumerate(range(done, count)):
             lo, hi = int(self.edges[B]), int(self.edges[B + 1])
-            tau = (1.0 / n_odd[lo:hi] - self.w0[B]) / self.delta[B] if hi - lo > 1 else 0.0
-            term = nu[lo:hi].copy()
+            tau = (1.0 / self.n_odd[lo:hi] - self.w0[B]) / self.delta[B] if hi - lo > 1 else 0.0
+            term = self.nu[lo:hi].copy()
             for k in range(_BLOCK_TERMS):
                 mu[j, k] = term.sum()
                 term *= tau
-            abs_sum[j] = np.abs(nu[lo:hi]).sum()
+            abs_sum[j] = np.abs(self.nu[lo:hi]).sum()
         self.mu = np.vstack([self.mu, mu])
         self.abs_sum = np.concatenate([self.abs_sum, abs_sum])
 
-    def head(self, x: np.ndarray, heads: np.ndarray,
-             ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    def head(self, x: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sum_{_HEAD_PREFIX <= m < heads[j]} nu_m g(x_j/n_m) per point, and
         the bound on the discarded Taylor terms; each head is a block edge."""
         count = np.searchsorted(self.edges, heads)
-        self._extend(int(count.max(initial=0)), ws.n_odd, ws.nu_odd)
+        self._extend(int(count.max(initial=0)))
         vals = np.zeros(len(x))
         bounds = np.zeros(len(x))
-        rows = max(1, _BLOCK // (_BLOCK_TERMS * max(1, len(self.abs_sum))))
+        rows = max(1, _CHUNK // (_BLOCK_TERMS * max(1, len(self.abs_sum))))
         for a in range(0, len(x), rows):
             c = count[a:a + rows]
             node = np.repeat(np.arange(a, a + len(c)), c)
@@ -397,38 +396,32 @@ class _HeadBlocks:
 
 
 class _Workspace:
-    """Cached per-table odd-index views and tail moments used by every kernel sum."""
+    """The table's one truncation of the kernel sums: odd-index views, the
+    depth and tolerance of config_for_table (or a shorter depth), sup |S|
+    past the depth, the tail moments and the real M head blocks."""
 
-    def __init__(self, table: ArithTable):
+    def __init__(self, table: ArithTable, depth: int | None = None):
+        config = config_for_table(table)
+        self.depth = config.n_terms_M if depth is None else depth
+        self.tol = config.abel_tail_tol
         self.n_odd = np.arange(1, table.limit + 1, 2, dtype=np.float64)
         self.coef_N = table.beta[1::2].astype(np.float64) / np.sqrt(self.n_odd)
         self.nu_odd = table.nu[1::2]
         self.S_odd = table.nu_cumsum[1::2]
-        self._moments: dict[tuple, _Moments] = {}
-        self._head_blocks: dict[int, _HeadBlocks] = {}
+        # sup |S| over m >= depth: the table's values, floored by the frozen
+        # beyond-table cap
+        self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
+                         S_TAIL_BEYOND_TABLE)
+        self._moments: dict[str, _Moments] = {}
+        self.head_blocks = _HeadBlocks(self.depth, self.n_odd, self.nu_odd)
 
-    def s_sup_beyond(self, m_index: int) -> float:
-        """sup |S| over m > m_index: the table's values, floored by the
-        frozen beyond-table cap."""
-        in_table = float(np.abs(self.S_odd[m_index + 1:]).max(initial=0.0))
-        return max(in_table, S_TAIL_BEYOND_TABLE)
-
-    def moments(self, form: _Form, end: int) -> _Moments:
-        """Tail moments of form's weights for the series truncated at `end` terms."""
-        key = (form.weights, form.q + form.p0, end)
-        mom = self._moments.get(key)
-        if mom is None:
-            mom = _Moments(self.n_odd, getattr(self, form.weights), form.q + form.p0, end)
-            self._moments[key] = mom
-        return mom
-
-    def head_blocks(self, end: int) -> _HeadBlocks:
-        """Block moments of the real M head for the series truncated at `end`."""
-        blocks = self._head_blocks.get(end)
-        if blocks is None:
-            blocks = _HeadBlocks(end)
-            self._head_blocks[end] = blocks
-        return blocks
+    def moments(self, form: _Form) -> _Moments:
+        """Tail moments of form's weights, built on first use.  The forms on
+        one weight array share the exponent q + p0 (M and M' on nu both 1)."""
+        if form.weights not in self._moments:
+            self._moments[form.weights] = _Moments(
+                self.n_odd, getattr(self, form.weights), form.q + form.p0, self.depth)
+        return self._moments[form.weights]
 
 
 def _ws(table: ArithTable) -> _Workspace:
@@ -455,27 +448,25 @@ def _points(z, what: str) -> tuple[np.ndarray, bool]:
 
 def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
               v: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """sum_{m < lengths[j]} v_m head(z_j, n_m) per point, points grouped by length."""
+    """sum_{m < lengths[j]} v_m head(z_j, n_m) per point, points grouped by
+    length; a row is never split, so every sum keeps its order."""
     out = np.zeros(len(z), dtype=np.result_type(z, np.float64))
     for length in np.unique(lengths[lengths > 0]):
         length = int(length)
         idx = np.flatnonzero(lengths == length)
-        rows = max(1, _BLOCK // length)
+        rows = max(1, _CHUNK // length)
         for a in range(0, len(idx), rows):
             sel = idx[a:a + rows]
-            for lo in range(0, length, _BLOCK):
-                hi = min(lo + _BLOCK, length)
-                out[sel] += (head(z[sel, None], n[lo:hi]) * v[lo:hi]).sum(axis=1)
+            out[sel] = (head(z[sel, None], n[:length]) * v[:length]).sum(axis=1)
     return out
 
 
-def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace,
-                end: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{m<end} w_m phi(z/n_m) per point: head plus moment tail, and the
+def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{m<depth} w_m phi(z/n_m) per point: head plus moment tail, and the
     bound on the discarded series.  The head is summed directly, except that
     the M form on the real axis takes all but its first _HEAD_PREFIX terms
     from block moments."""
-    mom = ws.moments(form, end)
+    mom = ws.moments(form)
     i = mom.index(z)
     heads = mom.breaks[i]
     tail, remainder = mom.tail(form, z, i)
@@ -484,7 +475,7 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace,
     direct = np.minimum(heads, _HEAD_PREFIX) if blocked else heads
     head = _head_sum(form.head, z, direct, getattr(ws, form.weights), ws.n_odd)
     if blocked:
-        blocks, block_bound = ws.head_blocks(end).head(z, heads, ws)
+        blocks, block_bound = ws.head_blocks.head(z, heads)
         head = head + blocks
         remainder = remainder + block_bound
     if form.outer is not None:
@@ -510,17 +501,17 @@ def kernel_N_with_bound(z, table: ArithTable):
             omitted poles are too close for the tail bound.
     """
     zs, scalar = _points(z, "kernel_N")
-    M = config_for_table(table).n_terms_N
+    ws = _ws(table)
     zabs = np.abs(zs)
-    bound = _N_tail_bound(zabs, M)
+    bound = _N_tail_bound(zabs, ws.depth)
     if np.iscomplexobj(zs):
-        shrink = (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
+        shrink = (zabs / (math.pi * (2.0 * ws.depth + 1.0))) ** 2
         if shrink.max() > 0.75:
             raise TruncationBudgetError(
                 f"kernel_N: |z|={zabs.max():.6g} is within a factor 0.866 of the "
-                f"first omitted pole pi*{2 * M + 1}", achieved_bound=math.inf)
+                f"first omitted pole pi*{2 * ws.depth + 1}", achieved_bound=math.inf)
         bound = bound / (1.0 - shrink)
-    vals, remainder = _kernel_sum(_FORM_N, zs, _ws(table), M)
+    vals, remainder = _kernel_sum(_FORM_N, zs, ws)
     bound = bound + remainder
     return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
 
@@ -596,13 +587,12 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable):
     if kernel not in ("N", "M"):
         raise DomainError(f"kernel must be 'N' or 'M', got {kernel!r}")
     _series_disc(a)
-    config, ws = config_for_table(table), _ws(table)
-    M = config.n_terms_N if kernel == "N" else config.n_terms_M
+    ws = _ws(table)
     if kernel == "N":
-        form, slope = _FORM_N, _N_tail_bound(1.0, M)
+        form, slope = _FORM_N, _N_tail_bound(1.0, ws.depth)
     else:
-        form, slope = _FORM_M, float(_abel_remainder_bound(1.0, M, ws))
-    mom = ws.moments(form, M)
+        form, slope = _FORM_M, float(_abel_remainder_bound(1.0, ws))
+    mom = ws.moments(form)
     order = form.p0 + 2 * _TAYLOR_TERMS
     v0 = abs(float(getattr(ws, form.weights)[0]))
     weight = v0 + 3.0 ** -(form.q + order) * (mom.abs_sum[0] - v0)
@@ -624,41 +614,40 @@ def kernel_M_with_bound(z, table: ArithTable, form: str = "half-shifted"):
         minus S(2M-1) g(z/(2M+1)).  Its remainder bound is
         2 sup|S| |g(z/(2M+1))| on the real axis, where g is monotone in m,
         and the half-shifted form's bound off it.
-    Both bounds carry sup|S| past M (see s_sup_beyond) and the Taylor
+    Both bounds carry sup|S| past M (the workspace's s_sup) and the Taylor
     remainders of the moment tail and head blocks; abel_tail_tol plays no
     part here, only kernel_M checks the bound against it.  A scalar z gives
     (value, float), the value real for the plain form on the real axis and
     complex otherwise; an array z gives two arrays.
     """
-    return _kernel_M_truncated(z, table, config_for_table(table).n_terms_M, form)
+    return _kernel_M(z, _ws(table), form)
 
 
-def _kernel_M_truncated(z, table: ArithTable, M: int, form: str):
-    """kernel_M_with_bound truncated at M terms, M at most the table's."""
+def _kernel_M(z, ws: _Workspace, form: str):
+    """kernel_M_with_bound truncated at the workspace's depth."""
     if form not in ("half-shifted", "plain"):
         raise DomainError(f"unknown kernel_M form {form!r}")
     zs, scalar = _points(z, "kernel_M")
-    ws = _ws(table)
-    vals, bound = _kernel_sum(_FORM_M, zs, ws, M)
+    vals, bound = _kernel_sum(_FORM_M, zs, ws)
     if form == "plain":
-        g_next = _head_M(zs, 2.0 * M + 1.0)
-        vals = vals - ws.S_odd[M - 1] * g_next
+        g_next = _head_M(zs, 2.0 * ws.depth + 1.0)
+        vals = vals - ws.S_odd[ws.depth - 1] * g_next
     if form == "plain" and not np.iscomplexobj(zs):
         # g tends to 0 monotonically past M, from either side
-        bound = bound + 2.0 * ws.s_sup_beyond(M - 1) * np.abs(g_next)
+        bound = bound + 2.0 * ws.s_sup * np.abs(g_next)
     else:
-        bound = bound + _abel_remainder_bound(zs, M, ws)
+        bound = bound + _abel_remainder_bound(zs, ws)
     if not scalar:
         return vals, bound
     value = float(vals[0]) if form == "plain" and not np.iscomplexobj(vals) else complex(vals[0])
     return value, float(bound[0])
 
 
-def _abel_remainder_bound(z, M: int, ws: _Workspace):
+def _abel_remainder_bound(z, ws: _Workspace):
     # |sum_{m>=M} nu g| <= sup_{m>=M}|S| * (|g(M)| + total variation of g);
     # g ~ z/(4(2m+1)) past the truncation point, variation comparable to |g|
-    g_edge = np.abs(z) / (4.0 * (2.0 * M + 1.0))
-    return ws.s_sup_beyond(M - 1) * 3.0 * g_edge
+    g_edge = np.abs(z) / (4.0 * (2.0 * ws.depth + 1.0))
+    return ws.s_sup * 3.0 * g_edge
 
 
 def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
@@ -669,14 +658,14 @@ def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
             abel_tail_tol (plain form on the real axis only; elsewhere the
             bound is informational).
     """
-    val, bound = kernel_M_with_bound(z, table, form)
+    ws = _ws(table)
+    val, bound = _kernel_M(z, ws, form)
     worst = float(np.max(bound))
-    tol = config_for_table(table).abel_tail_tol
     # the plain form returns real values exactly when it ran on the real axis
-    if form == "plain" and not np.iscomplexobj(val) and worst > tol:
+    if form == "plain" and not np.iscomplexobj(val) and worst > ws.tol:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: remainder bound {worst:.3e} (> {tol:.1e}) for x={x}",
+            f"kernel_M: remainder bound {worst:.3e} (> {ws.tol:.1e}) for x={x}",
             achieved_bound=worst)
     return val
 
@@ -691,13 +680,12 @@ def kernel_M_prime(x, table: ArithTable):
     xs = np.asarray(x, dtype=np.float64)
     if (xs < 0.0).any():
         raise DomainError(f"kernel_M_prime requires x >= 0, got {xs.min()}")
-    ws, config = _ws(table), config_for_table(table)
-    M = config.n_terms_M
-    vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws, M)
+    ws = _ws(table)
+    vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws)
     # remainder via summation by parts on phi(m) = sig/(2m+1)
-    phi_edge = 0.25 / (2.0 * M + 1.0)
-    bound = float(np.max(3.0 * ws.s_sup_beyond(M - 1) * phi_edge + remainder))
-    if bound > config.abel_tail_tol:
+    phi_edge = 0.25 / (2.0 * ws.depth + 1.0)
+    bound = float(np.max(3.0 * ws.s_sup * phi_edge + remainder))
+    if bound > ws.tol:
         raise TruncationBudgetError(
             f"kernel_M_prime: remainder bound {bound:.3e} above tolerance",
             achieved_bound=bound)

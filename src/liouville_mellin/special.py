@@ -19,6 +19,7 @@ and cap series_terms (128), past which eta raises TruncationBudgetError.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,14 +116,9 @@ def gamma(s: complex) -> complex:
     return math.sqrt(_TWO_PI) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-_borwein_cache: dict[int, tuple[float, ...]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _borwein_coefficients(n: int) -> tuple[float, ...]:
     """Chebyshev-derived weights d_0..d_n of Borwein's eta acceleration."""
-    cached = _borwein_cache.get(n)
-    if cached is not None:
-        return cached
     ds = [1.0]
     term = 1.0
     acc = 1.0
@@ -130,9 +126,7 @@ def _borwein_coefficients(n: int) -> tuple[float, ...]:
         term *= (n + i - 1) * (n - i + 1) * 4.0 / ((2.0 * i) * (2.0 * i - 1.0))
         acc += term
         ds.append(acc)
-    out = tuple(ds)
-    _borwein_cache[n] = out
-    return out
+    return tuple(ds)
 
 
 def zeta_alternating(s: complex) -> complex:

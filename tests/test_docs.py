@@ -35,3 +35,12 @@ def test_readme_quick_start_runs():
     assert len(blocks) == 1
     proc = _run(["-c", blocks[0]])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_environment_overrides_are_the_ones_cli_reads():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"Environment overrides for CI:.*?\n\n", readme, re.S).group(0)
+    documented = set(re.findall(r"`(LIOUMEL_\w+)`", paragraph))
+    cli = (ROOT / "src" / "liouville_mellin" / "cli.py").read_text()
+    read = {f"LIOUMEL_{name}" for name in re.findall(r'_env\("(\w+)"', cli)}
+    assert documented == read and read

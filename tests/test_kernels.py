@@ -9,8 +9,8 @@ from liouville_mellin import (DomainError, PoleError, TruncationBudgetError,
                               build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
-from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _kernel_M_truncated, _tanh_coefficients, _ws,
+from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS, _Workspace,
+                                      _kernel_M, _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound, nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
@@ -373,7 +373,7 @@ def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k):
     _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, form="plain")
     for j, x in enumerate(REAL_X):
         g_edge = 0.5 * float(np.tanh(x / (2.0 * (2.0 * M + 1.0))))
-        abel = 2.0 * ws.s_sup_beyond(M - 1) * abs(g_edge)
+        abel = 2.0 * ws.s_sup * abs(g_edge)
         remainder = _tail_remainder(x, ws, M)
         blocks = _block_remainder(x, ws, _head_end(x, M))
         assert remainder < 1e-20 and blocks < 1e-16
@@ -405,11 +405,10 @@ SHORT_COMPLEX = (1.0 + 1.0j, 2.5 - 1.0j, 0.3 + 2.7j)
 
 
 def test_s_sup_beyond_is_the_suffix_sup(table_100k):
-    ws = _ws(table_100k)
-    S = np.abs(ws.S_odd).tolist()
+    S = np.abs(_ws(table_100k).S_odd).tolist()
     for m in (0, 10, 4_999, 30_000, 50_000):
         want = max(max(S[m + 1:], default=0.0), S_TAIL_BEYOND_TABLE)
-        assert ws.s_sup_beyond(m) == want, m
+        assert _Workspace(table_100k, m + 1).s_sup == want, m
 
 
 def test_short_truncation_within_both_bounds(table_100k):
@@ -417,9 +416,10 @@ def test_short_truncation_within_both_bounds(table_100k):
     # which both remainder bounds must cover; the short truncation reads the
     # sup of |S| past M from the table, not the beyond-table cap alone
     for M in (501, 5_001, 20_001):
+        short = _Workspace(table_100k, M)
         for form in ("half-shifted", "plain"):
             for points in (np.array(SHORT_REAL), np.array(SHORT_COMPLEX)):
-                v_short, b_short = _kernel_M_truncated(points, table_100k, M, form)
+                v_short, b_short = _kernel_M(points, short, form)
                 v_full, b_full = kernel_M_with_bound(points, table_100k, form=form)
                 assert np.all(np.abs(v_short - v_full) <= b_short + b_full), (M, form, points)
 

@@ -36,12 +36,13 @@ def test_theorem1_reports(table_100k):
 
 
 def test_theorem1_checkpoint_values(table_100k):
-    reports = verify_theorem1(table_100k, checkpoints=[1, 2, 3])
+    # the default checkpoints are the powers of two; nu(4) = 0, so S(4) = S(3)
+    reports = verify_theorem1(table_100k)
     vals = {r.inputs["N"]: r.lhs.real for r in reports
             if r.check_id == "theorem1.checkpoint"}
     assert vals[1] == 1.0
     assert vals[2] == 1.0
-    assert vals[3] == pytest.approx(1.0 - (1.0 + 3.0 ** -0.5) / 3.0, abs=1e-15)
+    assert vals[4] == pytest.approx(1.0 - (1.0 + 3.0 ** -0.5) / 3.0, abs=1e-15)
 
 
 def test_identity_group(table_100k):
