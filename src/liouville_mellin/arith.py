@@ -29,6 +29,9 @@ nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
 
 a product of positive factors with no cancellation.  The defining
 convolution above stays an independent check (bounds.convolution).
+
+The cache file (save_table/load_table) streams each array through one
+sha256; its header lengths are checked against limit and the file size.
 """
 
 from __future__ import annotations
@@ -212,51 +215,60 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 
     Layout: magic, one JSON header line (limit, array dtypes/lengths,
     sha256 of the payload), then the raw little-endian array bytes in fixed
-    field order.  Integers round-trip exactly and nu/nu_cumsum bitwise.
+    field order.  Integers round-trip exactly and nu/nu_cumsum bitwise.  The
+    payload is hashed, then written, straight from the arrays.
     """
-    blobs = []
-    meta = []
-    for name, dtype in _CACHE_FIELDS:
-        arr = np.ascontiguousarray(getattr(table, name), dtype=dtype)
-        blobs.append(arr.tobytes())
-        meta.append({"name": name, "dtype": np.dtype(dtype).str, "len": int(arr.shape[0])})
-    payload = b"".join(blobs)
+    arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
+              for name, dtype in _CACHE_FIELDS]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
     header = {
         "limit": table.limit,
-        "fields": meta,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0])}
+                   for (name, _), arr in zip(_CACHE_FIELDS, arrays)],
+        "sha256": digest.hexdigest(),
     }
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(payload)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_table(path: str | os.PathLike) -> ArithTable:
-    """Read a table written by save_table, verifying magic and checksum."""
+    """Read a table written by save_table, verifying magic and checksum.
+
+    Every header length must be limit + 1 and match the file size before
+    anything is allocated; each array is read in place and hashed as it
+    streams in, so the payload is held once.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CACHE_MAGIC:
             raise CacheFormatError(f"bad magic {magic!r} in {path}")
-        try:
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             header = json.loads(fh.readline().decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            limit = int(header["limit"])
+            fields = [(f["name"], f["dtype"], f["len"]) for f in header["fields"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"unreadable header in {path}: {exc}") from exc
-        payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+        expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
+        if [(name, dtype) for name, dtype, _ in fields] != expected:
+            raise CacheFormatError(f"unexpected field layout in {path}")
+        if any(length != limit + 1 for _, _, length in fields):
+            raise CacheFormatError(f"field length is not limit + 1 = {limit + 1} in {path}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != (limit + 1) * sum(np.dtype(dt).itemsize for _, dt in _CACHE_FIELDS):
+            raise CacheFormatError(f"{left} payload bytes disagree with the header in {path}")
+        arrays = {}
+        digest = hashlib.sha256()
+        for name, dtype in _CACHE_FIELDS:
+            arr = np.empty(limit + 1, dtype=dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise CacheFormatError(f"short read of {name} in {path}")
+            digest.update(arr)
+            arrays[name] = arr
+    if digest.hexdigest() != header.get("sha256"):
         raise CacheFormatError(f"checksum mismatch in {path}")
-    expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
-    got = [(f["name"], f["dtype"]) for f in header["fields"]]
-    if got != expected:
-        raise CacheFormatError(f"unexpected field layout in {path}")
-    arrays = {}
-    offset = 0
-    view = memoryview(payload)  # slices share the payload; .copy() is the one copy
-    for f in header["fields"]:
-        dt = np.dtype(f["dtype"])
-        nbytes = dt.itemsize * f["len"]
-        arrays[f["name"]] = np.frombuffer(view[offset:offset + nbytes], dtype=dt).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise CacheFormatError(f"trailing bytes in {path}")
-    return ArithTable(limit=int(header["limit"]), **arrays)
+    return ArithTable(limit=limit, **arrays)

@@ -494,26 +494,23 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     closed-form checks for every generating function."""
     reports = []
     limit = table.limit
-    idx = np.arange(limit + 1, dtype=np.float64)
+    n_odd = np.arange(1, limit + 1, 2, dtype=np.float64)
 
     # beta ratio scan: -1 < beta(n)/sqrt(n) <= 1, equality exactly at odd squares
-    n_odd = idx[1::2]
     ratio = table.beta[1::2] / np.sqrt(n_odd)
     viol = int(np.sum((ratio <= -1.0) | (ratio > 1.0 + 1e-12)))
     reports.append(make_report(
         "bounds.beta-ratio-scan", {"n_max": limit}, float(viol), 0.0, tol_abs=0.0,
         budget={"min_ratio": float(ratio.min()), "max_ratio": float(ratio.max())},
         notes="violations of -1 < beta/sqrt(n) <= 1 over odd n (must be 0)"))
-    roots = np.sqrt(n_odd).astype(np.int64)
-    is_square = roots * roots == n_odd.astype(np.int64)
-    at_one = np.abs(ratio - 1.0) < 1e-12
-    mismatches = int(np.sum(at_one != is_square))
+    is_square = np.sqrt(n_odd).astype(np.int64) ** 2 == n_odd
+    mismatches = int(np.sum((np.abs(ratio - 1.0) < 1e-12) != is_square))
     reports.append(make_report(
         "bounds.beta-ratio-equality", {"n_max": limit}, float(mismatches), 0.0,
         tol_abs=0.0, notes="equality holds exactly at odd perfect squares"))
 
-    # divisor bound on nu: |nu(n)| <= d(n)/n (1e-15 rounding slack)
-    viol = int(np.sum(np.abs(table.nu[1:]) > table.dcount[1:] / idx[1:] + 1e-15))
+    # divisor bound on nu: |nu(n)| <= d(n)/n (1e-15 rounding slack); nu = 0 at even n
+    viol = int(np.sum(np.abs(table.nu[1::2]) > table.dcount[1::2] / n_odd + 1e-15))
     reports.append(make_report(
         "bounds.nu-divisor-scan", {"n_max": limit}, float(viol), 0.0, tol_abs=0.0,
         notes="violations of |nu| <= d(n)/n (must be 0)"))
@@ -525,8 +522,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         contrib = l * table.nu[l]
         if contrib != 0.0:
             conv[l::2 * l] += contrib
-    target = table.beta[1:n_conv + 1:2] / np.sqrt(idx[1:n_conv + 1:2])
-    worst = float(np.abs(conv[1::2] - target).max())
+    worst = float(np.abs(conv[1::2] - ratio[:(n_conv + 1) // 2]).max())
     reports.append(make_report(
         "bounds.convolution", {"n_max": n_conv}, worst, 0.0, tol_abs=1e-12,
         notes="worst |sum_(l|n) l nu(l) - beta(n)/sqrt(n)| over odd n"))
@@ -536,7 +532,9 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         return N ** (1.0 - p) / (p - 1.0) + N ** (-p)
 
     N_l = min(10 ** 6, limit)
-    lhs = float(np.sum(table.liouville[1:N_l + 1] / idx[1:N_l + 1] ** 3))
+    n_l = np.arange(1, N_l + 1, dtype=np.float64)
+    cube = n_l ** 3
+    lhs = float(np.sum(table.liouville[1:N_l + 1] / cube))
     rhs = zeta(6.0) / zeta(3.0)
     reports.append(make_report(
         "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lhs, rhs,
@@ -544,7 +542,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         budget={"analytic_tail": tail_power(N_l, 3.0)},
         notes="table partial sum vs zeta(6)/zeta(3)"))
 
-    lhs = float(np.sum(table.mobius[1:N_l + 1] / idx[1:N_l + 1] ** 3))
+    lhs = float(np.sum(table.mobius[1:N_l + 1] / cube))
     rhs = zeta_mu(3.0)
     reports.append(make_report(
         "bounds.dirichlet-mu", {"s": 3, "N": N_l}, lhs, rhs,
@@ -553,7 +551,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs 1/zeta(3)"))
 
     N_b = min(10 ** 5, limit)
-    lhs = float(np.sum(table.beta[1:N_b + 1:2] / idx[1:N_b + 1:2] ** 3))
+    lhs = float(np.sum(table.beta[1:N_b + 1:2] / n_odd[:(N_b + 1) // 2] ** 3))
     rhs = zeta_beta(3.0)
     tail_b = 1.5 * N_b ** -1.5  # sum_{n>N} sqrt(n)/n^3 <= int + edge
     reports.append(make_report(
@@ -561,7 +559,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         budget={"analytic_tail": tail_b},
         notes="odd-n partial sum vs zeta_imp(5)/zeta_imp(3)"))
 
-    lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1] ** 3))
+    lhs = float(np.sum(table.nu[1:N_l + 1] / cube))
+    del cube
     rhs = zeta_nu(3.0)
     tail_nu = 2.0 * (math.log(N_l) + 2.0) / N_l ** 3 + 2e-14
     reports.append(make_report(
@@ -571,7 +570,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_beta(4.5)/zeta_imp(4)"))
 
     # nu at s = 1, remainder bounded by summation by parts
-    lhs = float(np.sum(table.nu[1:N_l + 1] / idx[1:N_l + 1]))
+    lhs = float(np.sum(table.nu[1:N_l + 1] / n_l))
+    del n_l
     rhs = zeta_nu(1.0)
     s_sup = float(np.abs(table.nu_cumsum[N_l:]).max())
     tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
@@ -581,21 +581,20 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_nu(1)"))
 
     # absolute beta sums stay under the squarefree-times-square double sum
-    n_odd_f = idx[1::2]
-    partial = np.cumsum(np.abs(table.beta[1::2]) / n_odd_f ** 1.5)
+    partial_max = float(np.cumsum(np.abs(table.beta[1::2]) / n_odd ** 1.5).max())
     cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(
-        "bounds.beta-abs-partial", {"n_max": limit}, float(partial.max()), cap,
-        passed=bool(partial.max() < cap),
+        "bounds.beta-abs-partial", {"n_max": limit}, partial_max, cap,
+        passed=bool(partial_max < cap),
         budget={"cap": cap},
         notes="running sums of |beta| n^-3/2 vs zeta(3/2) zeta(2)"))
 
-    # Newman trend: dyadic partial sums of mu(2n+1)/(2n+1) drift toward 0
-    terms = np.zeros(limit + 1)
-    terms[1::2] = table.mobius[1::2] / idx[1::2]
-    cums = np.cumsum(terms)
-    early = [abs(cums[2 ** k]) for k in range(8, 13) if 2 ** k <= limit]
-    late = [abs(cums[2 ** k]) for k in range(16, 22) if 2 ** k <= limit]
+    # Newman trend: dyadic partial sums of mu(2n+1)/(2n+1) drift toward 0;
+    # cums[j] sums the odd n <= 2j + 1, so n <= 2^k ends at j = 2^(k-1) - 1
+    cums = np.cumsum(table.mobius[1::2] / n_odd)
+    early = [abs(cums[2 ** (k - 1) - 1]) for k in range(8, 13) if 2 ** k <= limit]
+    late = [abs(cums[2 ** (k - 1) - 1]) for k in range(16, 22) if 2 ** k <= limit]
+    del cums
     if early and late:
         reports.append(make_report(
             "bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."},
@@ -606,6 +605,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     # second form of the alpha/beta equation at s = -1.25: truncated series
     s = -1.25
     series = float(np.sum(ratio * (math.pi * n_odd) ** (s - 0.5)))
+    del ratio
     target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
     tail = math.pi ** (s - 0.5) * n_odd[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
@@ -618,12 +618,13 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     # dominated-convergence inequality behind the sum/integral swap, sigma = -1
     sigma = -1.0
     rhs_int = -integrate_gamma_zeta_a(complex(sigma + 0.5)).value.real
-    per_term = np.abs(table.beta[1::2]) * math.sqrt(2.0) / math.sqrt(math.pi) / n_odd_f ** 2
-    csum = np.cumsum(per_term)
     for N in (10 ** 3, 10 ** 4):
         if N > limit:
             continue
-        lhs_sum = float(csum[(N - 1) // 2])
+        terms = (N + 1) // 2  # odd n <= N
+        per_term = (np.abs(table.beta[1:N + 1:2]) * math.sqrt(2.0) / math.sqrt(math.pi)
+                    / n_odd[:terms] ** 2)
+        lhs_sum = float(np.cumsum(per_term)[-1])
         reports.append(make_report(
             "bounds.swap-dominated", {"sigma": sigma, "N": N}, lhs_sum, rhs_int,
             passed=bool(lhs_sum < rhs_int),

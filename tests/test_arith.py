@@ -1,12 +1,17 @@
 """Sieve tables against brute-force oracles, invariants, and the cache file."""
 
 import hashlib
+import json
 import math
+import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, InvalidArgumentError, RangeError,
+from liouville_mellin import (CacheFormatError, DomainError,
+                              InvalidArgumentError, RangeError,
                               beta_value, build_table, divisor_count,
                               liouville, load_table, mobius, nu_partial_sum,
                               nu_value, save_table, sqfree_square_split)
@@ -186,3 +191,77 @@ def test_cache_rejects_corruption(table_small, tmp_path):
     path.write_bytes(b"NOTMAGIC\n{}\n")
     with pytest.raises(CacheFormatError):
         load_table(path)
+
+
+def _saved_parts(table, path):
+    """Save `table` to `path` and split the file into (header dict, payload)."""
+    save_table(table, path)
+    _, header, payload = path.read_bytes().split(b"\n", 2)
+    return json.loads(header), payload
+
+
+def _write_cache(path, header, payload, rehash=False):
+    if rehash:
+        header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(CACHE_MAGIC + b"\n"
+                     + json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
+
+
+def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
+    # the sha covers the payload only, so both headers below carry a valid one
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    _write_cache(path, dict(header, limit=10), payload)
+    with pytest.raises(CacheFormatError, match="field length"):
+        load_table(path)
+    fields = [dict(f) for f in header["fields"]]
+    fields[0]["len"] -= 1  # spf, int32: 4 bytes fewer
+    fields[1]["len"] += 4  # liouville, int8: 4 bytes more
+    _write_cache(path, dict(header, fields=fields), payload)
+    with pytest.raises(CacheFormatError, match="field length"):
+        load_table(path)
+
+
+def test_cache_rejects_truncated_or_trailing_payload(table_small, tmp_path):
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    for bad in (payload[:-1], payload[:-8], payload + bytes(8)):
+        _write_cache(path, header, bad, rehash=True)
+        with pytest.raises(CacheFormatError, match="payload bytes"):
+            load_table(path)
+
+
+def test_cache_rejects_short_read(table_small, tmp_path, monkeypatch):
+    # the file loses its last 8 bytes after its size was taken
+    path = tmp_path / "arith.bin"
+    save_table(table_small, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(CacheFormatError, match="short read"):
+        load_table(path)
+
+
+def test_saved_bytes_pinned(table_small, tmp_path):
+    # sha256 of the whole cache file for build_table(3001), recorded when
+    # save_table still joined the array bytes into one payload
+    path = tmp_path / "arith.bin"
+    save_table(table_small, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "bc07e33b2ee27da76dde072c3ba6aaf923ba7561c7ce2220a7fe17ea398f40ad")
+
+
+def test_load_table_holds_the_payload_once(table_100k, tmp_path):
+    path = tmp_path / "arith.bin"
+    save_table(table_100k, path)
+    array_bytes = sum(v.nbytes for v in vars(table_100k).values()
+                      if isinstance(v, np.ndarray))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        load_table(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * array_bytes, peak / array_bytes

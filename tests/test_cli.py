@@ -66,6 +66,17 @@ def test_sieve_writes_cache(cache_env, capsys):
     assert (cache_env / "cache" / "arith_5001.bin").exists()
 
 
+def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
+    path = cache_env / "cache" / "arith_3001.bin"
+    assert main(["sieve", "--limit", "3001"]) == 0
+    fresh = path.read_bytes()
+    path.write_bytes(fresh[:-100])
+    capsys.readouterr()
+    assert main(["sieve", "--limit", "3001"]) == 0
+    assert "unusable" in capsys.readouterr().err
+    assert path.read_bytes() == fresh
+
+
 def test_default_limit_shared_by_sieve_and_verify(cache_env, capsys, monkeypatch):
     # a bare `sieve` warms the very table a bare `verify` reads
     monkeypatch.delenv("LIOUMEL_LIMIT", raising=False)

@@ -1,6 +1,9 @@
 """Harness behavior on a mid-sized table: structure, determinism, coverage."""
 
 import json
+import tracemalloc
+
+import numpy as np
 
 import pytest
 
@@ -93,6 +96,66 @@ def test_bounds_group(table_100k):
                    "bounds.convolution", "bounds.newman-trend",
                    "bounds.second-form", "bounds.swap-dominated"):
         assert expect in ids, expect
+
+
+# (check_id, inputs, lhs, rhs, abs_err, budget) of every bounds row at
+# limit 100_001, recorded before verify_bounds shared its arrays across checks
+BOUNDS_PINS_100K = [
+    ("bounds.beta-abs-partial", {"n_max": 100001}, 1.9692848639623333 + 0j,
+     4.297185206447275 + 0j, 2.327900342484942, {"cap": 4.297185206447275}),
+    ("bounds.beta-ratio-equality", {"n_max": 100001}, 0j, 0j, 0.0, {"tol_abs": 0.0}),
+    ("bounds.beta-ratio-scan", {"n_max": 100001}, 0j, 0j, 0.0,
+     {"min_ratio": -0.5773502691896258, "max_ratio": 1.0, "tol_abs": 0.0}),
+    ("bounds.convolution", {"n_max": 10000}, 1.8735013540549517e-15 + 0j, 0j,
+     1.8735013540549517e-15, {"tol_abs": 1e-12}),
+    ("bounds.dirichlet-beta", {"s": 3, "N": 100000}, 0.955052256230813 + 0j,
+     0.9550522562306182 + 0j, 1.9484414082171497e-13,
+     {"analytic_tail": 4.743416490252569e-08, "tol_abs": 4.743416490252569e-08}),
+    ("bounds.dirichlet-lambda", {"s": 3, "N": 100001}, 0.8463351937086586 + 0j,
+     0.8463351937086945 + 0j, 3.5860203695392556e-14,
+     {"analytic_tail": 4.99999999850004e-11, "tol_abs": 4.99999999850004e-11}),
+    ("bounds.dirichlet-mu", {"s": 3, "N": 100001}, 0.8319073725806563 + 0j,
+     0.8319073725807077 + 0j, 5.140332604014475e-14,
+     {"analytic_tail": 4.99999999850004e-11, "tol_abs": 4.99999999850004e-11}),
+    ("bounds.dirichlet-nu", {"s": 3, "N": 100001}, 0.9777715988856751 + 0j,
+     0.9777715988856759 + 0j, 7.771561172376096e-16,
+     {"analytic_tail": 4.7025060169927817e-14,
+      "note": "d(n)/n^4 tail plus double-precision allowance",
+      "tol_abs": 4.7025060169927817e-14}),
+    ("bounds.dirichlet-nu-s1", {"s": 1, "N": 100001}, 0.7447564796542109 + 0j,
+     0.7447564810757852 + 0j, 1.4215743027179428e-09,
+     {"abel_tail": 1.079989200107999e-08, "tail_kind": "empirical S envelope",
+      "tol_abs": 1.079989200107999e-08}),
+    ("bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."},
+     0.000411902821066646 + 0j, 0.014334880019169771 + 0j, 0.013922977198103125, {}),
+    ("bounds.nu-divisor-scan", {"n_max": 100001}, 0j, 0j, 0.0, {"tol_abs": 0.0}),
+    ("bounds.second-form", {"s": -1.25, "terms": 50001}, 0.12014319892055798 + 0j,
+     0.12014319877165908 + 0j, 1.4889890709302023e-10,
+     {"analytic_tail": 1.59916474399587e-05, "tol_abs": 1.59916474399587e-05}),
+    ("bounds.swap-dominated", {"sigma": -1.0, "N": 1000}, 1.0193664098143014 + 0j,
+     1.3474364777155077 + 0j, 0.3280700679012063, {}),
+    ("bounds.swap-dominated", {"sigma": -1.0, "N": 10000}, 1.0202438022688674 + 0j,
+     1.3474364777155077 + 0j, 0.3271926754466403, {}),
+]
+
+
+def test_bounds_rows_reproduce_recorded_values(table_100k):
+    rows = [repr((r.check_id, r.inputs, r.lhs, r.rhs, r.abs_err, r.budget))
+            for r in verify_bounds(table_100k)]
+    assert rows == [repr(pin) for pin in BOUNDS_PINS_100K]
+
+
+def test_bounds_scan_allocates_under_the_table_size(table_main):
+    array_bytes = sum(v.nbytes for v in vars(table_main).values()
+                      if isinstance(v, np.ndarray))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verify_bounds(table_main)
+        extra = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert extra <= 0.8 * array_bytes, extra / array_bytes
 
 
 def test_theorem2_smoke(table_100k):
