@@ -253,6 +253,8 @@ def load_table(path: str | os.PathLike) -> ArithTable:
             fields = [(f["name"], f["dtype"], f["len"]) for f in header["fields"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"unreadable header in {path}: {exc}") from exc
+        if limit < 1:
+            raise CacheFormatError(f"limit {limit} < 1 in {path}")
         expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
         if [(name, dtype) for name, dtype, _ in fields] != expected:
             raise CacheFormatError(f"unexpected field layout in {path}")

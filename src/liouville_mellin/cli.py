@@ -33,9 +33,9 @@ from pathlib import Path
 
 from . import __version__
 from .arith import ArithTable, build_table, load_table, save_table
-from .errors import InvalidArgumentError, LiouvilleMellinError
-from .kernels import (config_for_table, kernel_M, kernel_M_prime, kernel_N,
-                      kernel_N_series)
+from .errors import CacheFormatError, InvalidArgumentError, LiouvilleMellinError
+from .kernels import (config_for_table, kernel_M_prime, kernel_M_with_bound,
+                      kernel_N_series, kernel_N_with_bound)
 from .quadrature import DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT, TAIL_STOP_REL
 from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
 from .verify import GRID_GROUPS, GROUPS, list_checks, run_group, theorem2_max_x
@@ -169,7 +169,10 @@ def acquire_table(limit: int, cache_dir: Path, rebuild: bool = False) -> ArithTa
     path = cache_dir / f"arith_{limit}.bin"
     if path.exists() and not rebuild:
         try:
-            return load_table(path)
+            table = load_table(path)
+            if table.limit != limit:
+                raise CacheFormatError(f"holds limit {table.limit}")
+            return table
         except LiouvilleMellinError as exc:
             print(f"cache {path} unusable ({exc}); rebuilding", file=sys.stderr)
     print(f"sieving to {limit} ...", file=sys.stderr)
@@ -270,17 +273,20 @@ def _dispatch(args) -> int:
         if args.name == "Mprime" and (args.z.imag != 0.0 or args.z.real < 0.0):
             print("error: Mprime takes a real nonnegative --z", file=sys.stderr)
             return 2
+        bound = None
         if args.name == "series":  # needs no table
             value = kernel_N_series(args.z)
         else:
             table = acquire_table(_limit(args), args.cache_dir or _default_cache_dir())
             if args.name == "N":
-                value = kernel_N(args.z, table)
+                value, bound = kernel_N_with_bound(args.z, table)
             elif args.name == "M":
-                value = kernel_M(args.z, table, form=args.form)
+                value, bound = kernel_M_with_bound(args.z, table, form=args.form)
             else:
                 value = kernel_M_prime(args.z.real, table)
         print(format_complex(complex(value)))
+        if bound is not None:
+            print(f"bound={bound!r}", file=sys.stderr)
         return 0
 
     if args.command == "verify":

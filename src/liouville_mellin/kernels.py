@@ -42,9 +42,9 @@ the same truncation it is the half-shifted sum plus one boundary term,
 
 with S the cached partial sums of nu; summation by parts bounds its
 remainder by sup_{m>=M} |S(2m+1)| times the variation of the kernel beyond M.
-On the real axis every M head past its first _HEAD_PREFIX terms comes from
-per-block Taylor moments (_HeadBlocks), so a node costs O(log |x|).  Complex
-arguments keep the direct head, since a pole may fall inside a block's disc.
+On the real axis every head (N, M, M') past its first _HEAD_PREFIX terms is
+interpolated per block (_HeadBlocks), so a node costs O(log |x|); complex
+arguments keep the direct head, as a pole may lie inside a block's ellipse.
 
 The sup factor is the largest |S| the table holds past the depth, floored by
 the frozen S_TAIL_BEYOND_TABLE for what lies beyond the table.  That cap is
@@ -170,10 +170,15 @@ def fermi_deficit(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _TAYLOR_TERMS = 14   # series terms of phi used on the tail, where |z/n| <= 1/2
-_HEAD_PREFIX = 32    # real M head terms summed directly, before the blocks
-_BLOCK_TERMS = 28    # Taylor terms of tanh(u/2)/2 per block of the real M head
+_HEAD_PREFIX = 32    # real head terms summed directly, before the blocks
+_CHEB = 20           # Chebyshev points per block of a real head
 _BLOCKS_PER_OCTAVE = 3
 _K2 = np.array([2.0 * k for k in range(_TAYLOR_TERMS)])
+# first-kind points tau_j = cos(theta_j); S[k, j] = (2 - [k=0])/K T_k(tau_j)
+_THETA = [(j + 0.5) * math.pi / _CHEB for j in range(_CHEB)]
+_TAU = np.array([math.cos(t) for t in _THETA])
+_CHEB_S = np.array([[(2 - (k == 0)) / _CHEB * math.cos(k * t) for t in _THETA]
+                    for k in range(_CHEB)])
 
 
 def _tanh_coefficients(order: int) -> np.ndarray:
@@ -195,8 +200,8 @@ class _Form:
 
     w_m = v_m n_m^-q, where v is the workspace array named by `weights`, and
     phi(u) = sum_k coef[k] u^(p0+2k) for |u| < pi.  head(z, n) * outer(z)
-    evaluates phi(z/n) n^-q directly; a head sum is multiplied by outer(z)
-    once, after summation.
+    is phi(z/n) n^-q, outer applied once per head sum; majorant(u0, w0)
+    bounds it on a head block (_HeadBlocks).
     """
 
     weights: str
@@ -204,7 +209,8 @@ class _Form:
     p0: int
     coef: np.ndarray
     head: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    outer: Callable[[np.ndarray], np.ndarray] | None = None
+    majorant: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    outer: Callable[[np.ndarray], np.ndarray] = lambda z: 1.0
 
     def remainder(self, r: np.ndarray) -> np.ndarray:
         """Bound on |phi(u) - first _TAYLOR_TERMS series terms| for |u| <= r < pi.
@@ -239,12 +245,13 @@ _TANH = _tanh_coefficients(_TAYLOR_TERMS)
 # N: w = beta/n^(3/2), phi(u) = 2u/(u^2 + pi^2) = sum_k 2 (-1)^k pi^-(2k+2) u^(2k+1)
 _FORM_N = _Form("coef_N", 1, 1, np.array([2.0 * (-1.0) ** k * math.pi ** -(2 * k + 2)
                                           for k in range(_TAYLOR_TERMS)]),
-                _head_N, lambda z: 2.0 * z)
+                _head_N, lambda u0, w0: 18.0 * w0 / np.abs(u0), lambda z: 2.0 * z)
 # half-shifted M: w = nu, phi(u) = tanh(u/2)/2
-_FORM_M = _Form("nu_odd", 0, 1, _TANH, _head_M)
+_FORM_M = _Form("nu_odd", 0, 1, _TANH, _head_M, lambda u0, w0: 0.5 / np.tanh(0.25 * np.abs(u0)))
 # M': w = nu/n, phi(u) = sech^2(u/2)/4 = sum_k (2k+1) c_k u^(2k)
 _FORM_M_PRIME = _Form("nu_odd", 1, 0, np.array([(2 * k + 1) * c for k, c in enumerate(_TANH)]),
-                      _head_M_prime)
+                      _head_M_prime,
+                      lambda u0, w0: 0.375 * w0 * (1.0 + np.tanh(0.25 * np.abs(u0)) ** -2))
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +320,29 @@ class _Moments:
 
 
 class _HeadBlocks:
-    """Taylor moments of nu over the blocks of the real M head.
+    """Chebyshev weights of one weight array v over the blocks of a real head.
 
-    The blocks tile [_HEAD_PREFIX, end): _BLOCKS_PER_OCTAVE geometric
-    blocks per octave of m.  Their edges include every power of two and end,
-    so each head, which ends on a moment breakpoint, ends on a block edge.
-    On block B, 1/n = w0 + delta tau with tau in [-1, 1], and
+    The blocks tile [_HEAD_PREFIX, end), _BLOCKS_PER_OCTAVE geometric ones
+    per octave of m, with an edge at every power of two and at end, so each
+    head, which ends on a moment breakpoint, ends on a block edge.  On block
+    B, 1/n = w0 + delta tau with tau in [-1, 1].  The block's term f(tau)
+    (head, times outer) interpolated at the _CHEB points tau_j sums to
+    sum_j W[B, j] f(tau_j), W[B] = C[B] S with C[B, k] = sum_B v_m T_k(tau_m);
+    W and abs_sum[B] = sum_B |v_m| are built for the blocks a call reaches.
 
-        mu[B, k]   = sum_B nu_m tau_m^k,  k < _BLOCK_TERMS,
-        abs_sum[B] = sum_B |nu_m|,
-
-    computed for the blocks a call reaches and kept for later calls.  With
-    g(x/n) = sum_k b_k tau^k around u0 = x w0, g(u) = tanh(u/2)/2 (b_k from
-    the Riccati equation g' = 1/4 - g^2), the block sums to
-    sum_k b_k mu[B, k].  |tanh(w)| <= coth(Re w) and the poles of g lie on
-    the imaginary axis, so |g| <= coth(|u0|/4)/2 on the disc
-    |u - u0| <= |u0|/2, and Cauchy's estimate bounds the terms k >= K by
-    coth(|u0|/4)/2 rho^K/(1 - rho) abs_sum[B], rho = 2 delta/w0 < 0.231,
-    so rho^K/(1 - rho) < 1.8e-18.
+    On the Bernstein ellipse in tau with real semi-axis w0/(2 delta),
+    u = x/n keeps |Re u| >= |u0|/2 and |u| <= 1.5|u0| (u0 = x w0), and
+    1/|n| <= 1.5 w0.  There form.majorant bounds |f|, as every pole lies on
+    the imaginary axis: coth(|u0|/4)/2 for M, since |tanh w| <= coth|Re w|;
+    1.5 w0 (1 + coth^2(|u0|/4))/4 for M', from g' = 1/4 - g^2; 18 w0/|u0|
+    for N, since |u -/+ i pi| >= |Re u|.  With first-kind aliasing a block's
+    error is below 4 q^K/(1 - q) < 1.1e-18 times the majorant and abs_sum[B],
+    q = r/(1 + sqrt(1 - r^2)) with r = 2 delta/w0 < 0.231 (Trefethen,
+    Approximation Theory and Approximation Practice, Thms 8.1-8.2).
     """
 
-    def __init__(self, end: int, n_odd: np.ndarray, nu: np.ndarray):
-        self.n_odd, self.nu = n_odd, nu
+    def __init__(self, end: int, n_odd: np.ndarray, v: np.ndarray):
+        self.n_odd, self.v = n_odd, v
         geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
                      for j in range(_HEAD_PREFIX.bit_length() - 1, end.bit_length())
                      for i in range(_BLOCKS_PER_OCTAVE)}
@@ -344,61 +352,56 @@ class _HeadBlocks:
         inv_last = 1.0 / (2.0 * self.edges[1:] - 1.0)
         self.w0 = 0.5 * (inv_first + inv_last)
         self.delta = 0.5 * (inv_first - inv_last)
-        rho = 2.0 * self.delta / self.w0  # Taylor radius over the Cauchy radius |u0|/2
-        self.cauchy = rho ** _BLOCK_TERMS / (1.0 - rho)
-        self.mu = np.zeros((0, _BLOCK_TERMS))
+        r = 2.0 * self.delta / self.w0
+        q = r / (1.0 + np.sqrt(1.0 - r * r))  # 1/rho of the ellipse
+        self.alias = 4.0 * q ** _CHEB / (1.0 - q)
+        self.W = np.zeros((0, _CHEB))
         self.abs_sum = np.zeros(0)
 
     def _extend(self, count: int) -> None:
         done = len(self.abs_sum)
         if count <= done:
             return
-        mu = np.zeros((count - done, _BLOCK_TERMS))
+        C = np.zeros((count - done, _CHEB))
         abs_sum = np.zeros(count - done)
         for j, B in enumerate(range(done, count)):
             lo, hi = int(self.edges[B]), int(self.edges[B + 1])
-            tau = (1.0 / self.n_odd[lo:hi] - self.w0[B]) / self.delta[B] if hi - lo > 1 else 0.0
-            term = self.nu[lo:hi].copy()
-            for k in range(_BLOCK_TERMS):
-                mu[j, k] = term.sum()
-                term *= tau
-            abs_sum[j] = np.abs(self.nu[lo:hi]).sum()
-        self.mu = np.vstack([self.mu, mu])
+            v = self.v[lo:hi]
+            # tau is 0/1 on a one-term block, where delta = 0
+            tau = (1.0 / self.n_odd[lo:hi] - self.w0[B]) / (self.delta[B] or 1.0)
+            t_prev, t = tau, np.ones(hi - lo)  # T_-1 = T_1 starts the recurrence
+            for k in range(_CHEB):
+                C[j, k] = v @ t
+                t_prev, t = t, 2.0 * tau * t - t_prev
+            abs_sum[j] = np.abs(v).sum()
+        self.W = np.vstack([self.W, C @ _CHEB_S])
         self.abs_sum = np.concatenate([self.abs_sum, abs_sum])
 
-    def head(self, x: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{_HEAD_PREFIX <= m < heads[j]} nu_m g(x_j/n_m) per point, and
-        the bound on the discarded Taylor terms; each head is a block edge."""
+    def head(self, form: _Form, x: np.ndarray, heads: np.ndarray):
+        """sum_{_HEAD_PREFIX <= m < heads[j]} w_m phi(x_j/n_m) per point, and
+        the bound on the interpolation error; each head is a block edge."""
         count = np.searchsorted(self.edges, heads)
         self._extend(int(count.max(initial=0)))
-        vals = np.zeros(len(x))
-        bounds = np.zeros(len(x))
-        rows = max(1, _CHUNK // (_BLOCK_TERMS * max(1, len(self.abs_sum))))
+        vals, bounds = np.zeros((2, len(x)))
+        rows = max(1, _CHUNK // (_CHEB * max(1, len(self.abs_sum))))
         for a in range(0, len(x), rows):
             c = count[a:a + rows]
             node = np.repeat(np.arange(a, a + len(c)), c)
             block = np.arange(len(node)) - np.repeat(np.cumsum(c) - c, c)
-            u0 = x[node] * self.w0[block]
-            step = x[node] * self.delta[block]
-            # scaled Taylor coefficients b_k = g^(k)(u0) step^k / k! from
-            # g' = 1/4 - g^2: (k+1) b_(k+1) = step ([k=0]/4 - sum_i b_i b_(k-i))
-            b = np.empty((_BLOCK_TERMS, len(node)))
-            b[0] = _head_M(u0, 1.0)
-            for k in range(_BLOCK_TERMS - 1):
-                b[k + 1] = step * ((k == 0) / 4.0
-                                   - np.einsum("ip,ip->p", b[:k + 1], b[k::-1])) / (k + 1)
-            sums = np.einsum("kp,pk->p", b, self.mu[block])
-            sup_g = 0.5 / np.tanh(0.25 * np.abs(u0))
+            xp, w0 = x[node], self.w0[block]
+            f = form.head(xp[:, None], 1.0 / (w0[:, None] + self.delta[block, None] * _TAU))
+            f = form.outer(xp[:, None]) * f
+            sums = np.einsum("pj,pj->p", f, self.W[block])
+            bound = form.majorant(xp * w0, w0) * self.alias[block] * self.abs_sum[block]
             vals[a:a + len(c)] = np.bincount(node - a, sums, len(c))
-            bounds[a:a + len(c)] = np.bincount(
-                node - a, sup_g * self.cauchy[block] * self.abs_sum[block], len(c))
+            bounds[a:a + len(c)] = np.bincount(node - a, bound, len(c))
         return vals, bounds
 
 
 class _Workspace:
     """The table's one truncation of the kernel sums: odd-index views, the
     depth and tolerance of config_for_table (or a shorter depth), sup |S|
-    past the depth, the tail moments and the real M head blocks."""
+    past the depth, and each weight array's tail moments and head blocks."""
 
     def __init__(self, table: ArithTable, depth: int | None = None):
         config = config_for_table(table)
@@ -412,15 +415,16 @@ class _Workspace:
         # beyond-table cap
         self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
                          S_TAIL_BEYOND_TABLE)
-        self._moments: dict[str, _Moments] = {}
-        self.head_blocks = _HeadBlocks(self.depth, self.n_odd, self.nu_odd)
+        self._moments: dict[str, tuple[_Moments, _HeadBlocks]] = {}
 
-    def moments(self, form: _Form) -> _Moments:
-        """Tail moments of form's weights, built on first use.  The forms on
-        one weight array share the exponent q + p0 (M and M' on nu both 1)."""
+    def moments(self, form: _Form) -> tuple[_Moments, _HeadBlocks]:
+        """Tail moments and head blocks of form's weights, built on first use;
+        M and M' share nu's, as they share the exponent q + p0 = 1."""
         if form.weights not in self._moments:
-            self._moments[form.weights] = _Moments(
-                self.n_odd, getattr(self, form.weights), form.q + form.p0, self.depth)
+            v = getattr(self, form.weights)
+            self._moments[form.weights] = (
+                _Moments(self.n_odd, v, form.q + form.p0, self.depth),
+                _HeadBlocks(self.depth, self.n_odd, v))
         return self._moments[form.weights]
 
 
@@ -463,23 +467,19 @@ def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
 
 def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """sum_{m<depth} w_m phi(z/n_m) per point: head plus moment tail, and the
-    bound on the discarded series.  The head is summed directly, except that
-    the M form on the real axis takes all but its first _HEAD_PREFIX terms
-    from block moments."""
-    mom = ws.moments(form)
+    bound on the discarded series.  On the real axis the head past its first
+    _HEAD_PREFIX terms comes from the blocks, elsewhere it is summed directly."""
+    mom, blocks = ws.moments(form)
     i = mom.index(z)
     heads = mom.breaks[i]
     tail, remainder = mom.tail(form, z, i)
-    blocked = (form is _FORM_M and not np.iscomplexobj(z)
-               and heads.max(initial=0) > _HEAD_PREFIX)
+    blocked = not np.iscomplexobj(z) and heads.max(initial=0) > _HEAD_PREFIX
     direct = np.minimum(heads, _HEAD_PREFIX) if blocked else heads
     head = _head_sum(form.head, z, direct, getattr(ws, form.weights), ws.n_odd)
+    head = form.outer(z) * head
     if blocked:
-        blocks, block_bound = ws.head_blocks.head(z, heads)
-        head = head + blocks
-        remainder = remainder + block_bound
-    if form.outer is not None:
-        head = form.outer(z) * head
+        block_sum, block_bound = blocks.head(form, z, heads)
+        head, remainder = head + block_sum, remainder + block_bound
     return head + tail, remainder
 
 
@@ -493,8 +493,8 @@ def kernel_N_with_bound(z, table: ArithTable):
     The tail uses |beta(2m+1)|/sqrt(2m+1) <= 1:
         |tail| <= |2z| sum_{m>M} 1/|z^2 + pi^2 (2m+1)^2|,
     with |z^2 + pi^2 n^2| >= pi^2 n^2 (1 - (|z|/(pi(2M+1)))^2) past the
-    truncation off the axis; the bound also carries the Taylor remainder of
-    the tail.  A scalar z gives (complex, float), an array z two arrays.
+    truncation off the axis, plus the remainders of the tail series and the
+    head blocks.  A scalar z gives (complex, float), an array z two arrays.
 
     Raises:
         TruncationBudgetError: complex |z| > 0.866 pi (2M+1), where the first
@@ -592,7 +592,7 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable):
         form, slope = _FORM_N, _N_tail_bound(1.0, ws.depth)
     else:
         form, slope = _FORM_M, float(_abel_remainder_bound(1.0, ws))
-    mom = ws.moments(form)
+    mom = ws.moments(form)[0]
     order = form.p0 + 2 * _TAYLOR_TERMS
     v0 = abs(float(getattr(ws, form.weights)[0]))
     weight = v0 + 3.0 ** -(form.q + order) * (mom.abs_sum[0] - v0)
@@ -614,7 +614,7 @@ def kernel_M_with_bound(z, table: ArithTable, form: str = "half-shifted"):
         minus S(2M-1) g(z/(2M+1)).  Its remainder bound is
         2 sup|S| |g(z/(2M+1))| on the real axis, where g is monotone in m,
         and the half-shifted form's bound off it.
-    Both bounds carry sup|S| past M (the workspace's s_sup) and the Taylor
+    Both bounds carry sup|S| past M (the workspace's s_sup) and the
     remainders of the moment tail and head blocks; abel_tail_tol plays no
     part here, only kernel_M checks the bound against it.  A scalar z gives
     (value, float), the value real for the plain form on the real axis and
@@ -673,9 +673,9 @@ def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
 def kernel_M_prime(x, table: ArithTable):
     """Termwise derivative sum_m nu(2m+1)/(2m+1) e^w/(e^w+1)^2, w = x/(2m+1).
 
-    Absolutely convergent; each head term is evaluated in the overflow-safe
-    form e^(-w)/(1+e^(-w))^2, the tail from the sech^2 power series.  A
-    scalar x gives a float, an array x an array.
+    Absolutely convergent; the head terms, direct or at block nodes, take the
+    overflow-safe form e^(-w)/(1+e^(-w))^2, the tail the sech^2 power
+    series.  A scalar x gives a float, an array x an array.
     """
     xs = np.asarray(x, dtype=np.float64)
     if (xs < 0.0).any():

@@ -236,13 +236,13 @@ def verify_identity_MN(table: ArithTable,
     # Fermi power series at |z| = 1: 1/2 - fermi(z) = 2 sum (-1)^k z^(2k+1)
     # pi^-(2k+2) zeta_imp(2k+2); remaining terms are below double precision,
     # so the tolerance is a rounding allowance.
+    ks = np.arange(SERIES_ORDER_K + 1)
+    coeffs = np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
+                       * zeta_imp(2 * k + 2.0).real for k in ks])
+    trunc = 2.0 * math.pi ** (-(2 * SERIES_ORDER_K + 4))
     for z in (1.0, 1j, (0.6 + 0.8j)):
         z = complex(z)
-        ks = np.arange(SERIES_ORDER_K + 1)
-        coeffs = np.array([2.0 * (-1.0) ** k * math.pi ** (-(2 * k + 2))
-                           * zeta_imp(2 * k + 2.0).real for k in ks])
         series = complex(np.sum(coeffs * z ** (2 * ks + 1)))
-        trunc = 2.0 * math.pi ** (-(2 * SERIES_ORDER_K + 4))
         reports.append(make_report(
             "identity.fermi-power-series", {"z": str(z)},
             fermi_deficit(z), series, tol_abs=trunc + 5e-14,

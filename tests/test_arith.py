@@ -222,6 +222,17 @@ def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
         load_table(path)
 
 
+def test_cache_rejects_limit_below_one(table_small, tmp_path):
+    # a self-consistent header and payload for limit 0, which build_table refuses
+    path = tmp_path / "arith.bin"
+    header, _ = _saved_parts(table_small, path)
+    fields = [dict(f, len=1) for f in header["fields"]]
+    payload = b"".join(getattr(table_small, f["name"])[:1].tobytes() for f in fields)
+    _write_cache(path, dict(header, limit=0, fields=fields), payload, rehash=True)
+    with pytest.raises(CacheFormatError, match="limit 0"):
+        load_table(path)
+
+
 def test_cache_rejects_truncated_or_trailing_payload(table_small, tmp_path):
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from liouville_mellin import kernel_N_series
+from liouville_mellin import build_table, kernel_N_series, save_table
 from liouville_mellin.cli import (RunManifest, format_complex, main,
                                   parse_complex, read_report_file)
+from liouville_mellin.kernels import kernel_M_with_bound
 
 
 @pytest.fixture
@@ -74,6 +75,19 @@ def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
     capsys.readouterr()
     assert main(["sieve", "--limit", "3001"]) == 0
     assert "unusable" in capsys.readouterr().err
+    assert path.read_bytes() == fresh
+
+
+def test_sieve_rebuilds_a_cache_of_another_limit(cache_env, capsys):
+    # a valid table of limit 3001 under the name of limit 5001
+    path = cache_env / "cache" / "arith_5001.bin"
+    assert main(["sieve", "--limit", "5001"]) == 0
+    fresh = path.read_bytes()
+    save_table(build_table(3001), path)
+    capsys.readouterr()
+    assert main(["sieve", "--limit", "5001"]) == 0
+    out, err = capsys.readouterr()
+    assert "unusable" in err and "limit=5001" in out
     assert path.read_bytes() == fresh
 
 
@@ -224,6 +238,15 @@ def test_mprime_rejects_complex(cache_env, capsys):
     assert capsys.readouterr().err.count("real nonnegative") == 2
     # rejected before any table is sieved
     assert not list((cache_env / "cache").glob("arith_*.bin"))
+
+
+def test_kernel_prints_plain_M_past_the_budget_with_its_bound(cache_env, capsys, table_100k):
+    # kernel_M raises here (bound above 5e-8); the CLI prints value and bound
+    assert main(["kernel", "M", "--z", "50", "--form", "plain", "--limit", "100001"]) == 0
+    out, err = capsys.readouterr()
+    value, bound = kernel_M_with_bound(50.0, table_100k, form="plain")
+    assert out.strip() == format_complex(complex(value))
+    assert f"bound={bound!r}" in err
 
 
 def test_kernel_series_needs_no_table(cache_env, capsys):

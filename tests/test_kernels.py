@@ -9,8 +9,9 @@ from liouville_mellin import (DomainError, PoleError, TruncationBudgetError,
                               build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
-from liouville_mellin.kernels import (S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS, _Workspace,
-                                      _kernel_M, _tanh_coefficients, _ws,
+from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
+                                      _Workspace, _kernel_M, _kernel_sum,
+                                      _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound, nearest_pole)
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
@@ -254,6 +255,11 @@ def _ref_M_half(z, ws, M):
     return _csum(ws.nu_odd[:M] * 0.5 * np.tanh(z / (2.0 * ws.n_odd[:M])))
 
 
+def _ref_M_prime(x, ws, M):
+    e = np.exp(-x / ws.n_odd[:M])
+    return math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
+
+
 def _logistic(u):
     # 1/(e^u + 1) on a real array, without overflow on either side
     e = np.exp(-np.abs(u))
@@ -348,13 +354,30 @@ def _tail_remainder(x, ws, M):
     return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(ws.nu_odd[b:M]).sum())
 
 
-def _block_remainder(x, ws, head):
-    # Cauchy bound on the 28-term Taylor expansion of g = tanh(u/2)/2 over
-    # each block of the real M head past its first 32 terms.  The blocks are
+def _sup_M(u0, w0):
+    # |tanh(u/2)/2| <= coth(|Re u|/2)/2, and |Re u| >= |u0|/2 on the ellipse
+    return 0.5 / math.tanh(abs(u0) / 4.0)
+
+
+def _sup_M_prime(u0, w0):
+    # f = t (1/4 - g^2), g = tanh(u/2)/2, with |t| <= 1.5 w0 on the ellipse
+    return 1.5 * w0 * (0.25 + _sup_M(u0, w0) ** 2)
+
+
+def _sup_N(u0, w0):
+    # f = t 2u/(u^2 + pi^2) with |u -/+ i pi| >= |Re u| >= |u0|/2, |u| <= 1.5|u0|
+    return 18.0 * w0 / abs(u0)
+
+
+def _block_remainder(x, ws, head, sup=_sup_M, v=None):
+    # Bound on interpolating the term at 20 first-kind Chebyshev points over
+    # each block of the real head past its first 32 terms.  The blocks are
     # three geometric ones per octave of m, split at powers of two.  On a
-    # block, 1/n = w0 + delta tau with |tau| <= 1; around u0 = x w0,
-    # |g| <= coth(|u0|/4)/2 within radius |u0|/2, and
-    # rho = |x| delta / (|u0|/2).
+    # block, 1/n = w0 + delta tau with |tau| <= 1; on the Bernstein ellipse
+    # in tau with real semi-axis w0/(2 delta) the term is below sup(u0, w0),
+    # u0 = x w0, and the error below 4 q^20/(1 - q) times that, with
+    # q = r/(1 + sqrt(1 - r^2)), r = 2 delta/w0.
+    v = ws.nu_odd if v is None else v
     edges = {round(2.0 ** (j + i / 3.0)) for j in range(5, 21) for i in range(3)}
     edges.add(head)
     edges = sorted(e for e in edges if 32 <= e <= head)
@@ -362,9 +385,9 @@ def _block_remainder(x, ws, head):
     for a, b in zip(edges, edges[1:]):
         inv_first, inv_last = 1.0 / (2 * a + 1), 1.0 / (2 * b - 1)
         w0, delta = (inv_first + inv_last) / 2.0, (inv_first - inv_last) / 2.0
-        rho = 2.0 * delta / w0
-        sup_g = 0.5 / math.tanh(abs(x) * w0 / 4.0)
-        total += sup_g * rho ** 28 / (1.0 - rho) * math.fsum(np.abs(ws.nu_odd[a:b]))
+        r = 2.0 * delta / w0
+        q = r / (1.0 + math.sqrt(1.0 - r * r))
+        total += sup(x * w0, w0) * 4.0 * q ** 20 / (1.0 - q) * math.fsum(np.abs(v[a:b]))
     return total
 
 
@@ -385,17 +408,30 @@ PLAIN_BLOCK_X = (-500.0, 500.0, 5000.0, 5e4, 99952.9)
 
 
 def test_plain_block_head_matches_fsum(table_main):
-    # heads of up to 2^17 terms, all but the first 32 from block moments
+    # heads of up to 2^17 terms, all but the first 32 from block interpolation,
+    # for every real form: M in both variants, N and M'
     ws, M = _ws(table_main), config_for_table(table_main).n_terms_M
     xs = np.array(PLAIN_BLOCK_X)
     vals, bounds = kernel_M_with_bound(xs, table_main, form="plain")
     half, _ = kernel_M_with_bound(xs, table_main)
+    n_vals, n_bounds = kernel_N_with_bound(xs, table_main)
     for j, x in enumerate(PLAIN_BLOCK_X):
         _assert_close(vals[j], _ref_plain(x, ws, M))
         _assert_close(half[j], _ref_M_half(x, ws, M))
+        _assert_close(n_vals[j], _ref_N(x, ws, config_for_table(table_main).n_terms_N))
         blocks = _block_remainder(x, ws, _head_end(x, M))
         assert 0.0 < blocks < 1e-16
         assert bounds[j] >= blocks
+        n_blocks = _block_remainder(x, ws, _head_end(x, M), _sup_N, ws.coef_N)
+        assert n_bounds[j] >= n_blocks > 0.0
+    # M' has no printed bound; the remainder it checks against its tolerance
+    # must hold the block term
+    xp = xs[xs >= 0.0]
+    mp_vals, mp_remainder = _kernel_sum(_FORM_M_PRIME, xp, ws)
+    for j, x in enumerate(xp):
+        _assert_close(mp_vals[j], _ref_M_prime(x, ws, M))
+        assert mp_vals[j] == kernel_M_prime(x, table_main)
+        assert mp_remainder[j] >= _block_remainder(x, ws, _head_end(x, M), _sup_M_prime) > 0.0
 
 
 # -------------------------------------- truncations shorter than the table ----

@@ -167,6 +167,44 @@ def test_theorem2_smoke(table_100k):
         assert r.budget["tail_bound_kind"] == "empirical decay envelope"
 
 
+# theorem-2 integrals (rhs) over the default grid and the plain M at
+# x = 50, 100 on the 100,001 table, recorded while the real heads of N and M'
+# were still summed term by term and M's came from Taylor blocks
+THEOREM2_RHS_100K = {
+    ("theorem2.m-form", "(-0.75+0.5j)"): (0.16153745533873975+0.39040485267678354j),
+    ("theorem2.m-form", "(-0.75+0j)"): (0.19069630979042018+0j),
+    ("theorem2.m-form", "(-0.75+1j)"): (0.1365379866756699+0.7662329320468481j),
+    ("theorem2.m-form", "(-1+0.5j)"): (-0.027541927128072387+0.3685002671800295j),
+    ("theorem2.m-form", "(-1+0j)"): (2.8486393909032686e-17+0j),
+    ("theorem2.m-form", "(-1+1j)"): (-0.06657333271600793+0.766540671453575j),
+    ("theorem2.m-form", "(-1.25+0.5j)"): (-0.21253479572502795+0.3400429579932591j),
+    ("theorem2.m-form", "(-1.25+0j)"): (-0.17413874234169913+0j),
+    ("theorem2.m-form", "(-1.25+1j)"): (-0.2904797911953364+0.746966281245607j),
+    ("theorem2.n-form", "(-0.75+0.5j)"): (0.1615374557858541+0.39040485332386615j),
+    ("theorem2.n-form", "(-0.75+0j)"): (0.19069631011797006+0j),
+    ("theorem2.n-form", "(-0.75+1j)"): (0.13653798769107145+0.7662329335587386j),
+    ("theorem2.n-form", "(-1+0.5j)"): (-0.027541927083640026+0.36850026792803803j),
+    ("theorem2.n-form", "(-1+0j)"): (2.848639396241332e-17+0j),
+    ("theorem2.n-form", "(-1+1j)"): (-0.0665733323622586+0.7665406733783142j),
+    ("theorem2.n-form", "(-1.25+0.5j)"): (-0.21253479613648302+0.3400429587408873j),
+    ("theorem2.n-form", "(-1.25+0j)"): (-0.17413874268371332+0j),
+    ("theorem2.n-form", "(-1.25+1j)"): (-0.2904797917266635+0.7469662833262319j),
+}
+DECAY_M_100K = {50.0: 0.005491012938888324, 100.0: 0.0019042883342349406}
+
+
+def test_block_heads_keep_recorded_values(table_100k):
+    reports = verify_theorem2(table_100k)
+    assert len(reports) == len(THEOREM2_RHS_100K)
+    for r in reports:
+        want = THEOREM2_RHS_100K[(r.check_id, r.inputs["s"])]
+        assert abs(r.rhs - want) <= 1e-15 * abs(want), (r.check_id, r.inputs)
+    checkpoints = {r.inputs["x"]: r.lhs.real for r in probe_decay(table_100k)
+                   if r.check_id == "decay.m-checkpoint"}
+    for x, want in DECAY_M_100K.items():
+        assert abs(checkpoints[x] - want) <= 1e-16, x
+
+
 def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, monkeypatch):
     grid = [complex(-0.75)]
 
