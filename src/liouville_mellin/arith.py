@@ -13,8 +13,9 @@ equivalently  sum_{l | n} l * nu(l) = beta(n)/sqrt(n).  Both beta and nu are
 stored as 0 at even indices so full-range Dirichlet sums need no parity
 branching; the point API for beta still rejects even arguments.
 
-Everything is built in one multiplicative pass over the smallest-prime-factor
-sieve: each sweep peels one prime power p^e || n off every unfinished n, and
+One loop over the primes p <= isqrt(N), found by the spf sieve as it goes,
+updates the multiples of each p^k <= N by strided slices; what is left of n
+is then 1 or one prime above isqrt(N), applied in one step.  With p^e || n:
 
     lambda(n) = (-1)^Omega(n)           (Omega counted with multiplicity)
     d(n)      = product of (e + 1)
@@ -82,57 +83,52 @@ class ArithTable:
     nu_cumsum: np.ndarray    # S(n) = sum_{m<=n} nu(m), float64
 
 
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:  # p is prime: no smaller prime has marked it
-            sl = spf[p * p::p]
-            sl[sl == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-    return spf
-
-
 def build_table(limit: int) -> ArithTable:
     """Sieve every arithmetic array up to `limit` (inclusive).
 
     Raises:
-        InvalidArgumentError: for limit < 1.
+        InvalidArgumentError: for limit < 1 or past int32, before any allocation.
         MemoryError: propagated from numpy with the requested size when the
             arrays do not fit.
     """
     if limit < 1:
         raise InvalidArgumentError(f"table limit must be >= 1, got {limit}")
+    if limit > np.iinfo(np.int32).max:  # spf, dcount and beta are int32
+        raise InvalidArgumentError(f"table limit must be < 2**31, got {limit}")
     n = int(limit)
-    spf = _smallest_prime_factors(n)
-
+    root = math.isqrt(n)
+    spf = np.zeros(n + 1, dtype=np.int32)
     lam = np.ones(n + 1, dtype=np.int8)
     dcount = np.ones(n + 1, dtype=np.int32)
     h = np.ones(n + 1, dtype=np.int32)
+    smooth = np.ones(n + 1, dtype=np.int32)        # the part of m over primes <= root
     nu_weight = np.ones(n + 1, dtype=np.float64)   # prod_{p|m} (1 + p^-1/2)
-    # each sweep peels the smallest remaining prime p, with its exponent e,
-    # off every unfinished m = todo[i]; rest[i] is what is left of that m
-    todo = np.arange(2, n + 1)
-    rest = todo.copy()
-    while todo.size:
-        p = spf[rest]
-        rest //= p
-        e = np.ones_like(rest)
-        again = np.nonzero(spf[rest] == p)[0]
-        while again.size:
-            rest[again] //= p[again]
-            e[again] += 1
-            again = again[spf[rest[again]] == p[again]]
-        lam[todo] *= 1 - 2 * (e & 1)
-        dcount[todo] *= e + 1
-        h[todo] *= p ** (e // 2)
-        nu_weight[todo] *= 1.0 + p ** -0.5
-        unfinished = rest > 1
-        todo, rest = todo[unfinished], rest[unfinished]
+    weight = 1.0 + np.arange(1, root + 1) ** -0.5  # array pow: pinned nu uses its rounding
+    for p in range(2, root + 1):
+        if spf[p]:
+            continue  # composite: a smaller prime has marked it
+        np.copyto(spf[p::p], p, where=spf[p::p] == 0)
+        nu_weight[p::p] *= weight[p - 1]
+        q, k = p, 1
+        while q <= n:  # q = p^k: every multiple of q has e >= k
+            lam[q::q] *= -1
+            if k > 1:  # the factor e + 1 of d grows from k to k + 1
+                dcount[q::q] //= k
+            dcount[q::q] *= k + 1
+            if k % 2 == 0:
+                h[q::q] *= p
+            smooth[q::q] *= p
+            q, k = q * p, k + 1
+    found = np.flatnonzero(spf == 0)[2:]  # past 0 and 1: the primes above root
+    spf[found] = found
+    rest = np.arange(n + 1, dtype=np.int32) // smooth  # 1 or m's one prime above root
+    big = np.flatnonzero(rest > 1)
+    lam[big] *= -1
+    dcount[big] *= 2
+    nu_weight[big] *= 1.0 + rest[big] ** -0.5
+    del smooth, rest, big
     lam[0] = dcount[0] = h[0] = 0
-
-    mu = np.where(h == 1, lam, 0).astype(np.int8)  # squarefree iff h = 1
+    mu = lam * (h == 1)  # int8; squarefree iff h = 1
     beta = lam * h   # int32
     beta[0::2] = 0
     nu = np.zeros(n + 1, dtype=np.float64)
@@ -216,7 +212,8 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
     Layout: magic, one JSON header line (limit, array dtypes/lengths,
     sha256 of the payload), then the raw little-endian array bytes in fixed
     field order.  Integers round-trip exactly and nu/nu_cumsum bitwise.  The
-    payload is hashed, then written, straight from the arrays.
+    payload is hashed, then written, straight from the arrays, to a temporary
+    file that replaces `path` once complete, so no reader sees a short file.
     """
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
               for name, dtype in _CACHE_FIELDS]
@@ -229,11 +226,16 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
                    for (name, _), arr in zip(_CACHE_FIELDS, arrays)],
         "sha256": digest.hexdigest(),
     }
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC + b"\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for arr in arrays:
-            fh.write(arr)
+    head = CACHE_MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"  # same directory
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(head)
+            fh.writelines(arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the replace failed
+            os.unlink(tmp)
 
 
 def load_table(path: str | os.PathLike) -> ArithTable:

@@ -1,6 +1,7 @@
 """Sieve tables against brute-force oracles, invariants, and the cache file."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,10 +16,11 @@ from liouville_mellin import (CacheFormatError, DomainError,
                               beta_value, build_table, divisor_count,
                               liouville, load_table, mobius, nu_partial_sum,
                               nu_value, save_table, sqfree_square_split)
+from liouville_mellin import arith
 from liouville_mellin.arith import CACHE_MAGIC
 
-from oracles import (beta_brute, dcount_brute, liouville_brute, mobius_brute,
-                     nu_brute, sqfree_square_brute)
+from oracles import (beta_brute, dcount_brute, factorize, liouville_brute,
+                     mobius_brute, nu_brute, sqfree_square_brute)
 
 
 def test_single_entry_base_case():
@@ -144,6 +146,43 @@ def test_integer_arrays_pinned_100k(table_100k):
         assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
 
 
+# sha256 of nu and nu_cumsum at limit 100_001, recorded from the sweep sieve
+# that peeled one prime power off every unfinished n per pass
+_FLOAT_DIGESTS_100K = {
+    "nu": "c43b0e6261f37ffa5752b7bd19d14339a14607b9dc6f7ee7c61c628efba17c70",
+    "nu_cumsum": "c5cd6be8ea0a5e20f6687c62f0dbea44baced320b8b611dbf01318f27e93ee89",
+}
+
+
+def test_float_arrays_pinned_100k(table_100k):
+    for name, digest in _FLOAT_DIGESTS_100K.items():
+        arr = getattr(table_100k, name)
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
+
+
+def test_every_entry_matches_trial_division():
+    # lambda, mu, d, beta from each n's factorization; nu from its closed form
+    # and S(n) by fsum, against build_table(5000) at every n
+    t = build_table(5000)
+    nus = [0.0]
+    for n in range(1, 5001):
+        fac = factorize(n)
+        lam = (-1) ** sum(fac.values())
+        h = math.prod(p ** (e // 2) for p, e in fac.items())
+        assert t.liouville[n] == lam, n
+        assert t.mobius[n] == (lam if h == 1 else 0), n
+        assert t.dcount[n] == math.prod(e + 1 for e in fac.values()), n
+        assert t.spf[n] == min(fac, default=0), n
+        if n % 2 == 0:
+            assert t.beta[n] == 0 and t.nu[n] == 0.0, n
+            nus.append(0.0)
+            continue
+        assert t.beta[n] == lam * h, n  # mu(k) = lam(k) = lam(n) for n = k h^2
+        nus.append(lam / n * math.prod(1.0 + p ** -0.5 for p in sorted(fac)))
+        assert t.nu[n] == pytest.approx(nus[n], rel=1e-15, abs=0), n
+        assert t.nu_cumsum[n] == pytest.approx(math.fsum(nus), rel=0, abs=1e-14), n
+
+
 def test_bound_scans_small(table_small):
     n = np.arange(1, 3002, 2, dtype=np.float64)
     ratio = table_small.beta[1::2] / np.sqrt(n)
@@ -164,6 +203,19 @@ def test_argument_validation(table_small):
         nu_value(table_small, 3002)
     with pytest.raises(RangeError):
         nu_partial_sum(table_small, -5)
+
+
+def test_limit_past_int32_refused_before_allocation():
+    # spf, dcount and beta are int32, so a larger limit would wrap silently;
+    # 2**31 entries would need some 60 GB, so this returns only if nothing is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="< 2"):
+            build_table(2**31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cache_round_trip_bit_exact(table_small, tmp_path):
@@ -276,3 +328,43 @@ def test_load_table_holds_the_payload_once(table_100k, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * array_bytes, peak / array_bytes
+
+
+def test_build_table_peak_memory(table_100k):
+    # the sieve's working arrays and temporaries stay under twice the table
+    array_bytes = sum(v.nbytes for v in vars(table_100k).values()
+                      if isinstance(v, np.ndarray))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build_table(table_100k.limit)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * array_bytes, peak / array_bytes
+
+
+def test_failed_save_keeps_the_previous_cache(table_small, tmp_path, monkeypatch):
+    path = tmp_path / "arith.bin"
+    save_table(table_small, path)
+    before = path.read_bytes()
+
+    class FailingFile(io.FileIO):
+        """A file whose third write stops halfway."""
+
+        writes = 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                super().write(memoryview(data)[:len(data) // 2])
+                raise OSError("disk full")
+            return super().write(data)
+
+    monkeypatch.setattr(arith, "open", FailingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_table(build_table(101), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_table(path).limit == table_small.limit
+    assert [p.name for p in tmp_path.iterdir()] == ["arith.bin"]
