@@ -408,7 +408,8 @@ class _Workspace:
         self.depth = config.n_terms_M if depth is None else depth
         self.tol = config.abel_tail_tol
         self.n_odd = np.arange(1, table.limit + 1, 2, dtype=np.float64)
-        self.coef_N = table.beta[1::2].astype(np.float64) / np.sqrt(self.n_odd)
+        self.coef_N = np.sqrt(self.n_odd)
+        np.divide(table.beta[1::2], self.coef_N, out=self.coef_N)
         self.nu_odd = table.nu[1::2]
         self.S_odd = table.nu_cumsum[1::2]
         # sup |S| over m >= depth: the table's values, floored by the frozen

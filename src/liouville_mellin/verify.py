@@ -128,6 +128,53 @@ def _sorted(reports: list[VerificationReport]) -> list[VerificationReport]:
 
 
 # --------------------------------------------------------------------------
+# table scans in fixed chunks: no temporary as long as the table
+# --------------------------------------------------------------------------
+
+_SCAN = 1 << 16  # indices per chunk; must stay >= 128, numpy's pairwise block
+
+
+def _chunks(n: int):
+    """(lo, hi) of consecutive _SCAN-long slices covering range(n)."""
+    return ((lo, min(lo + _SCAN, n)) for lo in range(0, n, _SCAN))
+
+
+def _odd(lo: int, hi: int) -> np.ndarray:
+    """The odd n = 2j + 1 for lo <= j < hi, as float64."""
+    return np.arange(2 * lo + 1, 2 * hi, 2, dtype=np.float64)
+
+
+def _pairwise_sum(term, lo: int, n: int):
+    """np.sum(term(lo, lo + n), axis=-1) to the bit without building it: split
+    where numpy's pairwise summation splits, and np.sum each piece of <= _SCAN
+    terms.  A term of several rows gives one sum per row."""
+    if n <= _SCAN:
+        return np.sum(term(lo, lo + n), axis=-1)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+
+
+def _running_sums(term, n: int):
+    """(lo, np.cumsum(term(0, n), axis=-1)[..., lo:hi]) per chunk, summed in
+    place in the new float array term returns: the carry enters the chunk's
+    first term before its cumsum, so the additions stay sequential."""
+    carry = 0.0
+    for lo, hi in _chunks(n):
+        c = term(lo, hi)
+        if lo:
+            c[..., 0] += carry
+        np.cumsum(c, axis=-1, out=c)
+        carry = c[..., -1].copy()
+        yield lo, c
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max |a| over a non-empty 1-d array, one chunk at a time."""
+    return max(float(np.abs(a[lo:hi]).max()) for lo, hi in _chunks(len(a)))
+
+
+# --------------------------------------------------------------------------
 # theorem 1
 # --------------------------------------------------------------------------
 
@@ -167,12 +214,11 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
             notes="informational: table below the frozen-threshold scale (10^6)"))
 
     # per-octave envelope: max_{2^k <= n < 2^(k+1)} |S(n)| must not increase
-    absS = np.abs(table.nu_cumsum)
     octmax = []
     k = THEOREM1_ENVELOPE_OCTAVE
     while 2 ** k < table.limit:
         lo, hi = 2 ** k, min(2 ** (k + 1), table.limit + 1)
-        octmax.append(float(absS[lo:hi].max()))
+        octmax.append(_abs_max(table.nu_cumsum[lo:hi]))
         k += 1
     if len(octmax) >= 2:
         increases = sum(1 for a, b in zip(octmax, octmax[1:]) if b > a)
@@ -491,28 +537,39 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
 
 def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     """Inequality scans over the full table plus table-partial-sum vs
-    closed-form checks for every generating function."""
+    closed-form checks for every generating function.  Every scan walks the
+    table in _SCAN-long chunks; each sum keeps the order of one np.sum or
+    np.cumsum over the whole range, so the values match to the bit."""
     reports = []
     limit = table.limit
-    n_odd = np.arange(1, limit + 1, 2, dtype=np.float64)
+    n_half = (limit + 1) // 2  # odd n <= limit
 
-    # beta ratio scan: -1 < beta(n)/sqrt(n) <= 1, equality exactly at odd squares
-    ratio = table.beta[1::2] / np.sqrt(n_odd)
-    viol = int(np.sum((ratio <= -1.0) | (ratio > 1.0 + 1e-12)))
+    # one pass over odd n: -1 < beta(n)/sqrt(n) <= 1 with equality exactly at
+    # odd squares, and the divisor bound |nu(n)| <= d(n)/n (1e-15 rounding
+    # slack); nu = 0 at even n
+    viol = mismatches = nu_viol = 0
+    min_ratio, max_ratio = math.inf, -math.inf
+    for lo, hi in _chunks(n_half):
+        n_odd = _odd(lo, hi)
+        root = np.sqrt(n_odd)
+        r = table.beta[2 * lo + 1:2 * hi:2] / root
+        viol += int(np.count_nonzero((r <= -1.0) | (r > 1.0 + 1e-12)))
+        is_square = root.astype(np.int64) ** 2 == n_odd
+        mismatches += int(np.count_nonzero((np.abs(r - 1.0) < 1e-12) != is_square))
+        nu_viol += int(np.count_nonzero(np.abs(table.nu[2 * lo + 1:2 * hi:2])
+                                        > table.dcount[2 * lo + 1:2 * hi:2] / n_odd
+                                        + 1e-15))
+        min_ratio = min(min_ratio, float(r.min()))
+        max_ratio = max(max_ratio, float(r.max()))
     reports.append(make_report(
         "bounds.beta-ratio-scan", {"n_max": limit}, float(viol), 0.0, tol_abs=0.0,
-        budget={"min_ratio": float(ratio.min()), "max_ratio": float(ratio.max())},
+        budget={"min_ratio": min_ratio, "max_ratio": max_ratio},
         notes="violations of -1 < beta/sqrt(n) <= 1 over odd n (must be 0)"))
-    is_square = np.sqrt(n_odd).astype(np.int64) ** 2 == n_odd
-    mismatches = int(np.sum((np.abs(ratio - 1.0) < 1e-12) != is_square))
     reports.append(make_report(
         "bounds.beta-ratio-equality", {"n_max": limit}, float(mismatches), 0.0,
         tol_abs=0.0, notes="equality holds exactly at odd perfect squares"))
-
-    # divisor bound on nu: |nu(n)| <= d(n)/n (1e-15 rounding slack); nu = 0 at even n
-    viol = int(np.sum(np.abs(table.nu[1::2]) > table.dcount[1::2] / n_odd + 1e-15))
     reports.append(make_report(
-        "bounds.nu-divisor-scan", {"n_max": limit}, float(viol), 0.0, tol_abs=0.0,
+        "bounds.nu-divisor-scan", {"n_max": limit}, float(nu_viol), 0.0, tol_abs=0.0,
         notes="violations of |nu| <= d(n)/n (must be 0)"))
 
     # convolution identity sum_{l|n} l nu(l) = beta(n)/sqrt(n), odd n <= 1e4
@@ -522,36 +579,42 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         contrib = l * table.nu[l]
         if contrib != 0.0:
             conv[l::2 * l] += contrib
-    worst = float(np.abs(conv[1::2] - ratio[:(n_conv + 1) // 2]).max())
+    ratio = table.beta[1:n_conv + 1:2] / np.sqrt(_odd(0, (n_conv + 1) // 2))
+    worst = float(np.abs(conv[1::2] - ratio).max())
     reports.append(make_report(
         "bounds.convolution", {"n_max": n_conv}, worst, 0.0, tol_abs=1e-12,
         notes="worst |sum_(l|n) l nu(l) - beta(n)/sqrt(n)| over odd n"))
 
-    # Dirichlet partial sums vs closed forms at s = 3
+    # Dirichlet partial sums vs closed forms at s = 3 (and nu at s = 1)
     def tail_power(N, p):  # sum_{n>N} n^-p upper bound
         return N ** (1.0 - p) / (p - 1.0) + N ** (-p)
 
+    def dirichlet(lo, hi):  # lambda, mu, nu over n^3 and nu over n, lo < n <= hi
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        cube = n ** 3
+        rows = np.empty((4, hi - lo))
+        for row, a, d in zip(rows, (table.liouville, table.mobius, table.nu, table.nu),
+                             (cube, cube, cube, n)):
+            np.divide(a[lo + 1:hi + 1], d, out=row)
+        return rows
+
     N_l = min(10 ** 6, limit)
-    n_l = np.arange(1, N_l + 1, dtype=np.float64)
-    cube = n_l ** 3
-    lhs = float(np.sum(table.liouville[1:N_l + 1] / cube))
-    rhs = zeta(6.0) / zeta(3.0)
+    lam3, mu3, nu3, nu1 = _pairwise_sum(dirichlet, 0, N_l)
     reports.append(make_report(
-        "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lhs, rhs,
+        "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lam3, zeta(6.0) / zeta(3.0),
         tol_abs=tail_power(N_l, 3.0),
         budget={"analytic_tail": tail_power(N_l, 3.0)},
         notes="table partial sum vs zeta(6)/zeta(3)"))
 
-    lhs = float(np.sum(table.mobius[1:N_l + 1] / cube))
-    rhs = zeta_mu(3.0)
     reports.append(make_report(
-        "bounds.dirichlet-mu", {"s": 3, "N": N_l}, lhs, rhs,
+        "bounds.dirichlet-mu", {"s": 3, "N": N_l}, mu3, zeta_mu(3.0),
         tol_abs=tail_power(N_l, 3.0),
         budget={"analytic_tail": tail_power(N_l, 3.0)},
         notes="table partial sum vs 1/zeta(3)"))
 
     N_b = min(10 ** 5, limit)
-    lhs = float(np.sum(table.beta[1:N_b + 1:2] / n_odd[:(N_b + 1) // 2] ** 3))
+    lhs = _pairwise_sum(
+        lambda lo, hi: table.beta[2 * lo + 1:2 * hi:2] / _odd(lo, hi) ** 3, 0, (N_b + 1) // 2)
     rhs = zeta_beta(3.0)
     tail_b = 1.5 * N_b ** -1.5  # sum_{n>N} sqrt(n)/n^3 <= int + edge
     reports.append(make_report(
@@ -559,29 +622,39 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         budget={"analytic_tail": tail_b},
         notes="odd-n partial sum vs zeta_imp(5)/zeta_imp(3)"))
 
-    lhs = float(np.sum(table.nu[1:N_l + 1] / cube))
-    del cube
-    rhs = zeta_nu(3.0)
     tail_nu = 2.0 * (math.log(N_l) + 2.0) / N_l ** 3 + 2e-14
     reports.append(make_report(
-        "bounds.dirichlet-nu", {"s": 3, "N": N_l}, lhs, rhs, tol_abs=tail_nu,
+        "bounds.dirichlet-nu", {"s": 3, "N": N_l}, nu3, zeta_nu(3.0), tol_abs=tail_nu,
         budget={"analytic_tail": tail_nu,
                 "note": "d(n)/n^4 tail plus double-precision allowance"},
         notes="table partial sum vs zeta_beta(4.5)/zeta_imp(4)"))
 
     # nu at s = 1, remainder bounded by summation by parts
-    lhs = float(np.sum(table.nu[1:N_l + 1] / n_l))
-    del n_l
-    rhs = zeta_nu(1.0)
-    s_sup = float(np.abs(table.nu_cumsum[N_l:]).max())
+    s_sup = _abs_max(table.nu_cumsum[N_l:])
     tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
-        "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, lhs, rhs, tol_abs=tail_s1,
+        "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, nu1, zeta_nu(1.0), tol_abs=tail_s1,
         budget={"abel_tail": tail_s1, "tail_kind": "empirical S envelope"},
         notes="table partial sum vs zeta_nu(1)"))
 
-    # absolute beta sums stay under the squarefree-times-square double sum
-    partial_max = float(np.cumsum(np.abs(table.beta[1::2]) / n_odd ** 1.5).max())
+    # running sums over odd n: |beta(n)| n^-3/2, whose maximum stays under the
+    # squarefree-times-square double sum, and mu(n)/n for the Newman trend
+    def running(lo, hi):
+        n = _odd(lo, hi)
+        rows = np.empty((2, hi - lo))
+        np.divide(np.abs(table.beta[2 * lo + 1:2 * hi:2]), n ** 1.5, out=rows[0])
+        np.divide(table.mobius[2 * lo + 1:2 * hi:2], n, out=rows[1])
+        return rows
+
+    # the running sum at j covers the odd n <= 2j + 1, so n <= 2^k ends at
+    # j = 2^(k-1) - 1
+    ends = {k: 2 ** (k - 1) - 1 for k in (*range(8, 13), *range(16, 22))
+            if 2 ** k <= limit}
+    partial_max, at = -math.inf, {}
+    for lo, (beta_abs, newman) in _running_sums(running, n_half):
+        partial_max = max(partial_max, float(beta_abs.max()))
+        at.update((k, abs(newman[j - lo])) for k, j in ends.items()
+                  if lo <= j < lo + len(newman))
     cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(
         "bounds.beta-abs-partial", {"n_max": limit}, partial_max, cap,
@@ -589,12 +662,9 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         budget={"cap": cap},
         notes="running sums of |beta| n^-3/2 vs zeta(3/2) zeta(2)"))
 
-    # Newman trend: dyadic partial sums of mu(2n+1)/(2n+1) drift toward 0;
-    # cums[j] sums the odd n <= 2j + 1, so n <= 2^k ends at j = 2^(k-1) - 1
-    cums = np.cumsum(table.mobius[1::2] / n_odd)
-    early = [abs(cums[2 ** (k - 1) - 1]) for k in range(8, 13) if 2 ** k <= limit]
-    late = [abs(cums[2 ** (k - 1) - 1]) for k in range(16, 22) if 2 ** k <= limit]
-    del cums
+    # Newman trend: dyadic partial sums of mu(2n+1)/(2n+1) drift toward 0
+    early = [at[k] for k in range(8, 13) if k in at]
+    late = [at[k] for k in range(16, 22) if k in at]
     if early and late:
         reports.append(make_report(
             "bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."},
@@ -604,13 +674,18 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 
     # second form of the alpha/beta equation at s = -1.25: truncated series
     s = -1.25
-    series = float(np.sum(ratio * (math.pi * n_odd) ** (s - 0.5)))
-    del ratio
+
+    def second_form(lo, hi):
+        n = _odd(lo, hi)
+        return table.beta[2 * lo + 1:2 * hi:2] / np.sqrt(n) * (math.pi * n) ** (s - 0.5)
+
+    series = float(_pairwise_sum(second_form, 0, n_half))
     target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
-    tail = math.pi ** (s - 0.5) * n_odd[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
+    tail = (math.pi ** (s - 0.5) * np.float64(2 * n_half - 1) ** (s + 0.5)
+            / (-(s + 0.5) * 2.0))
     reports.append(make_report(
-        "bounds.second-form", {"s": s, "terms": len(n_odd)}, series, target,
+        "bounds.second-form", {"s": s, "terms": n_half}, series, target,
         tol_abs=abs(tail),
         budget={"analytic_tail": abs(tail)},
         notes="truncated beta series vs zeta_beta(1-s) pi^(s-1/2)"))
@@ -623,7 +698,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
             continue
         terms = (N + 1) // 2  # odd n <= N
         per_term = (np.abs(table.beta[1:N + 1:2]) * math.sqrt(2.0) / math.sqrt(math.pi)
-                    / n_odd[:terms] ** 2)
+                    / _odd(0, terms) ** 2)
         lhs_sum = float(np.cumsum(per_term)[-1])
         reports.append(make_report(
             "bounds.swap-dominated", {"sigma": sigma, "N": N}, lhs_sum, rhs_int,
