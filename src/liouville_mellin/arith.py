@@ -132,11 +132,59 @@ def build_table(limit: int) -> ArithTable:
     beta = lam * h   # int32
     beta[0::2] = 0
     nu = np.zeros(n + 1, dtype=np.float64)
-    nu[1::2] = lam[1::2] * nu_weight[1::2] / np.arange(1, n + 1, 2, dtype=np.float64)
+    nu[1::2] = lam[1::2] * nu_weight[1::2] / odd(0, (n + 1) // 2)
     nu_cumsum = np.cumsum(nu)
 
     return ArithTable(limit=n, spf=spf, liouville=lam, mobius=mu,
                       dcount=dcount, beta=beta, nu=nu, nu_cumsum=nu_cumsum)
+
+
+# ---------------------------------------------------------------------------
+# every sum over the table, in SCAN-long slices along numpy's pairwise tree: no
+# temporary as long as the table, and bits free of the slice length and BLAS
+# ---------------------------------------------------------------------------
+
+SCAN = 1 << 16  # indices per chunk; must stay >= 128, numpy's pairwise block
+
+
+def chunks(n: int):
+    """(lo, hi) of consecutive SCAN-long slices covering range(n)."""
+    return ((lo, min(lo + SCAN, n)) for lo in range(0, n, SCAN))
+
+
+def odd(lo: int, hi: int) -> np.ndarray:
+    """The odd n = 2j + 1 for lo <= j < hi, as float64."""
+    return np.arange(2 * lo + 1, 2 * hi, 2, dtype=np.float64)
+
+
+def pairwise_sum(term, lo: int, n: int):
+    """np.sum(term(lo, lo + n), axis=-1) to the bit without building it: split
+    where numpy's pairwise summation splits, and np.sum each piece of <= SCAN
+    terms.  A term of several rows gives one sum per row."""
+    if n <= SCAN:
+        return np.sum(term(lo, lo + n), axis=-1)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(term, lo, half) + pairwise_sum(term, lo + half, n - half)
+
+
+def running_sums(term, n: int):
+    """(lo, np.cumsum(term(0, n), axis=-1)[..., lo:hi]) per chunk, summed in
+    place in the new float array term returns: the carry enters the chunk's
+    first term before its cumsum, so the additions stay sequential."""
+    carry = 0.0
+    for lo, hi in chunks(n):
+        c = term(lo, hi)
+        if lo:
+            c[..., 0] += carry
+        np.cumsum(c, axis=-1, out=c)
+        carry = c[..., -1].copy()
+        yield lo, c
+
+
+def abs_max(a: np.ndarray) -> float:
+    """max |a| over a non-empty 1-d array, one chunk at a time."""
+    return max(float(np.abs(a[lo:hi]).max()) for lo, hi in chunks(len(a)))
 
 
 def _check_range(table: ArithTable, n: int) -> int:

@@ -36,7 +36,8 @@ from .arith import ArithTable, build_table, load_table, save_table
 from .errors import CacheFormatError, InvalidArgumentError, LiouvilleMellinError
 from .kernels import (config_for_table, kernel_M_prime, kernel_M_with_bound,
                       kernel_N_series, kernel_N_with_bound)
-from .quadrature import DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT, TAIL_STOP_REL
+from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
+                         TAIL_STOP_REL)
 from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
 from .verify import GRID_GROUPS, GROUPS, list_checks, run_group, theorem2_max_x
 from .zeta_family import (zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
@@ -337,7 +338,7 @@ def _run_verify(args) -> int:
     limit = _limit(args)
     cache = args.cache_dir or _default_cache_dir()
     grid = None
-    if args.grid:  # checked before any table is sieved
+    if args.grid is not None:  # checked before any table is sieved
         if args.group not in GRID_GROUPS:
             raise InvalidArgumentError(
                 f"--grid applies to {', '.join(GRID_GROUPS)}, not {args.group}")
@@ -345,6 +346,9 @@ def _run_verify(args) -> int:
             grid = [parse_complex(tok) for tok in args.grid.split(",") if tok]
         except argparse.ArgumentTypeError as exc:
             raise InvalidArgumentError(f"--grid: {exc}") from None
+        strip = all(MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1] for s in grid)
+        if not grid or not (strip or args.group == "functional"):
+            raise InvalidArgumentError(f"--grid {args.grid!r}: empty, or Re s not in (-3/2, 1/2)")
 
     table = acquire_table(limit, cache)
     reports = run_group(args.group, table, grid)

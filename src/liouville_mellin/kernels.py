@@ -24,10 +24,10 @@ terms directly up to b, the first breakpoint with 2b+1 >= 2|z|; the
 breakpoints are the powers of two and the depth.  On the tail past b,
 |z/n| <= 1/2, so phi is replaced by _TAYLOR_TERMS terms of its power series
 and the tail becomes sum_k a_k z^p_k sum_{b<=m<depth} w_m n^-p_k.  Those
-inner sums, the power moments, are computed once per weight array and
-cached on the workspace.  tanh(u/2)/2 = sum_k c_k u^(2k+1) has |c_k| <=
-pi^-2k/4 (c_k from the recurrence tanh' = 1 - tanh^2), as have N's
-coefficients, so the discarded series is below
+inner sums, the power moments, are pairwise sums (arith.pairwise_sum)
+cached per weight array on the workspace.  tanh(u/2)/2 = sum_k c_k
+u^(2k+1) has |c_k| <= pi^-2k/4 (c_k from the recurrence tanh' = 1 -
+tanh^2), as have N's coefficients, so the discarded series is below
 
     (|u|/4) (|u|/pi)^(2K) / (1 - (|u|/pi)^2) * sum_tail |w_n|,  u = z/(2b+1),
 
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTable
+from .arith import SCAN, ArithTable, odd, pairwise_sum
 from .errors import (DomainError, EstimationFailureError, InvalidArgumentError,
                      PoleError, TruncationBudgetError)
 from .special import POLE_TOL
@@ -85,8 +85,6 @@ __all__ = ["KernelConfig", "config_for_table", "fermi", "fermi_deficit",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
            "nearest_pole", "fermi_series", "kernel_series_with_bound",
            "SERIES_ORDER_K"]
-
-_CHUNK = 1 << 17  # elements per temporary of a moment segment or head batch
 
 # floor for sup |S(n)| past the table, empirical; frozen from a sieve run to
 # 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
@@ -198,7 +196,7 @@ def _tanh_coefficients(order: int) -> np.ndarray:
 class _Form:
     """One kernel sum, sum_m w_m phi(z/n_m) over odd n_m = 2m+1.
 
-    w_m = v_m n_m^-q, where v is the workspace array named by `weights`, and
+    w_m = v_m n_m^-q, where v is the workspace's weights[`weights`], and
     phi(u) = sum_k coef[k] u^(p0+2k) for |u| < pi.  head(z, n) * outer(z)
     is phi(z/n) n^-q, outer applied once per head sum; majorant(u0, w0)
     bounds it on a head block (_HeadBlocks).
@@ -243,13 +241,13 @@ def _head_M_prime(x: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 _TANH = _tanh_coefficients(_TAYLOR_TERMS)
 # N: w = beta/n^(3/2), phi(u) = 2u/(u^2 + pi^2) = sum_k 2 (-1)^k pi^-(2k+2) u^(2k+1)
-_FORM_N = _Form("coef_N", 1, 1, np.array([2.0 * (-1.0) ** k * math.pi ** -(2 * k + 2)
+_FORM_N = _Form("beta", 1, 1, np.array([2.0 * (-1.0) ** k * math.pi ** -(2 * k + 2)
                                           for k in range(_TAYLOR_TERMS)]),
                 _head_N, lambda u0, w0: 18.0 * w0 / np.abs(u0), lambda z: 2.0 * z)
 # half-shifted M: w = nu, phi(u) = tanh(u/2)/2
-_FORM_M = _Form("nu_odd", 0, 1, _TANH, _head_M, lambda u0, w0: 0.5 / np.tanh(0.25 * np.abs(u0)))
+_FORM_M = _Form("nu", 0, 1, _TANH, _head_M, lambda u0, w0: 0.5 / np.tanh(0.25 * np.abs(u0)))
 # M': w = nu/n, phi(u) = sech^2(u/2)/4 = sum_k (2k+1) c_k u^(2k)
-_FORM_M_PRIME = _Form("nu_odd", 1, 0, np.array([(2 * k + 1) * c for k, c in enumerate(_TANH)]),
+_FORM_M_PRIME = _Form("nu", 1, 0, np.array([(2 * k + 1) * c for k, c in enumerate(_TANH)]),
                       _head_M_prime,
                       lambda u0, w0: 0.375 * w0 * (1.0 + np.tanh(0.25 * np.abs(u0)) ** -2))
 
@@ -268,10 +266,10 @@ class _Moments:
         scaled[i, k] = sum_tail v_m (n_b / n_m)^(e0 + 2k),
         abs_sum[i]   = sum_tail |v_m|,
 
-    scaled by n_b so that no power over- or underflows.
+    scaled by n_b so that no power over- or underflows; read(lo, hi) is v[lo:hi].
     """
 
-    def __init__(self, n_odd: np.ndarray, v: np.ndarray, e0: int, end: int):
+    def __init__(self, read: Callable[[int, int], np.ndarray], e0: int, end: int):
         points = {0, end, *(1 << j for j in range(end.bit_length()))}
         self.breaks = np.array(sorted(points), dtype=np.int64)
         self.n_break = 2.0 * self.breaks + 1.0
@@ -279,20 +277,19 @@ class _Moments:
         self.abs_sum = np.zeros(len(self.breaks))
         for i in range(len(self.breaks) - 2, -1, -1):
             lo, hi = int(self.breaks[i]), int(self.breaks[i + 1])
-            seg = np.zeros(_TAYLOR_TERMS)
-            seg_abs = 0.0
-            for a in range(lo, hi, _CHUNK):
-                b = min(a + _CHUNK, hi)
-                r = self.n_break[i] / n_odd[a:b]
-                r2 = r * r
-                pw = np.power(r, e0)
-                for k in range(_TAYLOR_TERMS):
-                    seg[k] += float(v[a:b] @ pw)
-                    pw *= r2
-                seg_abs += float(np.abs(v[a:b]).sum())
+            def rows(a: int, b: int) -> np.ndarray:  # v_m (n_b/n_m)^(e0+2k), |v_m|
+                v, r = read(a, b), self.n_break[i] / odd(a, b)
+                out = np.empty((_TAYLOR_TERMS + 1, b - a))
+                np.multiply(v, np.power(r, e0), out=out[0])
+                r *= r
+                for k in range(1, _TAYLOR_TERMS):
+                    np.multiply(out[k - 1], r, out=out[k])
+                np.abs(v, out=out[-1])
+                return out
+            seg = pairwise_sum(rows, lo, hi - lo)
             shift = (self.n_break[i] / self.n_break[i + 1]) ** (e0 + _K2)
-            self.scaled[i] = seg + shift * self.scaled[i + 1]
-            self.abs_sum[i] = seg_abs + self.abs_sum[i + 1]
+            self.scaled[i] = seg[:-1] + shift * self.scaled[i + 1]
+            self.abs_sum[i] = seg[-1] + self.abs_sum[i + 1]
 
     def index(self, z: np.ndarray) -> np.ndarray:
         """Per point, the first breakpoint with n_b >= 2|z| (else end)."""
@@ -341,8 +338,8 @@ class _HeadBlocks:
     Approximation Theory and Approximation Practice, Thms 8.1-8.2).
     """
 
-    def __init__(self, end: int, n_odd: np.ndarray, v: np.ndarray):
-        self.n_odd, self.v = n_odd, v
+    def __init__(self, end: int, read: Callable[[int, int], np.ndarray]):
+        self.read = read
         geometric = {round((1 << j) * 2.0 ** (i / _BLOCKS_PER_OCTAVE))
                      for j in range(_HEAD_PREFIX.bit_length() - 1, end.bit_length())
                      for i in range(_BLOCKS_PER_OCTAVE)}
@@ -362,20 +359,23 @@ class _HeadBlocks:
         done = len(self.abs_sum)
         if count <= done:
             return
-        C = np.zeros((count - done, _CHEB))
-        abs_sum = np.zeros(count - done)
-        for j, B in enumerate(range(done, count)):
-            lo, hi = int(self.edges[B]), int(self.edges[B + 1])
-            v = self.v[lo:hi]
-            # tau is 0/1 on a one-term block, where delta = 0
-            tau = (1.0 / self.n_odd[lo:hi] - self.w0[B]) / (self.delta[B] or 1.0)
-            t_prev, t = tau, np.ones(hi - lo)  # T_-1 = T_1 starts the recurrence
-            for k in range(_CHEB):
-                C[j, k] = v @ t
-                t_prev, t = t, 2.0 * tau * t - t_prev
-            abs_sum[j] = np.abs(v).sum()
-        self.W = np.vstack([self.W, C @ _CHEB_S])
-        self.abs_sum = np.concatenate([self.abs_sum, abs_sum])
+        e = self.edges.tolist()
+        sums = np.array([pairwise_sum(functools.partial(self._rows, B), e[B], e[B + 1] - e[B])
+                         for B in range(done, count)])
+        self.W = np.vstack([self.W, np.sum(sums[:, :_CHEB, None] * _CHEB_S, axis=1)])  # W = C S
+        self.abs_sum = np.concatenate([self.abs_sum, sums[:, _CHEB]])
+
+    def _rows(self, B: int, lo: int, hi: int) -> np.ndarray:
+        """Block B's rows v_m T_k(tau_m), k < _CHEB, and |v_m| over lo <= m < hi."""
+        v = self.read(lo, hi)
+        tau = (1.0 / odd(lo, hi) - self.w0[B]) / (self.delta[B] or 1.0)  # 0 on a one-term block
+        out = np.empty((_CHEB + 1, hi - lo))
+        out[0], out[1] = 1.0, tau
+        for k in range(2, _CHEB):
+            out[k] = 2.0 * tau * out[k - 1] - out[k - 2]
+        out[:_CHEB] *= v
+        np.abs(v, out=out[_CHEB])
+        return out
 
     def head(self, form: _Form, x: np.ndarray, heads: np.ndarray):
         """sum_{_HEAD_PREFIX <= m < heads[j]} w_m phi(x_j/n_m) per point, and
@@ -383,7 +383,7 @@ class _HeadBlocks:
         count = np.searchsorted(self.edges, heads)
         self._extend(int(count.max(initial=0)))
         vals, bounds = np.zeros((2, len(x)))
-        rows = max(1, _CHUNK // (_CHEB * max(1, len(self.abs_sum))))
+        rows = max(1, SCAN // (_CHEB * max(1, len(self.abs_sum))))
         for a in range(0, len(x), rows):
             c = count[a:a + rows]
             node = np.repeat(np.arange(a, a + len(c)), c)
@@ -399,18 +399,18 @@ class _HeadBlocks:
 
 
 class _Workspace:
-    """The table's one truncation of the kernel sums: odd-index views, the
-    depth and tolerance of config_for_table (or a shorter depth), sup |S|
-    past the depth, and each weight array's tail moments and head blocks."""
+    """The table's one truncation of the kernel sums: weight readers over
+    views of the table, the depth and tolerance of config_for_table (or a
+    shorter depth), sup |S| past it, and each array's moments and blocks."""
 
     def __init__(self, table: ArithTable, depth: int | None = None):
         config = config_for_table(table)
         self.depth = config.n_terms_M if depth is None else depth
         self.tol = config.abel_tail_tol
-        self.n_odd = np.arange(1, table.limit + 1, 2, dtype=np.float64)
-        self.coef_N = np.sqrt(self.n_odd)
-        np.divide(table.beta[1::2], self.coef_N, out=self.coef_N)
-        self.nu_odd = table.nu[1::2]
+        beta_odd, nu_odd = table.beta[1::2], table.nu[1::2]
+        # v_m for lo <= m < hi, read from views: no cycle with the caching table
+        self.weights = {"beta": lambda lo, hi: beta_odd[lo:hi] / np.sqrt(odd(lo, hi)),
+                        "nu": lambda lo, hi: nu_odd[lo:hi]}
         self.S_odd = table.nu_cumsum[1::2]
         # sup |S| over m >= depth: the table's values, floored by the frozen
         # beyond-table cap
@@ -422,10 +422,9 @@ class _Workspace:
         """Tail moments and head blocks of form's weights, built on first use;
         M and M' share nu's, as they share the exponent q + p0 = 1."""
         if form.weights not in self._moments:
-            v = getattr(self, form.weights)
-            self._moments[form.weights] = (
-                _Moments(self.n_odd, v, form.q + form.p0, self.depth),
-                _HeadBlocks(self.depth, self.n_odd, v))
+            read = self.weights[form.weights]
+            self._moments[form.weights] = (_Moments(read, form.q + form.p0, self.depth),
+                                           _HeadBlocks(self.depth, read))
         return self._moments[form.weights]
 
 
@@ -439,8 +438,11 @@ def _ws(table: ArithTable) -> _Workspace:
 
 def _points(z, what: str) -> tuple[np.ndarray, bool]:
     """z as a 1-d float array (real input) or a pole-checked complex array,
-    and whether z was a scalar."""
+    and whether z was a scalar.  Raises InvalidArgumentError for nan or inf."""
     zs = np.asarray(z)
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise InvalidArgumentError(f"{what}: argument must be finite, got {bad[0]}")
     scalar = zs.ndim == 0
     if scalar and zs.imag == 0.0:
         zs = zs.real
@@ -452,17 +454,17 @@ def _points(z, what: str) -> tuple[np.ndarray, bool]:
 
 
 def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
-              v: np.ndarray, n: np.ndarray) -> np.ndarray:
+              read: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """sum_{m < lengths[j]} v_m head(z_j, n_m) per point, points grouped by
     length; a row is never split, so every sum keeps its order."""
     out = np.zeros(len(z), dtype=np.result_type(z, np.float64))
-    for length in np.unique(lengths[lengths > 0]):
-        length = int(length)
+    for length in sorted(set(lengths[lengths > 0].tolist())):  # np.unique imports numpy.ma
         idx = np.flatnonzero(lengths == length)
-        rows = max(1, _CHUNK // length)
+        n, v = odd(0, length), read(0, length)
+        rows = max(1, SCAN // length)
         for a in range(0, len(idx), rows):
             sel = idx[a:a + rows]
-            out[sel] = (head(z[sel, None], n[:length]) * v[:length]).sum(axis=1)
+            out[sel] = (head(z[sel, None], n) * v).sum(axis=1)
     return out
 
 
@@ -476,7 +478,7 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray,
     tail, remainder = mom.tail(form, z, i)
     blocked = not np.iscomplexobj(z) and heads.max(initial=0) > _HEAD_PREFIX
     direct = np.minimum(heads, _HEAD_PREFIX) if blocked else heads
-    head = _head_sum(form.head, z, direct, getattr(ws, form.weights), ws.n_odd)
+    head = _head_sum(form.head, z, direct, ws.weights[form.weights])
     head = form.outer(z) * head
     if blocked:
         block_sum, block_bound = blocks.head(form, z, heads)
@@ -595,7 +597,7 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable):
         form, slope = _FORM_M, float(_abel_remainder_bound(1.0, ws))
     mom = ws.moments(form)[0]
     order = form.p0 + 2 * _TAYLOR_TERMS
-    v0 = abs(float(getattr(ws, form.weights)[0]))
+    v0 = abs(float(ws.weights[form.weights](0, 1)[0]))
     weight = v0 + 3.0 ** -(form.q + order) * (mom.abs_sum[0] - v0)
     return (form.p0 + _K2, form.coef * mom.scaled[0], np.array([1.0, order]),
             np.array([slope, form.remainder(a) * weight / a ** order]))
@@ -679,8 +681,9 @@ def kernel_M_prime(x, table: ArithTable):
     series.  A scalar x gives a float, an array x an array.
     """
     xs = np.asarray(x, dtype=np.float64)
-    if (xs < 0.0).any():
-        raise DomainError(f"kernel_M_prime requires x >= 0, got {xs.min()}")
+    bad = xs[~((0.0 <= xs) & (xs < math.inf))]  # nan fails both
+    if bad.size:
+        raise DomainError(f"kernel_M_prime requires finite x >= 0, got {bad[0]}")
     ws = _ws(table)
     vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws)
     # remainder via summation by parts on phi(m) = sig/(2m+1)

@@ -38,7 +38,7 @@ from .kernels import fermi_series
 
 __all__ = ["IntegralResult", "integrate_mellin", "integrate_gamma_zeta_a",
            "panel_sequence", "SPLIT_POINT", "PANEL_NODES", "TAIL_STOP_REL",
-           "MAX_PANELS", "DECAY_CONST"]
+           "MAX_PANELS", "DECAY_CONST", "MELLIN_STRIP"]
 
 
 SPLIT_POINT = 1.0     # end of the power-series head, start of the panels
@@ -46,6 +46,7 @@ PANEL_NODES = 32      # Gauss-Legendre order per panel
 TAIL_STOP_REL = 1e-9  # stop once a panel contributes less than this fraction
 MAX_PANELS = 60       # hard cap on the number of panels
 DECAY_CONST = 1.2     # envelope |kernel(x)| <= 1.2/x past max_x, empirical
+MELLIN_STRIP = (-1.5, 0.5)  # integrate_mellin's open interval of Re s
 
 
 @dataclass
@@ -148,7 +149,7 @@ def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralRes
             rides on the exception).
     """
     s = complex(s)
-    if not -1.5 < s.real < 0.5:
+    if not MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1]:
         raise DomainError(f"integrate_mellin requires -3/2 < Re s < 1/2, got {s}")
 
     def envelope_tail(edge, last):

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTable
-from .errors import (InvalidArgumentError, LiouvilleMellinError, PoleError,
+from .arith import ArithTable, abs_max, chunks, odd, pairwise_sum, running_sums
+from .errors import (InvalidArgumentError, NonConvergenceError, PoleError,
                      TruncationBudgetError)
 from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, fermi_deficit, kernel_M,
                       kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
@@ -128,53 +128,6 @@ def _sorted(reports: list[VerificationReport]) -> list[VerificationReport]:
 
 
 # --------------------------------------------------------------------------
-# table scans in fixed chunks: no temporary as long as the table
-# --------------------------------------------------------------------------
-
-_SCAN = 1 << 16  # indices per chunk; must stay >= 128, numpy's pairwise block
-
-
-def _chunks(n: int):
-    """(lo, hi) of consecutive _SCAN-long slices covering range(n)."""
-    return ((lo, min(lo + _SCAN, n)) for lo in range(0, n, _SCAN))
-
-
-def _odd(lo: int, hi: int) -> np.ndarray:
-    """The odd n = 2j + 1 for lo <= j < hi, as float64."""
-    return np.arange(2 * lo + 1, 2 * hi, 2, dtype=np.float64)
-
-
-def _pairwise_sum(term, lo: int, n: int):
-    """np.sum(term(lo, lo + n), axis=-1) to the bit without building it: split
-    where numpy's pairwise summation splits, and np.sum each piece of <= _SCAN
-    terms.  A term of several rows gives one sum per row."""
-    if n <= _SCAN:
-        return np.sum(term(lo, lo + n), axis=-1)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
-
-
-def _running_sums(term, n: int):
-    """(lo, np.cumsum(term(0, n), axis=-1)[..., lo:hi]) per chunk, summed in
-    place in the new float array term returns: the carry enters the chunk's
-    first term before its cumsum, so the additions stay sequential."""
-    carry = 0.0
-    for lo, hi in _chunks(n):
-        c = term(lo, hi)
-        if lo:
-            c[..., 0] += carry
-        np.cumsum(c, axis=-1, out=c)
-        carry = c[..., -1].copy()
-        yield lo, c
-
-
-def _abs_max(a: np.ndarray) -> float:
-    """max |a| over a non-empty 1-d array, one chunk at a time."""
-    return max(float(np.abs(a[lo:hi]).max()) for lo, hi in _chunks(len(a)))
-
-
-# --------------------------------------------------------------------------
 # theorem 1
 # --------------------------------------------------------------------------
 
@@ -218,7 +171,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
     k = THEOREM1_ENVELOPE_OCTAVE
     while 2 ** k < table.limit:
         lo, hi = 2 ** k, min(2 ** (k + 1), table.limit + 1)
-        octmax.append(_abs_max(table.nu_cumsum[lo:hi]))
+        octmax.append(abs_max(table.nu_cumsum[lo:hi]))
         k += 1
     if len(octmax) >= 2:
         increases = sum(1 for a, b in zip(octmax, octmax[1:]) if b > a)
@@ -376,7 +329,7 @@ def verify_theorem2(table: ArithTable,
             lhs = zeta_lambda(s)
             try:
                 res = integrate_mellin(integrand, s, series, max_x)
-            except LiouvilleMellinError as exc:   # non-convergence carries diagnostics
+            except NonConvergenceError as exc:   # scored; anything else is a bug
                 reports.append(make_report(
                     check_id, {"s": str(s)}, lhs, 0.0, passed=False,
                     notes=f"integration failed: {exc}"))
@@ -538,8 +491,8 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
 def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     """Inequality scans over the full table plus table-partial-sum vs
     closed-form checks for every generating function.  Every scan walks the
-    table in _SCAN-long chunks; each sum keeps the order of one np.sum or
-    np.cumsum over the whole range, so the values match to the bit."""
+    table in arith.SCAN-long chunks; each sum keeps the order of one np.sum
+    or np.cumsum over the whole range, so the values match to the bit."""
     reports = []
     limit = table.limit
     n_half = (limit + 1) // 2  # odd n <= limit
@@ -549,8 +502,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     # slack); nu = 0 at even n
     viol = mismatches = nu_viol = 0
     min_ratio, max_ratio = math.inf, -math.inf
-    for lo, hi in _chunks(n_half):
-        n_odd = _odd(lo, hi)
+    for lo, hi in chunks(n_half):
+        n_odd = odd(lo, hi)
         root = np.sqrt(n_odd)
         r = table.beta[2 * lo + 1:2 * hi:2] / root
         viol += int(np.count_nonzero((r <= -1.0) | (r > 1.0 + 1e-12)))
@@ -579,7 +532,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         contrib = l * table.nu[l]
         if contrib != 0.0:
             conv[l::2 * l] += contrib
-    ratio = table.beta[1:n_conv + 1:2] / np.sqrt(_odd(0, (n_conv + 1) // 2))
+    ratio = table.beta[1:n_conv + 1:2] / np.sqrt(odd(0, (n_conv + 1) // 2))
     worst = float(np.abs(conv[1::2] - ratio).max())
     reports.append(make_report(
         "bounds.convolution", {"n_max": n_conv}, worst, 0.0, tol_abs=1e-12,
@@ -599,7 +552,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         return rows
 
     N_l = min(10 ** 6, limit)
-    lam3, mu3, nu3, nu1 = _pairwise_sum(dirichlet, 0, N_l)
+    lam3, mu3, nu3, nu1 = pairwise_sum(dirichlet, 0, N_l)
     reports.append(make_report(
         "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lam3, zeta(6.0) / zeta(3.0),
         tol_abs=tail_power(N_l, 3.0),
@@ -613,8 +566,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs 1/zeta(3)"))
 
     N_b = min(10 ** 5, limit)
-    lhs = _pairwise_sum(
-        lambda lo, hi: table.beta[2 * lo + 1:2 * hi:2] / _odd(lo, hi) ** 3, 0, (N_b + 1) // 2)
+    lhs = pairwise_sum(
+        lambda lo, hi: table.beta[2 * lo + 1:2 * hi:2] / odd(lo, hi) ** 3, 0, (N_b + 1) // 2)
     rhs = zeta_beta(3.0)
     tail_b = 1.5 * N_b ** -1.5  # sum_{n>N} sqrt(n)/n^3 <= int + edge
     reports.append(make_report(
@@ -630,7 +583,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_beta(4.5)/zeta_imp(4)"))
 
     # nu at s = 1, remainder bounded by summation by parts
-    s_sup = _abs_max(table.nu_cumsum[N_l:])
+    s_sup = abs_max(table.nu_cumsum[N_l:])
     tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
         "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, nu1, zeta_nu(1.0), tol_abs=tail_s1,
@@ -640,7 +593,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     # running sums over odd n: |beta(n)| n^-3/2, whose maximum stays under the
     # squarefree-times-square double sum, and mu(n)/n for the Newman trend
     def running(lo, hi):
-        n = _odd(lo, hi)
+        n = odd(lo, hi)
         rows = np.empty((2, hi - lo))
         np.divide(np.abs(table.beta[2 * lo + 1:2 * hi:2]), n ** 1.5, out=rows[0])
         np.divide(table.mobius[2 * lo + 1:2 * hi:2], n, out=rows[1])
@@ -651,7 +604,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     ends = {k: 2 ** (k - 1) - 1 for k in (*range(8, 13), *range(16, 22))
             if 2 ** k <= limit}
     partial_max, at = -math.inf, {}
-    for lo, (beta_abs, newman) in _running_sums(running, n_half):
+    for lo, (beta_abs, newman) in running_sums(running, n_half):
         partial_max = max(partial_max, float(beta_abs.max()))
         at.update((k, abs(newman[j - lo])) for k, j in ends.items()
                   if lo <= j < lo + len(newman))
@@ -676,10 +629,10 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     s = -1.25
 
     def second_form(lo, hi):
-        n = _odd(lo, hi)
+        n = odd(lo, hi)
         return table.beta[2 * lo + 1:2 * hi:2] / np.sqrt(n) * (math.pi * n) ** (s - 0.5)
 
-    series = float(_pairwise_sum(second_form, 0, n_half))
+    series = float(pairwise_sum(second_form, 0, n_half))
     target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
     tail = (math.pi ** (s - 0.5) * np.float64(2 * n_half - 1) ** (s + 0.5)
@@ -698,7 +651,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
             continue
         terms = (N + 1) // 2  # odd n <= N
         per_term = (np.abs(table.beta[1:N + 1:2]) * math.sqrt(2.0) / math.sqrt(math.pi)
-                    / _odd(0, terms) ** 2)
+                    / odd(0, terms) ** 2)
         lhs_sum = float(np.cumsum(per_term)[-1])
         reports.append(make_report(
             "bounds.swap-dominated", {"sigma": sigma, "N": N}, lhs_sum, rhs_int,

@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liouville_mellin import build_table, kernel_N_series, save_table
@@ -197,6 +203,12 @@ def test_theorem2_grid_flag(cache_env, capsys, tmp_path):
     assert not list((cache_env / "cache").glob("arith_5001.bin"))
     assert main(["verify", "theorem2", "--limit", "5001", "--grid=-0.75,x"]) == 2
     assert "cannot parse" in capsys.readouterr().err
+    # no points, or a theorem-2 point outside the strip, is a usage error too
+    for group, grid in (("theorem2", ","), ("functional", ","), ("theorem2", "0.7"),
+                        ("all", "-0.75,0.7"), ("theorem2", "-1.5")):
+        assert main(["verify", group, "--limit", "5001", f"--grid={grid}"]) == 2, (group, grid)
+        assert "empty, or Re s not in (-3/2, 1/2)" in capsys.readouterr().err
+    assert not list((cache_env / "cache").glob("arith_5001.bin"))
 
 
 def test_verify_all_on_a_small_table_reports_failures(cache_env, tmp_path):
@@ -329,3 +341,38 @@ def test_sieve_force_rebuilds(cache_env, capsys):
     assert main(["sieve", "--limit", "4001", "--force"]) == 0
     assert cache_file.read_bytes() == first  # deterministic rebuild
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["N", "M", "Mprime"])
+def test_kernel_rejects_a_non_finite_point(name, cache_env, capsys):
+    assert main(["kernel", name, "--limit", "3001", "--z", "1e400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def _numpy_on_openblas_x86() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in blas.get("name", "").lower() and platform.machine() == "x86_64"
+
+
+@pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86_64")
+def test_reports_do_not_depend_on_the_openblas_core(tmp_path):
+    # OPENBLAS_CORETYPE picks the BLAS kernels of the child process only
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(LIOUMEL_CACHE_DIR=str(tmp_path), LIOUMEL_TIMESTAMP="2025-01-01T00:00:00+00:00",
+               PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+
+    def run(**core):
+        proc = subprocess.run([sys.executable, "-m", "liouville_mellin", "verify", "all",
+                               "--limit", "20001"], env={**env, **core},
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    default = run()
+    for core in ("Haswell", "Prescott"):
+        assert run(OPENBLAS_CORETYPE=core) == default, core

@@ -1,11 +1,13 @@
 """Fermi kernel, the two meromorphic kernel sums, derivative, residues."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, PoleError, TruncationBudgetError,
+from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, TruncationBudgetError,
                               build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
@@ -239,6 +241,13 @@ REAL_X = (0.01, 1.0, 3.0, 3.5, 100.0, 5000.0)
 NEAR_POLE = [1j * PI * (2 * l + 1) + 2.0 ** -j for l in range(3) for j in (4, 8, 12, 16, 20)]
 
 
+def _terms(table):
+    # the oracles' own odd n, beta(n)/sqrt(n), nu(n) and S(n), read from the table
+    n = np.arange(1, table.limit + 1, 2, dtype=np.float64)
+    return SimpleNamespace(n=n, coef_N=table.beta[1::2] / np.sqrt(n),
+                           nu=table.nu[1::2], S=table.nu_cumsum[1::2])
+
+
 def _csum(terms):
     terms = np.asarray(terms)
     if np.iscomplexobj(terms):
@@ -246,18 +255,18 @@ def _csum(terms):
     return math.fsum(terms)
 
 
-def _ref_N(z, ws, M):
-    n, c = ws.n_odd[:M], ws.coef_N[:M]
+def _ref_N(z, t, M):
+    n, c = t.n[:M], t.coef_N[:M]
     return _csum(c * (2.0 * z / (z * z + (PI * n) ** 2)))
 
 
-def _ref_M_half(z, ws, M):
-    return _csum(ws.nu_odd[:M] * 0.5 * np.tanh(z / (2.0 * ws.n_odd[:M])))
+def _ref_M_half(z, t, M):
+    return _csum(t.nu[:M] * 0.5 * np.tanh(z / (2.0 * t.n[:M])))
 
 
-def _ref_M_prime(x, ws, M):
-    e = np.exp(-x / ws.n_odd[:M])
-    return math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
+def _ref_M_prime(x, t, M):
+    e = np.exp(-x / t.n[:M])
+    return math.fsum(t.nu[:M] / t.n[:M] * (e / (1.0 + e) ** 2))
 
 
 def _logistic(u):
@@ -266,11 +275,11 @@ def _logistic(u):
     return np.where(u >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def _ref_plain(x, ws, M):
+def _ref_plain(x, t, M):
     # S(2M-1) f(x/(2M+1)) - sum_{m<M} nu_m f(x/n_m), every term of the truncation
     f_next = float(_logistic(np.array([x / (2.0 * M + 1.0)]))[0])
-    f = _logistic(x / ws.n_odd[:M])
-    return math.fsum([float(ws.S_odd[M - 1]) * f_next] + list(-ws.nu_odd[:M] * f))
+    f = _logistic(x / t.n[:M])
+    return math.fsum([float(t.S[M - 1]) * f_next] + list(-t.nu[:M] * f))
 
 
 def _assert_close(got, want, tol=1e-14):
@@ -279,34 +288,34 @@ def _assert_close(got, want, tol=1e-14):
 
 
 def test_routes_match_fsum_on_real_axis(table_100k):
-    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
+    t, M = _terms(table_100k), config_for_table(table_100k).n_terms_M
     x = np.array(REAL_X)
     n_vals, _ = kernel_N_with_bound(x, table_100k)
     half, _ = kernel_M_with_bound(x, table_100k)
     plain, _ = kernel_M_with_bound(x, table_100k, form="plain")
     for j, xj in enumerate(REAL_X):
-        _assert_close(n_vals[j], _ref_N(xj, ws, config_for_table(table_100k).n_terms_N))
-        _assert_close(half[j], _ref_M_half(xj, ws, M))
-        _assert_close(plain[j], _ref_plain(xj, ws, M))
-        w = xj / ws.n_odd[:M]
+        _assert_close(n_vals[j], _ref_N(xj, t, config_for_table(table_100k).n_terms_N))
+        _assert_close(half[j], _ref_M_half(xj, t, M))
+        _assert_close(plain[j], _ref_plain(xj, t, M))
+        w = xj / t.n[:M]
         e = np.exp(-w)
-        ref = math.fsum(ws.nu_odd[:M] / ws.n_odd[:M] * (e / (1.0 + e) ** 2))
+        ref = math.fsum(t.nu[:M] / t.n[:M] * (e / (1.0 + e) ** 2))
         _assert_close(kernel_M_prime(xj, table_100k), ref)
 
 
 def test_routes_match_fsum_off_axis(table_100k):
-    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
+    t, M = _terms(table_100k), config_for_table(table_100k).n_terms_M
     for z in [complex(p) for p in DEFAULT_IDENTITY_POINTS] + NEAR_POLE:
         zs = z.real if z.imag == 0.0 else z
         _assert_close(kernel_N_with_bound(z, table_100k)[0],
-                      _ref_N(zs, ws, config_for_table(table_100k).n_terms_N))
+                      _ref_N(zs, t, config_for_table(table_100k).n_terms_N))
         _assert_close(kernel_M_with_bound(z, table_100k)[0],
-                      _ref_M_half(zs, ws, M))
+                      _ref_M_half(zs, t, M))
     # plain form off the axis, all M terms
     for z in (1.0 + 1.0j, 2.5 - 1.0j, -1.5 + 0j):
-        f = 1.0 / (np.exp(z / ws.n_odd[:M]) + 1.0)
+        f = 1.0 / (np.exp(z / t.n[:M]) + 1.0)
         f_next = 1.0 / (np.exp(z / (2.0 * M + 1.0)) + 1.0)
-        ref = _csum(np.concatenate([[ws.S_odd[M - 1] * f_next], -ws.nu_odd[:M] * f]))
+        ref = _csum(np.concatenate([[t.S[M - 1] * f_next], -t.nu[:M] * f]))
         _assert_close(kernel_M_with_bound(z, table_100k, form="plain")[0], ref)
 
 
@@ -321,11 +330,11 @@ def test_plain_form_real_array_is_odd_with_positive_bound(table_100k):
 
 def test_plain_form_sums_all_terms_on_2e6_table(table_main):
     # the plain form sums all M = 10^6 terms at every real x
-    ws, M = _ws(table_main), config_for_table(table_main).n_terms_M
+    t, M = _terms(table_main), config_for_table(table_main).n_terms_M
     xs = (3.5, 8.0, 20.0, 60.0, 150.0, 330.0, 400.0)
     vals, _ = kernel_M_with_bound(np.array(xs), table_main, form="plain")
     for j, x in enumerate(xs):
-        _assert_close(vals[j], _ref_plain(x, ws, M))
+        _assert_close(vals[j], _ref_plain(x, t, M))
 
 
 def test_tanh_coefficients_from_recurrence():
@@ -343,7 +352,7 @@ def _head_end(x, M):
     return min(b, M)
 
 
-def _tail_remainder(x, ws, M):
+def _tail_remainder(x, t, M):
     # Taylor remainder of the moment tail: (|u|/4)(|u|/pi)^(2K)/(1-(|u|/pi)^2)
     # times sum |nu| past the head, u = x/n_b, n_b the first breakpoint >= 2x
     b = _head_end(x, M)
@@ -351,7 +360,7 @@ def _tail_remainder(x, ws, M):
         return 0.0
     u = x / (2.0 * b + 1.0)
     r2 = (u / PI) ** 2
-    return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(ws.nu_odd[b:M]).sum())
+    return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(t.nu[b:M]).sum())
 
 
 def _sup_M(u0, w0):
@@ -369,7 +378,7 @@ def _sup_N(u0, w0):
     return 18.0 * w0 / abs(u0)
 
 
-def _block_remainder(x, ws, head, sup=_sup_M, v=None):
+def _block_remainder(x, t, head, sup=_sup_M, v=None):
     # Bound on interpolating the term at 20 first-kind Chebyshev points over
     # each block of the real head past its first 32 terms.  The blocks are
     # three geometric ones per octave of m, split at powers of two.  On a
@@ -377,7 +386,7 @@ def _block_remainder(x, ws, head, sup=_sup_M, v=None):
     # in tau with real semi-axis w0/(2 delta) the term is below sup(u0, w0),
     # u0 = x w0, and the error below 4 q^20/(1 - q) times that, with
     # q = r/(1 + sqrt(1 - r^2)), r = 2 delta/w0.
-    v = ws.nu_odd if v is None else v
+    v = t.nu if v is None else v
     edges = {round(2.0 ** (j + i / 3.0)) for j in range(5, 21) for i in range(3)}
     edges.add(head)
     edges = sorted(e for e in edges if 32 <= e <= head)
@@ -392,13 +401,13 @@ def _block_remainder(x, ws, head, sup=_sup_M, v=None):
 
 
 def test_plain_form_bound_is_abel_bound_plus_taylor_remainder(table_100k):
-    ws, M = _ws(table_100k), config_for_table(table_100k).n_terms_M
+    t, M = _terms(table_100k), config_for_table(table_100k).n_terms_M
     _, bounds = kernel_M_with_bound(np.array(REAL_X), table_100k, form="plain")
     for j, x in enumerate(REAL_X):
         g_edge = 0.5 * float(np.tanh(x / (2.0 * (2.0 * M + 1.0))))
-        abel = 2.0 * ws.s_sup * abs(g_edge)
-        remainder = _tail_remainder(x, ws, M)
-        blocks = _block_remainder(x, ws, _head_end(x, M))
+        abel = 2.0 * _ws(table_100k).s_sup * abs(g_edge)
+        remainder = _tail_remainder(x, t, M)
+        blocks = _block_remainder(x, t, _head_end(x, M))
         assert remainder < 1e-20 and blocks < 1e-16
         assert (blocks > 0.0) == (x > 16.0)  # blocks start after 32 head terms
         assert abs((bounds[j] - abel) - (remainder + blocks)) <= 2.0 * math.ulp(abel)
@@ -410,28 +419,28 @@ PLAIN_BLOCK_X = (-500.0, 500.0, 5000.0, 5e4, 99952.9)
 def test_plain_block_head_matches_fsum(table_main):
     # heads of up to 2^17 terms, all but the first 32 from block interpolation,
     # for every real form: M in both variants, N and M'
-    ws, M = _ws(table_main), config_for_table(table_main).n_terms_M
+    t, M = _terms(table_main), config_for_table(table_main).n_terms_M
     xs = np.array(PLAIN_BLOCK_X)
     vals, bounds = kernel_M_with_bound(xs, table_main, form="plain")
     half, _ = kernel_M_with_bound(xs, table_main)
     n_vals, n_bounds = kernel_N_with_bound(xs, table_main)
     for j, x in enumerate(PLAIN_BLOCK_X):
-        _assert_close(vals[j], _ref_plain(x, ws, M))
-        _assert_close(half[j], _ref_M_half(x, ws, M))
-        _assert_close(n_vals[j], _ref_N(x, ws, config_for_table(table_main).n_terms_N))
-        blocks = _block_remainder(x, ws, _head_end(x, M))
+        _assert_close(vals[j], _ref_plain(x, t, M))
+        _assert_close(half[j], _ref_M_half(x, t, M))
+        _assert_close(n_vals[j], _ref_N(x, t, config_for_table(table_main).n_terms_N))
+        blocks = _block_remainder(x, t, _head_end(x, M))
         assert 0.0 < blocks < 1e-16
         assert bounds[j] >= blocks
-        n_blocks = _block_remainder(x, ws, _head_end(x, M), _sup_N, ws.coef_N)
+        n_blocks = _block_remainder(x, t, _head_end(x, M), _sup_N, t.coef_N)
         assert n_bounds[j] >= n_blocks > 0.0
     # M' has no printed bound; the remainder it checks against its tolerance
     # must hold the block term
     xp = xs[xs >= 0.0]
-    mp_vals, mp_remainder = _kernel_sum(_FORM_M_PRIME, xp, ws)
+    mp_vals, mp_remainder = _kernel_sum(_FORM_M_PRIME, xp, _ws(table_main))
     for j, x in enumerate(xp):
-        _assert_close(mp_vals[j], _ref_M_prime(x, ws, M))
+        _assert_close(mp_vals[j], _ref_M_prime(x, t, M))
         assert mp_vals[j] == kernel_M_prime(x, table_main)
-        assert mp_remainder[j] >= _block_remainder(x, ws, _head_end(x, M), _sup_M_prime) > 0.0
+        assert mp_remainder[j] >= _block_remainder(x, t, _head_end(x, M), _sup_M_prime) > 0.0
 
 
 # -------------------------------------- truncations shorter than the table ----
@@ -516,3 +525,39 @@ def test_array_calls_check_every_point(table_100k):
         kernel_M_prime(np.array([1.0, -1.0]), t)
     with pytest.raises(TruncationBudgetError):  # the bound at -50 is above 5e-8
         kernel_M(np.array([1.0, -50.0]), t, form="plain")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.inf, 1.0),
+                                 complex(1.0, math.nan)])
+def test_kernels_reject_non_finite_arguments(bad, table_100k):
+    # as the zeta layer does: a scalar, or one entry of an array, is enough
+    for z in (bad, np.array([1.0, bad, 2.0])):
+        for call in (kernel_N_with_bound, kernel_M_with_bound,
+                     lambda z, t: kernel_M_with_bound(z, t, form="plain"), kernel_M):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                call(z, table_100k)
+        if not isinstance(bad, complex):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                kernel_M_prime(z, table_100k)
+
+
+def test_workspace_keeps_views_of_the_table_only(table_main):
+    # the N and M moments and the blocks to m = 2^17 (a head ending at x = 2^17)
+    # keep under 1% of the table's bytes, and build in slices well below it
+    array_bytes = sum(v.nbytes for v in vars(table_main).values()
+                      if isinstance(v, np.ndarray))
+    x = np.array([2.0 ** 17])
+    kernel_N_with_bound(x, build_table(1001))  # any first-call imports
+    table_main.__dict__.pop("_kernel_ws", None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kernel_N_with_bound(x, table_main)
+        kernel_M_with_bound(x, table_main)
+        kept, peak = (b - start for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    blocks = _ws(table_main).moments(_FORM_M_PRIME)[1]
+    assert blocks.edges[len(blocks.abs_sum)] == 2 ** 17
+    assert kept < 0.01 * array_bytes, kept / array_bytes
+    assert peak < 0.2 * array_bytes, peak / array_bytes

@@ -9,8 +9,8 @@ import pytest
 from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceError,
                               gamma, integrate_gamma_zeta_a, integrate_mellin,
                               zeta_alternating)
-from liouville_mellin.kernels import (_ws, fermi_series, kernel_M_with_bound,
-                                      kernel_N_with_bound, kernel_series_with_bound)
+from liouville_mellin.kernels import (fermi_series, kernel_M_with_bound, kernel_N_with_bound,
+                                      kernel_series_with_bound)
 from liouville_mellin.quadrature import (DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT,
                                          _series_head, panel_sequence)
 from liouville_mellin.verify import default_theorem2_grid
@@ -154,8 +154,7 @@ def test_kernel_series_taylor_majorant_is_led_by_the_first_term(route, table_mai
     _, _, err_pow, err = kernel_series_with_bound(route, a, table_main)
     r2 = (a / PI) ** 2
     first = 0.25 * a * r2 ** 14 / (1.0 - r2) / a ** 29
-    ws = _ws(table_main)
-    v0 = abs(float(ws.coef_N[0] if route == "N" else ws.nu_odd[0]))
+    v0 = abs(float(table_main.beta[1] if route == "N" else table_main.nu[1]))  # n = 1
     assert err_pow[-1] == 29
     assert first * v0 <= err[-1] <= 1.01 * first * v0
 

@@ -7,7 +7,7 @@ import numpy as np
 
 import pytest
 
-from liouville_mellin import (NonConvergenceError, build_table, probe_decay,
+from liouville_mellin import (NonConvergenceError, arith, build_table, probe_decay,
                               run_group, verify, verify_bounds,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
@@ -158,40 +158,43 @@ def test_bounds_scan_allocates_under_the_table_size(table_main):
     assert extra <= 0.8 * array_bytes, extra / array_bytes
 
 
-_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, verify._SCAN - 1, verify._SCAN + 1,
-                2 * verify._SCAN + 3, 1_000_000, 1_000_001]
+_SUM_LENGTHS = [1, 7, 8, 127, 128, 129, arith.SCAN - 1, arith.SCAN + 1,
+                2 * arith.SCAN + 3, 1_000_000, 1_000_001]
 
 
 @pytest.mark.parametrize("n", _SUM_LENGTHS)
 def test_chunked_sums_match_numpy_bit_for_bit(n):
     a = np.random.default_rng(n).standard_normal(n)
     term = lambda lo, hi: a[lo:hi].copy()
-    assert verify._pairwise_sum(term, 0, n) == np.sum(a)
-    chunks = [c.copy() for _, c in verify._running_sums(term, n)]
+    assert arith.pairwise_sum(term, 0, n) == np.sum(a)
+    chunks = [c.copy() for _, c in arith.running_sums(term, n)]
     assert np.array_equal(np.concatenate(chunks), np.cumsum(a))
-    if n > verify._SCAN:  # the data tell the pairwise order from the sequential
+    if n > arith.SCAN:  # the data tell the pairwise order from the sequential
         assert np.cumsum(a)[-1] != np.sum(a)
     # a term of several rows: one sum, or one running sum, per row
     rows = np.stack([a, a[::-1], a * np.pi])
     term = lambda lo, hi: rows[:, lo:hi].copy()
-    assert np.array_equal(verify._pairwise_sum(term, 0, n),
+    assert np.array_equal(arith.pairwise_sum(term, 0, n),
                           [np.sum(row) for row in rows])
-    chunks = [c.copy() for _, c in verify._running_sums(term, n)]
+    chunks = [c.copy() for _, c in arith.running_sums(term, n)]
     assert np.array_equal(np.concatenate(chunks, axis=1),
                           [np.cumsum(row) for row in rows])
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 5, 3001, 100_001])
 def test_scan_chunk_length_leaves_rows_unchanged(limit, table_100k, monkeypatch):
+    # every sum over the table, the kernels' moments and block weights too
     table = table_100k if limit == 100_001 else build_table(limit)
 
     def rows():
-        return [repr(r.to_record())
-                for r in verify_bounds(table) + verify_theorem1(table)]
+        table.__dict__.pop("_kernel_ws", None)  # rebuild the kernel sums
+        reports = (verify_bounds(table) + verify_theorem1(table) + run_group("identity", table)
+                   + probe_decay(table) + verify_theorem2(table, [-0.75, -1.1 + 0.3j]))
+        return [repr(r.to_record()) for r in reports]
 
-    monkeypatch.setattr(verify, "_SCAN", 2 ** 40)  # one chunk per scan
+    monkeypatch.setattr(arith, "SCAN", 2 ** 40)  # one chunk per scan
     whole = rows()
-    monkeypatch.setattr(verify, "_SCAN", 128)
+    monkeypatch.setattr(arith, "SCAN", 128)
     assert rows() == whole
 
 
