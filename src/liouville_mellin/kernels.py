@@ -124,9 +124,17 @@ def config_for_table(table: ArithTable) -> KernelConfig:
 # Fermi-type kernel 1/(e^z + 1)
 # ---------------------------------------------------------------------------
 
-def nearest_pole(z: complex) -> tuple[complex, int]:
-    """The pole i*pi*(2l+1) closest to z, returned as (pole, l)."""
+def _finite(z: complex, what: str) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError(f"{what}: argument must be finite, got {z}")
+    return z
+
+
+def nearest_pole(z: complex) -> tuple[complex, int]:
+    """The pole i*pi*(2l+1) closest to z, returned as (pole, l); a non-finite
+    z raises InvalidArgumentError."""
+    z = _finite(z, "nearest_pole")
     # closest odd integer to Im(z)/pi
     q = z.imag / math.pi
     odd = 2 * math.floor((q - 1) / 2) + 1
@@ -136,7 +144,7 @@ def nearest_pole(z: complex) -> tuple[complex, int]:
 
 
 def _check_pole(z: complex, what: str) -> complex:
-    z = complex(z)
+    z = _finite(z, what)
     pole, l = nearest_pole(z)
     if abs(z - pole) < POLE_TOL:
         raise PoleError(f"{what}: z={z} is within {POLE_TOL} of pole {pole}",
@@ -547,9 +555,10 @@ def kernel_N_series(z: complex) -> complex:
     k <= SERIES_ORDER_K.
 
     Raises:
+        InvalidArgumentError: for a non-finite z.
         DomainError: outside the disc of convergence |z| < pi.
     """
-    z = complex(z)
+    z = _finite(z, "kernel_N_series")
     if abs(z) >= math.pi:
         raise DomainError(f"kernel series requires |z| < pi, got |z|={abs(z)}")
     c = kernel_series_coefficients(SERIES_ORDER_K)

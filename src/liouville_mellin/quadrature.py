@@ -20,9 +20,11 @@ Gauss-Legendre panels follow, their widths capped so the log-oscillation of
 x^(i Im s) stays below pi/4 per panel.  Panels stop once a panel contributes
 less than TAIL_STOP_REL of the accumulated integral, or at the trusted range
 max_x, past which the empirical decay envelope |f(x)| <= DECAY_CONST / x
-bounds the tail.  Node positions depend on max_x, and on Im s only once the
-oscillation cap binds, |Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand,
-so integrand evaluations can be memoized across a grid of s values.
+bounds the tail.  The integrand is asked once per rule, over every panel up
+to max_x or MAX_PANELS; the panels past the stop rule are discarded.  Node
+positions depend on max_x, and on Im s only once the oscillation cap binds,
+|Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand, so integrand
+evaluations can be memoized across a grid of s values.
 """
 
 from __future__ import annotations
@@ -96,34 +98,35 @@ def _integrate(integrand, expo: complex, series, max_x: float, tail,
                name: str) -> IntegralResult:
     """integral_0^inf f(x) x^expo dx: series head on (0, SPLIT_POINT], then panels.
 
-    tail(edge, last) bounds the integral past the last panel edge; `last` is
-    |last panel| when the panel criterion stopped the loop and None when the
-    trusted range max_x ran out.
+    One integrand call per Gauss rule covers every panel up to max_x or
+    MAX_PANELS; the stop loop reads the per-panel sums in order and discards
+    the panels past the stop rule.  tail(edge, last) bounds the integral past
+    the last panel edge; `last` is |last panel| when the panel criterion
+    stopped the loop and None when the trusted range max_x ran out.
     """
+    a, b = np.array(list(panel_sequence(expo.imag, max_x))).T
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
 
-    def rule(a, b, n):
-        # n-node Gauss sum_j f(x_j) x_j^expo w_j on [a, b], weighted truncation bounds
+    def rule(n):
+        # per panel: n-node Gauss sum_j f(x_j) x_j^expo w_j, weighted truncation bounds
         xg, wg = _leggauss(n)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
         x, w = mid + half * xg, half * wg
-        f, bounds = integrand(x)
+        f, bounds = (v.reshape(x.shape) for v in integrand(x.ravel()))
         wt = x ** expo
-        return np.sum(f * wt * w), float(np.sum(np.abs(wt) * w * bounds))
+        return np.sum(f * wt * w, axis=1), np.sum(np.abs(wt) * w * bounds, axis=1)
 
+    (contribs, truncs), embedded = rule(PANEL_NODES), rule(PANEL_NODES // 2)[0]
     total, est = _series_head(series, expo, SPLIT_POINT)
     tail_bound = None
-    panels = 0
-    for a, b in panel_sequence(expo.imag, max_x):
-        contrib, trunc = rule(a, b, PANEL_NODES)
-        embedded = rule(a, b, PANEL_NODES // 2)[0]
-        est = est + abs(contrib - embedded) + trunc
+    for panels, (edge, contrib, trunc, low) in enumerate(
+            zip(b.tolist(), contribs, truncs, embedded), 1):
+        est = est + abs(contrib - low) + float(trunc)
         total += contrib
-        panels += 1
         if abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
-            tail_bound = tail(b, abs(contrib))
+            tail_bound = tail(edge, abs(contrib))
             break
-        if b >= max_x:
-            tail_bound = tail(b, None)
+        if edge >= max_x:
+            tail_bound = tail(edge, None)
     result = IntegralResult(value=complex(total), est_error=float(est),
                             tail_bound=float(tail_bound or 0.0), panels_used=panels)
     if tail_bound is None:

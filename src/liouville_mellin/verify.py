@@ -276,10 +276,11 @@ class _KernelIntegrand:
     whose series is the head on (0, SPLIT_POINT]) to KERNEL_SPLICE_X, the
     plain exponential form beyond.
 
-    Values are cached per x across every s on the grid.  Node positions
-    depend on s only where the panels' oscillation cap binds, |Im s| >
-    pi/(4 ln 2) ~ 1.13, so on the default grid a full 9-point, two-route
-    theorem-2 run costs one kernel evaluation per distinct node and route.
+    The memo is keyed per node array, across every s on the grid: the nodes
+    up to KERNEL_SPLICE_X under the near route, the rest under "abel", each
+    by its bytes.  Node positions depend on s only where the panels'
+    oscillation cap binds, |Im s| > pi/(4 ln 2) ~ 1.13, so on the default
+    grid a 9-point, two-route run calls each route once per Gauss rule.
     """
 
     def __init__(self, table: ArithTable, near_route: str, cache: dict):
@@ -288,23 +289,21 @@ class _KernelIntegrand:
         self.cache = cache
 
     def _eval_route(self, route: str, xs: np.ndarray):
-        if route == "N":
-            return _kernel_N_real_array(xs, self.table)
-        if route == "M":
-            return _kernel_M_half_real_array(xs, self.table)
-        return _kernel_M_abel_real_array(xs, self.table, form="plain")
+        if route == "abel":
+            return _kernel_M_abel_real_array(xs, self.table, form="plain")
+        near = _kernel_N_real_array if route == "N" else _kernel_M_half_real_array
+        return near(xs, self.table)
 
     def __call__(self, x: np.ndarray):
-        keys = [(self.near_route if xi <= KERNEL_SPLICE_X else "abel", xi)
-                for xi in np.asarray(x, dtype=np.float64).tolist()]
-        missing: dict[str, list[float]] = {}
-        for route, xi in keys:
-            if (route, xi) not in self.cache:
-                missing.setdefault(route, []).append(xi)
-        for route, xs in missing.items():
-            vals, bounds = self._eval_route(route, np.array(xs))
-            self.cache.update(zip([(route, xi) for xi in xs], zip(vals.tolist(), bounds.tolist())))
-        return np.array([self.cache[key] for key in keys]).T  # values, bounds
+        near = x <= KERNEL_SPLICE_X
+        out = np.empty((2, len(x)))  # values, bounds
+        for route, mask in ((self.near_route, near), ("abel", ~near)):
+            if mask.any():
+                key = (route, x[mask].tobytes())
+                if key not in self.cache:
+                    self.cache[key] = self._eval_route(route, x[mask])
+                out[:, mask] = self.cache[key]
+        return out
 
 
 def verify_theorem2(table: ArithTable,
@@ -314,7 +313,10 @@ def verify_theorem2(table: ArithTable,
     read the plain form from one shared cache.
 
     The degenerate grid point s = -1 (where the cosine prefactor and the
-    zeta(2s) trivial zero both force 0) is scored absolutely.
+    zeta(2s) trivial zero both force 0) is scored absolutely.  The paper
+    states theorem 2 on -3/2 < Re s < -1/2.  Grid points in [-1/2, 1/2) run,
+    but as diagnostics: each row's own tail_bound exceeds THEOREM2_REL_TOL
+    there (at limit 200,001, 1.6e-3 at s = -0.25, which passes; 0.25 at 0.2).
     """
     max_x = theorem2_max_x(table)
     if s_grid is None:
@@ -339,15 +341,10 @@ def verify_theorem2(table: ArithTable,
                       "panels": res.panels_used,
                       "tail_bound_kind": "empirical decay envelope"}
             degenerate = abs(s - (-1.0)) < 1e-12
-            if degenerate:
-                rep = make_report(check_id, {"s": str(s)}, lhs, rhs,
-                                  tol_abs=THEOREM2_ABS_TOL_DEGENERATE,
-                                  budget=budget,
-                                  notes="degenerate zero scored absolutely")
-            else:
-                rep = make_report(check_id, {"s": str(s)}, lhs, rhs,
-                                  tol_rel=THEOREM2_REL_TOL, budget=budget)
-            reports.append(rep)
+            tol = ({"tol_abs": THEOREM2_ABS_TOL_DEGENERATE,
+                    "notes": "degenerate zero scored absolutely"} if degenerate
+                   else {"tol_rel": THEOREM2_REL_TOL})
+            reports.append(make_report(check_id, {"s": str(s)}, lhs, rhs, budget=budget, **tol))
     return _sorted(reports)
 
 

@@ -16,7 +16,8 @@ from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLO
                                       _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound, nearest_pole)
-from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS
+from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
+from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS, KERNEL_SPLICE_X, theorem2_max_x
 
 PI = math.pi
 
@@ -517,6 +518,23 @@ def test_array_call_equals_scalar_calls_bit_for_bit(table_100k):
     assert kernel_M_prime(xs, t).tolist() == [kernel_M_prime(x, t) for x in xs.tolist()]
 
 
+def test_batch_of_panels_equals_calls_per_panel_bit_for_bit(table_100k):
+    # theorem 2's nodes: all panels of both Gauss rules in one call, or one
+    # call per panel, give the same values and bounds
+    t = table_100k
+    panels = [0.5 * (a + b) + 0.5 * (b - a) * np.polynomial.legendre.leggauss(n)[0]
+              for n in (PANEL_NODES, PANEL_NODES // 2)
+              for a, b in panel_sequence(0.0, theorem2_max_x(t))]
+    for form, far in ((None, False), ("half-shifted", False), ("plain", True)):
+        parts = [x[(x > KERNEL_SPLICE_X) == far] for x in panels]
+        parts = [x for x in parts if x.size]
+        call = ((lambda x: kernel_N_with_bound(x, t)) if form is None
+                else (lambda x: kernel_M_with_bound(x, t, form=form)))
+        whole = call(np.concatenate(parts))
+        per_panel = [np.concatenate(v) for v in zip(*map(call, parts))]
+        assert [v.tobytes() for v in whole] == [v.tobytes() for v in per_panel], form
+
+
 def test_array_calls_check_every_point(table_100k):
     t = table_100k
     with pytest.raises(PoleError):
@@ -528,7 +546,7 @@ def test_array_calls_check_every_point(table_100k):
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.inf, 1.0),
-                                 complex(1.0, math.nan)])
+                                 complex(0.0, math.inf), complex(1.0, math.nan)])
 def test_kernels_reject_non_finite_arguments(bad, table_100k):
     # as the zeta layer does: a scalar, or one entry of an array, is enough
     for z in (bad, np.array([1.0, bad, 2.0])):
@@ -539,6 +557,10 @@ def test_kernels_reject_non_finite_arguments(bad, table_100k):
         if not isinstance(bad, complex):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 kernel_M_prime(z, table_100k)
+    # the scalar helpers: the pole search and everything that checks poles
+    for call in (nearest_pole, fermi, fermi_deficit, kernel_N_series):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            call(bad)
 
 
 def test_workspace_keeps_views_of_the_table_only(table_main):

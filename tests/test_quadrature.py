@@ -12,7 +12,7 @@ from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceE
 from liouville_mellin.kernels import (fermi_series, kernel_M_with_bound, kernel_N_with_bound,
                                       kernel_series_with_bound)
 from liouville_mellin.quadrature import (DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT,
-                                         _series_head, panel_sequence)
+                                         TAIL_STOP_REL, _series_head, panel_sequence)
 from liouville_mellin.verify import default_theorem2_grid
 
 mpmath.mp.dps = 40
@@ -260,3 +260,46 @@ def test_shared_loop_reproduces_recorded_integrals():
     for res, (value, panels, tol) in runs:
         assert abs(res.value - value) <= tol * abs(value)
         assert res.panels_used == panels
+
+
+def _per_panel_mellin(integrand, s, series, max_x):
+    """integrate_mellin's loop with two integrand calls per panel, stopping
+    at the first panel below TAIL_STOP_REL: (value, est_error, tail_bound,
+    panels_used)."""
+    expo = s - 0.5
+
+    def rule(a, b, n):
+        xg, wg = np.polynomial.legendre.leggauss(n)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x, w = mid + half * xg, half * wg
+        f, bounds = integrand(x)
+        wt = x ** expo
+        return np.sum(f * wt * w), float(np.sum(np.abs(wt) * w * bounds))
+
+    total, est = _series_head(series, expo, SPLIT_POINT)
+    for panels, (a, b) in enumerate(panel_sequence(expo.imag, max_x), 1):
+        contrib, trunc = rule(a, b, PANEL_NODES)
+        est = est + abs(contrib - rule(a, b, PANEL_NODES // 2)[0]) + trunc
+        total += contrib
+        if abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
+            tail = DECAY_CONST * b ** (s.real - 0.5) / (0.5 - s.real)
+            return complex(total), float(est), float(tail), panels
+    raise AssertionError("no stop within MAX_PANELS")
+
+
+def test_one_integrand_call_per_rule():
+    # every panel up to MAX_PANELS in one call per Gauss rule; the panels
+    # past the stop rule are discarded, so the result is the per-panel loop's
+    calls = []
+    gauge = _gauge()
+
+    def recorded(x):
+        calls.append(len(x))
+        return gauge(x)
+
+    s = complex(-0.75, 0.5)
+    res = integrate_mellin(recorded, s, _gauge_series(), math.inf)
+    assert calls == [MAX_PANELS * PANEL_NODES, MAX_PANELS * PANEL_NODES // 2]
+    want = _per_panel_mellin(_gauge(), s, _gauge_series(), math.inf)
+    assert (res.value, res.est_error, res.tail_bound, res.panels_used) == want
+    assert res.panels_used < MAX_PANELS

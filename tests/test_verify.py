@@ -11,8 +11,9 @@ from liouville_mellin import (NonConvergenceError, arith, build_table, probe_dec
                               run_group, verify, verify_bounds,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
-from liouville_mellin.verify import (default_theorem2_grid, list_checks,
-                                     make_report, verify_residues)
+from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
+from liouville_mellin.verify import (KERNEL_SPLICE_X, default_theorem2_grid, list_checks,
+                                     make_report, theorem2_max_x, verify_residues)
 
 
 def test_report_invariants():
@@ -280,6 +281,39 @@ def test_theorem2_scores_package_errors_but_raises_bugs(table_100k, monkeypatch)
         verify_theorem2(table_100k, grid)
 
 
+def test_theorem2_calls_each_kernel_route_once_per_rule(table_100k, monkeypatch):
+    # the default grid shares its nodes: each route is asked once per Gauss
+    # rule, and the plain route, shared by N and M past KERNEL_SPLICE_X,
+    # evaluates each distinct far node once
+    calls = {}
+    for name in ("_kernel_N_real_array", "_kernel_M_half_real_array",
+                 "_kernel_M_abel_real_array"):
+        def counted(x, *args, _route=getattr(verify, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append(len(x))
+            return _route(x, *args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    verify_theorem2(table_100k)
+    assert len(calls) == 3 and all(len(lengths) <= 2 for lengths in calls.values()), calls
+    nodes = {0.5 * (a + b) + 0.5 * (b - a) * g
+             for n in (PANEL_NODES, PANEL_NODES // 2)
+             for a, b in panel_sequence(0.0, theorem2_max_x(table_100k))
+             for g in np.polynomial.legendre.leggauss(n)[0].tolist()}
+    far = [x for x in nodes if x > KERNEL_SPLICE_X]
+    assert sum(calls["_kernel_M_abel_real_array"]) == len(far)
+
+
+def test_theorem2_rows_do_not_depend_on_the_rest_of_the_grid(table_100k):
+    # -1+2i caps its panel widths, so its node arrays differ from -0.75's;
+    # each memo entry must serve only its own array
+    grid = [complex(-0.75), complex(-1.0, 2.0)]
+    single = [r for s in grid for r in verify_theorem2(table_100k, [s])]
+
+    def dump(reports):
+        return sorted(json.dumps(r.to_record(), sort_keys=True) for r in reports)
+
+    assert dump(verify_theorem2(table_100k, grid)) == dump(single)
+
+
 def test_residues_group(table_100k):
     reports = verify_residues(table_100k, l_values=(0, 1))
     assert all(r.passed for r in reports)
@@ -318,7 +352,7 @@ def test_theorem2_integrand_refinement_honest(table_100k):
     from liouville_mellin import integrate_mellin
     from liouville_mellin.kernels import kernel_series_with_bound
     from liouville_mellin.quadrature import SPLIT_POINT
-    from liouville_mellin.verify import _KernelIntegrand, theorem2_max_x
+    from liouville_mellin.verify import _KernelIntegrand
     max_x = theorem2_max_x(table_100k)
     for route in ("N", "M"):
         integrand = _KernelIntegrand(table_100k, route, cache={})
