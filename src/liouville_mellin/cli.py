@@ -284,7 +284,7 @@ def _dispatch(args) -> int:
             elif args.name == "M":
                 value, bound = kernel_M_with_bound(args.z, table, form=args.form)
             else:
-                value = kernel_M_prime(args.z.real, table)
+                value = kernel_M_prime(args.z, table)
         print(format_complex(complex(value)))
         if bound is not None:
             print(f"bound={bound!r}", file=sys.stderr)

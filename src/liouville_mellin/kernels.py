@@ -56,12 +56,12 @@ times the sum of both printed bounds, where the same truncation inside the
 
 Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
 kernel_M_prime) takes a scalar or a 1-d array: a scalar gets scalars back,
-an array gets arrays.  The input dtype picks the path.  Real input (a
-scalar with Im z == 0 counts as real) runs without pole checks, since the
-poles lie off the axis; N's tail bound there needs no inflation, as
-|x^2 + pi^2 n^2| >= pi^2 n^2, and the plain form's remainder bound uses
-the monotone variation of tanh.  Complex input is checked point by point for
-poles and N's bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2).
+an array gets arrays.  Every entry point takes its argument through one gate
+(_points), which rejects nan and inf.  Real input (a scalar with Im z == 0
+counts as real) needs no pole check and N's tail bound no inflation, as
+|x^2 + pi^2 n^2| >= pi^2 n^2; the plain form's bound uses the monotone
+variation of tanh.  Complex input is screened for poles as one array, N's
+bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2), and kernel_M_prime rejects it.
 """
 
 from __future__ import annotations
@@ -121,35 +121,47 @@ def config_for_table(table: ArithTable) -> KernelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fermi-type kernel 1/(e^z + 1)
+# the point gate and the Fermi-type kernel 1/(e^z + 1)
 # ---------------------------------------------------------------------------
 
-def _finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InvalidArgumentError(f"{what}: argument must be finite, got {z}")
-    return z
+def _pole_search(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, l of the nearest pole i*pi*(2l+1) (the lower on a tie) and its distance."""
+    l = np.floor((zs.imag / math.pi - 1.0) / 2.0)
+    dist = [np.hypot(zs.real, zs.imag - math.pi * (2.0 * k + 1.0)) for k in (l, l + 1.0)]
+    return l + (dist[1] < dist[0]), np.minimum(*dist)
+
+
+def _points(z, what: str) -> tuple[np.ndarray, bool]:
+    """The one gate of every kernel entry point: z as a 1-d float array (real
+    input) or a complex array off the poles, and whether z was a scalar.  For
+    the first offending point, every finiteness failure before any pole,
+    raises InvalidArgumentError (nan, inf) or PoleError (within POLE_TOL)."""
+    zs = np.asarray(z)
+    bad = zs[~np.isfinite(zs)]
+    if bad.size:
+        raise InvalidArgumentError(f"{what}: argument must be finite, got {bad[0]}")
+    scalar = zs.ndim == 0
+    zs = np.atleast_1d(zs.real if scalar and zs.imag == 0.0 else zs)
+    if not np.iscomplexobj(zs):
+        return zs.astype(np.float64), scalar
+    zs = zs.astype(np.complex128)
+    l, dist = _pole_search(zs)
+    hit = np.flatnonzero(dist < POLE_TOL)
+    if hit.size:
+        j, index = hit[0], int(l[hit[0]])
+        pole = 1j * math.pi * (2 * index + 1)
+        raise PoleError(f"{what}: z={complex(zs[j])} is within {POLE_TOL} of pole {pole}",
+                        location=pole, index=index)
+    return zs, scalar
 
 
 def nearest_pole(z: complex) -> tuple[complex, int]:
-    """The pole i*pi*(2l+1) closest to z, returned as (pole, l); a non-finite
-    z raises InvalidArgumentError."""
-    z = _finite(z, "nearest_pole")
-    # closest odd integer to Im(z)/pi
-    q = z.imag / math.pi
-    odd = 2 * math.floor((q - 1) / 2) + 1
-    cands = (odd, odd + 2)
-    best = min(cands, key=lambda o: abs(z - 1j * math.pi * o))
-    return 1j * math.pi * best, (int(best) - 1) // 2
-
-
-def _check_pole(z: complex, what: str) -> complex:
-    z = _finite(z, what)
-    pole, l = nearest_pole(z)
-    if abs(z - pole) < POLE_TOL:
-        raise PoleError(f"{what}: z={z} is within {POLE_TOL} of pole {pole}",
-                        location=pole, index=l)
-    return z
+    """The pole i*pi*(2l+1) closest to z as (pole, l); nan or inf raise InvalidArgumentError."""
+    try:
+        l = int(_pole_search(_points(complex(z), "nearest_pole")[0])[0][0])
+    except PoleError as err:  # z lies on the pole the gate names
+        l = err.index
+    return 1j * math.pi * (2 * l + 1), l
 
 
 def fermi(z: complex) -> complex:
@@ -158,7 +170,8 @@ def fermi(z: complex) -> complex:
     Raises:
         PoleError: within 1e-12 of a pole i*pi*(2k+1).
     """
-    z = _check_pole(z, "fermi")
+    z = complex(z)
+    _points(z, "fermi")
     if z.real > 30.0:
         w = cmath.exp(-z)
         return w / (1.0 + w)
@@ -167,7 +180,8 @@ def fermi(z: complex) -> complex:
 
 def fermi_deficit(z: complex) -> complex:
     """1/2 - 1/(e^z + 1) = tanh(z/2)/2, exact relative accuracy near 0."""
-    z = _check_pole(z, "fermi_deficit")
+    z = complex(z)
+    _points(z, "fermi_deficit")
     return 0.5 * cmath.tanh(0.5 * z)
 
 
@@ -444,23 +458,6 @@ def _ws(table: ArithTable) -> _Workspace:
     return ws
 
 
-def _points(z, what: str) -> tuple[np.ndarray, bool]:
-    """z as a 1-d float array (real input) or a pole-checked complex array,
-    and whether z was a scalar.  Raises InvalidArgumentError for nan or inf."""
-    zs = np.asarray(z)
-    bad = zs[~np.isfinite(zs)]
-    if bad.size:
-        raise InvalidArgumentError(f"{what}: argument must be finite, got {bad[0]}")
-    scalar = zs.ndim == 0
-    if scalar and zs.imag == 0.0:
-        zs = zs.real
-    if not np.iscomplexobj(zs):
-        return np.atleast_1d(zs).astype(np.float64), scalar
-    for zj in np.atleast_1d(zs):
-        _check_pole(zj, what)
-    return np.atleast_1d(zs).astype(np.complex128), scalar
-
-
 def _head_sum(head: Callable, z: np.ndarray, lengths: np.ndarray,
               read: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """sum_{m < lengths[j]} v_m head(z_j, n_m) per point, points grouped by
@@ -486,8 +483,7 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray,
     tail, remainder = mom.tail(form, z, i)
     blocked = not np.iscomplexobj(z) and heads.max(initial=0) > _HEAD_PREFIX
     direct = np.minimum(heads, _HEAD_PREFIX) if blocked else heads
-    head = _head_sum(form.head, z, direct, ws.weights[form.weights])
-    head = form.outer(z) * head
+    head = form.outer(z) * _head_sum(form.head, z, direct, ws.weights[form.weights])
     if blocked:
         block_sum, block_bound = blocks.head(form, z, heads)
         head, remainder = head + block_sum, remainder + block_bound
@@ -556,9 +552,11 @@ def kernel_N_series(z: complex) -> complex:
 
     Raises:
         InvalidArgumentError: for a non-finite z.
+        PoleError: within POLE_TOL of the poles +-i*pi on the disc's edge.
         DomainError: outside the disc of convergence |z| < pi.
     """
-    z = _finite(z, "kernel_N_series")
+    z = complex(z)
+    _points(z, "kernel_N_series")
     if abs(z) >= math.pi:
         raise DomainError(f"kernel series requires |z| < pi, got |z|={abs(z)}")
     c = kernel_series_coefficients(SERIES_ORDER_K)
@@ -687,14 +685,14 @@ def kernel_M_prime(x, table: ArithTable):
 
     Absolutely convergent; the head terms, direct or at block nodes, take the
     overflow-safe form e^(-w)/(1+e^(-w))^2, the tail the sech^2 power
-    series.  A scalar x gives a float, an array x an array.
+    series.  A scalar x gives a float, an array x an array; complex x raises DomainError.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    bad = xs[~((0.0 <= xs) & (xs < math.inf))]  # nan fails both
+    xs, scalar = _points(x, "kernel_M_prime")
+    bad = xs[np.iscomplexobj(xs) | (xs.real < 0.0)]
     if bad.size:
-        raise DomainError(f"kernel_M_prime requires finite x >= 0, got {bad[0]}")
+        raise DomainError(f"kernel_M_prime requires real x >= 0, got {bad[0]}")
     ws = _ws(table)
-    vals, remainder = _kernel_sum(_FORM_M_PRIME, np.atleast_1d(xs), ws)
+    vals, remainder = _kernel_sum(_FORM_M_PRIME, xs, ws)
     # remainder via summation by parts on phi(m) = sig/(2m+1)
     phi_edge = 0.25 / (2.0 * ws.depth + 1.0)
     bound = float(np.max(3.0 * ws.s_sup * phi_edge + remainder))
@@ -702,7 +700,7 @@ def kernel_M_prime(x, table: ArithTable):
         raise TruncationBudgetError(
             f"kernel_M_prime: remainder bound {bound:.3e} above tolerance",
             achieved_bound=bound)
-    return float(vals[0]) if xs.ndim == 0 else vals
+    return float(vals[0]) if scalar else vals
 
 
 # ---------------------------------------------------------------------------

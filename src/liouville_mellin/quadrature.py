@@ -181,10 +181,11 @@ def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
         return e / (1.0 + e), np.zeros(len(t))
 
     def exponential_tail(edge, last):
-        # kernel < e^-t out here; the panels run until the stop criterion
+        # kernel < e^-t; past t = 2 Re s, as at max_x, the tail is below twice t^(Re s-1) e^-t
         if edge > abs(s):
             return math.exp(-edge) * 2.0 * edge ** (s.real - 1.0)
         return last
 
-    return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), math.inf,
+    max_x = 2.0 ** max(7, math.ceil(math.log2(8.0 * abs(s))))
+    return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), max_x,
                       exponential_tail, "integrate_gamma_zeta_a")

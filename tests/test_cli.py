@@ -358,21 +358,49 @@ def _numpy_on_openblas_x86() -> bool:
     return "openblas" in blas.get("name", "").lower() and platform.machine() == "x86_64"
 
 
+def _verify_all_20001(cache: Path, **child_env):
+    """stdout of `verify all --limit 20001` in a child process whose
+    environment (numpy dispatch, OpenBLAS core) is the default plus child_env."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(LIOUMEL_CACHE_DIR=str(cache), LIOUMEL_TIMESTAMP="2025-01-01T00:00:00+00:00",
+               PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p),
+               **child_env)
+    proc = subprocess.run([sys.executable, "-m", "liouville_mellin", "verify", "all",
+                           "--limit", "20001"], env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(not _numpy_on_openblas_x86(), reason="needs numpy on OpenBLAS, x86_64")
 def test_reports_do_not_depend_on_the_openblas_core(tmp_path):
     # OPENBLAS_CORETYPE picks the BLAS kernels of the child process only
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env.update(LIOUMEL_CACHE_DIR=str(tmp_path), LIOUMEL_TIMESTAMP="2025-01-01T00:00:00+00:00",
-               PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
-
-    def run(**core):
-        proc = subprocess.run([sys.executable, "-m", "liouville_mellin", "verify", "all",
-                               "--limit", "20001"], env={**env, **core},
-                              capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    default = run()
+    default = _verify_all_20001(tmp_path)
     for core in ("Haswell", "Prescott"):
-        assert run(OPENBLAS_CORETYPE=core) == default, core
+        assert _verify_all_20001(tmp_path, OPENBLAS_CORETYPE=core) == default, core
+
+
+_NARROW_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL", "OPENBLAS_CORETYPE": "Haswell"}
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="numpy's x86_64 SIMD dispatch")
+def test_reports_move_little_with_numpy_simd_dispatch(tmp_path):
+    # without numpy's AVX-512 loops, the sieve's array power, np.tanh and
+    # np.exp may round otherwise: each run sieves its own table; the same rows
+    # and pass flags, lhs and rhs within 1e-13 relative (abs_err and rel_err,
+    # differences of close values, move more)
+    narrowing = _NARROW_SIMD["NPY_DISABLE_CPU_FEATURES"]
+    probe = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"],
+                           env={**os.environ, **_NARROW_SIMD}, capture_output=True, timeout=60)
+    if probe.returncode:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={narrowing}")
+    default, narrow = ([r for r in map(json.loads, out.splitlines()) if r["type"] == "report"]
+                       for out in (_verify_all_20001(tmp_path / "default"),
+                                   _verify_all_20001(tmp_path / "narrow", **_NARROW_SIMD)))
+    assert ([(r["check_id"], r["inputs"], r["pass"]) for r in narrow]
+            == [(r["check_id"], r["inputs"], r["pass"]) for r in default])
+    for a, b in zip(default, narrow):
+        for side in ("lhs", "rhs"):
+            x, y = (complex(r[side + "_re"], r[side + "_im"]) for r in (a, b))
+            assert abs(x - y) <= 1e-13 * abs(x), (a["check_id"], a["inputs"], side, x, y)

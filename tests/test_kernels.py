@@ -12,11 +12,12 @@ from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, Trun
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _Workspace, _kernel_M, _kernel_sum,
+                                      _Workspace, _kernel_M, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound, nearest_pole)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
+from liouville_mellin.special import POLE_TOL
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS, KERNEL_SPLICE_X, theorem2_max_x
 
 PI = math.pi
@@ -181,8 +182,17 @@ def test_kernel_M_prime_finite_difference(table_100k):
 
 
 def test_kernel_M_prime_domain(table_100k):
+    t = table_100k
     with pytest.raises(DomainError):
-        kernel_M_prime(-1.0, table_100k)
+        kernel_M_prime(-1.0, t)
+    # complex input: only a scalar with Im x == 0 counts as real
+    for x in (1 + 5j, np.array([1 + 5j]), np.array([1 + 0j, 2 + 0j]), complex(-1.0, 0.0)):
+        with pytest.raises(DomainError):
+            kernel_M_prime(x, t)
+    assert kernel_M_prime(1 + 0j, t) == kernel_M_prime(1.0, t)
+    for x in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            kernel_M_prime(x, t)
 
 
 # -------------------------------------------------------------- residues ----
@@ -561,6 +571,62 @@ def test_kernels_reject_non_finite_arguments(bad, table_100k):
     for call in (nearest_pole, fermi, fermi_deficit, kernel_N_series):
         with pytest.raises(InvalidArgumentError, match="finite"):
             call(bad)
+
+
+def _ref_nearest_pole(z: complex):
+    # reference, point by point: the largest odd integer <= Im z/pi, or the
+    # next one when its pole is strictly closer
+    odd = 2 * math.floor((z.imag / PI - 1) / 2) + 1
+    best = min((odd, odd + 2), key=lambda o: abs(z - 1j * PI * o))
+    return 1j * PI * best, (int(best) - 1) // 2
+
+
+def _ref_points(z, what):
+    # reference, point by point in input order
+    for zj in np.atleast_1d(z):
+        zj = complex(zj)
+        pole, l = _ref_nearest_pole(zj)
+        if abs(zj - pole) < POLE_TOL:
+            raise PoleError(f"{what}: z={zj} is within {POLE_TOL} of pole {pole}",
+                            location=pole, index=l)
+    return np.atleast_1d(z)
+
+
+def _outcome(call, z):
+    try:
+        return "ok", call(z).tolist()
+    except PoleError as err:
+        return type(err), str(err), repr(err.location), err.index
+
+
+_POLES = [1j * PI * (2 * l + 1) for l in range(-3, 4)]
+GATE_POINTS = (_POLES
+               + [p + d * POLE_TOL * step for p in _POLES for step in (0.5, 2.0)
+                  for d in (1, -1, 1j, -1j)]
+               + [2j * PI * k for k in range(-3, 4)]              # midpoints: the lower pole
+               + [2j * PI * k + d for k in (-2, 1) for d in (1e-9, -1e-9, 1e-9j, -1e-9j)]
+               + [0.3 - 2.5j, -1.0 - 7.0j, 1e6j, -1e6j, 0.5 + 3.1e5j, -2.0 - 9.99e5j]
+               + [1j * PI * (2 * l + 1) + d for l in (159_154, -159_155)
+                  for d in (0.0, POLE_TOL / 2, 3e-10j, -3e-10j)])
+
+
+def test_point_gate_matches_the_per_point_rule():
+    gate = lambda z: _points(z, "gate")[0]
+    ref = lambda z: _ref_points(z, "gate")
+    for z in GATE_POINTS:
+        assert _outcome(gate, z) == _outcome(ref, z), z
+        assert nearest_pole(z) == _ref_nearest_pole(z), z
+        assert repr(nearest_pole(z)[0]) == repr(_ref_nearest_pole(z)[0]), z
+    arrays = [np.array(GATE_POINTS), np.array(GATE_POINTS[::-1]),
+              np.array([0.5 + 0.5j, 2j * PI, _POLES[5], _POLES[2]]),  # first pole third
+              np.array([1 + 1j, -2.5j, 6j * PI + 2 * POLE_TOL,
+                        _POLES[0] - 1j * POLE_TOL / 2]),
+              np.array([z for z in GATE_POINTS if _outcome(ref, z)[0] == "ok"])]
+    assert _outcome(gate, arrays[-1])[0] == "ok"
+    for zs in arrays:
+        assert _outcome(gate, zs) == _outcome(ref, zs), zs
+    for x in (0.0, -0.0, 2.5, -1e6):  # real points: no pole check, the lower pole at a tie
+        assert nearest_pole(x) == _ref_nearest_pole(complex(x)), x
 
 
 def test_workspace_keeps_views_of_the_table_only(table_main):

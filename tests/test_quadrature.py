@@ -1,13 +1,14 @@
 """Semi-infinite quadrature: calibration integrals, error budgets, policies."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceError,
-                              gamma, integrate_gamma_zeta_a, integrate_mellin,
+                              gamma, integrate_gamma_zeta_a, integrate_mellin, quadrature,
                               zeta_alternating)
 from liouville_mellin.kernels import (fermi_series, kernel_M_with_bound, kernel_N_with_bound,
                                       kernel_series_with_bound)
@@ -303,3 +304,26 @@ def test_one_integrand_call_per_rule():
     want = _per_panel_mellin(_gauge(), s, _gauge_series(), math.inf)
     assert (res.value, res.est_error, res.tail_bound, res.panels_used) == want
     assert res.panels_used < MAX_PANELS
+
+
+def test_calibration_integral_stops_at_its_range(monkeypatch):
+    # Gamma(s) eta(s) asks for the panels up to the first power of two at or
+    # past 128 and 8|s|: 7 at s = -1/2, where an infinite range asked for 60
+    calls = []
+    integrate = quadrature._integrate
+
+    def recording(integrand, *args):
+        def recorded(x):
+            calls.append(len(x))
+            return integrand(x)
+        return integrate(recorded, *args)
+
+    monkeypatch.setattr(quadrature, "_integrate", recording)
+    assert integrate_gamma_zeta_a(-0.5).panels_used == 6
+    assert calls == [224, 112] == [7 * PANEL_NODES, 7 * PANEL_NODES // 2]
+    # at Re s = 70 the panels end at 1024, so x^(s-1) no longer overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_gamma_zeta_a(70.0)
+    assert res.value.real == pytest.approx(math.gamma(70.0), rel=1e-12)
+    assert res.tail_bound < 1e-30 * abs(res.value)
