@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -53,14 +54,13 @@ DEFAULT_LIMIT = 200001
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'a-bi' (no whitespace, i suffix)."""
+    """Parse 'a', 'a+bi', 'a-bi' (no whitespace, i suffix), both parts finite."""
     m = _COMPLEX_RE.match(text.strip())
-    if not m:
+    z = complex(float(m.group("re")), float(m.group("im") or 0.0)) if m else None
+    if z is None or float("inf") in (abs(z.real), abs(z.imag)):  # 1e400 parses to inf
         raise argparse.ArgumentTypeError(
-            f"cannot parse complex number {text!r}; expected a, a+bi or a-bi")
-    re_part = float(m.group("re"))
-    im_part = float(m.group("im")) if m.group("im") else 0.0
-    return complex(re_part, im_part)
+            f"cannot parse complex number {text!r}; expected finite a, a+bi or a-bi")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     except LiouvilleMellinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, never a failed check (exit 1): 3, with the traceback
+        traceback.print_exc()
+        return 3
 
 
 def _limit(args) -> int:

@@ -83,8 +83,7 @@ from .zeta_family import zeta_beta
 __all__ = ["KernelConfig", "config_for_table", "fermi", "fermi_deficit",
            "kernel_N", "kernel_N_series", "kernel_M", "kernel_M_prime",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
-           "nearest_pole", "fermi_series", "kernel_series_with_bound",
-           "SERIES_ORDER_K"]
+           "fermi_series", "kernel_series_with_bound", "SERIES_ORDER_K"]
 
 # floor for sup |S(n)| past the table, empirical; frozen from a sieve run to
 # 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
@@ -153,15 +152,6 @@ def _points(z, what: str) -> tuple[np.ndarray, bool]:
         raise PoleError(f"{what}: z={complex(zs[j])} is within {POLE_TOL} of pole {pole}",
                         location=pole, index=index)
     return zs, scalar
-
-
-def nearest_pole(z: complex) -> tuple[complex, int]:
-    """The pole i*pi*(2l+1) closest to z as (pole, l); nan or inf raise InvalidArgumentError."""
-    try:
-        l = int(_pole_search(_points(complex(z), "nearest_pole")[0])[0][0])
-    except PoleError as err:  # z lies on the pole the gate names
-        l = err.index
-    return 1j * math.pi * (2 * l + 1), l
 
 
 def fermi(z: complex) -> complex:

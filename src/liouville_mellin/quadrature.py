@@ -16,14 +16,14 @@ series = (powers, coef, err_pow, err), meaning
 
 integrates against x^e in closed form, sum_j coef_j a^(p_j+e+1)/(p_j+e+1),
 with an error below the integrated majorant.  Geometrically growing
-Gauss-Legendre panels follow, their widths capped so the log-oscillation of
-x^(i Im s) stays below pi/4 per panel.  Panels stop once a panel contributes
-less than TAIL_STOP_REL of the accumulated integral, or at the trusted range
-max_x, past which the empirical decay envelope |f(x)| <= DECAY_CONST / x
-bounds the tail.  The integrand is asked once per rule, over every panel up
-to max_x or MAX_PANELS; the panels past the stop rule are discarded.  Node
-positions depend on max_x, and on Im s only once the oscillation cap binds,
-|Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand, so integrand
+Gauss-Legendre panels follow, doubling in width, or narrower where the
+log-oscillation of x^(i Im s) would pass pi/4 per panel.  An integral ends at
+the first panel edge where its own analytic tail bound holds and either the
+panel contributed less than TAIL_STOP_REL of the accumulated integral or the
+trusted range max_x ends.  The integrand is asked once per rule, over every
+panel up to max_x or MAX_PANELS; the panels past the stop are discarded.
+Node positions depend on max_x, and on Im s only once the oscillation cap
+binds, |Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand, so integrand
 evaluations can be memoized across a grid of s values.
 """
 
@@ -55,7 +55,7 @@ MELLIN_STRIP = (-1.5, 0.5)  # integrate_mellin's open interval of Re s
 class IntegralResult:
     """Value plus an error budget: est_error = the head's integrated majorant
     + per panel |PANEL_NODES rule - half-order rule| + the integrand's weighted
-    truncation bounds; tail_bound bounds the integral past the last panel."""
+    truncation bounds; tail_bound bounds the integral past the final panel."""
 
     value: complex
     est_error: float
@@ -70,13 +70,13 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def panel_sequence(im_s: float, max_x: float):
     """Yield (a, b) panel edges from SPLIT_POINT to at most max_x: doubling
-    widths, oscillation-capped."""
-    ratio_cap = math.inf
-    if abs(im_s) > 1e-12:
-        ratio_cap = math.exp((math.pi / 4.0) / abs(im_s))
+    widths, capped at exp(pi/(4|Im s|)) where that is below 2."""
+    ratio = 2.0
+    if abs(im_s) > math.pi / (4.0 * math.log(2.0)):
+        ratio = min(2.0, math.exp((math.pi / 4.0) / abs(im_s)))
     a = SPLIT_POINT
     for _ in range(MAX_PANELS):
-        b = min(a * 2.0, a * ratio_cap, max_x)
+        b = min(a * ratio, max_x)
         yield a, b
         if b >= max_x:
             return
@@ -99,10 +99,9 @@ def _integrate(integrand, expo: complex, series, max_x: float, tail,
     """integral_0^inf f(x) x^expo dx: series head on (0, SPLIT_POINT], then panels.
 
     One integrand call per Gauss rule covers every panel up to max_x or
-    MAX_PANELS; the stop loop reads the per-panel sums in order and discards
-    the panels past the stop rule.  tail(edge, last) bounds the integral past
-    the last panel edge; `last` is |last panel| when the panel criterion
-    stopped the loop and None when the trusted range max_x ran out.
+    MAX_PANELS.  At each edge where the TAIL_STOP_REL criterion or max_x applies,
+    tail(edge) bounds the integral past edge, or is None while its bound does
+    not hold yet; the first bound ends the integral.
     """
     a, b = np.array(list(panel_sequence(expo.imag, max_x))).T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
@@ -117,22 +116,16 @@ def _integrate(integrand, expo: complex, series, max_x: float, tail,
 
     (contribs, truncs), embedded = rule(PANEL_NODES), rule(PANEL_NODES // 2)[0]
     total, est = _series_head(series, expo, SPLIT_POINT)
-    tail_bound = None
     for panels, (edge, contrib, trunc, low) in enumerate(
             zip(b.tolist(), contribs, truncs, embedded), 1):
         est = est + abs(contrib - low) + float(trunc)
         total += contrib
-        if abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
-            tail_bound = tail(edge, abs(contrib))
-            break
-        if edge >= max_x:
-            tail_bound = tail(edge, None)
-    result = IntegralResult(value=complex(total), est_error=float(est),
-                            tail_bound=float(tail_bound or 0.0), panels_used=panels)
-    if tail_bound is None:
-        raise NonConvergenceError(f"{name}: no tail criterion met after {panels} panels",
-                                  partial=result)
-    return result
+        if edge >= max_x or abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
+            tail_bound = tail(edge)
+            if tail_bound is not None:
+                return IntegralResult(complex(total), float(est), float(tail_bound), panels)
+    raise NonConvergenceError(f"{name}: no tail criterion met after {panels} panels",
+                              partial=IntegralResult(complex(total), float(est), 0.0, panels))
 
 
 def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralResult:
@@ -147,15 +140,14 @@ def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralRes
 
     Raises:
         DomainError: outside the strip -3/2 < Re s < 1/2.
-        NonConvergenceError: MAX_PANELS exhausted before either the
-            TAIL_STOP_REL criterion or max_x applied (the partial result
-            rides on the exception).
+        NonConvergenceError: MAX_PANELS ran out before the TAIL_STOP_REL
+            criterion or max_x applied (the partial result rides on it).
     """
     s = complex(s)
     if not MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1]:
         raise DomainError(f"integrate_mellin requires -3/2 < Re s < 1/2, got {s}")
 
-    def envelope_tail(edge, last):
+    def envelope_tail(edge):
         # integral_edge^inf (C/x) x^(sigma-1/2) dx under the decay envelope
         return DECAY_CONST * edge ** (s.real - 0.5) / (0.5 - s.real)
 
@@ -170,22 +162,26 @@ def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
     -1 < Re s < 0, so one formula serves both sides of Re s = 0.
 
     Raises:
-        DomainError: for Re s <= -1, Re s = 0, or s = 0.
+        DomainError: for Re s <= -1, Re s = 0, |s| > 2^57 (max_x past the reach
+            of MAX_PANELS doublings), or where x^s, which bounds x^(s-1) times a
+            Gauss weight, overflows on [1, max_x].
     """
     s = complex(s)
-    if s.real <= 0.0 and not -1.0 < s.real < 0.0:
-        raise DomainError(f"integrate_gamma_zeta_a needs Re s > 0 or -1 < Re s < 0, got {s}")
+    if not (s.real > 0.0 or -1.0 < s.real < 0.0) or not 8.0 * abs(s) <= 2.0 ** MAX_PANELS:
+        raise DomainError(f"integrate_gamma_zeta_a needs Re s > 0 or -1 < Re s < 0, "
+                          f"and |s| <= 2^57, got {s}")
+    max_x = 2.0 ** max(7, math.ceil(math.log2(8.0 * abs(s))))
+    if s.real * math.log(max_x) > np.log(np.finfo(np.float64).max):  # weights w < x
+        raise DomainError(f"integrate_gamma_zeta_a: x^s overflows on [1, {max_x:g}], s={s}")
 
     def integrand(t):
         e = np.exp(-t)  # t > 0
         return e / (1.0 + e), np.zeros(len(t))
 
-    def exponential_tail(edge, last):
-        # kernel < e^-t; past t = 2 Re s, as at max_x, the tail is below twice t^(Re s-1) e^-t
-        if edge > abs(s):
-            return math.exp(-edge) * 2.0 * edge ** (s.real - 1.0)
-        return last
+    def exponential_tail(edge):
+        # kernel < e^-t, and Gamma(a, x) <= 2 x^(a-1) e^-x once x >= 2(a-1), a = Re s
+        return (2.0 * math.exp((s.real - 1.0) * math.log(edge) - edge)
+                if edge >= 2.0 * (s.real - 1.0) else None)
 
-    max_x = 2.0 ** max(7, math.ceil(math.log2(8.0 * abs(s))))
     return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), max_x,
                       exponential_tail, "integrate_gamma_zeta_a")

@@ -98,6 +98,7 @@ def gamma(s: complex) -> complex:
 
     Raises:
         PoleError: when s sits on a non-positive integer.
+        DomainError: where a factor, or the value, leaves double range.
     """
     s = _require_finite(s, "gamma")
     if s.imag == 0.0 and s.real <= 0.5:
@@ -105,15 +106,22 @@ def gamma(s: complex) -> complex:
         if nearest <= 0 and abs(s.real - nearest) < POLE_TOL:
             raise PoleError(f"gamma pole at s={nearest}", location=complex(nearest),
                             index=int(nearest))
-    if s.real < 0.5:
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(_TWO_PI) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    try:
+        if s.real < 0.5:
+            # Gamma(s) Gamma(1-s) = pi / sin(pi s)
+            value = math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        else:
+            z = s - 1.0
+            acc = _LANCZOS_C[0]
+            for i in range(1, len(_LANCZOS_C)):
+                acc += _LANCZOS_C[i] / (z + i)
+            t = z + _LANCZOS_G + 0.5
+            value = math.sqrt(_TWO_PI) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    except (OverflowError, DomainError):  # the latter from gamma(1-s)
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"gamma: a factor leaves double range at s={s}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,12 +153,6 @@ def zeta_alternating(s: complex) -> complex:
 _BORWEIN_RATE = math.log(3.0 + math.sqrt(8.0))
 
 
-def _borwein_error(t: float, n: int) -> float:
-    """The error model 3 (3+sqrt 8)^-n (1 + 2t) e^(pi t/2) of order-n Borwein
-    acceleration at |Im s| = t."""
-    return 3.0 * (1.0 + 2.0 * t) * math.exp(0.5 * math.pi * t - n * _BORWEIN_RATE)
-
-
 def _borwein_order(s: complex, budget: EvalConfig) -> int:
     """Acceleration order meeting target_rel_err under the error model
     3 (3+sqrt 8)^-n (1 + 2|t|) e^(pi |t|/2), capped by series_terms."""
@@ -169,9 +171,10 @@ def _eta_borwein(s: complex, budget: EvalConfig) -> complex:
             model at that order exceeds target_rel_err (|Im s| above about
             122 at the defaults).
     """
-    n = _borwein_order(s, budget)
-    if n == budget.series_terms:
-        bound = _borwein_error(abs(s.imag), n)
+    n, t = _borwein_order(s, budget), abs(s.imag)
+    if n == budget.series_terms:  # the error model at order n; inf past double range
+        x = 0.5 * math.pi * t - n * _BORWEIN_RATE
+        bound = 3.0 * (1.0 + 2.0 * t) * math.exp(x) if x < 709.0 else math.inf
         if bound > budget.target_rel_err:
             raise TruncationBudgetError(
                 f"eta: Borwein order capped at series_terms={n} for s={s}; "
@@ -196,7 +199,7 @@ def eta_continued(s: complex) -> complex:
     s = _require_finite(s, "eta_continued")
     if s.real > 0.0:
         return _eta_borwein(s, DEFAULT_EVAL_CONFIG)
-    return (1.0 - 2.0 ** (1.0 - s)) * zeta(s)
+    return zeta(s) * (1.0 - 2.0 ** (1.0 - s))  # zeta raises first where 2^(1-s) would overflow
 
 
 def zeta(s: complex) -> complex:
@@ -224,5 +227,5 @@ def zeta(s: complex) -> complex:
             # blow-up stays genuine
             return 0.5 * (zeta(s + 1e-6) + zeta(s - 1e-6))
         return _eta_borwein(s, DEFAULT_EVAL_CONFIG) / den
-    return (2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s) * zeta(1.0 - s))
+    rest = zeta(1.0 - s)  # raises where the cap binds, before sin(pi s/2) can overflow
+    return 2.0 ** s * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s) * rest

@@ -735,4 +735,4 @@ def run_group(group: str, table: ArithTable,
         for g in GROUPS:
             out.extend(run_group(g, table, grid if g in GRID_GROUPS else None))
         return _sorted(out)
-    raise ValueError(f"unknown verification group {group!r}")
+    raise InvalidArgumentError(f"unknown verification group {group!r}")

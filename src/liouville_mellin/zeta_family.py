@@ -43,7 +43,7 @@ def zeta_imp(s: complex) -> complex:
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_imp pole at s=1", location=1.0 + 0.0j)
-    return (1.0 - 2.0 ** (-s)) * zeta(s)
+    return zeta(s) * (1.0 - 2.0 ** (-s))  # zeta raises first where 2^-s would overflow
 
 
 def zeta_lambda(s: complex) -> complex:
@@ -103,8 +103,8 @@ def functional_eq_rhs_zeta_a(s: complex) -> complex:
     region.
     """
     s = complex(s)
-    return (-2.0 * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-            * gamma(1.0 - s) * zeta_imp(1.0 - s))
+    rest = zeta_imp(1.0 - s)  # raises where the cap binds, before sin(pi s/2) can overflow
+    return -2.0 * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s) * rest
 
 
 def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
@@ -115,20 +115,27 @@ def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
     factor stays clear of poles.
     """
     s = complex(s)
+    rest = zeta_beta(1.0 - s)  # raises where the cap binds, before cos(pi s/2) can overflow
     return (2.0 ** (1.0 - 2.0 * s) * math.pi ** (s - 0.5)
-            * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s)
-            * zeta_beta(1.0 - s))
+            * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s) * rest)
 
 
 def mellin_prefactor(s: complex) -> complex:
     """phi(s) = (2^(1-2s)/pi) cos(pi s/2) cos(pi s/2 + pi/4) Gamma(1/2 - s).
 
     The prefactor that turns the half-shifted Mellin integral of the kernel
-    into zeta_alpha on the strip -3/2 < Re s < -1/2.
+    into zeta_alpha on the strip -3/2 < Re s < -1/2.  Raises DomainError where
+    a factor, or the product of the cosines (|Im s| past 226), leaves double range.
     """
     s = complex(s)
-    return (2.0 ** (1.0 - 2.0 * s) / math.pi * cmath.cos(math.pi * s / 2.0)
-            * cmath.cos(math.pi * s / 2.0 + math.pi / 4.0) * gamma(0.5 - s))
+    try:
+        phi = (2.0 ** (1.0 - 2.0 * s) / math.pi * cmath.cos(math.pi * s / 2.0)
+               * cmath.cos(math.pi * s / 2.0 + math.pi / 4.0) * gamma(0.5 - s))
+    except OverflowError:
+        phi = complex(math.inf)
+    if not cmath.isfinite(phi):
+        raise DomainError(f"mellin_prefactor: a factor leaves double range at s={s}")
+    return phi
 
 
 def alpha_to_lambda_factor(s: complex) -> complex:

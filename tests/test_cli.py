@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville_mellin import build_table, kernel_N_series, save_table
+from liouville_mellin import build_table, cli, kernel_N_series, save_table
 from liouville_mellin.cli import (RunManifest, format_complex, main,
                                   parse_complex, read_report_file)
 from liouville_mellin.kernels import kernel_M_with_bound
@@ -31,7 +31,7 @@ def test_parse_complex():
     assert parse_complex("-1.25-0.5i") == -1.25 - 0.5j
     assert parse_complex("1e-3+2.5e1i") == 0.001 + 25.0j
     import argparse
-    for bad in ("", "2+", "1 + 2i", "i", "2+3j"):
+    for bad in ("", "2+", "1 + 2i", "i", "2+3j", "1e400", "1-1e400i"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex(bad)
 
@@ -175,6 +175,21 @@ def test_eval_past_borwein_budget_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "series_terms" in err
     assert "Traceback" not in err
+    # there the reflection's sin(pi s/2) overflows; zeta(1-s) raises first
+    assert main(["eval", "zeta", "--s=-0.5+1e300i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3_with_traceback(cache_env, capsys, monkeypatch):
+    # exit 1 means a check failed; a bug is neither that nor a usage error
+    def broken(*args):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "run_group", broken)
+    assert main(["verify", "theorem1", "--limit", "3001"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: injected" in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -259,6 +274,20 @@ def test_kernel_prints_plain_M_past_the_budget_with_its_bound(cache_env, capsys,
     value, bound = kernel_M_with_bound(50.0, table_100k, form="plain")
     assert out.strip() == format_complex(complex(value))
     assert f"bound={bound!r}" in err
+
+
+def test_non_finite_numbers_are_rejected_before_any_table(cache_env, capsys):
+    assert main(["kernel", "N", "--z", "1e400", "--limit", "3001"]) == 2
+    assert main(["verify", "functional", "--limit", "3001", "--grid=1e400"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot parse complex number '1e400'") == 2 and "sieving" not in err
+    assert not (cache_env / "cache").exists() or not list((cache_env / "cache").iterdir())
+
+
+def test_theorem2_near_the_real_axis(cache_env, capsys):
+    # 0 < |Im s| < 1.1e-3 once overflowed the oscillation cap; the panels are Im s = 0's
+    assert main(["verify", "theorem2", "--limit", "20001", "--grid=-0.75+0.0001i"]) == 0
+    assert "2 checks, 2 passed, 0 failed" in capsys.readouterr().err
 
 
 def test_kernel_series_needs_no_table(cache_env, capsys):

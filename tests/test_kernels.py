@@ -15,7 +15,7 @@ from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLO
                                       _Workspace, _kernel_M, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
-                                      kernel_N_with_bound, nearest_pole)
+                                      kernel_N_with_bound)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
 from liouville_mellin.special import POLE_TOL
 from liouville_mellin.verify import DEFAULT_IDENTITY_POINTS, KERNEL_SPLICE_X, theorem2_max_x
@@ -72,14 +72,6 @@ def test_fermi_power_series_at_unit_radius():
                          * zeta_imp(2.0 * k + 2.0).real for k in ks])
         series = complex(np.sum(coef * np.asarray(z, complex) ** (2 * ks + 1)))
         assert series == pytest.approx(fermi_deficit(z), abs=1e-13)
-
-
-def test_nearest_pole():
-    assert nearest_pole(0.0)[1] in (-1, 0)
-    pole, l = nearest_pole(0.1 + 3.0j)
-    assert pole == 1j * PI and l == 0
-    pole, l = nearest_pole(-9.5j)
-    assert pole == -3j * PI and l == -2
 
 
 # ------------------------------------------------------------- kernel N ----
@@ -567,8 +559,8 @@ def test_kernels_reject_non_finite_arguments(bad, table_100k):
         if not isinstance(bad, complex):
             with pytest.raises(InvalidArgumentError, match="finite"):
                 kernel_M_prime(z, table_100k)
-    # the scalar helpers: the pole search and everything that checks poles
-    for call in (nearest_pole, fermi, fermi_deficit, kernel_N_series):
+    # the scalar helpers: everything that checks poles
+    for call in (fermi, fermi_deficit, kernel_N_series):
         with pytest.raises(InvalidArgumentError, match="finite"):
             call(bad)
 
@@ -615,8 +607,6 @@ def test_point_gate_matches_the_per_point_rule():
     ref = lambda z: _ref_points(z, "gate")
     for z in GATE_POINTS:
         assert _outcome(gate, z) == _outcome(ref, z), z
-        assert nearest_pole(z) == _ref_nearest_pole(z), z
-        assert repr(nearest_pole(z)[0]) == repr(_ref_nearest_pole(z)[0]), z
     arrays = [np.array(GATE_POINTS), np.array(GATE_POINTS[::-1]),
               np.array([0.5 + 0.5j, 2j * PI, _POLES[5], _POLES[2]]),  # first pole third
               np.array([1 + 1j, -2.5j, 6j * PI + 2 * POLE_TOL,
@@ -625,8 +615,6 @@ def test_point_gate_matches_the_per_point_rule():
     assert _outcome(gate, arrays[-1])[0] == "ok"
     for zs in arrays:
         assert _outcome(gate, zs) == _outcome(ref, zs), zs
-    for x in (0.0, -0.0, 2.5, -1e6):  # real points: no pole check, the lower pole at a tie
-        assert nearest_pole(x) == _ref_nearest_pole(complex(x)), x
 
 
 def test_workspace_keeps_views_of_the_table_only(table_main):

@@ -231,11 +231,37 @@ def test_mellin_nonconvergence_carries_partial():
     assert err.value.partial.panels_used == MAX_PANELS
 
 
+def _capped_panels(im_s, max_x):
+    """Reference: the panel edges with the cap exp(pi/(4|Im s|)) formed for
+    every |Im s| > 1e-12, which overflows below about 1.1e-3."""
+    ratio_cap = math.inf
+    if abs(im_s) > 1e-12:
+        ratio_cap = math.exp((PI / 4.0) / abs(im_s))
+    a, edges = SPLIT_POINT, []
+    for _ in range(MAX_PANELS):
+        b = min(a * 2.0, a * ratio_cap, max_x)
+        edges.append((a, b))
+        if b >= max_x:
+            break
+        a = b
+    return edges
+
+
 def test_oscillation_cap_on_panels():
     widths = [(b / a) for a, b in panel_sequence(4.0, math.inf)]
     assert max(widths) <= math.exp(PI / 4.0 / 4.0) + 1e-12
     plain = [(b / a) for a, b in panel_sequence(0.0, math.inf)]
     assert max(plain) == pytest.approx(2.0)
+    # the cap binds past |Im s| = pi/(4 ln 2) ~ 1.1331; the edges are the reference's
+    for t in (0.0, 1.2e-3, -1.2e-3, 0.5, 1.1330, 1.1332, -1.1332, 1.2, 5.0, 50.0):
+        for max_x in (128.0, 1e5, math.inf):
+            assert list(panel_sequence(t, max_x)) == _capped_panels(t, max_x), (t, max_x)
+    # where the reference overflows, and below, the panels double as on the real axis
+    for t in (1e-11, -1e-5, 1.09e-3):
+        with pytest.raises(OverflowError):
+            _capped_panels(t, math.inf)
+    for t in (1e-300, -1e-12, 1e-11, -1e-5, 1.09e-3):
+        assert list(panel_sequence(t, math.inf)) == list(panel_sequence(0.0, math.inf))
 
 
 # (value, panels_used, relative tolerance): recorded at 1e-15 with the two
@@ -327,3 +353,64 @@ def test_calibration_integral_stops_at_its_range(monkeypatch):
         res = integrate_gamma_zeta_a(70.0)
     assert res.value.real == pytest.approx(math.gamma(70.0), rel=1e-12)
     assert res.tail_bound < 1e-30 * abs(res.value)
+
+
+def test_a_tail_bound_that_does_not_hold_yet_takes_the_next_panel():
+    # the stop rule applies from panel 6 (edge 64) on; a tail bound that
+    # holds only from edge 1024 on is asked at each edge until it does
+    edges = []
+
+    def tail(edge):
+        edges.append(edge)
+        return 1e-30 if edge >= 1024.0 else None
+
+    s = complex(-0.75, 0.5)
+    res = quadrature._integrate(_gauge(), s - 0.5, _gauge_series(), math.inf, tail, "gauge")
+    assert edges == [64.0, 128.0, 256.0, 512.0, 1024.0]
+    assert (res.panels_used, res.tail_bound) == (10, 1e-30)
+    assert res.value == pytest.approx(MELLIN_GAUGE_PINS[s][0], rel=1e-15)
+    # a bound that never holds ends in NonConvergenceError after MAX_PANELS
+    with pytest.raises(NonConvergenceError) as err:
+        quadrature._integrate(_gauge(), s - 0.5, _gauge_series(), math.inf,
+                              lambda edge: None, "gauge")
+    assert err.value.partial.panels_used == MAX_PANELS
+
+
+def _calibration_sample():
+    """3,302 seeded points: Re s in (-0.99, 120) and |Im s| <= 60, 300 real s in
+    (0, 150], and the two points test_calibration_integral_stops_at_its_range uses."""
+    rng = np.random.default_rng(1)
+    pts = [complex(r, i) for r, i in zip(rng.uniform(-0.99, 120, 3000),
+                                         rng.uniform(-60, 60, 3000))]
+    return pts + [complex(r) for r in rng.uniform(0, 150, 300)] + [-0.5, 70.0]
+
+
+def test_calibration_gives_a_finite_result_or_a_typed_error():
+    # no OverflowError from the panel cap or the tail, and no overflow inside
+    # the panels: the range check raises DomainError first
+    results = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in _calibration_sample() + [complex(1, math.inf), complex(math.nan),
+                                          1e300, complex(1, 2.0 ** 58)]:
+            try:
+                res = integrate_gamma_zeta_a(s)
+            except (DomainError, NonConvergenceError):
+                continue
+            assert all(map(math.isfinite, (abs(res.value), res.est_error, res.tail_bound))), s
+            results[s] = res
+    # x^s at max_x = 1024 leaves double range past Re s = 709.78/ln 1024 ~ 102.4
+    with pytest.raises(DomainError, match="overflows"):
+        integrate_gamma_zeta_a(102.5)
+    assert integrate_gamma_zeta_a(102.3).value.real == pytest.approx(math.gamma(102.3),
+                                                                      rel=1e-12)
+    # its last panel edge, 184.6, is short of 2(Re s - 1), where the bound starts to hold
+    with pytest.raises(NonConvergenceError):
+        integrate_gamma_zeta_a(95.67402039610383 + 9.026622889038535j)
+    # the budget holds against mpmath, up to rounding, on a seeded subsample
+    picks = np.random.default_rng(2).permutation(len(results))
+    held = [s for s in np.array(list(results), dtype=complex)[picks] if s.real <= 100][:50]
+    assert len(held) == 50
+    for s in held:
+        res, want = results[s], _gamma_eta(s)
+        assert abs(res.value - want) <= res.est_error + res.tail_bound + 1e-14 * abs(want), s

@@ -7,8 +7,8 @@ import numpy as np
 
 import pytest
 
-from liouville_mellin import (NonConvergenceError, arith, build_table, probe_decay,
-                              run_group, verify, verify_bounds,
+from liouville_mellin import (InvalidArgumentError, NonConvergenceError, arith,
+                              build_table, probe_decay, run_group, verify, verify_bounds,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
@@ -328,6 +328,16 @@ def test_run_group_all_covers_registry(table_100k):
         for cid in ids:
             assert cid in seen, f"{group}:{cid} missing from verify all"
     with pytest.raises(ValueError):
+        run_group("nonsense", table_100k)
+
+
+def test_each_group_emits_only_its_registered_ids(table_100k):
+    # the converse of the test above: `verify --list` and perfbench's inventory
+    # gate count on each group emitting no id registered elsewhere or nowhere
+    for group, ids in list_checks().items():
+        emitted = {r.check_id for r in run_group(group, table_100k)}
+        assert emitted <= set(ids), (group, sorted(emitted - set(ids)))
+    with pytest.raises(InvalidArgumentError, match="unknown verification group"):
         run_group("nonsense", table_100k)
 
 

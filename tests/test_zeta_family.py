@@ -6,16 +6,18 @@ copied constants.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, NearZeroDenominatorError, PoleError,
-                              functional_eq_rhs_zeta_a,
+from liouville_mellin import (DomainError, LiouvilleMellinError, NearZeroDenominatorError,
+                              PoleError, TruncationBudgetError, functional_eq_rhs_zeta_a,
                               functional_eq_rhs_zeta_alpha, zeta,
                               zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
                               zeta_mu, zeta_nu, zeta_alternating)
+from liouville_mellin import special, zeta_family
 
 mpmath.mp.dps = 40
 
@@ -148,3 +150,44 @@ def test_second_form_series(table_100k):
     target = (zeta_beta(1.0 - s) * PI ** (s - 0.5)).real
     tail = PI ** (s - 0.5) * n[-1] ** (s + 0.5) / (-(s + 0.5) * 2.0)
     assert abs(partial - target) <= abs(tail)
+
+
+# every public evaluator of special and zeta_family, zeta_alpha by both routes
+_EVALUATORS = {f.__name__: f for f in (
+    special.gamma, special.zeta_alternating, special.zeta, special.eta_continued,
+    zeta_family.zeta_imp, zeta_family.zeta_lambda, zeta_family.zeta_mu,
+    zeta_family.zeta_alpha, zeta_family.zeta_beta, zeta_family.zeta_nu,
+    zeta_family.functional_eq_rhs_zeta_a, zeta_family.functional_eq_rhs_zeta_alpha,
+    zeta_family.mellin_prefactor, zeta_family.alpha_to_lambda_factor)}
+_EVALUATORS["zeta_alpha/lambda-relation"] = (
+    lambda s: zeta_family.zeta_alpha(s, mode="lambda-relation"))
+
+
+def test_far_points_give_a_finite_value_or_a_package_error():
+    # sin, cos, powers and Gamma leave double range out here; none of it may
+    # escape as OverflowError or as a silent inf or nan
+    grid = [complex(re, sign * im)
+            for re in (-400, -170, -30, -0.75, 0.3, 2, 30, 400, 1100)
+            for im in (0, 5, 300, 460, 1000, 1e5, 1e300) for sign in (1, -1)]
+    for name, f in _EVALUATORS.items():
+        for s in grid:
+            try:
+                value = complex(f(s))
+            except LiouvilleMellinError:
+                continue
+            assert math.isfinite(value.real) and math.isfinite(value.imag), (name, s)
+
+
+@pytest.mark.parametrize("call, s, error, where, at", [
+    (zeta_alternating, 0.3 + 580j, TruncationBudgetError, "eta", 0.3 + 580j),
+    (zeta_alternating, 0.3 + 600j, TruncationBudgetError, "eta", 0.3 + 600j),
+    (zeta, -0.5 + 1e300j, TruncationBudgetError, "eta", 1.5 - 1e300j),  # of zeta(1-s)
+    (special.gamma, -400 + 5j, DomainError, "gamma", -400 + 5j),
+    (special.gamma, 400 + 1000j, DomainError, "gamma", 400 + 1000j),
+    (zeta_family.mellin_prefactor, -0.75 + 300j, DomainError, "mellin_prefactor", -0.75 + 300j),
+])
+def test_far_points_raise_typed_errors(call, s, error, where, at):
+    # the cap check of zeta_alternating, the reflection sin of zeta and Gamma
+    # and the cosine product of the prefactor overflowed or gave nan here
+    with pytest.raises(error, match=f"^{where}: .*s={re.escape(str(complex(at)))}"):
+        call(s)
