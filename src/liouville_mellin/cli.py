@@ -35,12 +35,9 @@ from pathlib import Path
 from . import __version__
 from .arith import ArithTable, build_table, load_table, save_table
 from .errors import CacheFormatError, InvalidArgumentError, LiouvilleMellinError
-from .kernels import (config_for_table, kernel_M_prime, kernel_M_with_bound,
-                      kernel_N_series, kernel_N_with_bound)
-from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
-                         TAIL_STOP_REL)
-from .special import DEFAULT_EVAL_CONFIG, gamma, zeta, zeta_alternating
-from .verify import GRID_GROUPS, GROUPS, list_checks, run_group, theorem2_max_x
+from .kernels import kernel_M_prime, kernel_M_with_bound, kernel_N_series, kernel_N_with_bound
+from .special import gamma, zeta, zeta_alternating
+from .verify import GROUPS, check_grid, config_snapshot, list_checks, run_group
 from .zeta_family import (zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
                           zeta_mu, zeta_nu)
 
@@ -341,18 +338,12 @@ def _run_verify(args) -> int:
     limit = _limit(args)
     cache = args.cache_dir or _default_cache_dir()
     grid = None
-    if args.grid is not None:  # checked before any table is sieved
-        if args.group not in GRID_GROUPS:
-            raise InvalidArgumentError(
-                f"--grid applies to {', '.join(GRID_GROUPS)}, not {args.group}")
+    if args.grid is not None:
         try:
             grid = [parse_complex(tok) for tok in args.grid.split(",") if tok]
         except argparse.ArgumentTypeError as exc:
             raise InvalidArgumentError(f"--grid: {exc}") from None
-        strip = all(MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1] for s in grid)
-        if not grid or not (strip or args.group == "functional"):
-            raise InvalidArgumentError(f"--grid {args.grid!r}: empty, or Re s not in (-3/2, 1/2)")
-
+    check_grid(args.group, grid)  # before any table is sieved
     table = acquire_table(limit, cache)
     reports = run_group(args.group, table, grid)
 
@@ -360,13 +351,7 @@ def _run_verify(args) -> int:
         command=f"verify {args.group}",
         parameters={"limit": limit, "grid": args.grid, "format": args.format},
         table_limit=limit,
-        config_snapshot={
-            "eval": dataclasses.asdict(DEFAULT_EVAL_CONFIG),
-            "kernel": dataclasses.asdict(config_for_table(table)),
-            "quadrature": {"split_point": SPLIT_POINT, "panel_nodes": PANEL_NODES,
-                           "tail_stop_rel": TAIL_STOP_REL, "max_panels": MAX_PANELS,
-                           "max_x": theorem2_max_x(table), "decay_const": DECAY_CONST},
-        },
+        config_snapshot=config_snapshot(table),
         tool_version=__version__,
         started=started,
         finished=_timestamp(),

@@ -70,13 +70,20 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def panel_sequence(im_s: float, max_x: float):
     """Yield (a, b) panel edges from SPLIT_POINT to at most max_x: doubling
-    widths, capped at exp(pi/(4|Im s|)) where that is below 2."""
+    widths, capped at exp(pi/(4|Im s|)) where that is below 2.
+
+    Raises:
+        DomainError: where a panel would not grow, b <= a (the cap rounds to
+            1 from |Im s| ~ 7.1e15).
+    """
     ratio = 2.0
     if abs(im_s) > math.pi / (4.0 * math.log(2.0)):
         ratio = min(2.0, math.exp((math.pi / 4.0) / abs(im_s)))
     a = SPLIT_POINT
     for _ in range(MAX_PANELS):
         b = min(a * ratio, max_x)
+        if b <= a:
+            raise DomainError(f"panel_sequence: no panel grows past {a} at Im s={im_s}")
         yield a, b
         if b >= max_x:
             return
@@ -139,7 +146,8 @@ def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralRes
     criterion stops, tail_bound integrates the DECAY_CONST / x envelope.
 
     Raises:
-        DomainError: outside the strip -3/2 < Re s < 1/2.
+        DomainError: outside the strip -3/2 < Re s < 1/2, or from
+            panel_sequence where no panel grows.
         NonConvergenceError: MAX_PANELS ran out before the TAIL_STOP_REL
             criterion or max_x applied (the partial result rides on it).
     """
@@ -163,8 +171,9 @@ def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
 
     Raises:
         DomainError: for Re s <= -1, Re s = 0, |s| > 2^57 (max_x past the reach
-            of MAX_PANELS doublings), or where x^s, which bounds x^(s-1) times a
-            Gauss weight, overflows on [1, max_x].
+            of MAX_PANELS doublings), where x^s, which bounds x^(s-1) times a
+            Gauss weight, overflows on [1, max_x], or from panel_sequence where
+            no panel grows.
     """
     s = complex(s)
     if not (s.real > 0.0 or -1.0 < s.real < 0.0) or not 8.0 * abs(s) <= 2.0 ** MAX_PANELS:

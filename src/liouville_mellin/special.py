@@ -116,7 +116,13 @@ def gamma(s: complex) -> complex:
             for i in range(1, len(_LANCZOS_C)):
                 acc += _LANCZOS_C[i] / (z + i)
             t = z + _LANCZOS_G + 0.5
-            value = math.sqrt(_TWO_PI) * t ** (z + 0.5) * cmath.exp(-t) * acc
+            try:
+                value = math.sqrt(_TWO_PI) * t ** (z + 0.5) * cmath.exp(-t) * acc
+            except OverflowError:
+                value = complex(math.inf)
+            if not cmath.isfinite(value):  # from real s = 142.6 the power overflows
+                p = t ** ((z + 0.5) / 2.0)  # first, so e^-t scales each half of it
+                value = math.sqrt(_TWO_PI) * (p * cmath.exp(-t)) * p * acc
     except (OverflowError, DomainError):  # the latter from gamma(1-s)
         value = complex(math.inf)
     if not cmath.isfinite(value):

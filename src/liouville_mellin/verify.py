@@ -26,18 +26,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .arith import ArithTable, abs_max, chunks, odd, pairwise_sum, running_sums
 from .errors import (InvalidArgumentError, NonConvergenceError, PoleError,
                      TruncationBudgetError)
-from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, fermi_deficit, kernel_M,
-                      kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
+from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fermi_deficit,
+                      kernel_M, kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
                       kernel_series_with_bound, residue_estimate)
-from .quadrature import SPLIT_POINT, integrate_gamma_zeta_a, integrate_mellin
-from .special import eta_continued, gamma, zeta, zeta_alternating
+from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
+                         TAIL_STOP_REL, integrate_gamma_zeta_a, integrate_mellin)
+from .special import DEFAULT_EVAL_CONFIG, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
                           zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
@@ -45,8 +46,8 @@ from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
 
 __all__ = ["VerificationReport", "verify_theorem1", "verify_identity_MN",
            "verify_theorem2", "verify_functional_equations", "probe_decay",
-           "verify_bounds", "run_group", "list_checks", "GROUPS", "GRID_GROUPS",
-           "default_theorem2_grid", "theorem2_max_x"]
+           "verify_bounds", "run_group", "check_grid", "list_checks", "config_snapshot",
+           "GROUPS", "GRID_GROUPS", "default_theorem2_grid", "theorem2_max_x"]
 
 # --------------------------------------------------------------------------
 # frozen regression constants (oracle runs at sieve limit 2e6)
@@ -322,13 +323,13 @@ def verify_theorem2(table: ArithTable,
     if s_grid is None:
         s_grid = default_theorem2_grid()
     shared_cache: dict = {}
+    routes = [(check_id, _KernelIntegrand(table, route, cache=shared_cache),
+               kernel_series_with_bound(route, SPLIT_POINT, table))
+              for route, check_id in (("N", "theorem2.n-form"), ("M", "theorem2.m-form"))]
     reports = []
-    for route, check_id in (("N", "theorem2.n-form"), ("M", "theorem2.m-form")):
-        integrand = _KernelIntegrand(table, route, cache=shared_cache)
-        series = kernel_series_with_bound(route, SPLIT_POINT, table)
-        for s in s_grid:
-            s = complex(s)
-            lhs = zeta_lambda(s)
+    for s in map(complex, s_grid):
+        lhs, factor = zeta_lambda(s), None  # factor once an integral has returned
+        for check_id, integrand, series in routes:
             try:
                 res = integrate_mellin(integrand, s, series, max_x)
             except NonConvergenceError as exc:   # scored; anything else is a bug
@@ -336,7 +337,9 @@ def verify_theorem2(table: ArithTable,
                     check_id, {"s": str(s)}, lhs, 0.0, passed=False,
                     notes=f"integration failed: {exc}"))
                 continue
-            rhs = alpha_to_lambda_factor(s) * mellin_prefactor(s) * res.value
+            if factor is None:
+                factor = alpha_to_lambda_factor(s) * mellin_prefactor(s)
+            rhs = factor * res.value
             budget = {"est_error": res.est_error, "tail_bound": res.tail_bound,
                       "panels": res.panels_used,
                       "tail_bound_kind": "empirical decay envelope"}
@@ -679,60 +682,68 @@ def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationR
 
 
 # --------------------------------------------------------------------------
-# registry
+# registry: per group its runner (table, grid), whether a grid of s applies, its check ids
 # --------------------------------------------------------------------------
 
-GROUPS = ("theorem1", "identity", "theorem2", "functional", "decay", "bounds")
-GRID_GROUPS = ("theorem2", "functional", "all")  # the groups a grid of s applies to
-
-_CHECK_IDS = {
-    "theorem1": ["theorem1.checkpoint", "theorem1.final", "theorem1.envelope"],
-    "identity": ["identity.point", "identity.series-coeff",
-                 "identity.fermi-power-series", "identity.residue-N",
-                 "identity.residue-M"],
-    "theorem2": ["theorem2.n-form", "theorem2.m-form"],
-    "functional": ["functional.riemann-classical",
-                   "functional.riemann-selfconsistency", "functional.eta",
-                   "functional.alpha-beta", "functional.lambda-alpha-bridge",
-                   "functional.mu-inversion"],
-    "decay": ["decay.m-checkpoint", "decay.m-at-zero", "decay.m-to-zero",
-              "decay.m-prime-bound", "decay.x-m-product"],
-    "bounds": ["bounds.beta-ratio-scan", "bounds.beta-ratio-equality",
-               "bounds.nu-divisor-scan", "bounds.convolution",
-               "bounds.dirichlet-lambda", "bounds.dirichlet-mu",
-               "bounds.dirichlet-beta", "bounds.dirichlet-nu",
-               "bounds.dirichlet-nu-s1", "bounds.beta-abs-partial",
-               "bounds.newman-trend", "bounds.second-form",
-               "bounds.swap-dominated"],
+_GROUP_TABLE = {
+    "theorem1": (lambda table, grid: verify_theorem1(table), False,
+                 ("theorem1.checkpoint", "theorem1.final", "theorem1.envelope")),
+    "identity": (lambda table, grid: _sorted(verify_identity_MN(table) + verify_residues(table)),
+                 False, ("identity.point", "identity.series-coeff", "identity.fermi-power-series",
+                         "identity.residue-N", "identity.residue-M")),
+    "theorem2": (verify_theorem2, True, ("theorem2.n-form", "theorem2.m-form")),
+    "functional": (lambda table, grid: verify_functional_equations(grid), True,
+                   ("functional.riemann-classical", "functional.riemann-selfconsistency",
+                    "functional.eta", "functional.alpha-beta",
+                    "functional.lambda-alpha-bridge", "functional.mu-inversion")),
+    "decay": (lambda table, grid: probe_decay(table), False,
+              ("decay.m-checkpoint", "decay.m-at-zero", "decay.m-to-zero",
+               "decay.m-prime-bound", "decay.x-m-product")),
+    "bounds": (lambda table, grid: verify_bounds(table), False,
+               ("bounds.beta-ratio-scan", "bounds.beta-ratio-equality", "bounds.nu-divisor-scan",
+                "bounds.convolution", "bounds.dirichlet-lambda", "bounds.dirichlet-mu",
+                "bounds.dirichlet-beta", "bounds.dirichlet-nu", "bounds.dirichlet-nu-s1",
+                "bounds.beta-abs-partial", "bounds.newman-trend", "bounds.second-form",
+                "bounds.swap-dominated")),
 }
+GROUPS = tuple(_GROUP_TABLE)
+GRID_GROUPS = tuple(g for g, (_, grid, _) in _GROUP_TABLE.items() if grid) + ("all",)
 
 
 def list_checks() -> dict[str, list[str]]:
     """check_id inventory per group, for `verify --list` and coverage tests."""
-    return {g: list(ids) for g, ids in _CHECK_IDS.items()}
+    return {g: list(ids) for g, (_, _, ids) in _GROUP_TABLE.items()}
+
+
+def check_grid(group: str, grid: list[complex] | None) -> None:
+    """A run's rules, raising InvalidArgumentError before any table is read: a
+    known group, and a grid only for GRID_GROUPS, with points, all in the strip
+    -3/2 < Re s < 1/2 wherever theorem2 runs."""
+    if group not in GROUPS + ("all",):
+        raise InvalidArgumentError(f"unknown verification group {group!r}")
+    if grid is None:
+        return
+    if group not in GRID_GROUPS:
+        raise InvalidArgumentError(f"grid applies to {', '.join(GRID_GROUPS)}, not {group}")
+    strip = all(MELLIN_STRIP[0] < complex(s).real < MELLIN_STRIP[1] for s in grid)
+    if not grid or not (strip or group == "functional"):
+        raise InvalidArgumentError(f"grid {grid}: empty, or Re s not in (-3/2, 1/2)")
 
 
 def run_group(group: str, table: ArithTable,
               grid: list[complex] | None = None) -> list[VerificationReport]:
-    """Dispatch one verification group (or 'all') over a prepared table; a grid
-    replaces the s points of theorem2 and functional, and other groups refuse it."""
-    if grid is not None and group not in GRID_GROUPS:
-        raise InvalidArgumentError(f"verification group {group!r} takes no grid")
-    if group == "theorem1":
-        return verify_theorem1(table)
-    if group == "identity":
-        return _sorted(verify_identity_MN(table) + verify_residues(table))
-    if group == "theorem2":
-        return verify_theorem2(table, grid)
-    if group == "functional":
-        return verify_functional_equations(grid)
-    if group == "decay":
-        return probe_decay(table)
-    if group == "bounds":
-        return verify_bounds(table)
+    """Run one verification group (or 'all') over a prepared table, once check_grid
+    passes; a grid replaces the s points of theorem2 and functional."""
+    check_grid(group, grid)
     if group == "all":
-        out = []
-        for g in GROUPS:
-            out.extend(run_group(g, table, grid if g in GRID_GROUPS else None))
-        return _sorted(out)
-    raise InvalidArgumentError(f"unknown verification group {group!r}")
+        return _sorted([r for g in GROUPS
+                        for r in run_group(g, table, grid if g in GRID_GROUPS else None)])
+    return _GROUP_TABLE[group][0](table, grid)
+
+
+def config_snapshot(table: ArithTable) -> dict:
+    """The evaluator, kernel and quadrature settings of a run, for its manifest."""
+    return {"eval": asdict(DEFAULT_EVAL_CONFIG), "kernel": asdict(config_for_table(table)),
+            "quadrature": {"split_point": SPLIT_POINT, "panel_nodes": PANEL_NODES,
+                           "tail_stop_rel": TAIL_STOP_REL, "max_panels": MAX_PANELS,
+                           "max_x": theorem2_max_x(table), "decay_const": DECAY_CONST}}

@@ -38,6 +38,17 @@ def _guarded_div(num: complex, den: complex, what: str) -> complex:
     return num / den
 
 
+def _in_double_range(what: str, s: complex, product) -> complex:
+    """product(), or DomainError where a factor, or the value, leaves double range."""
+    try:
+        value = product()
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what}: a factor leaves double range at s={s}")
+    return value
+
+
 def zeta_imp(s: complex) -> complex:
     """Dirichlet series over odd integers, (1 - 2^-s) zeta(s)."""
     s = complex(s)
@@ -112,12 +123,14 @@ def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
 
     Right-hand side of the functional equation linking zeta_alpha to
     zeta_beta (duplication-formula route); use for Re s < 1/2 so the Gamma
-    factor stays clear of poles.
+    factor stays clear of poles.  Raises DomainError where a factor, or the
+    value, leaves double range.
     """
     s = complex(s)
     rest = zeta_beta(1.0 - s)  # raises where the cap binds, before cos(pi s/2) can overflow
-    return (2.0 ** (1.0 - 2.0 * s) * math.pi ** (s - 0.5)
-            * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s) * rest)
+    return _in_double_range("functional_eq_rhs_zeta_alpha", s, lambda: (
+        2.0 ** (1.0 - 2.0 * s) * math.pi ** (s - 0.5)
+        * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s) * rest))
 
 
 def mellin_prefactor(s: complex) -> complex:
@@ -128,14 +141,9 @@ def mellin_prefactor(s: complex) -> complex:
     a factor, or the product of the cosines (|Im s| past 226), leaves double range.
     """
     s = complex(s)
-    try:
-        phi = (2.0 ** (1.0 - 2.0 * s) / math.pi * cmath.cos(math.pi * s / 2.0)
-               * cmath.cos(math.pi * s / 2.0 + math.pi / 4.0) * gamma(0.5 - s))
-    except OverflowError:
-        phi = complex(math.inf)
-    if not cmath.isfinite(phi):
-        raise DomainError(f"mellin_prefactor: a factor leaves double range at s={s}")
-    return phi
+    return _in_double_range("mellin_prefactor", s, lambda: (
+        2.0 ** (1.0 - 2.0 * s) / math.pi * cmath.cos(math.pi * s / 2.0)
+        * cmath.cos(math.pi * s / 2.0 + math.pi / 4.0) * gamma(0.5 - s)))
 
 
 def alpha_to_lambda_factor(s: complex) -> complex:

@@ -14,17 +14,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `oracles`
 
-from liouville_mellin import CacheFormatError, build_table, load_table, save_table
+from liouville_mellin import build_table
+from liouville_mellin.cli import acquire_table
 
 ACCEPTANCE_LIMIT = 2_000_001
 
 
 def _cache_dir() -> Path:
-    base = os.environ.get("LIOUMEL_TEST_CACHE_DIR",
-                          os.path.join(tempfile.gettempdir(), "liouville_mellin_tests"))
-    p = Path(base)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(os.environ.get("LIOUMEL_TEST_CACHE_DIR",
+                               os.path.join(tempfile.gettempdir(), "liouville_mellin_tests")))
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +37,5 @@ def table_100k():
 
 @pytest.fixture(scope="session")
 def table_main():
-    path = _cache_dir() / f"arith_{ACCEPTANCE_LIMIT}.bin"
-    if path.exists():
-        try:
-            return load_table(path)
-        except CacheFormatError:  # stale layout or corrupt file: rebuild
-            path.unlink()
-    table = build_table(ACCEPTANCE_LIMIT)
-    save_table(table, path)
-    return table
+    # the CLI's cache policy: reuse arith_2000001.bin, rebuild it if unusable
+    return acquire_table(ACCEPTANCE_LIMIT, _cache_dir())

@@ -274,6 +274,17 @@ def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
         load_table(path)
 
 
+def test_cache_rejects_an_unreadable_header_or_another_field_order(table_small, tmp_path):
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    path.write_bytes(CACHE_MAGIC + b"\nnot json\n" + payload)
+    with pytest.raises(CacheFormatError, match="unreadable header"):
+        load_table(path)
+    _write_cache(path, dict(header, fields=header["fields"][::-1]), payload)
+    with pytest.raises(CacheFormatError, match="unexpected field layout"):
+        load_table(path)
+
+
 def test_cache_rejects_limit_below_one(table_small, tmp_path):
     # a self-consistent header and payload for limit 0, which build_table refuses
     path = tmp_path / "arith.bin"

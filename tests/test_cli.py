@@ -14,7 +14,7 @@ import pytest
 from liouville_mellin import build_table, cli, kernel_N_series, save_table
 from liouville_mellin.cli import (RunManifest, format_complex, main,
                                   parse_complex, read_report_file)
-from liouville_mellin.kernels import kernel_M_with_bound
+from liouville_mellin.kernels import kernel_M_prime, kernel_M_with_bound
 
 
 @pytest.fixture
@@ -214,7 +214,7 @@ def test_theorem2_grid_flag(cache_env, capsys, tmp_path):
     assert sum(r["check_id"].startswith("theorem2.") for r in rows) == 4
     # a group without a grid rejects one, before any table is sieved
     assert main(["verify", "decay", "--limit", "5001", "--grid=-0.75"]) == 2
-    assert "--grid applies to" in capsys.readouterr().err
+    assert "grid applies to theorem2, functional, all, not decay" in capsys.readouterr().err
     assert not list((cache_env / "cache").glob("arith_5001.bin"))
     assert main(["verify", "theorem2", "--limit", "5001", "--grid=-0.75,x"]) == 2
     assert "cannot parse" in capsys.readouterr().err
@@ -265,6 +265,14 @@ def test_mprime_rejects_complex(cache_env, capsys):
     assert capsys.readouterr().err.count("real nonnegative") == 2
     # rejected before any table is sieved
     assert not list((cache_env / "cache").glob("arith_*.bin"))
+
+
+def test_kernel_mprime_prints_its_value(cache_env, capsys):
+    # at 5001 M' misses its 5e-8 remainder tolerance; at 20001 it meets it
+    assert main(["kernel", "Mprime", "--z", "2.5", "--limit", "5001"]) == 2
+    assert main(["kernel", "Mprime", "--z", "2.5", "--limit", "20001"]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() == format_complex(complex(kernel_M_prime(2.5, build_table(20001))))
 
 
 def test_kernel_prints_plain_M_past_the_budget_with_its_bound(cache_env, capsys, table_100k):
@@ -328,6 +336,17 @@ def _assert_report_exits_2(path, capsys, message):
     assert main(["report", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_report_skips_blank_lines_and_refuses_a_non_object(cache_env, capsys, tmp_path):
+    out_file, _, rows = _theorem1_report(tmp_path)
+    out_file.write_text(out_file.read_text().replace("\n", "\n\n", 1))
+    capsys.readouterr()
+    assert main(["report", "--in", str(out_file)]) == 0
+    assert f"{len(rows)} checks, {len(rows)} passed, 0 failed" in capsys.readouterr().out
+    with out_file.open("a") as fh:
+        fh.write("[1, 2]\n")
+    _assert_report_exits_2(out_file, capsys, "record is not an object")
 
 
 def test_report_empty_file_exits_2(cache_env, capsys, tmp_path):

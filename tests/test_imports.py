@@ -81,3 +81,14 @@ def test_no_public_function_takes_a_configuration():
                 found += [f"{stem}.{name}({p})" for p in inspect.signature(obj).parameters
                           if p in banned]
     assert found == []
+
+
+def test_cli_leaves_the_run_rules_to_verify():
+    # verify owns the grid rules and the manifest's settings: the CLI imports
+    # nothing from quadrature and none of the names those rules are made of
+    imported = {(node.module, alias.name)
+                for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for module, name in imported if "quadrature" in (module or name)] == []
+    assert {name for _, name in imported} & {"DEFAULT_EVAL_CONFIG", "config_for_table",
+                                             "GRID_GROUPS", "theorem2_max_x"} == set()

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, TruncationBudgetError,
-                              build_table, fermi, fermi_deficit, kernel_M,
+from liouville_mellin import (DomainError, EstimationFailureError, InvalidArgumentError,
+                              PoleError, TruncationBudgetError, build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
+from liouville_mellin import kernels
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
                                       _Workspace, _kernel_M, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
@@ -203,6 +204,19 @@ def test_residues_match_beta(table_100k):
 def test_residue_bad_kernel(table_100k):
     with pytest.raises(DomainError):
         residue_estimate("Q", 0, table_100k)
+
+
+def test_residue_errors(table_small, monkeypatch):
+    with pytest.raises(DomainError, match="l must be >= 0"):
+        residue_estimate("N", -1, table_small)
+    # a kernel that returns noise: the Richardson sequence does not settle
+    noise = 1e6 * np.random.default_rng(3).standard_normal(17)
+    monkeypatch.setattr(kernels, "kernel_N", lambda z, table: noise)
+    with pytest.raises(EstimationFailureError, match="did not settle") as err:
+        residue_estimate("N", 0, table_small)
+    f = 2.0 ** -np.arange(4, 21) * noise
+    r1 = 2.0 * f[1:] - f[:-1]
+    assert err.value.sequence == ((4.0 * r1[1:] - r1[:-1]) / 3.0).tolist()
 
 
 # ---------------------------------------------------------- config clamp ----

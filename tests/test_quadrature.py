@@ -264,6 +264,19 @@ def test_oscillation_cap_on_panels():
         assert list(panel_sequence(t, math.inf)) == list(panel_sequence(0.0, math.inf))
 
 
+def test_panels_that_cannot_grow_raise():
+    # exp(pi/(4|Im s|)) rounds to 1 past |Im s| ~ 7.1e15, so no panel would grow
+    s = complex(-0.75, 1e16)
+    with pytest.raises(DomainError, match="no panel grows"):
+        list(panel_sequence(s.imag, math.inf))
+    with pytest.raises(DomainError, match="no panel grows"):
+        integrate_mellin(_gauge(), s, _gauge_series(), math.inf)
+    # below it the panels grow too slowly to reach a stop in MAX_PANELS
+    for t in (1e14, 7e15):
+        with pytest.raises(NonConvergenceError):
+            integrate_mellin(_gauge(), complex(-0.75, t), _gauge_series(), math.inf)
+
+
 # (value, panels_used, relative tolerance): recorded at 1e-15 with the two
 # per-integral loops that the shared integration loop replaced; for Re s < 0,
 # where those loops erred by up to 3e-9, Gamma(s) eta(s) from mpmath at 1e-14

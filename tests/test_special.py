@@ -22,6 +22,16 @@ def test_gamma_classical_values():
     assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
+def test_gamma_past_the_overflow_of_its_lanczos_power():
+    # from real s = 142.6 to 171.6, t^(s-1/2) overflows before e^-t scales it back
+    for x in (142.7, 150.0, 160.0, 171.0, 171.5, 171.62):
+        value, want = gamma(x), mpmath.gamma(x)
+        assert value.imag == 0.0 and abs(value.real - want) <= 1e-14 * want, x
+    for s in (171.7, -400 + 5j, 400 + 1000j):
+        with pytest.raises(DomainError, match="^gamma: "):
+            gamma(s)
+
+
 def test_gamma_against_mpmath_grid():
     rng = np.random.default_rng(11)
     worst = 0.0

@@ -12,8 +12,9 @@ from liouville_mellin import (InvalidArgumentError, NonConvergenceError, arith,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
-from liouville_mellin.verify import (KERNEL_SPLICE_X, default_theorem2_grid, list_checks,
-                                     make_report, theorem2_max_x, verify_residues)
+from liouville_mellin.verify import (GRID_GROUPS, GROUPS, KERNEL_SPLICE_X,
+                                     default_theorem2_grid, list_checks, make_report,
+                                     theorem2_max_x, verify_residues)
 
 
 def test_report_invariants():
@@ -339,6 +340,30 @@ def test_each_group_emits_only_its_registered_ids(table_100k):
         assert emitted <= set(ids), (group, sorted(emitted - set(ids)))
     with pytest.raises(InvalidArgumentError, match="unknown verification group"):
         run_group("nonsense", table_100k)
+
+
+def test_run_rules_are_checked_before_the_table_is_read():
+    # a library run keeps the rules of `verify --grid`: table=None shows that
+    # each refusal comes before the table is touched
+    for group, grid in (("decay", [-0.75]), ("theorem2", []), ("functional", []),
+                        ("all", [-0.75, 0.7]), ("theorem2", [-1.5]), ("nonsense", None)):
+        with pytest.raises(InvalidArgumentError):
+            run_group(group, None, grid)
+    # functional runs on any points, and reads no table
+    assert run_group("functional", None, [complex(0.7)])
+    assert GRID_GROUPS == ("theorem2", "functional", "all")
+    assert tuple(list_checks()) == GROUPS
+
+
+def test_theorem2_evaluates_each_left_side_and_prefactor_once(table_100k, monkeypatch):
+    calls = {"zeta_lambda": 0, "mellin_prefactor": 0}
+    for name in calls:
+        def counted(s, _fn=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _fn(s)
+        monkeypatch.setattr(verify, name, counted)
+    verify_theorem2(table_100k)
+    assert calls == {"zeta_lambda": 9, "mellin_prefactor": 9}
 
 
 def test_reports_deterministic(table_100k):

@@ -185,6 +185,8 @@ def test_far_points_give_a_finite_value_or_a_package_error():
     (special.gamma, -400 + 5j, DomainError, "gamma", -400 + 5j),
     (special.gamma, 400 + 1000j, DomainError, "gamma", 400 + 1000j),
     (zeta_family.mellin_prefactor, -0.75 + 300j, DomainError, "mellin_prefactor", -0.75 + 300j),
+    (zeta_family.functional_eq_rhs_zeta_alpha, -170.0, DomainError,
+     "functional_eq_rhs_zeta_alpha", -170.0),
 ])
 def test_far_points_raise_typed_errors(call, s, error, where, at):
     # the cap check of zeta_alternating, the reflection sin of zeta and Gamma
