@@ -53,7 +53,7 @@ class TruncationBudgetError(LiouvilleMellinError, RuntimeError):
 
 
 class NonConvergenceError(LiouvilleMellinError, RuntimeError):
-    """Quadrature stopped before the tail criterion was met.
+    """Quadrature ran out of panels (MAX_PANELS) before the end of its range.
 
     Attributes:
         partial: the partial IntegralResult accumulated so far.

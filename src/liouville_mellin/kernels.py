@@ -620,13 +620,9 @@ def kernel_M_with_bound(z, table: ArithTable, form: str = "half-shifted"):
     (value, float), the value real for the plain form on the real axis and
     complex otherwise; an array z gives two arrays.
     """
-    return _kernel_M(z, _ws(table), form)
-
-
-def _kernel_M(z, ws: _Workspace, form: str):
-    """kernel_M_with_bound truncated at the workspace's depth."""
     if form not in ("half-shifted", "plain"):
         raise DomainError(f"unknown kernel_M form {form!r}")
+    ws = _ws(table)
     zs, scalar = _points(z, "kernel_M")
     vals, bound = _kernel_sum(_FORM_M, zs, ws)
     if form == "plain":
@@ -658,14 +654,13 @@ def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
             abel_tail_tol (plain form on the real axis only; elsewhere the
             bound is informational).
     """
-    ws = _ws(table)
-    val, bound = _kernel_M(z, ws, form)
-    worst = float(np.max(bound))
+    val, bound = kernel_M_with_bound(z, table, form)
+    worst, tol = float(np.max(bound)), _ws(table).tol
     # the plain form returns real values exactly when it ran on the real axis
-    if form == "plain" and not np.iscomplexobj(val) and worst > ws.tol:
+    if form == "plain" and not np.iscomplexobj(val) and worst > tol:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: remainder bound {worst:.3e} (> {ws.tol:.1e}) for x={x}",
+            f"kernel_M: remainder bound {worst:.3e} (> {tol:.1e}) for x={x}",
             achieved_bound=worst)
     return val
 

@@ -17,13 +17,11 @@ series = (powers, coef, err_pow, err), meaning
 integrates against x^e in closed form, sum_j coef_j a^(p_j+e+1)/(p_j+e+1),
 with an error below the integrated majorant.  Geometrically growing
 Gauss-Legendre panels follow, doubling in width, or narrower where the
-log-oscillation of x^(i Im s) would pass pi/4 per panel.  An integral ends at
-the first panel edge where its own analytic tail bound holds and either the
-panel contributed less than TAIL_STOP_REL of the accumulated integral or the
-trusted range max_x ends.  The integrand is asked once per rule, over every
-panel up to max_x or MAX_PANELS; the panels past the stop are discarded.
-Node positions depend on max_x, and on Im s only once the oscillation cap
-binds, |Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand, so integrand
+log-oscillation of x^(i Im s) would pass pi/4 per panel.  Every integral sums
+all of its panels to the caller's range max_x, asked of the integrand in one
+call per Gauss rule, and the caller bounds the integral past max_x once.  Node
+positions depend on max_x, and on Im s only once the oscillation cap binds,
+|Im s| > pi/(4 ln 2) ~ 1.13; never on the integrand, so integrand
 evaluations can be memoized across a grid of s values.
 """
 
@@ -35,17 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, InvalidArgumentError, NonConvergenceError
 from .kernels import fermi_series
 
 __all__ = ["IntegralResult", "integrate_mellin", "integrate_gamma_zeta_a",
-           "panel_sequence", "SPLIT_POINT", "PANEL_NODES", "TAIL_STOP_REL",
-           "MAX_PANELS", "DECAY_CONST", "MELLIN_STRIP"]
+           "panel_sequence", "SPLIT_POINT", "PANEL_NODES", "MAX_PANELS",
+           "DECAY_CONST", "MELLIN_STRIP"]
 
 
 SPLIT_POINT = 1.0     # end of the power-series head, start of the panels
 PANEL_NODES = 32      # Gauss-Legendre order per panel
-TAIL_STOP_REL = 1e-9  # stop once a panel contributes less than this fraction
 MAX_PANELS = 60       # hard cap on the number of panels
 DECAY_CONST = 1.2     # envelope |kernel(x)| <= 1.2/x past max_x, empirical
 MELLIN_STRIP = (-1.5, 0.5)  # integrate_mellin's open interval of Re s
@@ -55,7 +52,7 @@ MELLIN_STRIP = (-1.5, 0.5)  # integrate_mellin's open interval of Re s
 class IntegralResult:
     """Value plus an error budget: est_error = the head's integrated majorant
     + per panel |PANEL_NODES rule - half-order rule| + the integrand's weighted
-    truncation bounds; tail_bound bounds the integral past the final panel."""
+    truncation bounds; tail_bound bounds the integral past max_x."""
 
     value: complex
     est_error: float
@@ -101,14 +98,15 @@ def _series_head(series, expo: complex, a: float) -> tuple[complex, float]:
     return complex(np.sum(coef * a ** e / e)), float(np.sum(err * a ** q / q))
 
 
-def _integrate(integrand, expo: complex, series, max_x: float, tail,
+def _integrate(integrand, expo: complex, series, max_x: float, tail_bound: float,
                name: str) -> IntegralResult:
-    """integral_0^inf f(x) x^expo dx: series head on (0, SPLIT_POINT], then panels.
+    """integral_0^max_x f(x) x^expo dx: series head on (0, SPLIT_POINT], then
+    every panel up to max_x in one integrand call per Gauss rule.  tail_bound,
+    the caller's bound on the integral past max_x, rides on the result.
 
-    One integrand call per Gauss rule covers every panel up to max_x or
-    MAX_PANELS.  At each edge where the TAIL_STOP_REL criterion or max_x applies,
-    tail(edge) bounds the integral past edge, or is None while its bound does
-    not hold yet; the first bound ends the integral.
+    Raises:
+        NonConvergenceError: MAX_PANELS panels end short of max_x (the
+            partial result, with tail_bound 0, rides on it).
     """
     a, b = np.array(list(panel_sequence(expo.imag, max_x))).T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
@@ -122,17 +120,16 @@ def _integrate(integrand, expo: complex, series, max_x: float, tail,
         return np.sum(f * wt * w, axis=1), np.sum(np.abs(wt) * w * bounds, axis=1)
 
     (contribs, truncs), embedded = rule(PANEL_NODES), rule(PANEL_NODES // 2)[0]
-    total, est = _series_head(series, expo, SPLIT_POINT)
-    for panels, (edge, contrib, trunc, low) in enumerate(
-            zip(b.tolist(), contribs, truncs, embedded), 1):
-        est = est + abs(contrib - low) + float(trunc)
-        total += contrib
-        if edge >= max_x or abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
-            tail_bound = tail(edge)
-            if tail_bound is not None:
-                return IntegralResult(complex(total), float(est), float(tail_bound), panels)
-    raise NonConvergenceError(f"{name}: no tail criterion met after {panels} panels",
-                              partial=IntegralResult(complex(total), float(est), 0.0, panels))
+    head, head_err = _series_head(series, expo, SPLIT_POINT)
+    # summed left to right in panel order, as cumsum does and np.sum's pairwise order does not
+    total = complex(np.cumsum([head, *contribs])[-1])
+    errs = np.column_stack([np.abs(contribs - embedded), truncs]).ravel()
+    est = float(np.cumsum([head_err, *errs])[-1])
+    if b[-1] < max_x:
+        raise NonConvergenceError(f"{name}: {len(b)} panels end at {b[-1]:.6g}, short of "
+                                  f"max_x = {max_x:.6g}",
+                                  partial=IntegralResult(total, est, 0.0, len(b)))
+    return IntegralResult(total, est, float(tail_bound), len(b))
 
 
 def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralResult:
@@ -142,24 +139,24 @@ def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralRes
     expose a per-point bound on its own series-truncation error; those
     bounds are folded into est_error with the quadrature weights.  series is
     f's power series on (0, SPLIT_POINT], in the format of the module
-    docstring; past max_x, or past the panel where the TAIL_STOP_REL
-    criterion stops, tail_bound integrates the DECAY_CONST / x envelope.
+    docstring.  The panels run to max_x, and tail_bound integrates the
+    DECAY_CONST / x envelope past it.
 
     Raises:
         DomainError: outside the strip -3/2 < Re s < 1/2, or from
             panel_sequence where no panel grows.
-        NonConvergenceError: MAX_PANELS ran out before the TAIL_STOP_REL
-            criterion or max_x applied (the partial result rides on it).
+        InvalidArgumentError: max_x is not finite.
+        NonConvergenceError: MAX_PANELS panels end short of max_x (the
+            partial result rides on it).
     """
     s = complex(s)
     if not MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1]:
         raise DomainError(f"integrate_mellin requires -3/2 < Re s < 1/2, got {s}")
-
-    def envelope_tail(edge):
-        # integral_edge^inf (C/x) x^(sigma-1/2) dx under the decay envelope
-        return DECAY_CONST * edge ** (s.real - 0.5) / (0.5 - s.real)
-
-    return _integrate(integrand, s - 0.5, series, max_x, envelope_tail, "integrate_mellin")
+    if not math.isfinite(max_x):
+        raise InvalidArgumentError(f"integrate_mellin needs a finite max_x, got {max_x}")
+    # integral_max_x^inf (C/x) x^(sigma-1/2) dx under the decay envelope
+    tail = DECAY_CONST * max_x ** (s.real - 0.5) / (0.5 - s.real)
+    return _integrate(integrand, s - 0.5, series, max_x, tail, "integrate_mellin")
 
 
 def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
@@ -167,13 +164,16 @@ def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
 
     The head takes the Fermi series 1/2 - sum_k c_k t^(2k+1).  The closed form
     a^s/(2s) of its constant term also continues integral_0^a t^(s-1)/2 dt to
-    -1 < Re s < 0, so one formula serves both sides of Re s = 0.
+    -1 < Re s < 0, so one formula serves both sides of Re s = 0.  The panels
+    run to max_x, the first power of two at or past 128 and 8|s|.
 
     Raises:
         DomainError: for Re s <= -1, Re s = 0, |s| > 2^57 (max_x past the reach
             of MAX_PANELS doublings), where x^s, which bounds x^(s-1) times a
             Gauss weight, overflows on [1, max_x], or from panel_sequence where
             no panel grows.
+        NonConvergenceError: MAX_PANELS panels end short of max_x, as the capped
+            ones do past |Im s| = 15 pi / ln max_x (9.7 at 128; s = 0.5 + 10i).
     """
     s = complex(s)
     if not (s.real > 0.0 or -1.0 < s.real < 0.0) or not 8.0 * abs(s) <= 2.0 ** MAX_PANELS:
@@ -187,10 +187,8 @@ def integrate_gamma_zeta_a(s: complex) -> IntegralResult:
         e = np.exp(-t)  # t > 0
         return e / (1.0 + e), np.zeros(len(t))
 
-    def exponential_tail(edge):
-        # kernel < e^-t, and Gamma(a, x) <= 2 x^(a-1) e^-x once x >= 2(a-1), a = Re s
-        return (2.0 * math.exp((s.real - 1.0) * math.log(edge) - edge)
-                if edge >= 2.0 * (s.real - 1.0) else None)
-
-    return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), max_x,
-                      exponential_tail, "integrate_gamma_zeta_a")
+    # kernel < e^-t, and Gamma(a, x) <= 2 x^(a-1) e^-x once x >= 2(a-1), a = Re s,
+    # which max_x >= 8|s| always is
+    tail = 2.0 * math.exp((s.real - 1.0) * math.log(max_x) - max_x)
+    return _integrate(integrand, s - 1.0, fermi_series(SPLIT_POINT), max_x, tail,
+                      "integrate_gamma_zeta_a")

@@ -37,7 +37,7 @@ from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fer
                       kernel_M, kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
                       kernel_series_with_bound, residue_estimate)
 from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
-                         TAIL_STOP_REL, integrate_gamma_zeta_a, integrate_mellin)
+                         integrate_gamma_zeta_a, integrate_mellin)
 from .special import DEFAULT_EVAL_CONFIG, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
@@ -745,5 +745,5 @@ def config_snapshot(table: ArithTable) -> dict:
     """The evaluator, kernel and quadrature settings of a run, for its manifest."""
     return {"eval": asdict(DEFAULT_EVAL_CONFIG), "kernel": asdict(config_for_table(table)),
             "quadrature": {"split_point": SPLIT_POINT, "panel_nodes": PANEL_NODES,
-                           "tail_stop_rel": TAIL_STOP_REL, "max_panels": MAX_PANELS,
-                           "max_x": theorem2_max_x(table), "decay_const": DECAY_CONST}}
+                           "max_panels": MAX_PANELS, "max_x": theorem2_max_x(table),
+                           "decay_const": DECAY_CONST}}

@@ -147,6 +147,12 @@ def mellin_prefactor(s: complex) -> complex:
 
 
 def alpha_to_lambda_factor(s: complex) -> complex:
-    """(1 - 2^(1-s)) / (1 - 2^(1-2s)): converts zeta_alpha into zeta_lambda."""
+    """(1 - 2^(1-s)) / (1 - 2^(1-2s)): converts zeta_alpha into zeta_lambda.  Its
+    poles, s = 1/2 + i pi k / ln 2 (numerator 1 - (-1)^k sqrt 2), raise PoleError."""
     s = complex(s)
+    if abs(s.real - 0.5) < POLE_TOL and math.isfinite(s.imag):
+        k = round(s.imag * math.log(2.0) / math.pi)
+        pole = complex(0.5, math.pi * k / math.log(2.0))
+        if abs(s - pole) < POLE_TOL:
+            raise PoleError(f"alpha_to_lambda_factor pole at s={pole}", location=pole, index=k)
     return (1.0 - 2.0 ** (1.0 - s)) / (1.0 - 2.0 ** (1.0 - 2.0 * s))

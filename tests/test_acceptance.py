@@ -35,6 +35,9 @@ def test_criterion_1_theorem2_integral_representation(table_main):
                 if "degenerate" not in r.notes)
     print(f"  worst relative error on the strip grid: {worst:.3e}")
     assert len(reports) == 18
+    # one panel set on the whole grid: 16 doublings from 1 to 65,536, then
+    # one panel clipped at max_x = 1e5
+    assert [r.budget["panels"] for r in reports] == [17] * 18
     # the two kernel routes are independent evaluations of the same integral
     by_s = {}
     for r in reports:

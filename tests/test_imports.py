@@ -1,10 +1,13 @@
 """Module boundaries: no package module imports another one's private names,
 every module exports only names it defines, no private name is left unused,
-and no public evaluator or verify group takes a configuration object."""
+no public evaluator or verify group takes a configuration object, and the
+CLI starts without the modules the package imports only on first use."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import liouville_mellin
@@ -92,3 +95,15 @@ def test_cli_leaves_the_run_rules_to_verify():
     assert [name for module, name in imported if "quadrature" in (module or name)] == []
     assert {name for _, name in imported} & {"DEFAULT_EVAL_CONFIG", "config_for_table",
                                              "GRID_GROUPS", "theorem2_max_x"} == set()
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    # `cli --version` pays for the package import on every start: Gauss nodes
+    # import numpy.polynomial on first use, and np.unique (which imports
+    # numpy.ma) is kept out of the kernels; mpmath is a test oracle only
+    probe = ("import sys, liouville_mellin.cli; "
+             "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma', 'mpmath') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"

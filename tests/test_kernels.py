@@ -1,5 +1,6 @@
 """Fermi kernel, the two meromorphic kernel sums, derivative, residues."""
 
+import copy
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from liouville_mellin import (DomainError, EstimationFailureError, InvalidArgume
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin import kernels
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _Workspace, _kernel_M, _kernel_sum, _points,
+                                      _Workspace, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound)
@@ -478,10 +479,12 @@ def test_short_truncation_within_both_bounds(table_100k):
     # which both remainder bounds must cover; the short truncation reads the
     # sup of |S| past M from the table, not the beyond-table cap alone
     for M in (501, 5_001, 20_001):
-        short = _Workspace(table_100k, M)
+        short = copy.copy(table_100k)  # the same arrays, read through an M-term workspace
+        short.__dict__["_kernel_ws"] = _Workspace(table_100k, M)
+        assert (_ws(short).depth, _ws(table_100k).depth) == (M, 50_001)
         for form in ("half-shifted", "plain"):
             for points in (np.array(SHORT_REAL), np.array(SHORT_COMPLEX)):
-                v_short, b_short = _kernel_M(points, short, form)
+                v_short, b_short = kernel_M_with_bound(points, short, form=form)
                 v_full, b_full = kernel_M_with_bound(points, table_100k, form=form)
                 assert np.all(np.abs(v_short - v_full) <= b_short + b_full), (M, form, points)
 

@@ -13,13 +13,14 @@ from liouville_mellin import (DomainError, InvalidArgumentError, NonConvergenceE
 from liouville_mellin.kernels import (fermi_series, kernel_M_with_bound, kernel_N_with_bound,
                                       kernel_series_with_bound)
 from liouville_mellin.quadrature import (DECAY_CONST, MAX_PANELS, PANEL_NODES, SPLIT_POINT,
-                                         TAIL_STOP_REL, _series_head, panel_sequence)
+                                         _series_head, panel_sequence)
 from liouville_mellin.verify import default_theorem2_grid
 
 mpmath.mp.dps = 40
 
 PI = math.pi
 _GAUGE_TERMS = 20
+GAUGE_MAX_X = 64.0  # six doubling panels; the gauge's tail past it is about e^-64
 
 
 def _gauge(scale=1.0):
@@ -180,8 +181,8 @@ def test_mellin_closed_form_and_refinement():
         for im in (0.0, 0.5, 1.0):
             s = complex(re, im)
             want = complex(mpmath.gamma(mpmath.mpc(re, im) + 1.5))
-            r1 = integrate_mellin(_gauge(), s, _gauge_series(), math.inf)
-            fine = refined_mellin(_gauge(), s, _gauge_series(), math.inf, r1.panels_used)
+            r1 = integrate_mellin(_gauge(), s, _gauge_series(), GAUGE_MAX_X)
+            fine = refined_mellin(_gauge(), s, _gauge_series(), GAUGE_MAX_X, r1.panels_used)
             assert abs(r1.value - want) <= max(r1.est_error, 1e-13)
             # doubling the node density moves the answer by less than est_error
             assert abs(r1.value - fine) <= r1.est_error + 1e-14
@@ -189,8 +190,8 @@ def test_mellin_closed_form_and_refinement():
 
 def test_mellin_linearity():
     s = complex(-0.75, 0.5)
-    one = integrate_mellin(_gauge(1.0), s, _gauge_series(1.0), math.inf)
-    scaled = integrate_mellin(_gauge(123.456), s, _gauge_series(123.456), math.inf)
+    one = integrate_mellin(_gauge(1.0), s, _gauge_series(1.0), GAUGE_MAX_X)
+    scaled = integrate_mellin(_gauge(123.456), s, _gauge_series(123.456), GAUGE_MAX_X)
     assert scaled.value == pytest.approx(123.456 * one.value, rel=1e-13)
 
 
@@ -198,6 +199,15 @@ def test_mellin_strip_enforced():
     for s in (0.5, 1.0, -1.5, -2.0):
         with pytest.raises(DomainError):
             integrate_mellin(_gauge(), complex(s), _gauge_series(), math.inf)
+
+
+def test_mellin_needs_a_finite_range():
+    # no panel set reaches an infinite max_x, so it is refused before any integrand call
+    def untouchable(x):
+        raise AssertionError("integrand called")
+    for max_x in (math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="finite max_x"):
+            integrate_mellin(untouchable, complex(-0.75), _gauge_series(), max_x)
 
 
 def test_mellin_tail_bound_honest():
@@ -217,18 +227,17 @@ def test_mellin_tail_bound_honest():
 
 
 def test_mellin_nonconvergence_carries_partial():
-    # f ~ 1/x at infinity: near Re s = 1/2 the panel contributions fall by
-    # 2^-0.05 per doubling, far too slowly to meet the stop criterion within
-    # MAX_PANELS panels when no max_x cuts them
+    # MAX_PANELS doubling panels end at 2^60, short of a range of 1e30
     def slow(x):
         return x / (1.0 + x * x), np.zeros(len(x))
     # alternating series with falling terms on (0, 1]: |E| <= x^41
     k = np.arange(20)
     slow_series = (2.0 * k + 1.0, (-1.0) ** k, np.array([41.0]), np.array([1.0]))
     with pytest.raises(NonConvergenceError) as err:
-        integrate_mellin(slow, complex(0.45), slow_series, math.inf)
+        integrate_mellin(slow, complex(0.45), slow_series, 1e30)
     assert err.value.partial is not None
     assert err.value.partial.panels_used == MAX_PANELS
+    assert err.value.partial.tail_bound == 0.0
 
 
 def _capped_panels(im_s, max_x):
@@ -270,22 +279,23 @@ def test_panels_that_cannot_grow_raise():
     with pytest.raises(DomainError, match="no panel grows"):
         list(panel_sequence(s.imag, math.inf))
     with pytest.raises(DomainError, match="no panel grows"):
-        integrate_mellin(_gauge(), s, _gauge_series(), math.inf)
-    # below it the panels grow too slowly to reach a stop in MAX_PANELS
+        integrate_mellin(_gauge(), s, _gauge_series(), 1e30)
+    # below it the panels grow too slowly to reach max_x in MAX_PANELS
     for t in (1e14, 7e15):
         with pytest.raises(NonConvergenceError):
-            integrate_mellin(_gauge(), complex(-0.75, t), _gauge_series(), math.inf)
+            integrate_mellin(_gauge(), complex(-0.75, t), _gauge_series(), 1e30)
 
 
 # (value, panels_used, relative tolerance): recorded at 1e-15 with the two
 # per-integral loops that the shared integration loop replaced; for Re s < 0,
-# where those loops erred by up to 3e-9, Gamma(s) eta(s) from mpmath at 1e-14
+# where those loops erred by up to 3e-9, Gamma(s) eta(s) from mpmath at 1e-14.
+# The calibration panels run to max_x = 128 (7 panels); the gauge's to GAUGE_MAX_X
 GAMMA_ETA_PINS = {
-    2.0: (0.8224670334241132 + 0j, 6, 1e-15),
-    1.0: (0.6931471805599453 + 0j, 6, 1e-15),
-    0.5 + 1j: (0.2746404655858677 - 0.21373200239376963j, 6, 1e-15),
-    -0.5: (_gamma_eta(-0.5), 6, 1e-14),
-    -0.5 + 0.5j: (_gamma_eta(-0.5 + 0.5j), 6, 1e-14),
+    2.0: (0.8224670334241132 + 0j, 7, 1e-15),
+    1.0: (0.6931471805599453 + 0j, 7, 1e-15),
+    0.5 + 1j: (0.2746404655858677 - 0.21373200239376963j, 7, 1e-15),
+    -0.5: (_gamma_eta(-0.5), 7, 1e-14),
+    -0.5 + 0.5j: (_gamma_eta(-0.5 + 0.5j), 7, 1e-14),
 }
 MELLIN_GAUGE_PINS = {
     -0.75 + 0.5j: (0.834929965973747 - 0.4063818800581324j, 6, 1e-15),
@@ -295,7 +305,7 @@ MELLIN_GAUGE_PINS = {
 
 def test_shared_loop_reproduces_recorded_integrals():
     runs = [(integrate_gamma_zeta_a(s), pin) for s, pin in GAMMA_ETA_PINS.items()]
-    runs += [(integrate_mellin(_gauge(), complex(s), _gauge_series(), math.inf), pin)
+    runs += [(integrate_mellin(_gauge(), complex(s), _gauge_series(), GAUGE_MAX_X), pin)
              for s, pin in MELLIN_GAUGE_PINS.items()]
     for res, (value, panels, tol) in runs:
         assert abs(res.value - value) <= tol * abs(value)
@@ -303,9 +313,8 @@ def test_shared_loop_reproduces_recorded_integrals():
 
 
 def _per_panel_mellin(integrand, s, series, max_x):
-    """integrate_mellin's loop with two integrand calls per panel, stopping
-    at the first panel below TAIL_STOP_REL: (value, est_error, tail_bound,
-    panels_used)."""
+    """integrate_mellin's sums, panel by panel, with two integrand calls per
+    panel: (value, est_error, tail_bound, panels_used)."""
     expo = s - 0.5
 
     def rule(a, b, n):
@@ -321,15 +330,14 @@ def _per_panel_mellin(integrand, s, series, max_x):
         contrib, trunc = rule(a, b, PANEL_NODES)
         est = est + abs(contrib - rule(a, b, PANEL_NODES // 2)[0]) + trunc
         total += contrib
-        if abs(contrib) < TAIL_STOP_REL * max(abs(total), 1e-300):
-            tail = DECAY_CONST * b ** (s.real - 0.5) / (0.5 - s.real)
-            return complex(total), float(est), float(tail), panels
-    raise AssertionError("no stop within MAX_PANELS")
+    assert b == max_x
+    tail = DECAY_CONST * b ** (s.real - 0.5) / (0.5 - s.real)
+    return complex(total), float(est), float(tail), panels
 
 
 def test_one_integrand_call_per_rule():
-    # every panel up to MAX_PANELS in one call per Gauss rule; the panels
-    # past the stop rule are discarded, so the result is the per-panel loop's
+    # every panel up to max_x in one call per Gauss rule, summed in panel
+    # order, so the result is the per-panel loop's to the last bit
     calls = []
     gauge = _gauge()
 
@@ -338,16 +346,20 @@ def test_one_integrand_call_per_rule():
         return gauge(x)
 
     s = complex(-0.75, 0.5)
-    res = integrate_mellin(recorded, s, _gauge_series(), math.inf)
-    assert calls == [MAX_PANELS * PANEL_NODES, MAX_PANELS * PANEL_NODES // 2]
-    want = _per_panel_mellin(_gauge(), s, _gauge_series(), math.inf)
+    res = integrate_mellin(recorded, s, _gauge_series(), GAUGE_MAX_X)
+    assert calls == [6 * PANEL_NODES, 6 * PANEL_NODES // 2]
+    want = _per_panel_mellin(_gauge(), s, _gauge_series(), GAUGE_MAX_X)
     assert (res.value, res.est_error, res.tail_bound, res.panels_used) == want
-    assert res.panels_used < MAX_PANELS
+    # a range past the first six panels adds panels, and nothing else changes
+    for max_x in (1e3, 1e5):
+        res = integrate_mellin(_gauge(), s, _gauge_series(), max_x)
+        want = _per_panel_mellin(_gauge(), s, _gauge_series(), max_x)
+        assert (res.value, res.est_error, res.tail_bound, res.panels_used) == want
 
 
 def test_calibration_integral_stops_at_its_range(monkeypatch):
-    # Gamma(s) eta(s) asks for the panels up to the first power of two at or
-    # past 128 and 8|s|: 7 at s = -1/2, where an infinite range asked for 60
+    # Gamma(s) eta(s) asks for, and sums, the panels up to the first power of
+    # two at or past 128 and 8|s|: 7 at s = -1/2
     calls = []
     integrate = quadrature._integrate
 
@@ -358,7 +370,7 @@ def test_calibration_integral_stops_at_its_range(monkeypatch):
         return integrate(recorded, *args)
 
     monkeypatch.setattr(quadrature, "_integrate", recording)
-    assert integrate_gamma_zeta_a(-0.5).panels_used == 6
+    assert integrate_gamma_zeta_a(-0.5).panels_used == 7
     assert calls == [224, 112] == [7 * PANEL_NODES, 7 * PANEL_NODES // 2]
     # at Re s = 70 the panels end at 1024, so x^(s-1) no longer overflows
     with warnings.catch_warnings():
@@ -368,24 +380,15 @@ def test_calibration_integral_stops_at_its_range(monkeypatch):
     assert res.tail_bound < 1e-30 * abs(res.value)
 
 
-def test_a_tail_bound_that_does_not_hold_yet_takes_the_next_panel():
-    # the stop rule applies from panel 6 (edge 64) on; a tail bound that
-    # holds only from edge 1024 on is asked at each edge until it does
-    edges = []
-
-    def tail(edge):
-        edges.append(edge)
-        return 1e-30 if edge >= 1024.0 else None
-
-    s = complex(-0.75, 0.5)
-    res = quadrature._integrate(_gauge(), s - 0.5, _gauge_series(), math.inf, tail, "gauge")
-    assert edges == [64.0, 128.0, 256.0, 512.0, 1024.0]
-    assert (res.panels_used, res.tail_bound) == (10, 1e-30)
-    assert res.value == pytest.approx(MELLIN_GAUGE_PINS[s][0], rel=1e-15)
-    # a bound that never holds ends in NonConvergenceError after MAX_PANELS
-    with pytest.raises(NonConvergenceError) as err:
-        quadrature._integrate(_gauge(), s - 0.5, _gauge_series(), math.inf,
-                              lambda edge: None, "gauge")
+def test_calibration_panels_reach_max_x_or_raise():
+    # s = 0.5 + 5i: 31 capped panels reach max_x = 128, and the budget holds;
+    # past |Im s| = 15 pi / ln 128 ~ 9.7 the 60 capped panels end short of it
+    s = 0.5 + 5j
+    res = integrate_gamma_zeta_a(s)
+    assert res.panels_used == 31
+    assert abs(res.value - _gamma_eta(s)) <= res.est_error + res.tail_bound
+    with pytest.raises(NonConvergenceError, match="short of max_x") as err:
+        integrate_gamma_zeta_a(0.5 + 10j)
     assert err.value.partial.panels_used == MAX_PANELS
 
 
@@ -417,7 +420,7 @@ def test_calibration_gives_a_finite_result_or_a_typed_error():
         integrate_gamma_zeta_a(102.5)
     assert integrate_gamma_zeta_a(102.3).value.real == pytest.approx(math.gamma(102.3),
                                                                       rel=1e-12)
-    # its last panel edge, 184.6, is short of 2(Re s - 1), where the bound starts to hold
+    # its 60 panels, narrowed by the oscillation cap, end at 184.6, short of max_x = 1024
     with pytest.raises(NonConvergenceError):
         integrate_gamma_zeta_a(95.67402039610383 + 9.026622889038535j)
     # the budget holds against mpmath, up to rounding, on a seeded subsample

@@ -80,6 +80,18 @@ def test_zeta_alpha_modes():
         zeta_alpha(2.0, mode="nonsense")
 
 
+def test_alpha_to_lambda_factor_poles():
+    # 1 - 2^(1-2s) vanishes at s = 1/2 + i pi k / ln 2, the numerator 1 - (-1)^k sqrt 2 does not
+    for k in (0, 1, -1):
+        pole = complex(0.5, PI * k / math.log(2.0))
+        with pytest.raises(PoleError) as err:
+            zeta_family.alpha_to_lambda_factor(pole)
+        assert (err.value.location, err.value.index) == (pole, k)
+    s = mpmath.mpc(0.55, 4.5)
+    want = complex((1 - mpmath.power(2, 1 - s)) / (1 - mpmath.power(2, 1 - 2 * s)))
+    assert abs(zeta_family.alpha_to_lambda_factor(0.55 + 4.5j) - want) <= 1e-14 * abs(want)
+
+
 def test_zeta_beta_values():
     # 7 zeta(3)/pi^2 = 0.85255679763501...
     ref = float(7 * mpmath.zeta(3) / mpmath.pi ** 2)
