@@ -31,8 +31,9 @@ nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
 a product of positive factors with no cancellation.  The defining
 convolution above stays an independent check (bounds.convolution).
 
-The cache file (save_table/load_table) streams each array through one
-sha256; its header lengths are checked against limit and the file size.
+The cache file (save_table/load_table) carries one sha256 per array, hashed
+on HASH_WORKERS threads (on load, while the next array is read); its header
+lengths are checked against limit and the file size.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
            "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
            "save_table", "load_table"]
 
-CACHE_MAGIC = b"ARITHv2"
+CACHE_MAGIC = b"ARITHv3"
+HASH_WORKERS = 2  # threads hashing cache fields; hashlib releases the GIL
 
 # fixed on-disk order: (name, dtype)
 _CACHE_FIELDS = (
@@ -254,25 +256,31 @@ def sqfree_square_split(table: ArithTable, n: int) -> tuple[int, int]:
 # table cache file
 # ---------------------------------------------------------------------------
 
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr).hexdigest()
+
+
 def save_table(table: ArithTable, path: str | os.PathLike) -> None:
     """Dump the table so later runs can skip the sieve.
 
-    Layout: magic, one JSON header line (limit, array dtypes/lengths,
-    sha256 of the payload), then the raw little-endian array bytes in fixed
-    field order.  Integers round-trip exactly and nu/nu_cumsum bitwise.  The
-    payload is hashed, then written, straight from the arrays, to a temporary
-    file that replaces `path` once complete, so no reader sees a short file.
+    Layout: magic, one JSON header line (limit, and per array its name,
+    dtype, length and the sha256 of its bytes), then the raw little-endian
+    array bytes in fixed field order.  Integers round-trip exactly and
+    nu/nu_cumsum bitwise.  The arrays are hashed on HASH_WORKERS threads,
+    then written straight from memory to a temporary file that replaces
+    `path` once complete, so no reader sees a short file.
     """
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
+
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
               for name, dtype in _CACHE_FIELDS]
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(arr)
+    with ThreadPoolExecutor(HASH_WORKERS) as pool:
+        digests = list(pool.map(_sha256, arrays))
     header = {
         "limit": table.limit,
-        "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0])}
-                   for (name, _), arr in zip(_CACHE_FIELDS, arrays)],
-        "sha256": digest.hexdigest(),
+        "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0]),
+                    "sha256": digest}
+                   for (name, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
     }
     head = CACHE_MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"  # same directory
@@ -287,12 +295,16 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 
 
 def load_table(path: str | os.PathLike) -> ArithTable:
-    """Read a table written by save_table, verifying magic and checksum.
+    """Read a table written by save_table, verifying magic and checksums.
 
     Every header length must be limit + 1 and match the file size before
-    anything is allocated; each array is read in place and hashed as it
-    streams in, so the payload is held once.
+    anything is allocated.  The arrays share one allocation.  Each is read in
+    place and handed to one of HASH_WORKERS threads at once, so reading the
+    next array overlaps with hashing this one and the payload is held once;
+    the digests are compared in field order after the last read.
     """
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
+
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CACHE_MAGIC:
@@ -300,27 +312,38 @@ def load_table(path: str | os.PathLike) -> ArithTable:
         try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             header = json.loads(fh.readline().decode("ascii"))
             limit = int(header["limit"])
-            fields = [(f["name"], f["dtype"], f["len"]) for f in header["fields"]]
+            fields = [(f["name"], f["dtype"], f["len"], f["sha256"]) for f in header["fields"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"unreadable header in {path}: {exc}") from exc
+        if not all(isinstance(sha, str) for *_, sha in fields):
+            raise CacheFormatError(f"unreadable header in {path}: a sha256 is not a string")
         if limit < 1:
             raise CacheFormatError(f"limit {limit} < 1 in {path}")
         expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
-        if [(name, dtype) for name, dtype, _ in fields] != expected:
+        if [(name, dtype) for name, dtype, _, _ in fields] != expected:
             raise CacheFormatError(f"unexpected field layout in {path}")
-        if any(length != limit + 1 for _, _, length in fields):
+        if any(length != limit + 1 for _, _, length, _ in fields):
             raise CacheFormatError(f"field length is not limit + 1 = {limit + 1} in {path}")
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left != (limit + 1) * sum(np.dtype(dt).itemsize for _, dt in _CACHE_FIELDS):
             raise CacheFormatError(f"{left} payload bytes disagree with the header in {path}")
-        arrays = {}
-        digest = hashlib.sha256()
-        for name, dtype in _CACHE_FIELDS:
-            arr = np.empty(limit + 1, dtype=dtype)
-            if fh.readinto(arr) != arr.nbytes:
-                raise CacheFormatError(f"short read of {name} in {path}")
-            digest.update(arr)
-            arrays[name] = arr
-    if digest.hexdigest() != header.get("sha256"):
-        raise CacheFormatError(f"checksum mismatch in {path}")
+        # one block for the table, each array a view starting on a 16-byte
+        # boundary.  Past glibc's 32 MB mmap ceiling (a 2e6 table is 60 MB) it
+        # is mapped and unmapped whole; separate arrays come from the heap
+        # after the first load, where the hashing threads' small allocations
+        # can keep a freed table resident (peak RSS +5 MB in repeated loads)
+        spans = [-(-(limit + 1) * np.dtype(dt).itemsize // 16) * 16 for _, dt in _CACHE_FIELDS]
+        block = np.empty(sum(spans), dtype=np.uint8)
+        arrays, lo, digests = {}, 0, []
+        for (name, dtype), span in zip(_CACHE_FIELDS, spans):
+            arrays[name] = block[lo:lo + span].view(dtype)[:limit + 1]
+            lo += span
+        with ThreadPoolExecutor(HASH_WORKERS) as pool:  # joins its threads on any exit
+            for name, arr in arrays.items():
+                if fh.readinto(arr) != arr.nbytes:
+                    raise CacheFormatError(f"short read of {name} in {path}")
+                digests.append(pool.submit(_sha256, arr))
+    for (name, _, _, sha), digest in zip(fields, digests):
+        if digest.result() != sha:
+            raise CacheFormatError(f"checksum mismatch in field {name} of {path}")
     return ArithTable(limit=limit, **arrays)

@@ -145,15 +145,16 @@ def integrate_mellin(integrand, s: complex, series, max_x: float) -> IntegralRes
     Raises:
         DomainError: outside the strip -3/2 < Re s < 1/2, or from
             panel_sequence where no panel grows.
-        InvalidArgumentError: max_x is not finite.
+        InvalidArgumentError: max_x is not finite or not above SPLIT_POINT.
         NonConvergenceError: MAX_PANELS panels end short of max_x (the
             partial result rides on it).
     """
     s = complex(s)
     if not MELLIN_STRIP[0] < s.real < MELLIN_STRIP[1]:
         raise DomainError(f"integrate_mellin requires -3/2 < Re s < 1/2, got {s}")
-    if not math.isfinite(max_x):
-        raise InvalidArgumentError(f"integrate_mellin needs a finite max_x, got {max_x}")
+    if not (math.isfinite(max_x) and max_x > SPLIT_POINT):
+        raise InvalidArgumentError(f"integrate_mellin needs a finite max_x above "
+                                   f"SPLIT_POINT = {SPLIT_POINT}, got {max_x}")
     # integral_max_x^inf (C/x) x^(sigma-1/2) dx under the decay envelope
     tail = DECAY_CONST * max_x ** (s.real - 0.5) / (0.5 - s.real)
     return _integrate(integrand, s - 0.5, series, max_x, tail, "integrate_mellin")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, NearZeroDenominatorError, PoleError
+from .errors import DomainError, InvalidArgumentError, NearZeroDenominatorError, PoleError
 from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, eta_continued, gamma, zeta
 
 __all__ = ["zeta_imp", "zeta_lambda", "zeta_mu", "zeta_alpha", "zeta_beta",
@@ -148,9 +148,12 @@ def mellin_prefactor(s: complex) -> complex:
 
 def alpha_to_lambda_factor(s: complex) -> complex:
     """(1 - 2^(1-s)) / (1 - 2^(1-2s)): converts zeta_alpha into zeta_lambda.  Its
-    poles, s = 1/2 + i pi k / ln 2 (numerator 1 - (-1)^k sqrt 2), raise PoleError."""
+    poles, s = 1/2 + i pi k / ln 2 (numerator 1 - (-1)^k sqrt 2), raise PoleError;
+    a non-finite s raises InvalidArgumentError."""
     s = complex(s)
-    if abs(s.real - 0.5) < POLE_TOL and math.isfinite(s.imag):
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise InvalidArgumentError(f"alpha_to_lambda_factor: argument must be finite, got {s}")
+    if abs(s.real - 0.5) < POLE_TOL:
         k = round(s.imag * math.log(2.0) / math.pi)
         pole = complex(0.5, math.pi * k / math.log(2.0))
         if abs(s - pole) < POLE_TOL:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -253,14 +254,19 @@ def _saved_parts(table, path):
 
 
 def _write_cache(path, header, payload, rehash=False):
-    if rehash:
-        header = dict(header, sha256=hashlib.sha256(payload).hexdigest())
+    if rehash:  # each field's sha256 over its slice of the payload
+        fields, lo = [], 0
+        for f in header["fields"]:
+            hi = lo + f["len"] * np.dtype(f["dtype"]).itemsize
+            fields.append(dict(f, sha256=hashlib.sha256(payload[lo:hi]).hexdigest()))
+            lo = hi
+        header = dict(header, fields=fields)
     path.write_bytes(CACHE_MAGIC + b"\n"
                      + json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
 
 
 def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
-    # the sha covers the payload only, so both headers below carry a valid one
+    # each sha covers its field's bytes only, so both headers below carry valid ones
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)
     _write_cache(path, dict(header, limit=10), payload)
@@ -317,13 +323,36 @@ def test_cache_rejects_short_read(table_small, tmp_path, monkeypatch):
         load_table(path)
 
 
+def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    threads = threading.active_count()
+    load_table(path)
+    assert threading.active_count() == threads  # the hashing workers are joined
+    lo = 0
+    for f in header["fields"]:
+        raw = bytearray(payload)
+        raw[lo] ^= 0x01  # the first byte of this field
+        _write_cache(path, header, bytes(raw))
+        with pytest.raises(CacheFormatError, match=f"mismatch in field {f['name']} of "):
+            load_table(path)
+        assert threading.active_count() == threads
+        lo += f["len"] * np.dtype(f["dtype"]).itemsize
+    no_sha = {k: v for k, v in header["fields"][3].items() if k != "sha256"}
+    for dcount in (no_sha, dict(no_sha, sha256=None)):
+        fields = [*header["fields"][:3], dcount, *header["fields"][4:]]
+        _write_cache(path, dict(header, fields=fields), payload)
+        with pytest.raises(CacheFormatError, match="unreadable header"):
+            load_table(path)
+
+
 def test_saved_bytes_pinned(table_small, tmp_path):
-    # sha256 of the whole cache file for build_table(3001), recorded when
-    # save_table still joined the array bytes into one payload
+    # sha256 of the whole cache file for build_table(3001), recorded when the
+    # ARITHv3 header took one sha256 per field in place of one over the payload
     path = tmp_path / "arith.bin"
     save_table(table_small, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "bc07e33b2ee27da76dde072c3ba6aaf923ba7561c7ce2220a7fe17ea398f40ad")
+        "4a0ea36d4ffc08d1ba00bcca3c194334b2966b062c0055f8be282aa3aac21625")
 
 
 def test_load_table_holds_the_payload_once(table_100k, tmp_path):

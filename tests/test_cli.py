@@ -14,6 +14,7 @@ import pytest
 from liouville_mellin import build_table, cli, kernel_N_series, save_table
 from liouville_mellin.cli import (RunManifest, format_complex, main,
                                   parse_complex, read_report_file)
+from liouville_mellin.arith import CACHE_MAGIC
 from liouville_mellin.kernels import kernel_M_prime, kernel_M_with_bound
 
 
@@ -74,14 +75,17 @@ def test_sieve_writes_cache(cache_env, capsys):
 
 
 def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
+    # a truncated file, and one whose magic is ARITHv2 (one sha256 over the payload)
     path = cache_env / "cache" / "arith_3001.bin"
     assert main(["sieve", "--limit", "3001"]) == 0
     fresh = path.read_bytes()
-    path.write_bytes(fresh[:-100])
-    capsys.readouterr()
-    assert main(["sieve", "--limit", "3001"]) == 0
-    assert "unusable" in capsys.readouterr().err
-    assert path.read_bytes() == fresh
+    older = fresh.replace(CACHE_MAGIC, b"ARITHv2", 1)
+    for bad in (fresh[:-100], older):
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert main(["sieve", "--limit", "3001"]) == 0
+        assert "unusable" in capsys.readouterr().err
+        assert path.read_bytes() == fresh
 
 
 def test_sieve_rebuilds_a_cache_of_another_limit(cache_env, capsys):

@@ -100,10 +100,11 @@ def test_cli_leaves_the_run_rules_to_verify():
 def test_cli_import_leaves_lazy_modules_unloaded():
     # `cli --version` pays for the package import on every start: Gauss nodes
     # import numpy.polynomial on first use, and np.unique (which imports
-    # numpy.ma) is kept out of the kernels; mpmath is a test oracle only
+    # numpy.ma) is kept out of the kernels; mpmath is a test oracle only; the
+    # cache's hashing pool imports concurrent.futures (and logging) on first use
     probe = ("import sys, liouville_mellin.cli; "
-             "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma', 'mpmath') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma', 'mpmath', "
+             "'concurrent.futures') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "[]"

@@ -208,6 +208,10 @@ def test_mellin_needs_a_finite_range():
     for max_x in (math.inf, math.nan):
         with pytest.raises(InvalidArgumentError, match="finite max_x"):
             integrate_mellin(untouchable, complex(-0.75), _gauge_series(), max_x)
+    # a range that ends at or before SPLIT_POINT has no panel; the error names max_x
+    for max_x in (0.5, SPLIT_POINT):
+        with pytest.raises(InvalidArgumentError, match=f"got {max_x}"):
+            integrate_mellin(untouchable, complex(-0.75), _gauge_series(), max_x)
 
 
 def test_mellin_tail_bound_honest():

@@ -12,9 +12,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, LiouvilleMellinError, NearZeroDenominatorError,
-                              PoleError, TruncationBudgetError, functional_eq_rhs_zeta_a,
-                              functional_eq_rhs_zeta_alpha, zeta,
+from liouville_mellin import (DomainError, InvalidArgumentError, LiouvilleMellinError,
+                              NearZeroDenominatorError, PoleError, TruncationBudgetError,
+                              functional_eq_rhs_zeta_a, functional_eq_rhs_zeta_alpha, zeta,
                               zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
                               zeta_mu, zeta_nu, zeta_alternating)
 from liouville_mellin import special, zeta_family
@@ -90,6 +90,13 @@ def test_alpha_to_lambda_factor_poles():
     s = mpmath.mpc(0.55, 4.5)
     want = complex((1 - mpmath.power(2, 1 - s)) / (1 - mpmath.power(2, 1 - 2 * s)))
     assert abs(zeta_family.alpha_to_lambda_factor(0.55 + 4.5j) - want) <= 1e-14 * abs(want)
+
+
+def test_alpha_to_lambda_factor_rejects_non_finite_s():
+    # the bare formula raises ZeroDivisionError at Im s = inf and gives nan+nanj at nan or Re s = inf
+    for s in (complex(0.5, math.inf), complex(math.nan, 0.0), complex(math.inf, 0.0)):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            zeta_family.alpha_to_lambda_factor(s)
 
 
 def test_zeta_beta_values():
