@@ -14,6 +14,10 @@ Riemann functional equation
 eta itself is evaluated with Borwein's acceleration, whose error decays like
 (3 + sqrt 8)^(-n); n comes from that error model, with floor accel_order (50)
 and cap series_terms (128), past which eta raises TruncationBudgetError.
+The signed weights (-1)^k (d_n - d_k) of each order are built once, on its
+first use, and eta is one loop of w * (k+1)^(-s) over them and the cached
+bases complex(k+1).  That is the same IEEE arithmetic, in the same order, as
+building each sign, weight and base per term, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -130,9 +134,15 @@ def gamma(s: complex) -> complex:
     return value
 
 
+# complex(k + 1) for every term the default budget allows
+_BASES = tuple(complex(k + 1) for k in range(DEFAULT_EVAL_CONFIG.series_terms))
+
+
 @functools.lru_cache(maxsize=None)
-def _borwein_coefficients(n: int) -> tuple[float, ...]:
-    """Chebyshev-derived weights d_0..d_n of Borwein's eta acceleration."""
+def _borwein_weights(n: int) -> tuple[tuple[float, ...], tuple[complex, ...], float]:
+    """Borwein's eta weights of order n: the signed weights (-1)^k (d_n - d_k)
+    for k < n, bases complex(k + 1) for at least those k, and d_n, where
+    d_0..d_n are the Chebyshev-derived partial sums."""
     ds = [1.0]
     term = 1.0
     acc = 1.0
@@ -140,7 +150,10 @@ def _borwein_coefficients(n: int) -> tuple[float, ...]:
         term *= (n + i - 1) * (n - i + 1) * 4.0 / ((2.0 * i) * (2.0 * i - 1.0))
         acc += term
         ds.append(acc)
-    return tuple(ds)
+    dn = ds[n]
+    weights = tuple(dn - d if k % 2 == 0 else -(dn - d) for k, d in enumerate(ds[:n]))
+    bases = _BASES if n <= len(_BASES) else tuple(complex(k + 1) for k in range(n))
+    return weights, bases, dn
 
 
 def zeta_alternating(s: complex) -> complex:
@@ -170,7 +183,17 @@ def _borwein_order(s: complex, budget: EvalConfig) -> int:
 
 
 def _eta_borwein(s: complex, budget: EvalConfig) -> complex:
-    """Borwein-accelerated eta(s).
+    """Borwein-accelerated eta(s): sum_{k<n} w_k (k+1)^(-s) / d_n over the
+    cached signed weights w_k = (-1)^k (d_n - d_k) of order n.
+
+    Each term is the float weight times the complex power, added to a
+    running total in k order: the same IEEE operations as a per-term
+    sign * (d_n - d_k) * complex(k + 1) ** (-s), since +-1.0 * x is +-x
+    exactly, so the values keep their bits.  Builtin sum() is not used: it
+    was no faster, and from Python 3.12 it compensates float sums, so the
+    bits would depend on the interpreter.  Nor is numpy: its vectorised
+    powers and sums round differently and would tie these values to its
+    SIMD dispatch.
 
     Raises:
         TruncationBudgetError: when the cap series_terms binds and the error
@@ -186,13 +209,11 @@ def _eta_borwein(s: complex, budget: EvalConfig) -> complex:
                 f"eta: Borwein order capped at series_terms={n} for s={s}; "
                 f"error model {bound:.1e} > {budget.target_rel_err:.1e}",
                 achieved_bound=bound)
-    d = _borwein_coefficients(n)
-    dn = d[n]
+    weights, bases, dn = _borwein_weights(n)
+    neg = -s
     total = 0.0 + 0.0j
-    sign = 1.0
-    for k in range(n):
-        total += sign * (dn - d[k]) * complex(k + 1) ** (-s)
-        sign = -sign
+    for w, b in zip(weights, bases):
+        total += w * b ** neg
     return total / dn
 
 

@@ -101,10 +101,12 @@ def test_cli_import_leaves_lazy_modules_unloaded():
     # `cli --version` pays for the package import on every start: Gauss nodes
     # import numpy.polynomial on first use, and np.unique (which imports
     # numpy.ma) is kept out of the kernels; mpmath is a test oracle only; the
-    # cache's hashing pool imports concurrent.futures (and logging) on first use
+    # cache's hashing pool imports concurrent.futures (and logging) on first use;
+    # eta builds the weights of a Borwein order on its first use
     probe = ("import sys, liouville_mellin.cli; "
              "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma', 'mpmath', "
-             "'concurrent.futures') if m in sys.modules))")
+             "'concurrent.futures') if m in sys.modules), "
+             "liouville_mellin.special._borwein_weights.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from liouville_mellin import (DomainError, EvalConfig, InvalidArgumentError,
                               PoleError, TruncationBudgetError, gamma, zeta,
                               zeta_alternating)
+from liouville_mellin import special
 from liouville_mellin.special import eta_continued
 
 mpmath.mp.dps = 30
@@ -184,9 +185,59 @@ def test_zeta_raises_where_borwein_order_exceeds_budget():
     # reflected points reach eta at the same height
     with pytest.raises(TruncationBudgetError):
         zeta(complex(-0.7, 200.0))
+    # just past the cap, the message gives the error model at order 128
+    with pytest.raises(TruncationBudgetError) as err:
+        zeta(complex(0.5, 123.0))
+    assert str(err.value) == ("eta: Borwein order capped at series_terms=128 for "
+                              "s=(0.5+123j); error model 6.1e-12 > 1.0e-12")
 
 
 def test_zeta_accurate_at_height_hundred():
     s = complex(0.7, 100.0)
     ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
     assert abs(zeta(s) - ref) <= 1e-11 * abs(ref)
+
+
+def _eta_per_term(s, budget):
+    # the reference: Borwein's d_k recurrence and a sign, weight and base
+    # rebuilt for every term, as eta was first written
+    n = special._borwein_order(s, budget)
+    d = [1.0]
+    term = acc = 1.0
+    for i in range(1, n + 1):
+        term *= (n + i - 1) * (n - i + 1) * 4.0 / ((2.0 * i) * (2.0 * i - 1.0))
+        acc += term
+        d.append(acc)
+    total, sign = 0.0 + 0.0j, 1.0
+    for k in range(n):
+        total += sign * (d[n] - d[k]) * complex(k + 1) ** (-s)
+        sign = -sign
+    return total / d[n]
+
+
+def test_eta_keeps_the_bits_of_the_per_term_series():
+    # repr tells every bit of a double, the sign of a zero included
+    cfg = EvalConfig()
+    rng = np.random.default_rng(31)
+    # |Im s| up to 121 reaches every order from the floor 50 to the cap 128
+    points = [complex(rng.uniform(1e-3, 3.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 121.0))
+              for _ in range(3000)]
+    assert {special._borwein_order(s, cfg) for s in points} == set(range(50, 129))
+    # real integers take the integer-power branch of complex **
+    points += [complex(k) for k in (2, 3, 4, 6, 10)] + [0.5 + 0j, 1e-300 + 0j, 1e-9 + 5j]
+    assert ([repr(special._eta_borwein(s, cfg)) for s in points]
+            == [repr(_eta_per_term(s, cfg)) for s in points])
+    # a budget past the default cap sums every term of its order
+    wide = EvalConfig(series_terms=200)
+    s = complex(0.7, 150.0)
+    assert special._borwein_order(s, wide) > cfg.series_terms
+    assert repr(special._eta_borwein(s, wide)) == repr(_eta_per_term(s, wide))
+
+
+def test_zeta_keeps_its_bits_at_reflected_points(monkeypatch):
+    rng = np.random.default_rng(37)
+    points = [complex(rng.uniform(-1.5, 0.0), rng.uniform(-60.0, 60.0)) for _ in range(200)]
+    points += [complex(k) for k in (-1, -3, -5)]
+    got = [repr(f(s)) for f in (zeta, eta_continued) for s in points]
+    monkeypatch.setattr(special, "_eta_borwein", _eta_per_term)
+    assert got == [repr(f(s)) for f in (zeta, eta_continued) for s in points]
