@@ -162,9 +162,14 @@ def odd(lo: int, hi: int) -> np.ndarray:
 def pairwise_sum(term, lo: int, n: int):
     """np.sum(term(lo, lo + n), axis=-1) to the bit without building it: split
     where numpy's pairwise summation splits, and np.sum each piece of <= SCAN
-    terms.  A term of several rows gives one sum per row."""
+    terms.  A term of several rows gives one sum per row.  term returns an
+    array, or an iterator of 1-d rows, each summed before the next is drawn,
+    so a term may hand out one buffer rewritten row by row."""
     if n <= SCAN:
-        return np.sum(term(lo, lo + n), axis=-1)
+        leaf = term(lo, lo + n)
+        if isinstance(leaf, np.ndarray):
+            return np.sum(leaf, axis=-1)
+        return np.array([np.sum(row) for row in leaf])
     half = n // 2
     half -= half % 8
     return pairwise_sum(term, lo, half) + pairwise_sum(term, lo + half, n - half)

@@ -279,6 +279,8 @@ class _Moments:
         abs_sum[i]   = sum_tail |v_m|,
 
     scaled by n_b so that no power over- or underflows; read(lo, hi) is v[lo:hi].
+    A leaf of the pairwise sum holds one row at a time: each power is the
+    last one times (n_b/n_m)^2, in place, summed before the next.
     """
 
     def __init__(self, read: Callable[[int, int], np.ndarray], e0: int, end: int):
@@ -289,15 +291,15 @@ class _Moments:
         self.abs_sum = np.zeros(len(self.breaks))
         for i in range(len(self.breaks) - 2, -1, -1):
             lo, hi = int(self.breaks[i]), int(self.breaks[i + 1])
-            def rows(a: int, b: int) -> np.ndarray:  # v_m (n_b/n_m)^(e0+2k), |v_m|
+            def rows(a: int, b: int):  # v_m (n_b/n_m)^(e0+2k) for each k, then |v_m|
                 v, r = read(a, b), self.n_break[i] / odd(a, b)
-                out = np.empty((_TAYLOR_TERMS + 1, b - a))
-                np.multiply(v, np.power(r, e0), out=out[0])
+                row = v * np.power(r, e0)
+                yield row
                 r *= r
-                for k in range(1, _TAYLOR_TERMS):
-                    np.multiply(out[k - 1], r, out=out[k])
-                np.abs(v, out=out[-1])
-                return out
+                for _ in range(1, _TAYLOR_TERMS):
+                    row *= r
+                    yield row
+                yield np.abs(v, out=row)
             seg = pairwise_sum(rows, lo, hi - lo)
             shift = (self.n_break[i] / self.n_break[i + 1]) ** (e0 + _K2)
             self.scaled[i] = seg[:-1] + shift * self.scaled[i + 1]
@@ -337,7 +339,8 @@ class _HeadBlocks:
     B, 1/n = w0 + delta tau with tau in [-1, 1].  The block's term f(tau)
     (head, times outer) interpolated at the _CHEB points tau_j sums to
     sum_j W[B, j] f(tau_j), W[B] = C[B] S with C[B, k] = sum_B v_m T_k(tau_m);
-    W and abs_sum[B] = sum_B |v_m| are built for the blocks a call reaches.
+    W and abs_sum[B] = sum_B |v_m| are built for the blocks a call reaches,
+    each leaf of their pairwise sums holding one row at a time (_rows).
 
     On the Bernstein ellipse in tau with real semi-axis w0/(2 delta),
     u = x/n keeps |Re u| >= |u0|/2 and |u| <= 1.5|u0| (u0 = x w0), and
@@ -377,17 +380,19 @@ class _HeadBlocks:
         self.W = np.vstack([self.W, np.sum(sums[:, :_CHEB, None] * _CHEB_S, axis=1)])  # W = C S
         self.abs_sum = np.concatenate([self.abs_sum, sums[:, _CHEB]])
 
-    def _rows(self, B: int, lo: int, hi: int) -> np.ndarray:
-        """Block B's rows v_m T_k(tau_m), k < _CHEB, and |v_m| over lo <= m < hi."""
+    def _rows(self, B: int, lo: int, hi: int):
+        """Block B's rows v_m T_k(tau_m), k < _CHEB, then |v_m|, over lo <= m < hi,
+        one at a time in one buffer; the recurrence keeps T_(k-1) and T_(k-2)."""
         v = self.read(lo, hi)
         tau = (1.0 / odd(lo, hi) - self.w0[B]) / (self.delta[B] or 1.0)  # 0 on a one-term block
-        out = np.empty((_CHEB + 1, hi - lo))
-        out[0], out[1] = 1.0, tau
-        for k in range(2, _CHEB):
-            out[k] = 2.0 * tau * out[k - 1] - out[k - 2]
-        out[:_CHEB] *= v
-        np.abs(v, out=out[_CHEB])
-        return out
+        row = v.copy()  # T_0 = 1
+        yield row
+        t_prev, t = np.ones(hi - lo), tau
+        yield np.multiply(t, v, out=row)
+        for _ in range(2, _CHEB):
+            t_prev, t = t, 2.0 * tau * t - t_prev
+            yield np.multiply(t, v, out=row)
+        yield np.abs(v, out=row)
 
     def head(self, form: _Form, x: np.ndarray, heads: np.ndarray):
         """sum_{_HEAD_PREFIX <= m < heads[j]} w_m phi(x_j/n_m) per point, and

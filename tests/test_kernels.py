@@ -1,6 +1,7 @@
 """Fermi kernel, the two meromorphic kernel sums, derivative, residues."""
 
 import copy
+import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from liouville_mellin import (DomainError, EstimationFailureError, InvalidArgume
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin import kernels
+from liouville_mellin.arith import odd, pairwise_sum
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
                                       _Workspace, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
@@ -459,6 +461,63 @@ def test_plain_block_head_matches_fsum(table_main):
         _assert_close(mp_vals[j], _ref_M_prime(x, t, M))
         assert mp_vals[j] == kernel_M_prime(x, table_main)
         assert mp_remainder[j] >= _block_remainder(x, t, _head_end(x, M), _sup_M_prime) > 0.0
+
+
+# ----------------------------------- moments and block weights, to the bit ----
+
+def _moments_whole_leaf(read, e0, breaks):
+    # scaled and abs_sum of a moment build with every leaf as one
+    # (_TAYLOR_TERMS + 1)-row array
+    n_break = 2.0 * breaks + 1.0
+    scaled, abs_sum = np.zeros((len(breaks), _TAYLOR_TERMS)), np.zeros(len(breaks))
+    for i in range(len(breaks) - 2, -1, -1):
+        lo, hi = int(breaks[i]), int(breaks[i + 1])
+
+        def rows(a, b):
+            v, r = read(a, b), n_break[i] / odd(a, b)
+            out = np.empty((_TAYLOR_TERMS + 1, b - a))
+            np.multiply(v, np.power(r, e0), out=out[0])
+            r *= r
+            for k in range(1, _TAYLOR_TERMS):
+                np.multiply(out[k - 1], r, out=out[k])
+            np.abs(v, out=out[-1])
+            return out
+
+        seg = pairwise_sum(rows, lo, hi - lo)
+        shift = (n_break[i] / n_break[i + 1]) ** (e0 + kernels._K2)
+        scaled[i] = seg[:-1] + shift * scaled[i + 1]
+        abs_sum[i] = seg[-1] + abs_sum[i + 1]
+    return scaled, abs_sum
+
+
+def _block_rows_whole_leaf(self, B, lo, hi):
+    # the block rows as one (_CHEB + 1)-row array
+    v = self.read(lo, hi)
+    tau = (1.0 / odd(lo, hi) - self.w0[B]) / (self.delta[B] or 1.0)
+    out = np.empty((kernels._CHEB + 1, hi - lo))
+    out[0], out[1] = 1.0, tau
+    for k in range(2, kernels._CHEB):
+        out[k] = 2.0 * tau * out[k - 1] - out[k - 2]
+    out[:kernels._CHEB] *= v
+    np.abs(v, out=out[kernels._CHEB])
+    return out
+
+
+@pytest.mark.parametrize("form", [kernels._FORM_N, kernels._FORM_M], ids=["beta", "nu"])
+def test_row_at_a_time_leaves_keep_the_bits(form, table_100k):
+    ws = _Workspace(table_100k)
+    read, e0 = ws.weights[form.weights], form.q + form.p0
+    mom = kernels._Moments(read, e0, ws.depth)
+    scaled, abs_sum = _moments_whole_leaf(read, e0, mom.breaks)
+    assert np.array_equal(mom.scaled, scaled)
+    assert np.array_equal(mom.abs_sum, abs_sum)
+    blocks, ref = kernels._HeadBlocks(ws.depth, read), kernels._HeadBlocks(ws.depth, read)
+    ref._rows = functools.partial(_block_rows_whole_leaf, ref)
+    for b in (blocks, ref):
+        b._extend(len(b.edges) - 1)
+    assert len(blocks.abs_sum) == len(blocks.edges) - 1
+    assert np.array_equal(blocks.W, ref.W)
+    assert np.array_equal(blocks.abs_sum, ref.abs_sum)
 
 
 # -------------------------------------- truncations shorter than the table ----

@@ -1,6 +1,8 @@
 """Harness behavior on a mid-sized table: structure, determinism, coverage."""
 
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -147,6 +149,21 @@ def test_bounds_rows_reproduce_recorded_values(table_100k):
     assert rows == [repr(pin) for pin in BOUNDS_PINS_100K]
 
 
+@pytest.mark.parametrize("limit", [3001, 20001, 100_001])
+def test_convolution_row_matches_the_loop_over_l(limit, table_100k):
+    # the row's former loop: one strided pass per odd l, l ascending
+    table = table_100k if limit == 100_001 else build_table(limit)
+    n_conv = min(10 ** 4, limit)
+    conv = np.zeros(n_conv + 1)
+    for l in range(1, n_conv + 1, 2):
+        contrib = l * table.nu[l]
+        if contrib != 0.0:
+            conv[l::2 * l] += contrib
+    ratio = table.beta[1:n_conv + 1:2] / np.sqrt(arith.odd(0, (n_conv + 1) // 2))
+    row, = [r for r in verify_bounds(table) if r.check_id == "bounds.convolution"]
+    assert row.lhs == float(np.abs(conv[1::2] - ratio).max())
+
+
 def test_bounds_scan_allocates_under_the_table_size(table_main):
     array_bytes = sum(v.nbytes for v in vars(table_main).values()
                       if isinstance(v, np.ndarray))
@@ -181,6 +198,15 @@ def test_chunked_sums_match_numpy_bit_for_bit(n):
     chunks = [c.copy() for _, c in arith.running_sums(term, n)]
     assert np.array_equal(np.concatenate(chunks, axis=1),
                           [np.cumsum(row) for row in rows])
+
+    def one_buffer(lo, hi):  # the same rows, handed out one at a time in one buffer
+        buf = np.empty(hi - lo)
+        for row in rows:
+            buf[:] = row[lo:hi]
+            yield buf
+
+    assert np.array_equal(arith.pairwise_sum(one_buffer, 0, n),
+                          [np.sum(row) for row in rows])
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 5, 3001, 100_001])
@@ -330,6 +356,42 @@ def test_run_group_all_covers_registry(table_100k):
             assert cid in seen, f"{group}:{cid} missing from verify all"
     with pytest.raises(ValueError):
         run_group("nonsense", table_100k)
+
+
+@pytest.mark.parametrize("grid", [None, [complex(-0.75), complex(-1.1, 0.3)]])
+def test_all_equals_the_sorted_runs_of_each_group(grid, table_100k):
+    # 'all' runs its groups on two threads; its records are those of the
+    # groups run one by one, sorted, also with the threads switching often,
+    # and it leaves no thread behind
+    threads = threading.active_count()
+    alone = [r for g in GROUPS
+             for r in run_group(g, table_100k, grid if g in GRID_GROUPS else None)]
+    dump = lambda rs: [json.dumps(r.to_record(), sort_keys=True) for r in rs]
+    assert dump(run_group("all", table_100k, grid)) == dump(verify._sorted(alone))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table_100k.__dict__.pop("_kernel_ws", None)  # the worker builds it anew
+        together = run_group("all", table_100k, grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert dump(together) == dump(verify._sorted(alone))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("group_runner", ["probe_decay", "verify_bounds"])
+def test_all_raises_a_bug_in_either_thread(group_runner, table_100k, monkeypatch):
+    # decay runs on the worker, bounds on the calling thread: a bug in either
+    # leaves run_group("all") as itself, never as a failed check
+    threads = threading.active_count()
+
+    def buggy(table):
+        raise RuntimeError(f"bug in {group_runner}")
+
+    monkeypatch.setattr(verify, group_runner, buggy)
+    with pytest.raises(RuntimeError, match=f"bug in {group_runner}"):
+        run_group("all", table_100k)
+    assert threading.active_count() == threads
 
 
 def test_each_group_emits_only_its_registered_ids(table_100k):
