@@ -39,7 +39,7 @@ print(f"\npower series at z={z}: {kernel_N_series(z).real:.12f} "
 # numerically by Richardson extrapolation along a shrinking approach.
 print("\nresidues at i pi (2l+1):")
 for l in (0, 1, 2):
-    want = table.beta[2 * l + 1] / math.sqrt(2 * l + 1)
+    want = table.beta_odd[l] / math.sqrt(2 * l + 1)  # beta(2l+1)
     rn = residue_estimate("N", l, table)
     rm = residue_estimate("M", l, table)
     print(f"  l={l}: N-> {rn.real:+.6f}, M-> {rm.real:+.6f}, expected {want:+.6f}")

@@ -9,9 +9,13 @@ and nu is the weighted Moebius transform determined by
 
     n * nu(n) = sum_{k*l = n} mu(k) * beta(l) / sqrt(l)     (odd n),
 
-equivalently  sum_{l | n} l * nu(l) = beta(n)/sqrt(n).  Both beta and nu are
-stored as 0 at even indices so full-range Dirichlet sums need no parity
-branching; the point API for beta still rejects even arguments.
+equivalently  sum_{l | n} l * nu(l) = beta(n)/sqrt(n).  beta and nu live on
+the odd integers and S(n) = sum_{m<=n} nu(m) has S(2k) = S(2k-1), so the table
+holds all three over odd n only: entry m of beta_odd, nu_odd and
+nu_cumsum_odd is n = 2m+1, and nu_cumsum_odd is np.cumsum(nu_odd).  The
+full-length beta, nu (0 at even n) and nu_cumsum are built on first access,
+bit for bit the arrays of a sieve that stores every n; the package itself
+reads only the odd halves, and the point API for beta rejects even arguments.
 
 One loop over the primes p <= isqrt(N), found by the spf sieve as it goes,
 updates the multiples of each p^k <= N by strided slices; what is left of n
@@ -31,18 +35,22 @@ nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
 a product of positive factors with no cancellation.  The defining
 convolution above stays an independent check (bounds.convolution).
 
-The cache file (save_table/load_table) carries one sha256 per array, hashed
-on HASH_WORKERS threads (on load, while the next array is read); its header
-lengths are checked against limit and the file size.
+The cache file (save_table/load_table) holds spf, liouville, mobius and
+dcount over 0..limit and beta_odd and nu_odd over the odd n <= limit;
+nu_cumsum_odd is not stored but summed again on load, to the same bits.  Each
+array carries one sha256, hashed on HASH_WORKERS threads (on load, while the
+next array is read); the header lengths are checked against limit and the
+file size.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,18 +60,17 @@ __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
            "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
            "save_table", "load_table"]
 
-CACHE_MAGIC = b"ARITHv3"
+CACHE_MAGIC = b"ARITHv4"
 HASH_WORKERS = 2  # threads hashing cache fields; hashlib releases the GIL
 
-# fixed on-disk order: (name, dtype)
+# fixed on-disk order: (name, dtype, whether it covers the odd n only)
 _CACHE_FIELDS = (
-    ("spf", np.int32),
-    ("liouville", np.int8),
-    ("mobius", np.int8),
-    ("dcount", np.int32),
-    ("beta", np.int32),
-    ("nu", np.float64),
-    ("nu_cumsum", np.float64),
+    ("spf", np.int32, False),
+    ("liouville", np.int8, False),
+    ("mobius", np.int8, False),
+    ("dcount", np.int32, False),
+    ("beta_odd", np.int32, True),
+    ("nu_odd", np.float64, True),
 )
 
 
@@ -71,8 +78,13 @@ _CACHE_FIELDS = (
 class ArithTable:
     """Immutable-by-convention bundle of sieve arrays covering 1..limit.
 
-    Index 0 of every array is a placeholder.  A finished table is safe to
-    share across threads: all point operations are pure reads.
+    Index 0 of a full-length array is a placeholder; entry m of an _odd
+    array is n = 2m + 1.  nu_cumsum_odd is summed from nu_odd when the table
+    is made, the full-length beta, nu and nu_cumsum on their first access.
+
+    Point reads are pure.  What is built on a table later is a pure function
+    of its arrays: kernels builds its workspace under a lock, and two
+    threads that ask at once for a full-length array get the same bits.
     """
 
     limit: int
@@ -80,9 +92,35 @@ class ArithTable:
     liouville: np.ndarray    # lambda(n) in {-1,+1}, int8
     mobius: np.ndarray       # mu(n) in {-1,0,+1}, int8
     dcount: np.ndarray       # number of divisors, int32
-    beta: np.ndarray         # beta(n) for odd n, 0 for even, int32
-    nu: np.ndarray           # nu(n), float64, 0 for even n
-    nu_cumsum: np.ndarray    # S(n) = sum_{m<=n} nu(m), float64
+    beta_odd: np.ndarray     # beta(2m+1), int32
+    nu_odd: np.ndarray       # nu(2m+1), float64
+    nu_cumsum_odd: np.ndarray = field(init=False)  # S(2m+1), float64
+
+    def __post_init__(self):
+        self.nu_cumsum_odd = np.cumsum(self.nu_odd)
+
+    def _spread(self, odd_half: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.limit + 1, dtype=odd_half.dtype)
+        full[1::2] = odd_half
+        return full
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """beta(n) for odd n, 0 for even n, int32."""
+        return self._spread(self.beta_odd)
+
+    @functools.cached_property
+    def nu(self) -> np.ndarray:
+        """nu(n), 0 for even n, float64."""
+        return self._spread(self.nu_odd)
+
+    @functools.cached_property
+    def nu_cumsum(self) -> np.ndarray:
+        """S(n) = sum_{m<=n} nu(m), float64; np.cumsum(nu) to the bit, as
+        adding nu's zeros at even n leaves every partial sum as it was."""
+        full = self._spread(self.nu_cumsum_odd)
+        full[2::2] = self.nu_cumsum_odd[:self.limit // 2]  # S(2k) = S(2k-1)
+        return full
 
 
 def build_table(limit: int) -> ArithTable:
@@ -104,13 +142,16 @@ def build_table(limit: int) -> ArithTable:
     dcount = np.ones(n + 1, dtype=np.int32)
     h = np.ones(n + 1, dtype=np.int32)
     smooth = np.ones(n + 1, dtype=np.int32)        # the part of m over primes <= root
-    nu_weight = np.ones(n + 1, dtype=np.float64)   # prod_{p|m} (1 + p^-1/2)
+    # prod_{p|n} (1 + p^-1/2) at odd n = 2m + 1, whose odd multiples of p sit
+    # at m = p//2 + j p
+    nu_weight = np.ones((n + 1) // 2, dtype=np.float64)
     weight = 1.0 + np.arange(1, root + 1) ** -0.5  # array pow: pinned nu uses its rounding
     for p in range(2, root + 1):
         if spf[p]:
             continue  # composite: a smaller prime has marked it
         np.copyto(spf[p::p], p, where=spf[p::p] == 0)
-        nu_weight[p::p] *= weight[p - 1]
+        if p > 2:
+            nu_weight[p // 2::p] *= weight[p - 1]
         q, k = p, 1
         while q <= n:  # q = p^k: every multiple of q has e >= k
             lam[q::q] *= -1
@@ -124,21 +165,21 @@ def build_table(limit: int) -> ArithTable:
     found = np.flatnonzero(spf == 0)[2:]  # past 0 and 1: the primes above root
     spf[found] = found
     rest = np.arange(n + 1, dtype=np.int32) // smooth  # 1 or m's one prime above root
+    del smooth
+    big = np.flatnonzero(rest[1::2] > 1)  # odd n first, as m
+    nu_weight[big] *= 1.0 + rest[1::2][big] ** -0.5
     big = np.flatnonzero(rest > 1)
     lam[big] *= -1
     dcount[big] *= 2
-    nu_weight[big] *= 1.0 + rest[big] ** -0.5
-    del smooth, rest, big
+    del rest, big
     lam[0] = dcount[0] = h[0] = 0
     mu = lam * (h == 1)  # int8; squarefree iff h = 1
-    beta = lam * h   # int32
-    beta[0::2] = 0
-    nu = np.zeros(n + 1, dtype=np.float64)
-    nu[1::2] = lam[1::2] * nu_weight[1::2] / odd(0, (n + 1) // 2)
-    nu_cumsum = np.cumsum(nu)
+    beta_odd = lam[1::2] * h[1::2]  # int32
+    del h
+    nu_odd = lam[1::2] * nu_weight / odd(0, (n + 1) // 2)
 
     return ArithTable(limit=n, spf=spf, liouville=lam, mobius=mu,
-                      dcount=dcount, beta=beta, nu=nu, nu_cumsum=nu_cumsum)
+                      dcount=dcount, beta_odd=beta_odd, nu_odd=nu_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +261,24 @@ def beta_value(table: ArithTable, n: int) -> int:
     """beta(n) = mu(k)*h for odd n = k*h^2 with k squarefree.
 
     Raises:
-        DomainError: for even n (the table stores 0 there by convention,
-            but beta is only defined on odd integers).
+        DomainError: for even n (beta is only defined on odd integers).
     """
     n = _check_range(table, n)
     if n % 2 == 0:
         raise DomainError(f"beta is defined on odd integers, got n={n}")
-    return int(table.beta[n])
+    return int(table.beta_odd[n // 2])
 
 
 def nu_value(table: ArithTable, n: int) -> float:
     """nu(n); zero on even n."""
-    return float(table.nu[_check_range(table, n)])
+    n = _check_range(table, n)
+    return float(table.nu_odd[n // 2]) if n % 2 else 0.0
 
 
 def nu_partial_sum(table: ArithTable, n: int) -> float:
-    """S(n) = sum_{m<=n} nu(m), read from the cached cumulative array."""
-    return float(table.nu_cumsum[_check_range(table, n)])
+    """S(n) = sum_{m<=n} nu(m), read from the cached cumulative array;
+    S(2k) = S(2k-1)."""
+    return float(table.nu_cumsum_odd[(_check_range(table, n) - 1) // 2])
 
 
 def sqfree_square_split(table: ArithTable, n: int) -> tuple[int, int]:
@@ -270,22 +312,24 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 
     Layout: magic, one JSON header line (limit, and per array its name,
     dtype, length and the sha256 of its bytes), then the raw little-endian
-    array bytes in fixed field order.  Integers round-trip exactly and
-    nu/nu_cumsum bitwise.  The arrays are hashed on HASH_WORKERS threads,
-    then written straight from memory to a temporary file that replaces
-    `path` once complete, so no reader sees a short file.
+    array bytes in fixed field order: spf, liouville, mobius and dcount of
+    length limit + 1, beta_odd and nu_odd of length (limit + 1) // 2.
+    Integers round-trip exactly and nu_odd bitwise; nu_cumsum_odd is summed
+    again on load.  The arrays are hashed on HASH_WORKERS threads, then
+    written straight from memory to a temporary file that replaces `path`
+    once complete, so no reader sees a short file.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
-              for name, dtype in _CACHE_FIELDS]
+              for name, dtype, _ in _CACHE_FIELDS]
     with ThreadPoolExecutor(HASH_WORKERS) as pool:
         digests = list(pool.map(_sha256, arrays))
     header = {
         "limit": table.limit,
         "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0]),
                     "sha256": digest}
-                   for (name, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
+                   for (name, _, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
     }
     head = CACHE_MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"  # same directory
@@ -302,11 +346,12 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 def load_table(path: str | os.PathLike) -> ArithTable:
     """Read a table written by save_table, verifying magic and checksums.
 
-    Every header length must be limit + 1 and match the file size before
-    anything is allocated.  The arrays share one allocation.  Each is read in
-    place and handed to one of HASH_WORKERS threads at once, so reading the
-    next array overlaps with hashing this one and the payload is held once;
-    the digests are compared in field order after the last read.
+    Every header length must be limit + 1, or (limit + 1) // 2 for an odd
+    half, and match the file size before anything is allocated.  The arrays
+    share one allocation.  Each is read in place and handed to one of
+    HASH_WORKERS threads at once, so reading the next array overlaps with
+    hashing this one and the payload is held once; the digests are compared
+    in field order after the last read.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
@@ -324,24 +369,28 @@ def load_table(path: str | os.PathLike) -> ArithTable:
             raise CacheFormatError(f"unreadable header in {path}: a sha256 is not a string")
         if limit < 1:
             raise CacheFormatError(f"limit {limit} < 1 in {path}")
-        expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
+        expected = [(name, np.dtype(dtype).str) for name, dtype, _ in _CACHE_FIELDS]
         if [(name, dtype) for name, dtype, _, _ in fields] != expected:
             raise CacheFormatError(f"unexpected field layout in {path}")
-        if any(length != limit + 1 for _, _, length, _ in fields):
-            raise CacheFormatError(f"field length is not limit + 1 = {limit + 1} in {path}")
+        lengths = [(limit + 1) // 2 if odd_only else limit + 1 for *_, odd_only in _CACHE_FIELDS]
+        for (name, _, length, _), want in zip(fields, lengths):
+            if length != want:
+                raise CacheFormatError(f"field length of {name} is {length}, not {want} "
+                                       f"for limit {limit} in {path}")
+        sizes = [length * np.dtype(dtype).itemsize
+                 for length, (_, dtype, _) in zip(lengths, _CACHE_FIELDS)]
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left != (limit + 1) * sum(np.dtype(dt).itemsize for _, dt in _CACHE_FIELDS):
+        if left != sum(sizes):
             raise CacheFormatError(f"{left} payload bytes disagree with the header in {path}")
-        # one block for the table, each array a view starting on a 16-byte
-        # boundary.  Past glibc's 32 MB mmap ceiling (a 2e6 table is 60 MB) it
-        # is mapped and unmapped whole; separate arrays come from the heap
-        # after the first load, where the hashing threads' small allocations
-        # can keep a freed table resident (peak RSS +5 MB in repeated loads)
-        spans = [-(-(limit + 1) * np.dtype(dt).itemsize // 16) * 16 for _, dt in _CACHE_FIELDS]
+        # one block for the stored arrays, each a view starting on a 16-byte
+        # boundary; separate arrays can come from the heap after the first
+        # load, where the hashing threads' small allocations can keep a freed
+        # table resident (peak RSS +5 MB in repeated loads)
+        spans = [-(-size // 16) * 16 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
         arrays, lo, digests = {}, 0, []
-        for (name, dtype), span in zip(_CACHE_FIELDS, spans):
-            arrays[name] = block[lo:lo + span].view(dtype)[:limit + 1]
+        for (name, dtype, _), length, span in zip(_CACHE_FIELDS, lengths, spans):
+            arrays[name] = block[lo:lo + span].view(dtype)[:length]
             lo += span
         with ThreadPoolExecutor(HASH_WORKERS) as pool:  # joins its threads on any exit
             for name, arr in arrays.items():

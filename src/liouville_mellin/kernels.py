@@ -69,6 +69,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -369,16 +370,22 @@ class _HeadBlocks:
         self.alias = 4.0 * q ** _CHEB / (1.0 - q)
         self.W = np.zeros((0, _CHEB))
         self.abs_sum = np.zeros(0)
+        self._lock = threading.Lock()
 
-    def _extend(self, count: int) -> None:
-        done = len(self.abs_sum)
-        if count <= done:
-            return
-        e = self.edges.tolist()
-        sums = np.array([pairwise_sum(functools.partial(self._rows, B), e[B], e[B + 1] - e[B])
-                         for B in range(done, count)])
-        self.W = np.vstack([self.W, np.sum(sums[:, :_CHEB, None] * _CHEB_S, axis=1)])  # W = C S
-        self.abs_sum = np.concatenate([self.abs_sum, sums[:, _CHEB]])
+    def _extend(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """W and abs_sum over at least the first count blocks.  They grow
+        under the lock and are replaced, never written, so the pair returned
+        stays whole while another thread extends them."""
+        with self._lock:
+            done = len(self.abs_sum)
+            if count > done:
+                e = self.edges.tolist()
+                sums = np.array([pairwise_sum(functools.partial(self._rows, B), e[B],
+                                              e[B + 1] - e[B]) for B in range(done, count)])
+                W = np.sum(sums[:, :_CHEB, None] * _CHEB_S, axis=1)  # W = C S
+                self.W = np.vstack([self.W, W])
+                self.abs_sum = np.concatenate([self.abs_sum, sums[:, _CHEB]])
+            return self.W, self.abs_sum
 
     def _rows(self, B: int, lo: int, hi: int):
         """Block B's rows v_m T_k(tau_m), k < _CHEB, then |v_m|, over lo <= m < hi,
@@ -398,9 +405,9 @@ class _HeadBlocks:
         """sum_{_HEAD_PREFIX <= m < heads[j]} w_m phi(x_j/n_m) per point, and
         the bound on the interpolation error; each head is a block edge."""
         count = np.searchsorted(self.edges, heads)
-        self._extend(int(count.max(initial=0)))
+        W, abs_sum = self._extend(int(count.max(initial=0)))
         vals, bounds = np.zeros((2, len(x)))
-        rows = max(1, SCAN // (_CHEB * max(1, len(self.abs_sum))))
+        rows = max(1, SCAN // (_CHEB * max(1, len(abs_sum))))
         for a in range(0, len(x), rows):
             c = count[a:a + rows]
             node = np.repeat(np.arange(a, a + len(c)), c)
@@ -408,8 +415,8 @@ class _HeadBlocks:
             xp, w0 = x[node], self.w0[block]
             f = form.head(xp[:, None], 1.0 / (w0[:, None] + self.delta[block, None] * _TAU))
             f = form.outer(xp[:, None]) * f
-            sums = np.einsum("pj,pj->p", f, self.W[block])
-            bound = form.majorant(xp * w0, w0) * self.alias[block] * self.abs_sum[block]
+            sums = np.einsum("pj,pj->p", f, W[block])
+            bound = form.majorant(xp * w0, w0) * self.alias[block] * abs_sum[block]
             vals[a:a + len(c)] = np.bincount(node - a, sums, len(c))
             bounds[a:a + len(c)] = np.bincount(node - a, bound, len(c))
         return vals, bounds
@@ -417,39 +424,48 @@ class _HeadBlocks:
 
 class _Workspace:
     """The table's one truncation of the kernel sums: weight readers over
-    views of the table, the depth and tolerance of config_for_table (or a
-    shorter depth), sup |S| past it, and each array's moments and blocks."""
+    the table's odd halves, the depth and tolerance of config_for_table (or
+    a shorter depth), sup |S| past it, and each array's moments and blocks,
+    built under a lock so that threads sharing the table build them once."""
 
     def __init__(self, table: ArithTable, depth: int | None = None):
         config = config_for_table(table)
         self.depth = config.n_terms_M if depth is None else depth
         self.tol = config.abel_tail_tol
-        beta_odd, nu_odd = table.beta[1::2], table.nu[1::2]
-        # v_m for lo <= m < hi, read from views: no cycle with the caching table
+        beta_odd, nu_odd = table.beta_odd, table.nu_odd
+        # v_m for lo <= m < hi, read from the arrays: no cycle with the caching table
         self.weights = {"beta": lambda lo, hi: beta_odd[lo:hi] / np.sqrt(odd(lo, hi)),
                         "nu": lambda lo, hi: nu_odd[lo:hi]}
-        self.S_odd = table.nu_cumsum[1::2]
+        self.S_odd = table.nu_cumsum_odd
         # sup |S| over m >= depth: the table's values, floored by the frozen
         # beyond-table cap
         self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
                          S_TAIL_BEYOND_TABLE)
         self._moments: dict[str, tuple[_Moments, _HeadBlocks]] = {}
+        self._lock = threading.Lock()
 
     def moments(self, form: _Form) -> tuple[_Moments, _HeadBlocks]:
         """Tail moments and head blocks of form's weights, built on first use;
         M and M' share nu's, as they share the exponent q + p0 = 1."""
-        if form.weights not in self._moments:
-            read = self.weights[form.weights]
-            self._moments[form.weights] = (_Moments(read, form.q + form.p0, self.depth),
-                                           _HeadBlocks(self.depth, read))
-        return self._moments[form.weights]
+        with self._lock:
+            if form.weights not in self._moments:
+                read = self.weights[form.weights]
+                self._moments[form.weights] = (_Moments(read, form.q + form.p0, self.depth),
+                                               _HeadBlocks(self.depth, read))
+            return self._moments[form.weights]
+
+
+_WS_LOCK = threading.Lock()
 
 
 def _ws(table: ArithTable) -> _Workspace:
+    """The table's workspace, made by the first call on any thread."""
     ws = table.__dict__.get("_kernel_ws")
     if ws is None:
-        ws = _Workspace(table)
-        table.__dict__["_kernel_ws"] = ws
+        with _WS_LOCK:
+            ws = table.__dict__.get("_kernel_ws")
+            if ws is None:
+                ws = table.__dict__["_kernel_ws"] = _Workspace(table)
     return ws
 
 

@@ -38,7 +38,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arith import ArithTable, abs_max, chunks, odd, pairwise_sum, running_sums
+from .arith import (ArithTable, abs_max, chunks, nu_partial_sum, odd, pairwise_sum,
+                    running_sums)
 from .errors import (InvalidArgumentError, NonConvergenceError, PoleError,
                      TruncationBudgetError)
 from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fermi_deficit,
@@ -151,18 +152,24 @@ def default_theorem1_checkpoints(limit: int) -> list[int]:
     return sorted(pts)
 
 
+def _partial_sums(table: ArithTable, lo: int, hi: int) -> np.ndarray:
+    """The values of S(n) over lo <= n < hi (lo >= 1): as S(2k) = S(2k-1),
+    those of S at the odd n in [lo - 1, hi)."""
+    return table.nu_cumsum_odd[(lo - 1) // 2:hi // 2]
+
+
 def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
     """Partial sums of nu at checkpoints, the frozen final threshold, and the
     per-octave decay of max |S|."""
     reports = []
     for n in default_theorem1_checkpoints(table.limit):
-        s_n = float(table.nu_cumsum[n])
+        s_n = nu_partial_sum(table, n)
         reports.append(make_report(
             "theorem1.checkpoint", {"N": int(n)}, s_n, 0.0,
             notes="informational: S(N) should drift toward 0", passed=True))
 
     n_final = min(10 ** 6, table.limit)
-    s_final = float(table.nu_cumsum[n_final])
+    s_final = nu_partial_sum(table, n_final)
     if table.limit >= 10 ** 6:
         reports.append(make_report(
             "theorem1.final", {"N": n_final}, s_final, 0.0,
@@ -180,7 +187,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
     k = THEOREM1_ENVELOPE_OCTAVE
     while 2 ** k < table.limit:
         lo, hi = 2 ** k, min(2 ** (k + 1), table.limit + 1)
-        octmax.append(abs_max(table.nu_cumsum[lo:hi]))
+        octmax.append(abs_max(_partial_sums(table, lo, hi)))
         k += 1
     if len(octmax) >= 2:
         increases = sum(1 for a, b in zip(octmax, octmax[1:]) if b > a)
@@ -513,11 +520,11 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     for lo, hi in chunks(n_half):
         n_odd = odd(lo, hi)
         root = np.sqrt(n_odd)
-        r = table.beta[2 * lo + 1:2 * hi:2] / root
+        r = table.beta_odd[lo:hi] / root
         viol += int(np.count_nonzero((r <= -1.0) | (r > 1.0 + 1e-12)))
         is_square = root.astype(np.int64) ** 2 == n_odd
         mismatches += int(np.count_nonzero((np.abs(r - 1.0) < 1e-12) != is_square))
-        nu_viol += int(np.count_nonzero(np.abs(table.nu[2 * lo + 1:2 * hi:2])
+        nu_viol += int(np.count_nonzero(np.abs(table.nu_odd[lo:hi])
                                         > table.dcount[2 * lo + 1:2 * hi:2] / n_odd
                                         + 1e-15))
         min_ratio = min(min_ratio, float(r.min()))
@@ -540,9 +547,9 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     l = np.arange(1, n_conv + 1, 2)
     count = (n_conv // l + 1) // 2  # odd multiples of l up to n_conv
     j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    conv = np.bincount(np.repeat(l, count) * (2 * j + 1), np.repeat(l * table.nu[l], count),
-                       n_conv + 1)
-    ratio = table.beta[1:n_conv + 1:2] / np.sqrt(odd(0, (n_conv + 1) // 2))
+    conv = np.bincount(np.repeat(l, count) * (2 * j + 1),
+                       np.repeat(l * table.nu_odd[:len(l)], count), n_conv + 1)
+    ratio = table.beta_odd[:len(l)] / np.sqrt(odd(0, len(l)))
     worst = float(np.abs(conv[1::2] - ratio).max())
     reports.append(make_report(
         "bounds.convolution", {"n_max": n_conv}, worst, 0.0, tol_abs=1e-12,
@@ -555,10 +562,11 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     def dirichlet(lo, hi):  # lambda, mu, nu over n^3 and nu over n, lo < n <= hi
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         cube = n ** 3
-        rows = np.empty((4, hi - lo))
-        for row, a, d in zip(rows, (table.liouville, table.mobius, table.nu, table.nu),
-                             (cube, cube, cube, n)):
-            np.divide(a[lo + 1:hi + 1], d, out=row)
+        rows = np.zeros((4, hi - lo))  # nu's rows stay 0 at even n
+        rows[0], rows[1] = table.liouville[lo + 1:hi + 1], table.mobius[lo + 1:hi + 1]
+        rows[2:, lo % 2::2] = table.nu_odd[(lo + 1) // 2:(hi + 1) // 2]
+        for row, d in zip(rows, (cube, cube, cube, n)):
+            np.divide(row, d, out=row)
         return rows
 
     N_l = min(10 ** 6, limit)
@@ -577,7 +585,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 
     N_b = min(10 ** 5, limit)
     lhs = pairwise_sum(
-        lambda lo, hi: table.beta[2 * lo + 1:2 * hi:2] / odd(lo, hi) ** 3, 0, (N_b + 1) // 2)
+        lambda lo, hi: table.beta_odd[lo:hi] / odd(lo, hi) ** 3, 0, (N_b + 1) // 2)
     rhs = zeta_beta(3.0)
     tail_b = 1.5 * N_b ** -1.5  # sum_{n>N} sqrt(n)/n^3 <= int + edge
     reports.append(make_report(
@@ -593,7 +601,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_beta(4.5)/zeta_imp(4)"))
 
     # nu at s = 1, remainder bounded by summation by parts
-    s_sup = abs_max(table.nu_cumsum[N_l:])
+    s_sup = abs_max(_partial_sums(table, N_l, limit + 1))
     tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
     reports.append(make_report(
         "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, nu1, zeta_nu(1.0), tol_abs=tail_s1,
@@ -605,7 +613,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     def running(lo, hi):
         n = odd(lo, hi)
         rows = np.empty((2, hi - lo))
-        np.divide(np.abs(table.beta[2 * lo + 1:2 * hi:2]), n ** 1.5, out=rows[0])
+        np.divide(np.abs(table.beta_odd[lo:hi]), n ** 1.5, out=rows[0])
         np.divide(table.mobius[2 * lo + 1:2 * hi:2], n, out=rows[1])
         return rows
 
@@ -640,7 +648,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 
     def second_form(lo, hi):
         n = odd(lo, hi)
-        return table.beta[2 * lo + 1:2 * hi:2] / np.sqrt(n) * (math.pi * n) ** (s - 0.5)
+        return table.beta_odd[lo:hi] / np.sqrt(n) * (math.pi * n) ** (s - 0.5)
 
     series = float(pairwise_sum(second_form, 0, n_half))
     target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
@@ -660,7 +668,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         if N > limit:
             continue
         terms = (N + 1) // 2  # odd n <= N
-        per_term = (np.abs(table.beta[1:N + 1:2]) * math.sqrt(2.0) / math.sqrt(math.pi)
+        per_term = (np.abs(table.beta_odd[:terms]) * math.sqrt(2.0) / math.sqrt(math.pi)
                     / odd(0, terms) ** 2)
         lhs_sum = float(np.cumsum(per_term)[-1])
         reports.append(make_report(
@@ -682,7 +690,7 @@ def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationR
         n = 2 * l + 1
         if n > table.limit:
             continue
-        expect = table.beta[n] / math.sqrt(n)
+        expect = table.beta_odd[l] / math.sqrt(n)
         for kernel in ("N", "M"):
             est = residue_estimate(kernel, l, table)
             reports.append(make_report(

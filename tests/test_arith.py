@@ -1,5 +1,6 @@
 """Sieve tables against brute-force oracles, invariants, and the cache file."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -161,6 +162,22 @@ def test_float_arrays_pinned_100k(table_100k):
         assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 3000, 3001])
+def test_full_length_arrays_spread_the_odd_halves(limit):
+    # the table holds beta, nu and S at odd n; the full-length arrays, built
+    # on first access, put 0 at even n for beta and nu and S(2k-1) at S(2k),
+    # which is np.cumsum of the full nu to the bit
+    t = build_table(limit)
+    assert not {"beta", "nu", "nu_cumsum"} & set(vars(t))
+    assert len(t.beta_odd) == len(t.nu_odd) == len(t.nu_cumsum_odd) == (limit + 1) // 2
+    assert t.nu_cumsum_odd.tobytes() == np.cumsum(t.nu_odd).tobytes()
+    for full, half in ((t.beta, t.beta_odd), (t.nu, t.nu_odd)):
+        assert full.dtype == half.dtype and len(full) == limit + 1
+        assert np.array_equal(full[1::2], half) and not full[0::2].any()
+    assert t.nu_cumsum.tobytes() == np.cumsum(t.nu).tobytes()
+    assert t.beta is t.beta and t.nu is t.nu and t.nu_cumsum is t.nu_cumsum  # built once
+
+
 def test_every_entry_matches_trial_division():
     # lambda, mu, d, beta from each n's factorization; nu from its closed form
     # and S(n) by fsum, against build_table(5000) at every n
@@ -224,11 +241,12 @@ def test_cache_round_trip_bit_exact(table_small, tmp_path):
     save_table(table_small, path)
     loaded = load_table(path)
     assert loaded.limit == table_small.limit
-    for name in ("spf", "liouville", "mobius", "dcount", "beta"):
+    for name in ("spf", "liouville", "mobius", "dcount", "beta_odd", "beta"):
         assert np.array_equal(getattr(loaded, name), getattr(table_small, name)), name
-    # float arrays must round-trip bitwise
-    assert table_small.nu.tobytes() == loaded.nu.tobytes()
-    assert table_small.nu_cumsum.tobytes() == loaded.nu_cumsum.tobytes()
+    # float arrays must round-trip bitwise; the file holds no S, which the
+    # loaded table sums again from nu_odd
+    for name in ("nu_odd", "nu_cumsum_odd", "nu", "nu_cumsum"):
+        assert getattr(table_small, name).tobytes() == getattr(loaded, name).tobytes(), name
     assert path.read_bytes().startswith(CACHE_MAGIC)
 
 
@@ -346,20 +364,56 @@ def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
             load_table(path)
 
 
+def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_small,
+                                                                     tmp_path):
+    # beta_odd and nu_odd cover the (limit + 1) // 2 odd n.  A header giving
+    # either one the full length limit + 1, with the payload grown to match,
+    # is refused by that length; at limit 2**30 it is refused with nothing
+    # allocated, where the table would take some 17 GB
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    for name in ("beta_odd", "nu_odd"):
+        fields = [dict(f, len=3002) if f["name"] == name else f for f in header["fields"]]
+        extra = 1501 * np.dtype(fields[-1 if name == "nu_odd" else -2]["dtype"]).itemsize
+        _write_cache(path, dict(header, fields=fields), payload + bytes(extra), rehash=True)
+        with pytest.raises(CacheFormatError, match=f"field length of {name} is 3002, not 1501"):
+            load_table(path)
+        limit = 2 ** 30
+        fields = [dict(f, len=limit + 1 if f["name"] in ("spf", "liouville", "mobius",
+                                                          "dcount", name) else limit // 2)
+                  for f in header["fields"]]
+        _write_cache(path, dict(header, limit=limit, fields=fields), payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheFormatError, match=f"field length of {name}"):
+                load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
 def test_saved_bytes_pinned(table_small, tmp_path):
-    # sha256 of the whole cache file for build_table(3001), recorded when the
-    # ARITHv3 header took one sha256 per field in place of one over the payload
+    # sha256 of the whole cache file for build_table(3001), recorded when
+    # ARITHv4 kept beta and nu at odd n only and dropped S: its payload is
+    # the ARITHv3 file's spf, liouville, mobius and dcount, then the ARITHv3
+    # beta and nu at odd n, byte for byte
     path = tmp_path / "arith.bin"
     save_table(table_small, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4a0ea36d4ffc08d1ba00bcca3c194334b2966b062c0055f8be282aa3aac21625")
+        "4b74dad088420dc88985828c8d7346e8c2deeb1bd56533684d77550010410dc6")
+
+
+def _table_bytes(table):
+    """Bytes of the arrays a table holds from the start, not those built on access."""
+    return sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table)
+               if f.name != "limit")
 
 
 def test_load_table_holds_the_payload_once(table_100k, tmp_path):
     path = tmp_path / "arith.bin"
     save_table(table_100k, path)
-    array_bytes = sum(v.nbytes for v in vars(table_100k).values()
-                      if isinstance(v, np.ndarray))
+    array_bytes = _table_bytes(table_100k)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -372,8 +426,7 @@ def test_load_table_holds_the_payload_once(table_100k, tmp_path):
 
 def test_build_table_peak_memory(table_100k):
     # the sieve's working arrays and temporaries stay under twice the table
-    array_bytes = sum(v.nbytes for v in vars(table_100k).values()
-                      if isinstance(v, np.ndarray))
+    array_bytes = _table_bytes(table_100k)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

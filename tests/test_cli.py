@@ -1,5 +1,6 @@
 """Command-line surface: parsing, subcommands, report files, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -74,13 +75,26 @@ def test_sieve_writes_cache(cache_env, capsys):
     assert (cache_env / "cache" / "arith_5001.bin").exists()
 
 
+def _arith_v3(table) -> bytes:
+    """The ARITHv3 file of a table: every array over 0..limit, S stored."""
+    names = ("spf", "liouville", "mobius", "dcount", "beta", "nu", "nu_cumsum")
+    arrays = [getattr(table, name) for name in names]
+    header = {"limit": table.limit,
+              "fields": [{"name": name, "dtype": a.dtype.str, "len": len(a),
+                          "sha256": hashlib.sha256(a).hexdigest()}
+                         for name, a in zip(names, arrays)]}
+    return (b"ARITHv3\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+            + b"".join(a.tobytes() for a in arrays))
+
+
 def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
-    # a truncated file, and one whose magic is ARITHv2 (one sha256 over the payload)
+    # a truncated file, one whose magic is ARITHv2 (one sha256 over the
+    # payload), and an ARITHv3 file (beta, nu and S over every n)
     path = cache_env / "cache" / "arith_3001.bin"
     assert main(["sieve", "--limit", "3001"]) == 0
     fresh = path.read_bytes()
     older = fresh.replace(CACHE_MAGIC, b"ARITHv2", 1)
-    for bad in (fresh[:-100], older):
+    for bad in (fresh[:-100], older, _arith_v3(build_table(3001))):
         path.write_bytes(bad)
         capsys.readouterr()
         assert main(["sieve", "--limit", "3001"]) == 0

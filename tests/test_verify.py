@@ -1,16 +1,20 @@
 """Harness behavior on a mid-sized table: structure, determinism, coverage."""
 
+import dataclasses
 import json
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 import pytest
 
 from liouville_mellin import (InvalidArgumentError, NonConvergenceError, arith,
-                              build_table, probe_decay, run_group, verify, verify_bounds,
+                              build_table, kernels, load_table, probe_decay, run_group,
+                              save_table, verify, verify_bounds,
                               verify_functional_equations, verify_identity_MN,
                               verify_theorem1, verify_theorem2)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
@@ -377,6 +381,45 @@ def test_all_equals_the_sorted_runs_of_each_group(grid, table_100k):
         sys.setswitchinterval(interval)
     assert dump(together) == dump(verify._sorted(alone))
     assert threading.active_count() == threads
+
+
+def test_all_on_a_loaded_table_matches_the_sieved_one(tmp_path):
+    # the cache holds beta and nu at odd n and no S; the table read back gives
+    # the sieved table's reports byte for byte, and neither run builds the
+    # full-length beta, nu or nu_cumsum
+    table = build_table(20_001)
+    save_table(table, tmp_path / "arith.bin")
+    loaded = load_table(tmp_path / "arith.bin")
+    dump = lambda rs: [json.dumps(r.to_record(), sort_keys=True) for r in rs]
+    assert dump(run_group("all", loaded)) == dump(run_group("all", table))
+    for t in (table, loaded):
+        assert "_kernel_ws" in vars(t)
+        assert not {"beta", "nu", "nu_cumsum"} & set(vars(t))
+
+
+def test_kernel_groups_on_two_threads_match_one_thread(monkeypatch):
+    # decay on one thread, identity and theorem2 on another, on a fresh table
+    # each time, so both threads build and extend its kernel workspace at
+    # once; a 1 ms sleep before each head block's sums keeps both threads
+    # extending the same blocks (without the lock, 20 of 20 runs went wrong).
+    # Every run gives the bytes of the groups run in turn.
+    base = build_table(20_001)
+    dump = lambda rs: sorted(json.dumps(r.to_record(), sort_keys=True) for r in rs)
+    table = dataclasses.replace(base)  # the same arrays, no workspace yet
+    alone = dump([r for g in ("decay", "identity", "theorem2") for r in run_group(g, table)])
+    rows = kernels._HeadBlocks._rows
+
+    def slow(self, *args):
+        time.sleep(1e-3)
+        return rows(self, *args)
+
+    monkeypatch.setattr(kernels._HeadBlocks, "_rows", slow)
+    for _ in range(20):
+        table = dataclasses.replace(base)
+        with ThreadPoolExecutor(2) as pool:
+            decay = pool.submit(run_group, "decay", table)
+            rest = pool.submit(lambda t=table: run_group("identity", t) + run_group("theorem2", t))
+            assert dump(decay.result() + rest.result()) == alone
 
 
 @pytest.mark.parametrize("group_runner", ["probe_decay", "verify_bounds"])
