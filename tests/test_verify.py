@@ -419,7 +419,7 @@ def test_kernel_groups_on_two_threads_match_one_thread(monkeypatch):
         with ThreadPoolExecutor(2) as pool:
             decay = pool.submit(run_group, "decay", table)
             rest = pool.submit(lambda t=table: run_group("identity", t) + run_group("theorem2", t))
-            assert dump(decay.result() + rest.result()) == alone
+            assert dump(decay.result(timeout=60) + rest.result(timeout=60)) == alone
 
 
 @pytest.mark.parametrize("group_runner", ["probe_decay", "verify_bounds"])
