@@ -46,11 +46,12 @@ for k in range(0, 18, 2):
         break
     print(f"  S(2^{k:2d}) = {nu_partial_sum(table, N):+.6e}")
 
-# Two inequalities hold with no exceptions across the whole table.  beta and
-# nu live on odd n, and the table holds them there only: entry m is n = 2m+1.
+# Two inequalities hold with no exceptions across the whole table.  The table
+# holds every function at odd n only (entry m is n = 2m+1); lambda, mu and d
+# at even n follow from the odd part, and beta and nu vanish there.
 odd_n = np.arange(1, LIMIT + 1, 2, dtype=np.float64)
 ratio = table.beta_odd / np.sqrt(odd_n)
 print(f"\nbeta(n)/sqrt(n) over odd n: min {ratio.min():+.6f}, "
       f"max {ratio.max():+.6f}  (never <= -1, equals +1 only at squares)")
-bound_ok = np.all(np.abs(table.nu_odd) <= table.dcount[1::2] / odd_n + 1e-15)
+bound_ok = np.all(np.abs(table.nu_odd) <= table.dcount_odd / odd_n + 1e-15)
 print(f"|nu(n)| <= d(n)/n for every odd n (nu is 0 at even n): {bound_ok}")

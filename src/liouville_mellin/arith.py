@@ -10,16 +10,24 @@ and nu is the weighted Moebius transform determined by
     n * nu(n) = sum_{k*l = n} mu(k) * beta(l) / sqrt(l)     (odd n),
 
 equivalently  sum_{l | n} l * nu(l) = beta(n)/sqrt(n).  beta and nu live on
-the odd integers and S(n) = sum_{m<=n} nu(m) has S(2k) = S(2k-1), so the table
-holds all three over odd n only: entry m of beta_odd, nu_odd and
-nu_cumsum_odd is n = 2m+1, and nu_cumsum_odd is np.cumsum(nu_odd).  The
-full-length beta, nu (0 at even n) and nu_cumsum are built on first access,
-bit for bit the arrays of a sieve that stores every n; the package itself
-reads only the odd halves, and the point API for beta rejects even arguments.
+the odd integers, and lambda, mu and d at even n follow from the odd part by
+the 2-adic rule: for odd m,
 
-One loop over the primes p <= isqrt(N), found by the spf sieve as it goes,
-updates the multiples of each p^k <= N by strided slices; what is left of n
-is then 1 or one prime above isqrt(N), applied in one step.  With p^e || n:
+    lambda(2^a m) = (-1)^a lambda(m),   mu(2m) = -mu(m),   mu(4k) = 0,
+    d(2^a m)      = (a + 1) d(m),        beta = nu = 0 at even n.
+
+So the table holds every function over odd n only: entry m of liouville_odd,
+mobius_odd, dcount_odd, beta_odd, nu_odd and nu_cumsum_odd is n = 2m+1, and
+nu_cumsum_odd (S(n) = sum_{m<=n} nu(m); S(2k) = S(2k-1)) is np.cumsum(nu_odd).
+The point API and ArithTable.spread apply the 2-adic rule; the full-length
+liouville, mobius, dcount, beta, nu and nu_cumsum, and the smallest prime
+factor spf, are built on first access, bit for bit the arrays of a sieve that
+stores every n.  The package itself reads only the odd halves.
+
+One loop over the odd primes p <= isqrt(N), found as the n whose part over
+smaller primes is still 1, updates the odd multiples of each p^k <= N by
+strided slices; what is left of n is then 1 or one prime above isqrt(N),
+applied in one step.  With p^e || n:
 
     lambda(n) = (-1)^Omega(n)           (Omega counted with multiplicity)
     d(n)      = product of (e + 1)
@@ -35,12 +43,11 @@ nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
 a product of positive factors with no cancellation.  The defining
 convolution above stays an independent check (bounds.convolution).
 
-The cache file (save_table/load_table) holds spf, liouville, mobius and
-dcount over 0..limit and beta_odd and nu_odd over the odd n <= limit;
-nu_cumsum_odd is not stored but summed again on load, to the same bits.  Each
-array carries one sha256, hashed on HASH_WORKERS threads (on load, while the
-next array is read); the header lengths are checked against limit and the
-file size.
+The cache file (save_table/load_table) holds liouville_odd, mobius_odd,
+dcount_odd, beta_odd and nu_odd; nu_cumsum_odd is not stored but summed again
+on load, to the same bits.  Each array carries one sha256, hashed on
+HASH_WORKERS threads (on load, while the next array is read); the header
+lengths are checked against limit and the file size.
 """
 
 from __future__ import annotations
@@ -60,27 +67,35 @@ __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
            "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
            "save_table", "load_table"]
 
-CACHE_MAGIC = b"ARITHv4"
+CACHE_MAGIC = b"ARITHv5"
 HASH_WORKERS = 2  # threads hashing cache fields; hashlib releases the GIL
 
-# fixed on-disk order: (name, dtype, whether it covers the odd n only)
+# fixed on-disk order, each array over the odd n <= limit: (name, dtype)
 _CACHE_FIELDS = (
-    ("spf", np.int32, False),
-    ("liouville", np.int8, False),
-    ("mobius", np.int8, False),
-    ("dcount", np.int32, False),
-    ("beta_odd", np.int32, True),
-    ("nu_odd", np.float64, True),
+    ("liouville_odd", np.int8),
+    ("mobius_odd", np.int8),
+    ("dcount_odd", np.int32),
+    ("beta_odd", np.int32),
+    ("nu_odd", np.float64),
 )
+
+# the 2-adic rule: f(2^a m) = _TWO_ADIC[f](a) * f(m) for odd m
+_TWO_ADIC = {
+    "liouville": lambda a: -1 if a % 2 else 1,
+    "mobius": lambda a: 1 - 2 * a if a < 2 else 0,
+    "dcount": lambda a: a + 1,
+    "beta": lambda a: int(a == 0),
+    "nu": lambda a: int(a == 0),
+}
 
 
 @dataclass
 class ArithTable:
     """Immutable-by-convention bundle of sieve arrays covering 1..limit.
 
-    Index 0 of a full-length array is a placeholder; entry m of an _odd
-    array is n = 2m + 1.  nu_cumsum_odd is summed from nu_odd when the table
-    is made, the full-length beta, nu and nu_cumsum on their first access.
+    Entry m of an _odd array is n = 2m + 1.  nu_cumsum_odd is summed from
+    nu_odd when the table is made.  The full-length arrays (index 0 a
+    placeholder) are built on their first access.
 
     Point reads are pure.  What is built on a table later is a pure function
     of its arrays: kernels builds its workspace under a lock, and two
@@ -88,43 +103,79 @@ class ArithTable:
     """
 
     limit: int
-    spf: np.ndarray          # smallest prime factor, int32
-    liouville: np.ndarray    # lambda(n) in {-1,+1}, int8
-    mobius: np.ndarray       # mu(n) in {-1,0,+1}, int8
-    dcount: np.ndarray       # number of divisors, int32
-    beta_odd: np.ndarray     # beta(2m+1), int32
-    nu_odd: np.ndarray       # nu(2m+1), float64
+    liouville_odd: np.ndarray  # lambda(2m+1) in {-1,+1}, int8
+    mobius_odd: np.ndarray     # mu(2m+1) in {-1,0,+1}, int8
+    dcount_odd: np.ndarray     # d(2m+1), int32
+    beta_odd: np.ndarray       # beta(2m+1), int32
+    nu_odd: np.ndarray         # nu(2m+1), float64
     nu_cumsum_odd: np.ndarray = field(init=False)  # S(2m+1), float64
 
     def __post_init__(self):
         self.nu_cumsum_odd = np.cumsum(self.nu_odd)
 
-    def _spread(self, odd_half: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.limit + 1, dtype=odd_half.dtype)
-        full[1::2] = odd_half
-        return full
+    def spread(self, name: str, lo: int, hi: int) -> np.ndarray:
+        """liouville, mobius, dcount, beta or nu at lo <= n < hi, from its odd
+        half by the 2-adic rule; 0 at n = 0."""
+        odd_half, factor = getattr(self, name + "_odd"), _TWO_ADIC[name]
+        out = np.zeros(hi - lo, dtype=odd_half.dtype)
+        for a in range((hi - 1).bit_length()):  # the n = q (2j + 1), q = 2^a
+            f, q = factor(a), 1 << a
+            if not f:
+                continue  # 0 there, as out starts
+            j = max(0, -((q - lo) // (2 * q)))  # the first such n >= lo
+            at = out[q * (2 * j + 1) - lo::2 * q]
+            np.multiply(odd_half[j:j + len(at)], f, out=at)
+        return out
+
+    @functools.cached_property
+    def liouville(self) -> np.ndarray:
+        """lambda(n), 0 at n = 0, int8."""
+        return self.spread("liouville", 0, self.limit + 1)
+
+    @functools.cached_property
+    def mobius(self) -> np.ndarray:
+        """mu(n), 0 at n = 0, int8."""
+        return self.spread("mobius", 0, self.limit + 1)
+
+    @functools.cached_property
+    def dcount(self) -> np.ndarray:
+        """d(n), 0 at n = 0, int32."""
+        return self.spread("dcount", 0, self.limit + 1)
 
     @functools.cached_property
     def beta(self) -> np.ndarray:
         """beta(n) for odd n, 0 for even n, int32."""
-        return self._spread(self.beta_odd)
+        return self.spread("beta", 0, self.limit + 1)
 
     @functools.cached_property
     def nu(self) -> np.ndarray:
         """nu(n), 0 for even n, float64."""
-        return self._spread(self.nu_odd)
+        return self.spread("nu", 0, self.limit + 1)
 
     @functools.cached_property
     def nu_cumsum(self) -> np.ndarray:
         """S(n) = sum_{m<=n} nu(m), float64; np.cumsum(nu) to the bit, as
         adding nu's zeros at even n leaves every partial sum as it was."""
-        full = self._spread(self.nu_cumsum_odd)
+        full = np.zeros(self.limit + 1)
+        full[1::2] = self.nu_cumsum_odd
         full[2::2] = self.nu_cumsum_odd[:self.limit // 2]  # S(2k) = S(2k-1)
         return full
 
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """Smallest prime factor, 0 at n = 0 and 1, int32; nothing in the
+        package reads it, so it is sieved only when asked for."""
+        spf = np.zeros(self.limit + 1, dtype=np.int32)
+        for p in range(2, math.isqrt(self.limit) + 1):
+            if not spf[p]:
+                np.copyto(spf[p::p], p, where=spf[p::p] == 0)
+        found = np.flatnonzero(spf == 0)[2:]  # past 0 and 1: the primes above the root
+        spf[found] = found
+        return spf
+
 
 def build_table(limit: int) -> ArithTable:
-    """Sieve every arithmetic array up to `limit` (inclusive).
+    """Sieve every arithmetic array over the odd n up to `limit` (inclusive).
 
     Raises:
         InvalidArgumentError: for limit < 1 or past int32, before any allocation.
@@ -133,53 +184,48 @@ def build_table(limit: int) -> ArithTable:
     """
     if limit < 1:
         raise InvalidArgumentError(f"table limit must be >= 1, got {limit}")
-    if limit > np.iinfo(np.int32).max:  # spf, dcount and beta are int32
+    if limit > np.iinfo(np.int32).max:  # n, dcount and beta are int32
         raise InvalidArgumentError(f"table limit must be < 2**31, got {limit}")
     n = int(limit)
     root = math.isqrt(n)
-    spf = np.zeros(n + 1, dtype=np.int32)
-    lam = np.ones(n + 1, dtype=np.int8)
-    dcount = np.ones(n + 1, dtype=np.int32)
-    h = np.ones(n + 1, dtype=np.int32)
-    smooth = np.ones(n + 1, dtype=np.int32)        # the part of m over primes <= root
-    # prod_{p|n} (1 + p^-1/2) at odd n = 2m + 1, whose odd multiples of p sit
-    # at m = p//2 + j p
-    nu_weight = np.ones((n + 1) // 2, dtype=np.float64)
+    half = (n + 1) // 2
+    # entry m is the odd n = 2m + 1; the odd multiples of an odd q sit at
+    # m = q//2 + j q
+    lam = np.ones(half, dtype=np.int8)
+    dcount = np.ones(half, dtype=np.int32)
+    h = np.ones(half, dtype=np.int32)
+    smooth = np.ones(half, dtype=np.int32)      # the part of n over primes <= root
+    nu_weight = np.ones(half, dtype=np.float64)  # prod_{p|n} (1 + p^-1/2)
     weight = 1.0 + np.arange(1, root + 1) ** -0.5  # array pow: pinned nu uses its rounding
-    for p in range(2, root + 1):
-        if spf[p]:
-            continue  # composite: a smaller prime has marked it
-        np.copyto(spf[p::p], p, where=spf[p::p] == 0)
-        if p > 2:
-            nu_weight[p // 2::p] *= weight[p - 1]
+    for p in range(3, root + 1, 2):
+        if smooth[p // 2] > 1:
+            continue  # composite: a smaller prime divides it
+        nu_weight[p // 2::p] *= weight[p - 1]
         q, k = p, 1
-        while q <= n:  # q = p^k: every multiple of q has e >= k
-            lam[q::q] *= -1
+        while q <= n:  # q = p^k: every odd multiple of q has e >= k
+            at = slice(q // 2, None, q)
+            lam[at] *= -1
             if k > 1:  # the factor e + 1 of d grows from k to k + 1
-                dcount[q::q] //= k
-            dcount[q::q] *= k + 1
+                dcount[at] //= k
+            dcount[at] *= k + 1
             if k % 2 == 0:
-                h[q::q] *= p
-            smooth[q::q] *= p
+                h[at] *= p
+            smooth[at] *= p
             q, k = q * p, k + 1
-    found = np.flatnonzero(spf == 0)[2:]  # past 0 and 1: the primes above root
-    spf[found] = found
-    rest = np.arange(n + 1, dtype=np.int32) // smooth  # 1 or m's one prime above root
+    rest = np.arange(1, n + 1, 2, dtype=np.int32) // smooth  # 1 or n's one prime above root
     del smooth
-    big = np.flatnonzero(rest[1::2] > 1)  # odd n first, as m
-    nu_weight[big] *= 1.0 + rest[1::2][big] ** -0.5
     big = np.flatnonzero(rest > 1)
+    nu_weight[big] *= 1.0 + rest[big] ** -0.5
     lam[big] *= -1
     dcount[big] *= 2
     del rest, big
-    lam[0] = dcount[0] = h[0] = 0
     mu = lam * (h == 1)  # int8; squarefree iff h = 1
-    beta_odd = lam[1::2] * h[1::2]  # int32
+    beta = lam * h  # int32
     del h
-    nu_odd = lam[1::2] * nu_weight / odd(0, (n + 1) // 2)
+    nu = lam * nu_weight / odd(0, half)
 
-    return ArithTable(limit=n, spf=spf, liouville=lam, mobius=mu,
-                      dcount=dcount, beta_odd=beta_odd, nu_odd=nu_odd)
+    return ArithTable(limit=n, liouville_odd=lam, mobius_odd=mu, dcount_odd=dcount,
+                      beta_odd=beta, nu_odd=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +288,31 @@ def _check_range(table: ArithTable, n: int) -> int:
     return n
 
 
+def _odd_part(n: int) -> tuple[int, int]:
+    """(a, m) with n = 2^a (2m + 1), for n >= 1."""
+    a = (n & -n).bit_length() - 1
+    return a, n >> (a + 1)
+
+
+def _at(table: ArithTable, name: str, n: int) -> int:
+    """name (liouville, mobius or dcount) at n, by the 2-adic rule."""
+    a, m = _odd_part(_check_range(table, n))
+    return _TWO_ADIC[name](a) * int(getattr(table, name + "_odd")[m])
+
+
 def liouville(table: ArithTable, n: int) -> int:
     """lambda(n) = (-1)^Omega(n); completely multiplicative, lambda(1) = 1."""
-    return int(table.liouville[_check_range(table, n)])
+    return _at(table, "liouville", n)
 
 
 def mobius(table: ArithTable, n: int) -> int:
     """mu(n): 0 on non-squarefree n, else (-1)^(number of prime factors)."""
-    return int(table.mobius[_check_range(table, n)])
+    return _at(table, "mobius", n)
 
 
 def divisor_count(table: ArithTable, n: int) -> int:
     """d(n) = number of divisors of n."""
-    return int(table.dcount[_check_range(table, n)])
+    return _at(table, "dcount", n)
 
 
 def beta_value(table: ArithTable, n: int) -> int:
@@ -282,20 +340,14 @@ def nu_partial_sum(table: ArithTable, n: int) -> float:
 
 
 def sqfree_square_split(table: ArithTable, n: int) -> tuple[int, int]:
-    """The unique decomposition n = k*h^2 with k squarefree, via the spf sieve.
+    """The unique decomposition n = k*h^2 with k squarefree.
 
-    Exact integer arithmetic: h = product of p^floor(e/2) over p^e || n.
+    For n = 2^a u with u odd, h = 2^floor(a/2) |beta(u)|, as |beta(u)| is
+    the h of u; exact integer arithmetic.
     """
     n = _check_range(table, n)
-    h = 1
-    m = n
-    while m > 1:
-        p = int(table.spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        h *= p ** (e // 2)
+    a, m = _odd_part(n)  # u = 2m + 1
+    h = (1 << a // 2) * abs(int(table.beta_odd[m]))
     return n // (h * h), h
 
 
@@ -312,29 +364,34 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 
     Layout: magic, one JSON header line (limit, and per array its name,
     dtype, length and the sha256 of its bytes), then the raw little-endian
-    array bytes in fixed field order: spf, liouville, mobius and dcount of
-    length limit + 1, beta_odd and nu_odd of length (limit + 1) // 2.
-    Integers round-trip exactly and nu_odd bitwise; nu_cumsum_odd is summed
-    again on load.  The arrays are hashed on HASH_WORKERS threads, then
-    written straight from memory to a temporary file that replaces `path`
-    once complete, so no reader sees a short file.
+    array bytes in fixed field order: liouville_odd, mobius_odd, dcount_odd,
+    beta_odd and nu_odd, each of length (limit + 1) // 2.  Integers
+    round-trip exactly and nu_odd bitwise; nu_cumsum_odd is summed again on
+    load.  The arrays are hashed on HASH_WORKERS threads, then written
+    straight from memory to a temporary file that replaces `path` once
+    complete, so no reader sees a short file.  The temporary file is first
+    preallocated to its full size where os has posix_fallocate: on ext4,
+    renaming a file with unallocated blocks over an existing one forces a
+    synchronous flush (about 1 s at 2,000,001 entries).
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
-              for name, dtype, _ in _CACHE_FIELDS]
+              for name, dtype in _CACHE_FIELDS]
     with ThreadPoolExecutor(HASH_WORKERS) as pool:
         digests = list(pool.map(_sha256, arrays))
     header = {
         "limit": table.limit,
         "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0]),
                     "sha256": digest}
-                   for (name, _, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
+                   for (name, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
     }
     head = CACHE_MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"  # same directory
     try:
         with open(tmp, "xb") as fh:
+            if hasattr(os, "posix_fallocate"):  # no delayed allocation left at the replace
+                os.posix_fallocate(fh.fileno(), 0, len(head) + sum(a.nbytes for a in arrays))
             fh.write(head)
             fh.writelines(arrays)
         os.replace(tmp, path)
@@ -346,8 +403,8 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 def load_table(path: str | os.PathLike) -> ArithTable:
     """Read a table written by save_table, verifying magic and checksums.
 
-    Every header length must be limit + 1, or (limit + 1) // 2 for an odd
-    half, and match the file size before anything is allocated.  The arrays
+    Every header length must be (limit + 1) // 2, the odd n <= limit, and
+    match the file size before anything is allocated.  The arrays
     share one allocation.  Each is read in place and handed to one of
     HASH_WORKERS threads at once, so reading the next array overlaps with
     hashing this one and the payload is held once; the digests are compared
@@ -369,16 +426,15 @@ def load_table(path: str | os.PathLike) -> ArithTable:
             raise CacheFormatError(f"unreadable header in {path}: a sha256 is not a string")
         if limit < 1:
             raise CacheFormatError(f"limit {limit} < 1 in {path}")
-        expected = [(name, np.dtype(dtype).str) for name, dtype, _ in _CACHE_FIELDS]
+        expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
         if [(name, dtype) for name, dtype, _, _ in fields] != expected:
             raise CacheFormatError(f"unexpected field layout in {path}")
-        lengths = [(limit + 1) // 2 if odd_only else limit + 1 for *_, odd_only in _CACHE_FIELDS]
-        for (name, _, length, _), want in zip(fields, lengths):
-            if length != want:
-                raise CacheFormatError(f"field length of {name} is {length}, not {want} "
+        half = (limit + 1) // 2
+        for name, _, length, _ in fields:
+            if length != half:
+                raise CacheFormatError(f"field length of {name} is {length}, not {half} "
                                        f"for limit {limit} in {path}")
-        sizes = [length * np.dtype(dtype).itemsize
-                 for length, (_, dtype, _) in zip(lengths, _CACHE_FIELDS)]
+        sizes = [half * np.dtype(dtype).itemsize for _, dtype in _CACHE_FIELDS]
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left != sum(sizes):
             raise CacheFormatError(f"{left} payload bytes disagree with the header in {path}")
@@ -389,8 +445,8 @@ def load_table(path: str | os.PathLike) -> ArithTable:
         spans = [-(-size // 16) * 16 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
         arrays, lo, digests = {}, 0, []
-        for (name, dtype, _), length, span in zip(_CACHE_FIELDS, lengths, spans):
-            arrays[name] = block[lo:lo + span].view(dtype)[:length]
+        for (name, dtype), span in zip(_CACHE_FIELDS, spans):
+            arrays[name] = block[lo:lo + span].view(dtype)[:half]
             lo += span
         with ThreadPoolExecutor(HASH_WORKERS) as pool:  # joins its threads on any exit
             for name, arr in arrays.items():

@@ -525,7 +525,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         is_square = root.astype(np.int64) ** 2 == n_odd
         mismatches += int(np.count_nonzero((np.abs(r - 1.0) < 1e-12) != is_square))
         nu_viol += int(np.count_nonzero(np.abs(table.nu_odd[lo:hi])
-                                        > table.dcount[2 * lo + 1:2 * hi:2] / n_odd
+                                        > table.dcount_odd[lo:hi] / n_odd
                                         + 1e-15))
         min_ratio = min(min_ratio, float(r.min()))
         max_ratio = max(max_ratio, float(r.max()))
@@ -563,7 +563,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         cube = n ** 3
         rows = np.zeros((4, hi - lo))  # nu's rows stay 0 at even n
-        rows[0], rows[1] = table.liouville[lo + 1:hi + 1], table.mobius[lo + 1:hi + 1]
+        rows[0] = table.spread("liouville", lo + 1, hi + 1)
+        rows[1] = table.spread("mobius", lo + 1, hi + 1)
         rows[2:, lo % 2::2] = table.nu_odd[(lo + 1) // 2:(hi + 1) // 2]
         for row, d in zip(rows, (cube, cube, cube, n)):
             np.divide(row, d, out=row)
@@ -614,7 +615,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         n = odd(lo, hi)
         rows = np.empty((2, hi - lo))
         np.divide(np.abs(table.beta_odd[lo:hi]), n ** 1.5, out=rows[0])
-        np.divide(table.mobius[2 * lo + 1:2 * hi:2], n, out=rows[1])
+        np.divide(table.mobius_odd[lo:hi], n, out=rows[1])
         return rows
 
     # the running sum at j covers the odd n <= 2j + 1, so n <= 2^k ends at

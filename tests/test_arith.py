@@ -168,7 +168,7 @@ def test_full_length_arrays_spread_the_odd_halves(limit):
     # on first access, put 0 at even n for beta and nu and S(2k-1) at S(2k),
     # which is np.cumsum of the full nu to the bit
     t = build_table(limit)
-    assert not {"beta", "nu", "nu_cumsum"} & set(vars(t))
+    assert not set(_FULL_LENGTH) & set(vars(t))
     assert len(t.beta_odd) == len(t.nu_odd) == len(t.nu_cumsum_odd) == (limit + 1) // 2
     assert t.nu_cumsum_odd.tobytes() == np.cumsum(t.nu_odd).tobytes()
     for full, half in ((t.beta, t.beta_odd), (t.nu, t.nu_odd)):
@@ -176,6 +176,79 @@ def test_full_length_arrays_spread_the_odd_halves(limit):
         assert np.array_equal(full[1::2], half) and not full[0::2].any()
     assert t.nu_cumsum.tobytes() == np.cumsum(t.nu).tobytes()
     assert t.beta is t.beta and t.nu is t.nu and t.nu_cumsum is t.nu_cumsum  # built once
+
+
+_FULL_LENGTH = ("spf", "liouville", "mobius", "dcount", "beta", "nu", "nu_cumsum")
+
+
+def _sieve_every_n(n):
+    """The full-length arrays of a sieve over every n <= limit: build_table's
+    loop before it kept the odd n only, as the reference."""
+    root = math.isqrt(n)
+    spf = np.zeros(n + 1, dtype=np.int32)
+    lam = np.ones(n + 1, dtype=np.int8)
+    dcount = np.ones(n + 1, dtype=np.int32)
+    h = np.ones(n + 1, dtype=np.int32)
+    smooth = np.ones(n + 1, dtype=np.int32)
+    nu_weight = np.ones((n + 1) // 2, dtype=np.float64)
+    weight = 1.0 + np.arange(1, root + 1) ** -0.5
+    for p in range(2, root + 1):
+        if spf[p]:
+            continue
+        np.copyto(spf[p::p], p, where=spf[p::p] == 0)
+        if p > 2:
+            nu_weight[p // 2::p] *= weight[p - 1]
+        q, k = p, 1
+        while q <= n:
+            lam[q::q] *= -1
+            if k > 1:
+                dcount[q::q] //= k
+            dcount[q::q] *= k + 1
+            if k % 2 == 0:
+                h[q::q] *= p
+            smooth[q::q] *= p
+            q, k = q * p, k + 1
+    found = np.flatnonzero(spf == 0)[2:]
+    spf[found] = found
+    rest = np.arange(n + 1, dtype=np.int32) // smooth
+    big = np.flatnonzero(rest[1::2] > 1)
+    nu_weight[big] *= 1.0 + rest[1::2][big] ** -0.5
+    big = np.flatnonzero(rest > 1)
+    lam[big] *= -1
+    dcount[big] *= 2
+    lam[0] = dcount[0] = h[0] = 0
+    beta = np.zeros(n + 1, dtype=np.int32)
+    beta[1::2] = lam[1::2] * h[1::2]
+    nu = np.zeros(n + 1)
+    nu[1::2] = lam[1::2] * nu_weight / np.arange(1, n + 1, 2, dtype=np.float64)
+    return {"spf": spf, "liouville": lam, "mobius": lam * (h == 1), "dcount": dcount,
+            "beta": beta, "nu": nu, "nu_cumsum": np.cumsum(nu)}
+
+
+@pytest.mark.parametrize("limit", [*range(1, 41), *(2 ** k + d for k in (10, 17)
+                                                     for d in (-1, 0, 1))])
+def test_full_length_arrays_match_a_sieve_over_every_n(limit):
+    # the arrays built from the odd halves by the 2-adic rule, and spf, are
+    # those of the sieve that stored every n, dtype and bits
+    t = build_table(limit)
+    for name, want in _sieve_every_n(limit).items():
+        got = getattr(t, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in ("liouville", "mobius", "dcount", "beta", "nu"):
+        for lo, hi in ((0, limit + 1), (1, limit + 1), (limit // 3, limit // 2 + 1)):
+            assert np.array_equal(t.spread(name, lo, hi), getattr(t, name)[lo:hi]), name
+
+
+def test_point_api_reads_the_odd_halves():
+    # lambda, mu, d and n = k h^2 at every n <= 5000 by the 2-adic rule,
+    # against trial division, with no full-length array built
+    t = build_table(5000)
+    for n in range(1, 5001):
+        assert liouville(t, n) == liouville_brute(n), n
+        assert mobius(t, n) == mobius_brute(n), n
+        assert divisor_count(t, n) == dcount_brute(n), n
+        assert sqfree_square_split(t, n) == sqfree_square_brute(n), n
+    assert not set(_FULL_LENGTH) & set(vars(t))
 
 
 def test_every_entry_matches_trial_division():
@@ -224,7 +297,7 @@ def test_argument_validation(table_small):
 
 
 def test_limit_past_int32_refused_before_allocation():
-    # spf, dcount and beta are int32, so a larger limit would wrap silently;
+    # the sieve's n, dcount and beta are int32, so a larger limit would wrap silently;
     # 2**31 entries would need some 60 GB, so this returns only if nothing is allocated
     tracemalloc.start()
     try:
@@ -241,7 +314,8 @@ def test_cache_round_trip_bit_exact(table_small, tmp_path):
     save_table(table_small, path)
     loaded = load_table(path)
     assert loaded.limit == table_small.limit
-    for name in ("spf", "liouville", "mobius", "dcount", "beta_odd", "beta"):
+    for name in ("liouville_odd", "mobius_odd", "dcount_odd", "beta_odd",
+                 "spf", "liouville", "mobius", "dcount", "beta"):
         assert np.array_equal(getattr(loaded, name), getattr(table_small, name)), name
     # float arrays must round-trip bitwise; the file holds no S, which the
     # loaded table sums again from nu_odd
@@ -291,8 +365,8 @@ def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
     with pytest.raises(CacheFormatError, match="field length"):
         load_table(path)
     fields = [dict(f) for f in header["fields"]]
-    fields[0]["len"] -= 1  # spf, int32: 4 bytes fewer
-    fields[1]["len"] += 4  # liouville, int8: 4 bytes more
+    fields[2]["len"] -= 1  # dcount_odd, int32: 4 bytes fewer
+    fields[0]["len"] += 4  # liouville_odd, int8: 4 bytes more
     _write_cache(path, dict(header, fields=fields), payload)
     with pytest.raises(CacheFormatError, match="field length"):
         load_table(path)
@@ -356,9 +430,9 @@ def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
             load_table(path)
         assert threading.active_count() == threads
         lo += f["len"] * np.dtype(f["dtype"]).itemsize
-    no_sha = {k: v for k, v in header["fields"][3].items() if k != "sha256"}
+    no_sha = {k: v for k, v in header["fields"][2].items() if k != "sha256"}
     for dcount in (no_sha, dict(no_sha, sha256=None)):
-        fields = [*header["fields"][:3], dcount, *header["fields"][4:]]
+        fields = [*header["fields"][:2], dcount, *header["fields"][3:]]
         _write_cache(path, dict(header, fields=fields), payload)
         with pytest.raises(CacheFormatError, match="unreadable header"):
             load_table(path)
@@ -366,21 +440,21 @@ def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
 
 def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_small,
                                                                      tmp_path):
-    # beta_odd and nu_odd cover the (limit + 1) // 2 odd n.  A header giving
-    # either one the full length limit + 1, with the payload grown to match,
+    # every stored array covers the (limit + 1) // 2 odd n.  A header giving
+    # one of them the full length limit + 1, with the payload grown to match,
     # is refused by that length; at limit 2**30 it is refused with nothing
-    # allocated, where the table would take some 17 GB
+    # allocated, where the table would take some 14 GB
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)
-    for name in ("beta_odd", "nu_odd"):
+    for field in header["fields"]:
+        name = field["name"]
         fields = [dict(f, len=3002) if f["name"] == name else f for f in header["fields"]]
-        extra = 1501 * np.dtype(fields[-1 if name == "nu_odd" else -2]["dtype"]).itemsize
+        extra = 1501 * np.dtype(field["dtype"]).itemsize
         _write_cache(path, dict(header, fields=fields), payload + bytes(extra), rehash=True)
         with pytest.raises(CacheFormatError, match=f"field length of {name} is 3002, not 1501"):
             load_table(path)
         limit = 2 ** 30
-        fields = [dict(f, len=limit + 1 if f["name"] in ("spf", "liouville", "mobius",
-                                                          "dcount", name) else limit // 2)
+        fields = [dict(f, len=limit + 1 if f["name"] == name else limit // 2)
                   for f in header["fields"]]
         _write_cache(path, dict(header, limit=limit, fields=fields), payload)
         tracemalloc.start()
@@ -395,13 +469,15 @@ def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_smal
 
 def test_saved_bytes_pinned(table_small, tmp_path):
     # sha256 of the whole cache file for build_table(3001), recorded when
-    # ARITHv4 kept beta and nu at odd n only and dropped S: its payload is
-    # the ARITHv3 file's spf, liouville, mobius and dcount, then the ARITHv3
-    # beta and nu at odd n, byte for byte
+    # ARITHv5 kept every array at odd n only and dropped spf: its payload is
+    # the ARITHv4 file's liouville, mobius and dcount at odd n, then its
+    # beta_odd and nu_odd, byte for byte
     path = tmp_path / "arith.bin"
-    save_table(table_small, path)
+    _, payload = _saved_parts(table_small, path)
+    assert payload == b"".join(getattr(table_small, name)[1::2].tobytes()
+                               for name in ("liouville", "mobius", "dcount", "beta", "nu"))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4b74dad088420dc88985828c8d7346e8c2deeb1bd56533684d77550010410dc6")
+        "f5203eec5dde774b7b1f61fd9b5ce4494ed4000f267e8a40e49ff1316adf78f0")
 
 
 def _table_bytes(table):
@@ -435,6 +511,26 @@ def test_build_table_peak_memory(table_100k):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * array_bytes, peak / array_bytes
+
+
+def test_save_over_a_cache_replaces_it_whole(tmp_path, monkeypatch):
+    # the temporary file is preallocated to header plus payload before it is
+    # written (where os has posix_fallocate); a save over an existing cache
+    # leaves only the cache file, of exactly that size, holding the new table
+    path = tmp_path / "arith.bin"
+    save_table(build_table(3001), path)
+    for limit in (101, 100):
+        second = build_table(limit)
+        save_table(second, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["arith.bin"]
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        assert len(payload) == 18 * ((limit + 1) // 2)  # 1 + 1 + 4 + 4 + 8 bytes per odd n
+        assert path.stat().st_size == len(magic) + len(header) + 2 + len(payload)
+        loaded = load_table(path)
+        assert loaded.limit == limit
+        for name, _ in arith._CACHE_FIELDS:
+            assert getattr(loaded, name).tobytes() == getattr(second, name).tobytes(), name
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)  # the second save without
 
 
 def test_failed_save_keeps_the_previous_cache(table_small, tmp_path, monkeypatch):

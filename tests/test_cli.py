@@ -75,26 +75,32 @@ def test_sieve_writes_cache(cache_env, capsys):
     assert (cache_env / "cache" / "arith_5001.bin").exists()
 
 
-def _arith_v3(table) -> bytes:
-    """The ARITHv3 file of a table: every array over 0..limit, S stored."""
-    names = ("spf", "liouville", "mobius", "dcount", "beta", "nu", "nu_cumsum")
+def _older_cache(table, magic: bytes, names: tuple) -> bytes:
+    """A cache file of an earlier format: the named arrays under `magic`."""
     arrays = [getattr(table, name) for name in names]
     header = {"limit": table.limit,
               "fields": [{"name": name, "dtype": a.dtype.str, "len": len(a),
                           "sha256": hashlib.sha256(a).hexdigest()}
                          for name, a in zip(names, arrays)]}
-    return (b"ARITHv3\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+    return (magic + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
             + b"".join(a.tobytes() for a in arrays))
 
 
 def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
     # a truncated file, one whose magic is ARITHv2 (one sha256 over the
-    # payload), and an ARITHv3 file (beta, nu and S over every n)
+    # payload), an ARITHv3 file (beta, nu and S over every n) and an ARITHv4
+    # file (spf, lambda, mu and d over every n, beta and nu over odd n; it
+    # hashes to the digest test_saved_bytes_pinned held for ARITHv4)
     path = cache_env / "cache" / "arith_3001.bin"
     assert main(["sieve", "--limit", "3001"]) == 0
     fresh = path.read_bytes()
     older = fresh.replace(CACHE_MAGIC, b"ARITHv2", 1)
-    for bad in (fresh[:-100], older, _arith_v3(build_table(3001))):
+    table = build_table(3001)
+    v3 = _older_cache(table, b"ARITHv3", ("spf", "liouville", "mobius", "dcount",
+                                          "beta", "nu", "nu_cumsum"))
+    v4 = _older_cache(table, b"ARITHv4", ("spf", "liouville", "mobius", "dcount",
+                                          "beta_odd", "nu_odd"))
+    for bad in (fresh[:-100], older, v3, v4):
         path.write_bytes(bad)
         capsys.readouterr()
         assert main(["sieve", "--limit", "3001"]) == 0

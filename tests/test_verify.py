@@ -384,9 +384,9 @@ def test_all_equals_the_sorted_runs_of_each_group(grid, table_100k):
 
 
 def test_all_on_a_loaded_table_matches_the_sieved_one(tmp_path):
-    # the cache holds beta and nu at odd n and no S; the table read back gives
-    # the sieved table's reports byte for byte, and neither run builds the
-    # full-length beta, nu or nu_cumsum
+    # the cache holds every array at odd n only, with no S and no spf; the
+    # table read back gives the sieved table's reports byte for byte, and
+    # neither run builds spf or a full-length array
     table = build_table(20_001)
     save_table(table, tmp_path / "arith.bin")
     loaded = load_table(tmp_path / "arith.bin")
@@ -394,7 +394,8 @@ def test_all_on_a_loaded_table_matches_the_sieved_one(tmp_path):
     assert dump(run_group("all", loaded)) == dump(run_group("all", table))
     for t in (table, loaded):
         assert "_kernel_ws" in vars(t)
-        assert not {"beta", "nu", "nu_cumsum"} & set(vars(t))
+        assert not {"spf", "liouville", "mobius", "dcount", "beta", "nu",
+                    "nu_cumsum"} & set(vars(t))
 
 
 def test_kernel_groups_on_two_threads_match_one_thread(monkeypatch):
