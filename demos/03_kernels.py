@@ -36,7 +36,7 @@ print(f"\npower series at z={z}: {kernel_N_series(z).real:.12f} "
       f"vs direct {kernel_N(z, table).real:.12f}")
 
 # The shared poles carry residues beta(2l+1)/sqrt(2l+1); extract them
-# numerically by Richardson extrapolation along a shrinking approach.
+# numerically as the mean of (z - p) K(z) over 32 points of |z - p| = pi/2.
 print("\nresidues at i pi (2l+1):")
 for l in (0, 1, 2):
     want = table.beta_odd[l] / math.sqrt(2 * l + 1)  # beta(2l+1)

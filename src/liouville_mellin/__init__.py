@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 from .arith import (ArithTable, beta_value, build_table, divisor_count,
                     liouville, load_table, mobius, nu_partial_sum, nu_value,
                     save_table, sqfree_square_split)
-from .errors import (CacheFormatError, DomainError, EstimationFailureError,
-                     InvalidArgumentError, LiouvilleMellinError,
-                     NearZeroDenominatorError, NonConvergenceError, PoleError,
-                     RangeError, TruncationBudgetError)
+from .errors import (CacheFormatError, DomainError, InvalidArgumentError,
+                     LiouvilleMellinError, NearZeroDenominatorError,
+                     NonConvergenceError, PoleError, RangeError,
+                     TruncationBudgetError)
 from .kernels import (fermi, fermi_deficit, kernel_M, kernel_M_prime, kernel_N,
                       kernel_N_series, residue_estimate)
 from .quadrature import IntegralResult, integrate_gamma_zeta_a, integrate_mellin

@@ -56,6 +56,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -282,7 +283,10 @@ def abs_max(a: np.ndarray) -> float:
 
 
 def _check_range(table: ArithTable, n: int) -> int:
-    n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArgumentError(f"n must be an integer, got {n!r}") from None
     if n < 1 or n > table.limit:
         raise RangeError(f"n={n} outside table range 1..{table.limit}")
     return n

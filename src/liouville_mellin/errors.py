@@ -64,17 +64,5 @@ class NonConvergenceError(LiouvilleMellinError, RuntimeError):
         self.partial = partial
 
 
-class EstimationFailureError(LiouvilleMellinError, RuntimeError):
-    """A limit extrapolation did not converge.
-
-    Attributes:
-        sequence: the extrapolation sequence, for diagnostics.
-    """
-
-    def __init__(self, message, sequence=None):
-        super().__init__(message)
-        self.sequence = list(sequence) if sequence is not None else None
-
-
 class CacheFormatError(LiouvilleMellinError, ValueError):
     """A table cache file is malformed or fails its checksum."""

@@ -696,7 +696,7 @@ def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationR
             est = residue_estimate(kernel, l, table)
             reports.append(make_report(
                 f"identity.residue-{kernel}", {"l": l}, est, expect, tol_abs=1e-4,
-                notes=f"Richardson-extrapolated residue at i pi ({n})"))
+                notes=f"32-point contour-mean residue at i pi ({n})"))
     return _sorted(reports)
 
 

@@ -294,6 +294,13 @@ def test_argument_validation(table_small):
         nu_value(table_small, 3002)
     with pytest.raises(RangeError):
         nu_partial_sum(table_small, -5)
+    # the point API takes integer types only: neither truncated floats nor strings
+    for f in (liouville, mobius, divisor_count, beta_value, nu_value, nu_partial_sum,
+              sqfree_square_split):
+        for n in (2.7, "5"):
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                f(table_small, n)
+        assert f(table_small, np.int64(5)) == f(table_small, 5)
 
 
 def test_limit_past_int32_refused_before_allocation():

@@ -1,7 +1,8 @@
 """Module boundaries: no package module imports another one's private names,
 every module exports only names it defines, no private name is left unused,
-no public evaluator or verify group takes a configuration object, and the
-CLI starts without the modules the package imports only on first use."""
+every error class is raised somewhere, no public evaluator or verify group
+takes a configuration object, and the CLI starts without the modules the
+package imports only on first use."""
 
 import ast
 import importlib
@@ -70,6 +71,23 @@ def test_no_unused_private_names():
                 used.add(node.attr)
     assert sorted(f"{where} {name}" for name, where in defined.items()
                   if name not in used) == []
+
+
+def test_every_error_class_is_raised():
+    # an exception class that no `raise X(` in the package names, and that no
+    # raised class derives from, is dead code
+    raised = {node.exc.func.id
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    errors = importlib.import_module("liouville_mellin.errors")
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    live = [classes[name] for name in raised & classes.keys()]
+    assert live
+    assert sorted(name for name, cls in classes.items()
+                  if not any(issubclass(r, cls) for r in live)) == []
 
 
 def test_no_public_function_takes_a_configuration():

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from liouville_mellin import (DomainError, EstimationFailureError, InvalidArgumentError,
-                              PoleError, TruncationBudgetError, build_table, fermi, fermi_deficit, kernel_M,
+from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, RangeError,
+                              TruncationBudgetError, build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin import kernels
@@ -194,14 +194,13 @@ def test_kernel_M_prime_domain(table_100k):
 # -------------------------------------------------------------- residues ----
 
 def test_residues_match_beta(table_100k):
-    # residue at i pi (2l+1) is beta(2l+1)/sqrt(2l+1)
-    expected = {0: 1.0, 1: -1.0 / math.sqrt(3.0), 2: -1.0 / math.sqrt(5.0)}
-    for l, want in expected.items():
-        got = residue_estimate("N", l, table_100k)
-        assert got.real == pytest.approx(want, abs=1e-4)
-        assert abs(got.imag) < 1e-4
-    got = residue_estimate("M", 1, table_100k)
-    assert got.real == pytest.approx(expected[1], abs=1e-4)
+    # residue at i pi (2l+1) is beta(2l+1)/sqrt(2l+1), to rounding for both kernels
+    for l in (0, 1, 2, 7):
+        want = table_100k.beta_odd[l] / math.sqrt(2 * l + 1)
+        for kernel in ("N", "M"):
+            got = residue_estimate(kernel, l, table_100k)
+            assert abs(got.real - want) <= 1e-14, (kernel, l, got)
+            assert abs(got.imag) <= 1e-14, (kernel, l, got)
 
 
 def test_residue_bad_kernel(table_100k):
@@ -209,17 +208,23 @@ def test_residue_bad_kernel(table_100k):
         residue_estimate("Q", 0, table_100k)
 
 
-def test_residue_errors(table_small, monkeypatch):
+def test_residue_errors(table_small):
     with pytest.raises(DomainError, match="l must be >= 0"):
         residue_estimate("N", -1, table_small)
-    # a kernel that returns noise: the Richardson sequence does not settle
-    noise = 1e6 * np.random.default_rng(3).standard_normal(17)
-    monkeypatch.setattr(kernels, "kernel_N", lambda z, table: noise)
-    with pytest.raises(EstimationFailureError, match="did not settle") as err:
-        residue_estimate("N", 0, table_small)
-    f = 2.0 ** -np.arange(4, 21) * noise
-    r1 = 2.0 * f[1:] - f[:-1]
-    assert err.value.sequence == ((4.0 * r1[1:] - r1[:-1]) / 3.0).tolist()
+    for l in (0.5, 2.0, "1"):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            residue_estimate("M", l, table_small)
+    assert residue_estimate("N", np.int64(1), table_small) == residue_estimate("N", 1, table_small)
+    # past the depth the truncated N has no pole and the truncated M only part of one
+    depth = _ws(table_small).depth
+    for kernel in ("N", "M"):
+        for l in (depth, 2000):
+            with pytest.raises(RangeError, match="depth"):
+                residue_estimate(kernel, l, table_small)
+    assert abs(residue_estimate("M", depth - 1, table_small)
+               - table_small.beta_odd[depth - 1] / math.sqrt(2 * depth - 1)) <= 1e-12
+    with pytest.raises(TruncationBudgetError, match="omitted pole"):
+        residue_estimate("N", depth - 1, table_small)
 
 
 # ---------------------------------------------------------- config clamp ----
