@@ -263,20 +263,6 @@ def pairwise_sum(term, lo: int, n: int):
     return pairwise_sum(term, lo, half) + pairwise_sum(term, lo + half, n - half)
 
 
-def running_sums(term, n: int):
-    """(lo, np.cumsum(term(0, n), axis=-1)[..., lo:hi]) per chunk, summed in
-    place in the new float array term returns: the carry enters the chunk's
-    first term before its cumsum, so the additions stay sequential."""
-    carry = 0.0
-    for lo, hi in chunks(n):
-        c = term(lo, hi)
-        if lo:
-            c[..., 0] += carry
-        np.cumsum(c, axis=-1, out=c)
-        carry = c[..., -1].copy()
-        yield lo, c
-
-
 def abs_max(a: np.ndarray) -> float:
     """max |a| over a non-empty 1-d array, one chunk at a time."""
     return max(float(np.abs(a[lo:hi]).max()) for lo, hi in chunks(len(a)))
@@ -411,8 +397,10 @@ def load_table(path: str | os.PathLike) -> ArithTable:
     match the file size before anything is allocated.  The arrays
     share one allocation.  Each is read in place and handed to one of
     HASH_WORKERS threads at once, so reading the next array overlaps with
-    hashing this one and the payload is held once; the digests are compared
-    in field order after the last read.
+    hashing this one and the payload is held once.  The largest field,
+    nu_odd (the last on disk), is read and hashed first, as its hash is the
+    longest; then the table, with its np.cumsum of S, is made while the
+    digests run.  They are compared in field order before it is returned.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
@@ -448,16 +436,20 @@ def load_table(path: str | os.PathLike) -> ArithTable:
         # table resident (peak RSS +5 MB in repeated loads)
         spans = [-(-size // 16) * 16 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
-        arrays, lo, digests = {}, 0, []
-        for (name, dtype), span in zip(_CACHE_FIELDS, spans):
-            arrays[name] = block[lo:lo + span].view(dtype)[:half]
-            lo += span
+        arrays, offsets, lo, at, digests = {}, {}, 0, fh.tell(), {}
+        for (name, dtype), span, size in zip(_CACHE_FIELDS, spans, sizes):
+            arrays[name], offsets[name] = block[lo:lo + span].view(dtype)[:half], at
+            lo, at = lo + span, at + size
         with ThreadPoolExecutor(HASH_WORKERS) as pool:  # joins its threads on any exit
-            for name, arr in arrays.items():
+            # the largest field first: its hash is the longest
+            for name in ("nu_odd", *(name for name in arrays if name != "nu_odd")):
+                arr = arrays[name]
+                fh.seek(offsets[name])
                 if fh.readinto(arr) != arr.nbytes:
                     raise CacheFormatError(f"short read of {name} in {path}")
-                digests.append(pool.submit(_sha256, arr))
-    for (name, _, _, sha), digest in zip(fields, digests):
-        if digest.result() != sha:
-            raise CacheFormatError(f"checksum mismatch in field {name} of {path}")
-    return ArithTable(limit=limit, **arrays)
+                digests[name] = pool.submit(_sha256, arr)
+            table = ArithTable(limit=limit, **arrays)  # sums S while the digests run
+            for name, _, _, sha in fields:
+                if digests[name].result() != sha:
+                    raise CacheFormatError(f"checksum mismatch in field {name} of {path}")
+    return table

@@ -394,15 +394,17 @@ class _HeadBlocks:
 
     def _rows(self, B: int, lo: int, hi: int):
         """Block B's rows v_m T_k(tau_m), k < _CHEB, then |v_m|, over lo <= m < hi,
-        one at a time in one buffer; the recurrence keeps T_(k-1) and T_(k-2)."""
+        one at a time in one buffer; the recurrence T_k = 2 tau T_(k-1) - T_(k-2)
+        writes T_k over T_(k-2), with 2 tau made once."""
         v = self.read(lo, hi)
         tau = (1.0 / odd(lo, hi) - self.w0[B]) / (self.delta[B] or 1.0)  # 0 on a one-term block
         row = v.copy()  # T_0 = 1
         yield row
-        t_prev, t = np.ones(hi - lo), tau
+        t_prev, t, tau2 = np.ones(hi - lo), tau, 2.0 * tau
         yield np.multiply(t, v, out=row)
         for _ in range(2, _CHEB):
-            t_prev, t = t, 2.0 * tau * t - t_prev
+            np.subtract(np.multiply(tau2, t, out=row), t_prev, out=t_prev)
+            t_prev, t = t, t_prev
             yield np.multiply(t, v, out=row)
         yield np.abs(v, out=row)
 
@@ -528,7 +530,7 @@ def kernel_N_with_bound(z, table: ArithTable):
     zabs = np.abs(zs)
     bound = _N_tail_bound(zabs, ws.depth)
     if np.iscomplexobj(zs):
-        shrink = (zabs / (math.pi * (2.0 * ws.depth + 1.0))) ** 2
+        shrink = _N_shrink(zabs, ws.depth)
         if shrink.max() > 0.75:
             raise TruncationBudgetError(
                 f"kernel_N: |z|={zabs.max():.6g} is within a factor 0.866 of the "
@@ -537,6 +539,11 @@ def kernel_N_with_bound(z, table: ArithTable):
     vals, remainder = _kernel_sum(_FORM_N, zs, ws)
     bound = bound + remainder
     return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
+
+
+def _N_shrink(zabs, M: int):
+    # (|z| / (pi (2M+1)))^2; off the axis N's tail bound needs it <= 0.75
+    return (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
 
 
 def _N_tail_bound(xabs, M: int):
@@ -732,12 +739,17 @@ def residue_estimate(kernel: str, l: int, table: ArithTable) -> complex:
     Weideman, SIAM Review 56 (2014), sec. 2); as R -> 2 pi the factor tends to
     4^-32 ~ 5e-21, so rounding dominates.
 
+    The range of l is 0 <= l < M for M, M the workspace depth.  For N it
+    ends where the contour leaves the disc on which kernel_N bounds its tail,
+    |z| <= (sqrt(3)/2) pi (2M+1): about 2l + 3/2 <= 0.866 (2M+1), so
+    l <= 1299 at M = 1501 (a 3,001 table).
+
     Raises:
         DomainError: for a kernel other than "N" or "M", or l < 0.
         InvalidArgumentError: for a non-integer l.
-        RangeError: for l at or past the workspace depth, where the truncated
-            N has no pole and the truncated M lacks divisors of 2l+1.
-        TruncationBudgetError: from kernel_N, near its first omitted pole.
+        RangeError: for l outside that range: at or past the depth the
+            truncated N has no pole and the truncated M lacks divisors of
+            2l+1, and past N's disc its tail bound fails.
     """
     if kernel not in ("N", "M"):
         raise DomainError(f"kernel must be 'N' or 'M', got {kernel!r}")
@@ -750,6 +762,9 @@ def residue_estimate(kernel: str, l: int, table: ArithTable) -> complex:
     depth = _ws(table).depth
     if l >= depth:
         raise RangeError(f"pole index l={l} outside the kernels' depth 0..{depth - 1}")
-    pole = 1j * math.pi * (2 * l + 1)
-    values = (kernel_N if kernel == "N" else kernel_M)(pole + _CONTOUR, table)
+    z = 1j * math.pi * (2 * l + 1) + _CONTOUR
+    if kernel == "N" and _N_shrink(np.abs(z), depth).max() > 0.75:
+        raise RangeError(f"pole index l={l}: the contour leaves kernel_N's disc "
+                         f"|z| <= 0.866 pi*{2 * depth + 1}")
+    values = (kernel_N if kernel == "N" else kernel_M)(z, table)
     return complex(np.mean(_CONTOUR * values))

@@ -38,8 +38,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .arith import (ArithTable, abs_max, chunks, nu_partial_sum, odd, pairwise_sum,
-                    running_sums)
+from . import arith
+from .arith import ArithTable, abs_max, nu_partial_sum, odd, pairwise_sum
 from .errors import (InvalidArgumentError, NonConvergenceError, PoleError,
                      TruncationBudgetError)
 from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fermi_deficit,
@@ -47,7 +47,7 @@ from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fer
                       kernel_series_with_bound, residue_estimate)
 from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
                          integrate_gamma_zeta_a, integrate_mellin)
-from .special import DEFAULT_EVAL_CONFIG, eta_continued, gamma, zeta, zeta_alternating
+from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
                           zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
@@ -219,26 +219,40 @@ DEFAULT_IDENTITY_POINTS = (
 def verify_identity_MN(table: ArithTable,
                        points=DEFAULT_IDENTITY_POINTS) -> list[VerificationReport]:
     """M(z) == N(z) pointwise, plus the power-series coefficient identity and
-    the Fermi-kernel power series."""
+    the Fermi-kernel power series.
+
+    The real points go to each kernel as one float array and the others as
+    one complex array; a point's values do not depend on the points beside
+    it.  A point on a pole, the first of which kernel_N's PoleError names,
+    gives a skipped row, and the other points run again.  The rows are
+    returned sorted (_sorted, by z's string), not in the order of `points`.
+    """
     reports = []
-    for z in points:
-        z = complex(z)
-        try:
-            nv, nb = kernel_N_with_bound(z, table)
-            mv, mb = kernel_M_with_bound(z, table, form="half-shifted")
-        except PoleError as exc:
-            reports.append(make_report(
-                "identity.point", {"z": str(z)}, 0.0, 0.0, passed=True,
-                notes=f"skipped: {exc}"))
-            continue
-        budget = nb + mb
-        diff = abs(mv - nv)
-        reports.append(make_report(
-            "identity.point", {"z": str(z)}, mv, nv,
-            budget={"n_tail_bound": nb, "m_tail_bound": mb,
-                    "combined": budget, "tol_abs": IDENTITY_ABS_TOL},
-            passed=bool(diff <= budget and diff <= IDENTITY_ABS_TOL),
-            notes="exponential vs partial-fraction kernel"))
+    zs = [complex(z) for z in points]
+    for batch in ([z for z in zs if z.imag == 0.0], [z for z in zs if z.imag != 0.0]):
+        while batch:
+            arg = np.array(batch) if batch[0].imag else np.array([z.real for z in batch])
+            try:
+                n_vals, n_bounds = kernel_N_with_bound(arg, table)
+            except PoleError as exc:
+                z = next(z for z in batch if abs(z - exc.location) < POLE_TOL)
+                reports.append(make_report(
+                    "identity.point", {"z": str(z)}, 0.0, 0.0, passed=True,
+                    notes=f"skipped: {exc}"))
+                batch.remove(z)
+                continue
+            m_vals, m_bounds = kernel_M_with_bound(arg, table, form="half-shifted")
+            for z, nv, nb, mv, mb in zip(batch, n_vals.tolist(), n_bounds.tolist(),
+                                         m_vals.tolist(), m_bounds.tolist()):
+                budget = nb + mb
+                diff = abs(complex(mv) - complex(nv))
+                reports.append(make_report(
+                    "identity.point", {"z": str(z)}, mv, nv,
+                    budget={"n_tail_bound": nb, "m_tail_bound": mb,
+                            "combined": budget, "tol_abs": IDENTITY_ABS_TOL},
+                    passed=bool(diff <= budget and diff <= IDENTITY_ABS_TOL),
+                    notes="exponential vs partial-fraction kernel"))
+            break
 
     # coefficient identity: zeta_imp(2k+2) zeta_nu(2k+1) = zeta_beta(2k+5/2)
     for k in range(11):
@@ -503,41 +517,100 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
 # sieve-level bounds and Dirichlet-sum oracles
 # --------------------------------------------------------------------------
 
+def _odd_pass(table: ArithTable, s: float, ends: dict[int, int]) -> dict:
+    """verify_bounds' one pass over odd n, along the pairwise tree of the
+    second-form series sum_m beta(n)/sqrt(n) (pi n)^(s-1/2), n = 2m+1, whose
+    leaves come in ascending order (arith.pairwise_sum).  Each leaf also
+    scans -1 < beta(n)/sqrt(n) <= 1, with equality exactly at odd squares,
+    and the divisor bound |nu(n)| <= d(n)/n (1e-15 rounding slack), and
+    carries the running sums of |beta(n)| n^-3/2 and of mu(n)/n (the latter
+    only up to the last of `ends`) into the next leaf.  Counts, extremes and
+    sequential sums do not depend on where the leaves split, and each term is
+    computed as a whole-range scan computes it, so every value keeps its bits.
+
+    Returns the series, the violation, mismatch and nu_viol counts, the min
+    and max of beta(n)/sqrt(n), the last running sum of |beta(n)| n^-3/2
+    (their maximum, as the terms are >= 0), and |sum of mu(n)/n| at each end.
+    """
+    n_half = (table.limit + 1) // 2
+    newman_stop = max(ends.values(), default=-1) + 1
+    scan = {"viol": 0, "mismatches": 0, "nu_viol": 0, "min": math.inf, "max": -math.inf,
+            "beta_abs": 0.0, "newman": 0.0, "at": {}}
+    # work rows as long as a leaf, allocated once: fresh leaf-long temporaries
+    # may come from mmap, or from a heap trimmed after each leaf, and then
+    # page-fault on every leaf.  rows[0] = odd(0, length), summed in place as
+    # 1 + 2 + 2 + ... (exact), with no temporary beside the rows
+    length = min(arith.SCAN, n_half)
+    rows = np.full((4, length), 2.0)
+    rows[0, 0] = 1.0
+    np.cumsum(rows[0], out=rows[0])
+
+    def leaf(lo, hi):
+        odd0, n, buf, r = rows[:, :hi - lo]
+        np.add(odd0, 2 * lo, out=n)  # odd(lo, hi)
+        np.divide(table.dcount_odd[lo:hi], n, out=buf)
+        buf += 1e-15
+        scan["nu_viol"] += int(np.count_nonzero(np.abs(table.nu_odd[lo:hi], out=r) > buf))
+        np.divide(np.abs(table.beta_odd[lo:hi], out=r), np.power(n, 1.5, out=buf), out=r)
+        r[0] += scan["beta_abs"]
+        scan["beta_abs"] = float(np.cumsum(r, out=r)[-1])
+        if lo < newman_stop:
+            row = r[:newman_stop - lo]
+            np.divide(table.mobius_odd[lo:lo + len(row)], n[:len(row)], out=row)
+            row[0] += scan["newman"]
+            scan["newman"] = float(np.cumsum(row, out=row)[-1])
+            scan["at"].update((k, abs(float(row[j - lo]))) for k, j in ends.items()
+                              if lo <= j < lo + len(row))
+        ratio = np.divide(table.beta_odd[lo:hi], np.sqrt(n, out=r), out=r)
+        low, high = float(ratio.min()), float(ratio.max())
+        scan["min"], scan["max"] = min(scan["min"], low), max(scan["max"], high)
+        if low <= -1.0 or high > 1.0 + 1e-12:
+            scan["viol"] += int(np.count_nonzero((ratio <= -1.0) | (ratio > 1.0 + 1e-12)))
+        # the ratio is 1 at an odd square h^2, elsewhere +-k^-1/2 with k >= 3 (n = k h^2)
+        h = np.arange((math.isqrt(2 * lo) + 1) | 1, math.isqrt(2 * hi - 1) + 1, 2)
+        # |ratio - 1| < 1e-12 implies ratio > 0.75 (a NaN fails both)
+        idx = np.flatnonzero(ratio > 0.75)
+        scan["mismatches"] += len(np.setxor1d(idx[np.abs(ratio[idx] - 1.0) < 1e-12],
+                                              h * h // 2 - lo))
+        term = np.power(np.multiply(n, math.pi, out=buf), s - 0.5, out=buf)
+        return np.multiply(ratio, term, out=term)
+
+    scan["series"] = float(pairwise_sum(leaf, 0, n_half))
+    return scan
+
+
 def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     """Inequality scans over the full table plus table-partial-sum vs
-    closed-form checks for every generating function.  Every scan walks the
-    table in arith.SCAN-long chunks; each sum keeps the order of one np.sum
-    or np.cumsum over the whole range, so the values match to the bit."""
+    closed-form checks for every generating function.
+
+    The odd halves are read in one pass (_odd_pass): the leaves of the
+    second-form series' pairwise sum also give the ratio, equality and
+    divisor scans and the running sums of the partial-sum and Newman rows.
+    Every other scan walks its range in leaves of at most arith.SCAN terms.
+    The bits stay those of whole-range scans: each term is the same IEEE
+    operations on the same operands wherever a leaf starts, counts and
+    extremes do not depend on the split, each pairwise sum splits where
+    numpy's np.sum splits, and each running sum carries its last value into
+    the next leaf's first term, so its additions stay those of one np.cumsum.
+    """
     reports = []
     limit = table.limit
     n_half = (limit + 1) // 2  # odd n <= limit
-
-    # one pass over odd n: -1 < beta(n)/sqrt(n) <= 1 with equality exactly at
-    # odd squares, and the divisor bound |nu(n)| <= d(n)/n (1e-15 rounding
-    # slack); nu = 0 at even n
-    viol = mismatches = nu_viol = 0
-    min_ratio, max_ratio = math.inf, -math.inf
-    for lo, hi in chunks(n_half):
-        n_odd = odd(lo, hi)
-        root = np.sqrt(n_odd)
-        r = table.beta_odd[lo:hi] / root
-        viol += int(np.count_nonzero((r <= -1.0) | (r > 1.0 + 1e-12)))
-        is_square = root.astype(np.int64) ** 2 == n_odd
-        mismatches += int(np.count_nonzero((np.abs(r - 1.0) < 1e-12) != is_square))
-        nu_viol += int(np.count_nonzero(np.abs(table.nu_odd[lo:hi])
-                                        > table.dcount_odd[lo:hi] / n_odd
-                                        + 1e-15))
-        min_ratio = min(min_ratio, float(r.min()))
-        max_ratio = max(max_ratio, float(r.max()))
+    s = -1.25  # the second form of the alpha/beta equation, below
+    # the running sums of mu(n)/n at the ends of the Newman trend's octaves:
+    # the sum at j covers the odd n <= 2j + 1, so n <= 2^k ends at j = 2^(k-1) - 1
+    ends = {k: 2 ** (k - 1) - 1 for k in (*range(8, 13), *range(16, 22))
+            if 2 ** k <= limit}
+    scan = _odd_pass(table, s, ends)
     reports.append(make_report(
-        "bounds.beta-ratio-scan", {"n_max": limit}, float(viol), 0.0, tol_abs=0.0,
-        budget={"min_ratio": min_ratio, "max_ratio": max_ratio},
+        "bounds.beta-ratio-scan", {"n_max": limit}, float(scan["viol"]), 0.0, tol_abs=0.0,
+        budget={"min_ratio": scan["min"], "max_ratio": scan["max"]},
         notes="violations of -1 < beta/sqrt(n) <= 1 over odd n (must be 0)"))
     reports.append(make_report(
-        "bounds.beta-ratio-equality", {"n_max": limit}, float(mismatches), 0.0,
+        "bounds.beta-ratio-equality", {"n_max": limit}, float(scan["mismatches"]), 0.0,
         tol_abs=0.0, notes="equality holds exactly at odd perfect squares"))
     reports.append(make_report(
-        "bounds.nu-divisor-scan", {"n_max": limit}, float(nu_viol), 0.0, tol_abs=0.0,
+        "bounds.nu-divisor-scan", {"n_max": limit}, float(scan["nu_viol"]), 0.0, tol_abs=0.0,
         notes="violations of |nu| <= d(n)/n (must be 0)"))
 
     # convolution identity sum_{l|n} l nu(l) = beta(n)/sqrt(n), odd n <= 1e4:
@@ -562,13 +635,14 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     def dirichlet(lo, hi):  # lambda, mu, nu over n^3 and nu over n, lo < n <= hi
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         cube = n ** 3
-        rows = np.zeros((4, hi - lo))  # nu's rows stay 0 at even n
-        rows[0] = table.spread("liouville", lo + 1, hi + 1)
-        rows[1] = table.spread("mobius", lo + 1, hi + 1)
-        rows[2:, lo % 2::2] = table.nu_odd[(lo + 1) // 2:(hi + 1) // 2]
-        for row, d in zip(rows, (cube, cube, cube, n)):
-            np.divide(row, d, out=row)
-        return rows
+        row = np.empty(hi - lo)  # one row at a time (arith.pairwise_sum)
+        for name in ("liouville", "mobius"):
+            row[:] = table.spread(name, lo + 1, hi + 1)
+            yield np.divide(row, cube, out=row)
+        for d in (cube, n):
+            row[:] = 0.0  # nu = 0 at even n
+            row[lo % 2::2] = table.nu_odd[(lo + 1) // 2:(hi + 1) // 2]
+            yield np.divide(row, d, out=row)
 
     N_l = min(10 ** 6, limit)
     lam3, mu3, nu3, nu1 = pairwise_sum(dirichlet, 0, N_l)
@@ -609,24 +683,9 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         budget={"abel_tail": tail_s1, "tail_kind": "empirical S envelope"},
         notes="table partial sum vs zeta_nu(1)"))
 
-    # running sums over odd n: |beta(n)| n^-3/2, whose maximum stays under the
-    # squarefree-times-square double sum, and mu(n)/n for the Newman trend
-    def running(lo, hi):
-        n = odd(lo, hi)
-        rows = np.empty((2, hi - lo))
-        np.divide(np.abs(table.beta_odd[lo:hi]), n ** 1.5, out=rows[0])
-        np.divide(table.mobius_odd[lo:hi], n, out=rows[1])
-        return rows
-
-    # the running sum at j covers the odd n <= 2j + 1, so n <= 2^k ends at
-    # j = 2^(k-1) - 1
-    ends = {k: 2 ** (k - 1) - 1 for k in (*range(8, 13), *range(16, 22))
-            if 2 ** k <= limit}
-    partial_max, at = -math.inf, {}
-    for lo, (beta_abs, newman) in running_sums(running, n_half):
-        partial_max = max(partial_max, float(beta_abs.max()))
-        at.update((k, abs(newman[j - lo])) for k, j in ends.items()
-                  if lo <= j < lo + len(newman))
+    # the running sums of |beta(n)| n^-3/2 stay under the squarefree-times-square
+    # double sum
+    partial_max = scan["beta_abs"]
     cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(
         "bounds.beta-abs-partial", {"n_max": limit}, partial_max, cap,
@@ -635,6 +694,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="running sums of |beta| n^-3/2 vs zeta(3/2) zeta(2)"))
 
     # Newman trend: dyadic partial sums of mu(2n+1)/(2n+1) drift toward 0
+    at = scan["at"]
     early = [at[k] for k in range(8, 13) if k in at]
     late = [at[k] for k in range(16, 22) if k in at]
     if early and late:
@@ -645,19 +705,12 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
             notes="trend assertion only: late dyadic sums below early ones"))
 
     # second form of the alpha/beta equation at s = -1.25: truncated series
-    s = -1.25
-
-    def second_form(lo, hi):
-        n = odd(lo, hi)
-        return table.beta_odd[lo:hi] / np.sqrt(n) * (math.pi * n) ** (s - 0.5)
-
-    series = float(pairwise_sum(second_form, 0, n_half))
     target = (zeta_beta(1.0 - s) * math.pi ** (s - 0.5)).real
     # |beta|/sqrt(2m+1) <= 1, so the tail is below the integral of (2m+1)^(s-1/2)
     tail = (math.pi ** (s - 0.5) * np.float64(2 * n_half - 1) ** (s + 0.5)
             / (-(s + 0.5) * 2.0))
     reports.append(make_report(
-        "bounds.second-form", {"s": s, "terms": n_half}, series, target,
+        "bounds.second-form", {"s": s, "terms": n_half}, scan["series"], target,
         tol_abs=abs(tail),
         budget={"analytic_tail": abs(tail)},
         notes="truncated beta series vs zeta_beta(1-s) pi^(s-1/2)"))

@@ -445,6 +445,30 @@ def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
             load_table(path)
 
 
+def test_cache_checks_fields_in_file_order_although_nu_is_read_first(table_100k, tmp_path):
+    # load_table reads and hashes nu_odd (the last field on disk) first and
+    # sums S while the digests run; the digests are still checked in field order
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_100k, path)
+    start, lo = {}, 0
+    for f in header["fields"]:
+        start[f["name"]], lo = lo, lo + f["len"] * np.dtype(f["dtype"]).itemsize
+    middle = {"nu_odd": start["nu_odd"] + 8 * 31_337 + 3,
+              "liouville_odd": start["liouville_odd"] + 27_183}
+    for flipped, named in ((["nu_odd"], "nu_odd"), (["liouville_odd"], "liouville_odd"),
+                           (["nu_odd", "liouville_odd"], "liouville_odd")):
+        raw = bytearray(payload)
+        for name in flipped:
+            raw[middle[name]] ^= 0x10
+        _write_cache(path, header, bytes(raw))
+        with pytest.raises(CacheFormatError, match=f"mismatch in field {named} of "):
+            load_table(path)
+    _write_cache(path, header, payload)
+    loaded = load_table(path)
+    for f in dataclasses.fields(loaded):
+        assert np.array_equal(getattr(loaded, f.name), getattr(table_100k, f.name)), f.name
+
+
 def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_small,
                                                                      tmp_path):
     # every stored array covers the (limit + 1) // 2 odd n.  A header giving

@@ -223,8 +223,13 @@ def test_residue_errors(table_small):
                 residue_estimate(kernel, l, table_small)
     assert abs(residue_estimate("M", depth - 1, table_small)
                - table_small.beta_odd[depth - 1] / math.sqrt(2 * depth - 1)) <= 1e-12
-    with pytest.raises(TruncationBudgetError, match="omitted pole"):
-        residue_estimate("N", depth - 1, table_small)
+    # N's contour must stay where kernel_N bounds its tail, |z| <= 0.866 pi (2M+1)
+    assert depth == 1501
+    assert abs(residue_estimate("N", 1299, table_small)
+               - table_small.beta_odd[1299] / math.sqrt(2599)) <= 1e-12
+    for l in (1300, depth - 1):
+        with pytest.raises(RangeError, match="disc"):
+            residue_estimate("N", l, table_small)
 
 
 # ---------------------------------------------------------- config clamp ----

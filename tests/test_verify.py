@@ -72,6 +72,30 @@ def test_identity_skips_pole_points(table_100k):
     assert pt.passed and "skipped" in pt.notes
 
 
+def test_identity_points_in_arrays_match_the_point_by_point_rows(table_100k):
+    # one array per kernel and kind (real, complex); i pi and 3 i pi are poles
+    import math
+    points = (0.3, 2.5, 1j * math.pi, 1.0 + 1.0j, -1.5, 3j * math.pi, 0.5 - 0.5j, 2.0 + 2.5j)
+    rows = [r for r in verify_identity_MN(table_100k, points=points)
+            if r.check_id == "identity.point"]
+    # the rows come back in the group's sorted order (by z's string), whatever
+    # the batches and the skips, as when each point was evaluated on its own
+    assert [r.inputs["z"] for r in rows] == sorted(str(complex(z)) for z in points)
+    for r in rows:
+        z = complex(r.inputs["z"])
+        if z.real == 0.0 and z.imag > 0.0:
+            with pytest.raises(kernels.PoleError) as err:
+                kernels.kernel_N_with_bound(z, table_100k)
+            assert r.notes == f"skipped: {err.value}" and r.passed
+            continue
+        nv, nb = kernels.kernel_N_with_bound(z, table_100k)
+        mv, mb = kernels.kernel_M_with_bound(z, table_100k, form="half-shifted")
+        assert (r.lhs, r.rhs) == (mv, nv)
+        assert r.budget == {"n_tail_bound": nb, "m_tail_bound": mb, "combined": nb + mb,
+                            "tol_abs": verify.IDENTITY_ABS_TOL}
+        assert r.passed
+
+
 def test_functional_group():
     reports = verify_functional_equations()
     assert all(r.passed for r in reports), [
@@ -147,6 +171,76 @@ BOUNDS_PINS_100K = [
 ]
 
 
+def _odd_scans_apart(table):
+    """The values of verify_bounds' odd-n pass as three scans over whole
+    arrays, as they were computed before the pass was fused: the ratio and
+    divisor scan, the running sums, and the second-form series."""
+    n = arith.odd(0, (table.limit + 1) // 2)
+    root = np.sqrt(n)
+    r = table.beta_odd / root
+    is_square = root.astype(np.int64) ** 2 == n
+    running = np.cumsum(np.abs(table.beta_odd) / n ** 1.5)
+    newman = np.cumsum(table.mobius_odd / n)
+    at = {k: abs(newman[2 ** (k - 1) - 1]) for k in (*range(8, 13), *range(16, 22))
+          if 2 ** k <= table.limit}
+    early = [at[k] for k in range(8, 13) if k in at]
+    late = [at[k] for k in range(16, 22) if k in at]
+    return {
+        "bounds.beta-ratio-scan": (
+            float(np.count_nonzero((r <= -1.0) | (r > 1.0 + 1e-12))),
+            {"min_ratio": float(r.min()), "max_ratio": float(r.max())}),
+        "bounds.beta-ratio-equality": float(np.count_nonzero(
+            (np.abs(r - 1.0) < 1e-12) != is_square)),
+        "bounds.nu-divisor-scan": float(np.count_nonzero(
+            np.abs(table.nu_odd) > table.dcount_odd / n + 1e-15)),
+        "bounds.beta-abs-partial": float(running.max()),
+        "bounds.newman-trend": (max(late), max(early)) if early and late else None,
+        "bounds.second-form": float(np.sum(table.beta_odd / np.sqrt(n)
+                                           * (np.pi * n) ** (-1.25 - 0.5))),
+    }
+
+
+def _odd_pass_rows(table):
+    rows = {r.check_id: r for r in verify_bounds(table)}
+    got = {cid: rows[cid].lhs.real for cid in ("bounds.beta-ratio-equality",
+                                               "bounds.nu-divisor-scan",
+                                               "bounds.beta-abs-partial",
+                                               "bounds.second-form")}
+    scan = rows["bounds.beta-ratio-scan"]
+    got["bounds.beta-ratio-scan"] = (scan.lhs.real, {k: scan.budget[k]
+                                                     for k in ("min_ratio", "max_ratio")})
+    trend = rows.get("bounds.newman-trend")
+    got["bounds.newman-trend"] = trend and (trend.lhs.real, trend.rhs.real)
+    return got
+
+
+@pytest.mark.parametrize("scan", [1 << 16, 128])
+def test_odd_pass_matches_three_separate_scans(scan, table_100k, monkeypatch):
+    monkeypatch.setattr(arith, "SCAN", scan)  # 128: hundreds of leaves
+    for table in (table_100k, build_table(3001), build_table(9), build_table(1)):
+        assert _odd_pass_rows(table) == _odd_scans_apart(table), table.limit
+
+
+def test_odd_pass_counts_violations_like_the_separate_scans(monkeypatch):
+    # a table broken on purpose: ratios outside (-1, 1], ratios below 1 at odd
+    # squares, one above 3^-1/2 elsewhere, |nu| above d(n)/n; the fused leaf
+    # counts each as the separate scans do, at every leaf length
+    table = build_table(20_001)
+    table.beta_odd = table.beta_odd.copy()
+    table.nu_odd = table.nu_odd.copy()
+    table.beta_odd[[10, 4000, 9000]] = [-5, 300, 200]  # n = 21, 8001, 18001
+    table.beta_odd[[24, 4900]] = [3, 98]               # n = 7^2, 99^2
+    table.beta_odd[7000] = 100                         # 100/sqrt(14001) = 0.845
+    table.nu_odd[[7, 5000]] *= 50.0
+    want = _odd_scans_apart(table)
+    assert want["bounds.beta-ratio-scan"][0] == 3.0
+    assert want["bounds.beta-ratio-equality"] == 2.0
+    assert want["bounds.nu-divisor-scan"] == 2.0
+    for scan in (128, 1000, 1 << 16):
+        monkeypatch.setattr(arith, "SCAN", scan)
+        assert _odd_pass_rows(table) == want, scan
+
+
 def test_bounds_rows_reproduce_recorded_values(table_100k):
     rows = [repr((r.check_id, r.inputs, r.lhs, r.rhs, r.abs_err, r.budget))
             for r in verify_bounds(table_100k)]
@@ -190,18 +284,13 @@ def test_chunked_sums_match_numpy_bit_for_bit(n):
     a = np.random.default_rng(n).standard_normal(n)
     term = lambda lo, hi: a[lo:hi].copy()
     assert arith.pairwise_sum(term, 0, n) == np.sum(a)
-    chunks = [c.copy() for _, c in arith.running_sums(term, n)]
-    assert np.array_equal(np.concatenate(chunks), np.cumsum(a))
     if n > arith.SCAN:  # the data tell the pairwise order from the sequential
         assert np.cumsum(a)[-1] != np.sum(a)
-    # a term of several rows: one sum, or one running sum, per row
+    # a term of several rows: one sum per row
     rows = np.stack([a, a[::-1], a * np.pi])
     term = lambda lo, hi: rows[:, lo:hi].copy()
     assert np.array_equal(arith.pairwise_sum(term, 0, n),
                           [np.sum(row) for row in rows])
-    chunks = [c.copy() for _, c in arith.running_sums(term, n)]
-    assert np.array_equal(np.concatenate(chunks, axis=1),
-                          [np.cumsum(row) for row in rows])
 
     def one_buffer(lo, hi):  # the same rows, handed out one at a time in one buffer
         buf = np.empty(hi - lo)
@@ -232,8 +321,10 @@ def test_scan_chunk_length_leaves_rows_unchanged(limit, table_100k, monkeypatch)
 
 @pytest.mark.parametrize("check", [verify_bounds, verify_theorem1])
 def test_table_scans_stay_small(check, table_main):
-    array_bytes = sum(v.nbytes for v in vars(table_main).values()
-                      if isinstance(v, np.ndarray))
+    # the arrays a table holds from the start (its dataclass fields), not
+    # those built on access, so the bound does not depend on earlier tests
+    array_bytes = sum(getattr(table_main, f.name).nbytes
+                      for f in dataclasses.fields(table_main) if f.name != "limit")
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
