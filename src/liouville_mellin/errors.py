@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the overflow guard of the
+zeta layer's products."""
+
+import cmath
+import math
 
 
 class LiouvilleMellinError(Exception):
@@ -66,3 +70,14 @@ class NonConvergenceError(LiouvilleMellinError, RuntimeError):
 
 class CacheFormatError(LiouvilleMellinError, ValueError):
     """A table cache file is malformed or fails its checksum."""
+
+
+def in_double_range(what: str, s: complex, product) -> complex:
+    """product(), or DomainError where a factor, or the value, leaves double range."""
+    try:
+        value = product()
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what}: a factor leaves double range at s={s}")
+    return value

@@ -23,7 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, InvalidArgumentError, NearZeroDenominatorError, PoleError
+from .errors import (DomainError, InvalidArgumentError, NearZeroDenominatorError, PoleError,
+                     in_double_range)
 from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, eta_continued, gamma, zeta
 
 __all__ = ["zeta_imp", "zeta_lambda", "zeta_mu", "zeta_alpha", "zeta_beta",
@@ -38,23 +39,12 @@ def _guarded_div(num: complex, den: complex, what: str) -> complex:
     return num / den
 
 
-def _in_double_range(what: str, s: complex, product) -> complex:
-    """product(), or DomainError where a factor, or the value, leaves double range."""
-    try:
-        value = product()
-    except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
-        raise DomainError(f"{what}: a factor leaves double range at s={s}")
-    return value
-
-
 def zeta_imp(s: complex) -> complex:
     """Dirichlet series over odd integers, (1 - 2^-s) zeta(s)."""
     s = complex(s)
     if abs(s - 1.0) < POLE_TOL:
         raise PoleError("zeta_imp pole at s=1", location=1.0 + 0.0j)
-    return zeta(s) * (1.0 - 2.0 ** (-s))  # zeta raises first where 2^-s would overflow
+    return in_double_range("zeta_imp", s, lambda: zeta(s) * (1.0 - 2.0 ** (-s)))
 
 
 def zeta_lambda(s: complex) -> complex:
@@ -114,8 +104,9 @@ def functional_eq_rhs_zeta_a(s: complex) -> complex:
     region.
     """
     s = complex(s)
-    rest = zeta_imp(1.0 - s)  # raises where the cap binds, before sin(pi s/2) can overflow
-    return -2.0 * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s) * rest
+    rest = zeta_imp(1.0 - s)
+    return in_double_range("functional_eq_rhs_zeta_a", s, lambda: (
+        -2.0 * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0) * gamma(1.0 - s) * rest))
 
 
 def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
@@ -127,8 +118,8 @@ def functional_eq_rhs_zeta_alpha(s: complex) -> complex:
     value, leaves double range.
     """
     s = complex(s)
-    rest = zeta_beta(1.0 - s)  # raises where the cap binds, before cos(pi s/2) can overflow
-    return _in_double_range("functional_eq_rhs_zeta_alpha", s, lambda: (
+    rest = zeta_beta(1.0 - s)
+    return in_double_range("functional_eq_rhs_zeta_alpha", s, lambda: (
         2.0 ** (1.0 - 2.0 * s) * math.pi ** (s - 0.5)
         * cmath.cos(math.pi * s / 2.0) * gamma(0.5 - s) * rest))
 
@@ -141,7 +132,7 @@ def mellin_prefactor(s: complex) -> complex:
     a factor, or the product of the cosines (|Im s| past 226), leaves double range.
     """
     s = complex(s)
-    return _in_double_range("mellin_prefactor", s, lambda: (
+    return in_double_range("mellin_prefactor", s, lambda: (
         2.0 ** (1.0 - 2.0 * s) / math.pi * cmath.cos(math.pi * s / 2.0)
         * cmath.cos(math.pi * s / 2.0 + math.pi / 4.0) * gamma(0.5 - s)))
 

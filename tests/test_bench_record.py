@@ -1,5 +1,5 @@
-"""The committed bench record of certify-2e6: its schema, and summaries that
-agree with the pairs they summarise."""
+"""The committed bench records, one file per workload: their schema, and
+summaries that agree with the pairs they summarise."""
 
 import json
 import statistics
@@ -10,17 +10,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+WORKLOADS = ("certify-2e6", "zeta-points")
 
 
-def _record():
-    return json.loads((ROOT / "BENCH_certify-2e6.json").read_text())
+def _record(workload):
+    return json.loads((ROOT / f"BENCH_{workload}.json").read_text())
 
 
-def test_bench_record_schema():
-    record = _record()
-    assert record["workload"] == "certify-2e6"
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_record_schema(workload):
+    record = _record(workload)
+    assert record["workload"] == workload
     assert record["metrics"] == list(METRICS)
-    assert "--workload certify-2e6" in record["command"]
+    assert f"--workload {workload}" in record["command"]
     entries = record["entries"]
     assert entries and any(e["source"] == "measured" for e in entries)
     for entry in entries:
@@ -38,9 +40,10 @@ def test_bench_record_schema():
 
 
 @pytest.mark.parametrize("side", SIDES)
-def test_measured_summaries_are_those_of_their_pairs(side):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_measured_summaries_are_those_of_their_pairs(workload, side):
     # quartiles as statistics.quantiles(n=4) gives them, as perfbench does
-    for entry in (e for e in _record()["entries"] if e["source"] == "measured"):
+    for entry in (e for e in _record(workload)["entries"] if e["source"] == "measured"):
         pairs = entry["pairs"]
         assert len(pairs) == entry["pair_count"] >= 10
         assert len({p["seed"] for p in pairs}) == len(pairs)

@@ -162,11 +162,20 @@ def test_nonfinite_rejected():
 def test_borwein_order_adapts_to_height():
     from liouville_mellin.special import _borwein_order
     cfg = EvalConfig()
-    assert _borwein_order(complex(2.0, 0.0), cfg) == cfg.accel_order
-    tall = _borwein_order(complex(2.0, 60.0), cfg)
-    assert cfg.accel_order < tall <= cfg.series_terms
+    # on the real axis Gamma(sigma)/|Gamma(s)| = 1: 2 (3+sqrt 8)^-n <= 2^-53 from n = 22
+    assert {_borwein_order(complex(x), cfg) for x in (1e-300, 0.5, 2.0, 40.0)} == {22}
+    heights = [_borwein_order(complex(1.0, t), cfg) for t in (0.0, 10.0, 30.0, 60.0, 100.0)]
+    assert heights == sorted(set(heights)) and heights[-1] < cfg.series_terms
+    # the smallest order whose majorant of the truncation bound is 2^-53 or less
+    rate, log2 = math.log(3.0 + math.sqrt(8.0)), math.log(2.0)
+    for s in (complex(0.3, 5.0), complex(1.0, 60.0), complex(3.5, -90.0), complex(1e-9, 5.0)):
+        n, excess = _borwein_order(s, cfg), special._log_gamma_ratio(s) + 54.0 * log2
+        assert excess - n * rate <= 0.0 < excess - (n - 1) * rate, s
     # the cap is series_terms
     assert _borwein_order(complex(2.0, 1e4), cfg) == cfg.series_terms
+    # the disc zeta hands to eta for Re s <= 0 keeps order 50, unbounded
+    assert _borwein_order(complex(-0.2, 0.1), cfg) == 50
+    assert special._eta_bound(complex(-0.2, 0.1), cfg) == (math.inf, math.inf)
 
 
 def test_zeta_accurate_at_height_forty():
@@ -178,18 +187,43 @@ def test_zeta_accurate_at_height_forty():
 
 
 def test_zeta_raises_where_borwein_order_exceeds_budget():
-    # the error model needs order 198 at |Im s| = 200; the cap is 128
+    # the truncation bound at the cap 128 is about 1e5 |eta| at |Im s| = 200
     with pytest.raises(TruncationBudgetError) as err:
         zeta(complex(0.7, 200.0))
     assert err.value.achieved_bound > EvalConfig().target_rel_err
     # reflected points reach eta at the same height
     with pytest.raises(TruncationBudgetError):
         zeta(complex(-0.7, 200.0))
-    # just past the cap, the message gives the error model at order 128
+    # 0.5+123i, past the deleted error model's cap, is within the proven bound
+    s = complex(0.5, 123.0)
+    assert abs(zeta_alternating(s) - complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))) \
+        <= sum(special._eta_bound(s, EvalConfig()))
+    # just past the cap, the message gives the truncation bound at order 128
     with pytest.raises(TruncationBudgetError) as err:
-        zeta(complex(0.5, 123.0))
+        zeta(complex(0.5, 125.0))
     assert str(err.value) == ("eta: Borwein order capped at series_terms=128 for "
-                              "s=(0.5+123j); error model 6.1e-12 > 1.0e-12")
+                              "s=(0.5+125j); truncation bound 3.7e-12 > 1.0e-12 |eta|")
+
+
+def test_eta_raises_only_past_the_workload_corner():
+    # zeta(2s) for |Im s| <= 60 meets eta at |Im 2s| = 120 with Re 2s near 0,
+    # where the truncation bound at the cap is within 1e-12 |eta|
+    cfg = EvalConfig()
+    for sigma in np.linspace(0.01, 0.05, 9):
+        for t in (120.0, -120.0):
+            s = complex(sigma, t)
+            assert special._borwein_order(s, cfg) == cfg.series_terms
+            ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+            assert abs(special._eta_borwein(s, cfg) - ref) <= sum(special._eta_bound(s, cfg))
+    # far out the bound is past double range: a typed error, no OverflowError
+    for s in (complex(0.3, 600.0), complex(-0.5, 1e300)):
+        with pytest.raises(TruncationBudgetError) as err:
+            zeta(s)
+        assert err.value.achieved_bound == math.inf
+    with pytest.raises(TruncationBudgetError):
+        zeta_alternating(complex(0.3, 600.0))
+    with pytest.raises(TruncationBudgetError):
+        eta_continued(complex(-0.5, 1e300))
 
 
 def test_zeta_accurate_at_height_hundred():
@@ -219,12 +253,13 @@ def test_eta_keeps_the_bits_of_the_per_term_series():
     # repr tells every bit of a double, the sign of a zero included
     cfg = EvalConfig()
     rng = np.random.default_rng(31)
-    # |Im s| up to 121 reaches every order from the floor 50 to the cap 128
-    points = [complex(rng.uniform(1e-3, 3.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 121.0))
+    # |Im s| up to 121 reaches every order from 22 to the cap 128, and Re s
+    # from 0.05 keeps the cap's truncation bound within 1e-12 |eta| there
+    points = [complex(rng.uniform(0.05, 3.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 121.0))
               for _ in range(3000)]
-    assert {special._borwein_order(s, cfg) for s in points} == set(range(50, 129))
     # real integers take the integer-power branch of complex **
     points += [complex(k) for k in (2, 3, 4, 6, 10)] + [0.5 + 0j, 1e-300 + 0j, 1e-9 + 5j]
+    assert {special._borwein_order(s, cfg) for s in points} == set(range(22, 129))
     assert ([repr(special._eta_borwein(s, cfg)) for s in points]
             == [repr(_eta_per_term(s, cfg)) for s in points])
     # a budget past the default cap sums every term of its order
@@ -232,6 +267,75 @@ def test_eta_keeps_the_bits_of_the_per_term_series():
     s = complex(0.7, 150.0)
     assert special._borwein_order(s, wide) > cfg.series_terms
     assert repr(special._eta_borwein(s, wide)) == repr(_eta_per_term(s, wide))
+
+
+def _exact_d(n):
+    # Borwein's d_0..d_n as integers: partial sums of the coefficients of
+    # the shifted Chebyshev polynomial T_n(1 - 2x) at x = -1
+    d, term = [1], 1
+    for i in range(1, n + 1):
+        term = term * (n + i - 1) * (n - i + 1) * 4 // ((2 * i) * (2 * i - 1))
+        d.append(d[-1] + term)
+    return d
+
+
+def test_borwein_weights_against_their_exact_integers():
+    u = 2.0 ** -53
+    t_prev, t_n = 1, 3  # T_0(3), T_1(3)
+    for n in range(1, 257):
+        if n > 1:
+            t_prev, t_n = t_n, 6 * t_n - t_prev
+        weights, _, dn, c_n = special._borwein_weights(n)
+        d = _exact_d(n)
+        assert d[n] == t_n
+        # d_n to the rounding of the 3n operations of its recurrence
+        assert abs(dn - t_n) <= 3 * n * u * t_n, n
+        assert c_n == pytest.approx(sum(d[n] - d[k] for k in range(n)) / d[n], rel=4 * u)
+        # sum_k |w_k / d_n - exact|, the allowance _eta_bound gives the
+        # rounded weights: as exact rationals, each term rounded to a float
+        p_d, q_d = dn.as_integer_ratio()
+        drift = 0.0
+        for k, w in enumerate(weights):
+            p_k, q_k = abs(w).as_integer_ratio()
+            drift += abs(p_k * q_d * d[n] - (d[n] - d[k]) * p_d * q_k) / (q_k * p_d * d[n])
+        assert drift * (1.0 + n * u) <= 2.0 * u * c_n, n
+
+
+def test_eta_within_its_bound_of_mpmath():
+    # every value within truncation + rounding of mpmath at 30 digits
+    cfg = EvalConfig()
+    rng = np.random.default_rng(43)
+    # 4 - uniform[0, 4) is in (0, 4]
+    points = [complex(4.0 - rng.uniform(0.0, 4.0), rng.uniform(-125.0, 125.0))
+              for _ in range(200)]
+    points += [complex(x, t) for x in (1e-9, 1e-3) for t in (0.0, 5.0, 60.0, 118.0)]
+    # next to the removable zeros of 1 - 2^(1-s), where zeta divides by them
+    for k in range(1, 14):
+        s0 = complex(1.0, 2.0 * math.pi * k / math.log(2.0))
+        points += [s0 + 1e-3, s0 - 1e-3, s0 + 1e-3j, s0 - 1e-3j]
+    # one point for every order the rule reaches, up to the cap
+    by_order = {}
+    for sigma, t in zip(4.0 - rng.uniform(0.0, 4.0, 20000), rng.uniform(0.0, 125.0, 20000)):
+        s = complex(sigma, t)
+        by_order.setdefault(special._borwein_order(s, cfg), s)
+    assert set(by_order) == set(range(22, cfg.series_terms + 1))
+    points += list(by_order.values())
+    raised = 0
+    for s in points:
+        ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+        # the majorant of ln(Gamma(sigma)/|Gamma(s)|) behind the order
+        exact = mpmath.loggamma(s.real) - mpmath.re(mpmath.loggamma(mpmath.mpc(s.real, s.imag)))
+        assert special._log_gamma_ratio(s) >= float(exact) * (1.0 - 1e-14), s
+        truncation, rounding = special._eta_bound(s, cfg)
+        try:
+            value = special._eta_borwein(s, cfg)
+        except TruncationBudgetError:
+            raised += 1
+            assert special._borwein_order(s, cfg) == cfg.series_terms
+            assert truncation > cfg.target_rel_err * (abs(ref) - truncation - rounding), s
+            continue
+        assert abs(value - ref) <= truncation + rounding, s
+    assert raised < len(points) // 20
 
 
 def test_zeta_keeps_its_bits_at_reflected_points(monkeypatch):
