@@ -106,31 +106,45 @@ class VerificationReport:
         }
 
 
+def _within_limits(r: VerificationReport) -> bool:
+    b = r.budget
+    return (("tol_rel" not in b or r.rel_err <= b["tol_rel"])
+            and all(r.abs_err <= b[k] for k in ("tol_abs", "combined") if k in b))
+
+
+_RULES = {"within limits": _within_limits,
+          "lhs < rhs": lambda r: r.lhs.real < r.rhs.real,
+          "not evaluated": lambda r: False}
+
+
 def make_report(check_id: str, inputs: dict, lhs: complex, rhs: complex, *,
                 tol_rel: float | None = None, tol_abs: float | None = None,
                 budget: dict | None = None, notes: str = "",
-                passed: bool | None = None) -> VerificationReport:
+                rule: str = "within limits") -> VerificationReport:
+    """A report row; its verdict is decided here alone, from the row's own
+    printed fields, by one of three rules (an unknown name raises KeyError):
+
+        "within limits" (the default): rel_err <= tol_rel and abs_err <=
+            min(tol_abs, combined), each term only where the budget prints
+            that key; a row that prints none is informational and passes.
+            "combined" is the sum of the row's bound parts: a check puts its
+            bound on |lhs - rhs| there, and the verdict holds it to it.
+        "lhs < rhs": strict, on the real parts.
+        "not evaluated": always fails, for a row whose value raised.
+    """
     lhs = complex(lhs)
     rhs = complex(rhs)
-    tol_rel = None if tol_rel is None else float(tol_rel)
-    tol_abs = None if tol_abs is None else float(tol_abs)
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    if passed is None:
-        passed = True
-        if tol_rel is not None:
-            passed = passed and rel_err <= tol_rel
-        if tol_abs is not None:
-            passed = passed and abs_err <= tol_abs
     b = {k: (v.item() if isinstance(v, np.generic) else v)
          for k, v in (budget or {}).items()}
     if tol_rel is not None:
-        b["tol_rel"] = tol_rel
+        b["tol_rel"] = float(tol_rel)
     if tol_abs is not None:
-        b["tol_abs"] = tol_abs
-    return VerificationReport(check_id=check_id, inputs=inputs, lhs=lhs, rhs=rhs,
-                              abs_err=abs_err, rel_err=rel_err, budget=b,
-                              passed=bool(passed), notes=notes)
+        b["tol_abs"] = float(tol_abs)
+    report = VerificationReport(check_id, inputs, lhs, rhs, abs_err,
+                                abs_err / max(abs(lhs), abs(rhs), 1e-300), b, notes=notes)
+    report.passed = _RULES[rule](report)
+    return report
 
 
 def _sorted(reports: list[VerificationReport]) -> list[VerificationReport]:
@@ -166,7 +180,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
         s_n = nu_partial_sum(table, n)
         reports.append(make_report(
             "theorem1.checkpoint", {"N": int(n)}, s_n, 0.0,
-            notes="informational: S(N) should drift toward 0", passed=True))
+            notes="informational: S(N) should drift toward 0"))
 
     n_final = min(10 ** 6, table.limit)
     s_final = nu_partial_sum(table, n_final)
@@ -179,7 +193,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
             notes="frozen oracle threshold at N=1e6"))
     else:
         reports.append(make_report(
-            "theorem1.final", {"N": n_final}, s_final, 0.0, passed=True,
+            "theorem1.final", {"N": n_final}, s_final, 0.0,
             notes="informational: table below the frozen-threshold scale (10^6)"))
 
     # per-octave envelope: max_{2^k <= n < 2^(k+1)} |S(n)| must not increase
@@ -199,8 +213,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
             notes="number of per-octave envelope increases (must be 0)"))
     else:
         reports.append(make_report(
-            "theorem1.envelope", {"octave_start": THEOREM1_ENVELOPE_OCTAVE},
-            0.0, 0.0, passed=True,
+            "theorem1.envelope", {"octave_start": THEOREM1_ENVELOPE_OCTAVE}, 0.0, 0.0,
             notes="informational: table too small for the envelope check"))
     return _sorted(reports)
 
@@ -236,21 +249,16 @@ def verify_identity_MN(table: ArithTable,
                 n_vals, n_bounds = kernel_N_with_bound(arg, table)
             except PoleError as exc:
                 z = next(z for z in batch if abs(z - exc.location) < POLE_TOL)
-                reports.append(make_report(
-                    "identity.point", {"z": str(z)}, 0.0, 0.0, passed=True,
-                    notes=f"skipped: {exc}"))
+                reports.append(make_report("identity.point", {"z": str(z)}, 0.0, 0.0,
+                                           notes=f"skipped: {exc}"))
                 batch.remove(z)
                 continue
             m_vals, m_bounds = kernel_M_with_bound(arg, table, form="half-shifted")
             for z, nv, nb, mv, mb in zip(batch, n_vals.tolist(), n_bounds.tolist(),
                                          m_vals.tolist(), m_bounds.tolist()):
-                budget = nb + mb
-                diff = abs(complex(mv) - complex(nv))
                 reports.append(make_report(
-                    "identity.point", {"z": str(z)}, mv, nv,
-                    budget={"n_tail_bound": nb, "m_tail_bound": mb,
-                            "combined": budget, "tol_abs": IDENTITY_ABS_TOL},
-                    passed=bool(diff <= budget and diff <= IDENTITY_ABS_TOL),
+                    "identity.point", {"z": str(z)}, mv, nv, tol_abs=IDENTITY_ABS_TOL,
+                    budget={"n_tail_bound": nb, "m_tail_bound": mb, "combined": nb + mb},
                     notes="exponential vs partial-fraction kernel"))
             break
 
@@ -363,7 +371,7 @@ def verify_theorem2(table: ArithTable,
                 res = integrate_mellin(integrand, s, series, max_x)
             except NonConvergenceError as exc:   # scored; anything else is a bug
                 reports.append(make_report(
-                    check_id, {"s": str(s)}, lhs, 0.0, passed=False,
+                    check_id, {"s": str(s)}, lhs, 0.0, rule="not evaluated",
                     notes=f"integration failed: {exc}"))
                 continue
             if factor is None:
@@ -471,7 +479,7 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
     bound on M', and the exploratory x |M(x)| record."""
     vals, bounds = kernel_M_with_bound(np.array(DEFAULT_DECAY_GRID), table, form="plain")
     m_vals = dict(zip(DEFAULT_DECAY_GRID, vals.tolist()))
-    reports = [make_report("decay.m-checkpoint", {"x": x}, m_vals[x], 0.0, passed=True,
+    reports = [make_report("decay.m-checkpoint", {"x": x}, m_vals[x], 0.0,
                            budget={"abel_remainder_bound": bound},
                            notes="informational: M(x) sample")
                for x, bound in zip(DEFAULT_DECAY_GRID, bounds.tolist())]
@@ -496,7 +504,7 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
         reports.append(make_report(
             "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, 0.0, 0.0,
             tol_abs=MPRIME_FROZEN_BOUND, budget={"frozen_bound": MPRIME_FROZEN_BOUND},
-            passed=False, notes=f"M' not evaluated: {exc}"))
+            rule="not evaluated", notes=f"M' not evaluated: {exc}"))
     else:
         reports.append(make_report(
             "decay.m-prime-bound", {"grid": "0..100 step 0.5"}, float(mp.max()), 0.0,
@@ -507,7 +515,6 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
     xm = {x: x * abs(m_vals[x]) for x in DEFAULT_DECAY_GRID}
     reports.append(make_report(
         "decay.x-m-product", {"grid": list(DEFAULT_DECAY_GRID)}, max(xm.values()), 0.0,
-        passed=True,
         budget={"x_m_values": xm, "informational_cap": XM_PRODUCT_INFO_CAP},
         notes="exploratory only: whether x|M(x)| stays bounded is an open question"))
     return _sorted(reports)
@@ -688,8 +695,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     partial_max = scan["beta_abs"]
     cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(
-        "bounds.beta-abs-partial", {"n_max": limit}, partial_max, cap,
-        passed=bool(partial_max < cap),
+        "bounds.beta-abs-partial", {"n_max": limit}, partial_max, cap, rule="lhs < rhs",
         budget={"cap": cap},
         notes="running sums of |beta| n^-3/2 vs zeta(3/2) zeta(2)"))
 
@@ -700,8 +706,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     if early and late:
         reports.append(make_report(
             "bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."},
-            max(late), max(early),
-            passed=bool(max(late) < max(early)),
+            max(late), max(early), rule="lhs < rhs",
             notes="trend assertion only: late dyadic sums below early ones"))
 
     # second form of the alpha/beta equation at s = -1.25: truncated series
@@ -727,8 +732,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         lhs_sum = float(np.cumsum(per_term)[-1])
         reports.append(make_report(
             "bounds.swap-dominated", {"sigma": sigma, "N": N}, lhs_sum, rhs_int,
-            passed=bool(lhs_sum < rhs_int),
-            notes="absolute truncated series below the dominating integral"))
+            rule="lhs < rhs", notes="absolute truncated series below the dominating integral"))
     return _sorted(reports)
 
 

@@ -153,11 +153,12 @@ def test_verify_bounds_jsonl_roundtrip(cache_env, capsys, tmp_path):
 
 
 def test_verify_output_byte_identical(cache_env, tmp_path):
-    f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    for f in (f1, f2):
-        assert main(["verify", "theorem1", "--limit", "50001",
-                     "--out", str(f)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    # 'all' at 3001 holds every group, its informational rows and failing rows
+    for args, code in ((["theorem1", "--limit", "50001"], 0), (["all", "--limit", "3001"], 1)):
+        f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for f in (f1, f2):
+            assert main(["verify", *args, "--out", str(f)]) == code
+        assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_verify_csv_format(cache_env, tmp_path):
@@ -258,6 +259,14 @@ def test_verify_all_on_a_small_table_reports_failures(cache_env, tmp_path):
     decay = [r for r in rows if r["check_id"] == "decay.m-prime-bound"]
     assert len(decay) == 1 and decay[0]["pass"] is False
     assert "remainder bound" in decay[0]["notes"]
+    # the whole failing set: theorem 2 past 1e-4 relative at its four points
+    # nearest Re s = -1/2, two M == N points past 1e-6 absolute (by 6.9e-9 at
+    # 3, far above numpy's dispatch scatter), and M'
+    failing = sorted((r["check_id"], *r["inputs"].values()) for r in rows if not r["pass"])
+    s_far = ("(-0.75+0.5j)", "(-0.75+0j)", "(-0.75+1j)", "(-1+1j)")
+    assert failing == sorted([("decay.m-prime-bound", "0..100 step 0.5"),
+                              ("identity.point", "(2+2.5j)"), ("identity.point", "(3+0j)")]
+                             + [(f"theorem2.{f}-form", s) for f in "mn" for s in s_far])
 
 
 def test_verify_all_on_a_three_entry_table_reports_failures(cache_env, tmp_path):

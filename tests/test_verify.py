@@ -29,6 +29,13 @@ def test_report_invariants():
     assert r.rel_err == r.abs_err / max(abs(complex(1, 2)), abs(complex(1, 2.5)))
     z = make_report("demo.zero", {}, 0.0, 0.0, tol_abs=0.0)
     assert z.rel_err == 0.0 and z.passed
+    # one case per rule: a combined bound below abs_err fails within tol_abs
+    assert not make_report("d", {}, 1.0, 1.0 + 1e-7, tol_abs=1e-6, budget={"combined": 1e-8}).passed
+    assert not make_report("d", {}, 2.0, 2.0, rule="lhs < rhs").passed
+    assert not make_report("d", {}, 0.0, 0.0, tol_abs=0.19, rule="not evaluated").passed
+    assert make_report("d", {}, 5.0, 0.0).passed  # no limit printed: informational
+    with pytest.raises(KeyError):
+        make_report("d", {}, 1.0, 2.0, rule="lhs <= rhs")
 
 
 def test_theorem1_reports(table_100k):
@@ -451,6 +458,26 @@ def test_run_group_all_covers_registry(table_100k):
             assert cid in seen, f"{group}:{cid} missing from verify all"
     with pytest.raises(ValueError):
         run_group("nonsense", table_100k)
+
+
+def test_every_pass_flag_follows_from_its_printed_fields(table_100k):
+    # rel_err <= tol_rel and abs_err <= tol_abs and combined, where printed,
+    # except on the rows that compare lhs < rhs
+    lhs_below_rhs = [("bounds.beta-abs-partial", {"n_max": 100_001}),
+                     ("bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."}),
+                     ("bounds.swap-dominated", {"N": 1000, "sigma": -1.0}),
+                     ("bounds.swap-dominated", {"N": 10_000, "sigma": -1.0})]
+    compared = []
+    for rec in (r.to_record() for r in run_group("all", table_100k)):
+        b = rec["budget"]
+        if (rec["check_id"], rec["inputs"]) in lhs_below_rhs:
+            compared.append((rec["check_id"], rec["inputs"]))
+            verdict = rec["lhs_re"] < rec["rhs_re"]
+        else:
+            verdict = (("tol_rel" not in b or rec["rel_err"] <= b["tol_rel"])
+                       and all(rec["abs_err"] <= b[k] for k in ("tol_abs", "combined") if k in b))
+        assert rec["pass"] is verdict, rec
+    assert compared == lhs_below_rhs
 
 
 @pytest.mark.parametrize("grid", [None, [complex(-0.75), complex(-1.1, 0.3)]])
