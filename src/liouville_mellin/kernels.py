@@ -55,13 +55,13 @@ times the sum of both printed bounds, where the same truncation inside the
 100,001 table, which holds the sup, differs by 0.31 times.
 
 Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
-kernel_M_prime) takes a scalar or a 1-d array: a scalar gets scalars back,
-an array gets arrays.  Every entry point takes its argument through one gate
-(_points), which rejects nan and inf.  Real input (a scalar with Im z == 0
-counts as real) needs no pole check and N's tail bound no inflation, as
-|x^2 + pi^2 n^2| >= pi^2 n^2; the plain form's bound uses the monotone
-variation of tanh.  Complex input is screened for poles as one array, N's
-bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2), and kernel_M_prime rejects it.
+kernel_M_prime) takes a scalar or a 1-d array, possibly empty, and gives
+scalars or arrays back.  Every entry point takes its argument through one
+gate (_points), which rejects nan, inf and more than one dimension.  Real input
+(a scalar with Im z == 0 counts as real) needs no pole check and N's tail bound
+no inflation, as |x^2 + pi^2 n^2| >= pi^2 n^2; the plain form's bound uses the
+monotone variation of tanh.  Complex input is screened for poles as one array,
+N's bound is inflated by 1/(1 - (|z|/(pi(2M+1)))^2), and kernel_M_prime rejects it.
 
 residue_estimate is the trapezoid rule for Cauchy's integral: the mean of
 (z - p) K(z) over 32 points of |z - p| = pi/2.  The next poles are 2 pi away,
@@ -137,11 +137,12 @@ def _pole_search(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _points(z, what: str) -> tuple[np.ndarray, bool]:
-    """The one gate of every kernel entry point: z as a 1-d float array (real
-    input) or a complex array off the poles, and whether z was a scalar.  For
-    the first offending point, every finiteness failure before any pole,
-    raises InvalidArgumentError (nan, inf) or PoleError (within POLE_TOL)."""
+    """The one gate of every kernel entry point: z as a 1-d float array (real input) or a
+    complex array off the poles, and whether z was a scalar.  Raises InvalidArgumentError
+    past one dimension or at the first nan or inf, then PoleError within POLE_TOL of a pole."""
     zs = np.asarray(z)
+    if zs.ndim > 1:
+        raise InvalidArgumentError(f"{what}: argument must be 0- or 1-d, got shape {zs.shape}")
     bad = zs[~np.isfinite(zs)]
     if bad.size:
         raise InvalidArgumentError(f"{what}: argument must be finite, got {bad[0]}")
@@ -410,22 +411,23 @@ class _HeadBlocks:
 
     def head(self, form: _Form, x: np.ndarray, heads: np.ndarray):
         """sum_{_HEAD_PREFIX <= m < heads[j]} w_m phi(x_j/n_m) per point, and
-        the bound on the interpolation error; each head is a block edge."""
+        the bound on the interpolation error; each head is a block edge.  A point
+        adds its blocks' sum_j W[B, j] f(tau_j) and majorant * alias[B] * abs_sum[B]
+        in block order from 0.0, SCAN // _CHEB points at a time (no temporary
+        holds more than SCAN values)."""
         count = np.searchsorted(self.edges, heads)
-        W, abs_sum = self._extend(int(count.max(initial=0)))
+        top = int(count.max(initial=0))
+        W, abs_sum = self._extend(top)
         vals, bounds = np.zeros((2, len(x)))
-        rows = max(1, SCAN // (_CHEB * max(1, len(abs_sum))))
-        for a in range(0, len(x), rows):
-            c = count[a:a + rows]
-            node = np.repeat(np.arange(a, a + len(c)), c)
-            block = np.arange(len(node)) - np.repeat(np.cumsum(c) - c, c)
-            xp, w0 = x[node], self.w0[block]
-            f = form.head(xp[:, None], 1.0 / (w0[:, None] + self.delta[block, None] * _TAU))
-            f = form.outer(xp[:, None]) * f
-            sums = np.einsum("pj,pj->p", f, W[block])
-            bound = form.majorant(xp * w0, w0) * self.alias[block] * abs_sum[block]
-            vals[a:a + len(c)] = np.bincount(node - a, sums, len(c))
-            bounds[a:a + len(c)] = np.bincount(node - a, bound, len(c))
+        for B, w0 in enumerate(self.w0[:top]):
+            n = 1.0 / (w0 + self.delta[B] * _TAU)
+            reach = np.flatnonzero(count > B)
+            for p in np.split(reach, range(SCAN // _CHEB, len(reach), SCAN // _CHEB)):
+                xp = x[p]
+                f = form.outer(xp[:, None]) * form.head(xp[:, None], n)
+                # einsum, never @ or np.dot: BLAS sums in an order of its own
+                vals[p] += np.einsum("pj,j->p", f, W[B])
+                bounds[p] += form.majorant(xp * w0, w0) * self.alias[B] * abs_sum[B]
         return vals, bounds
 
 
@@ -530,8 +532,9 @@ def kernel_N_with_bound(z, table: ArithTable):
     zabs = np.abs(zs)
     bound = _N_tail_bound(zabs, ws.depth)
     if np.iscomplexobj(zs):
-        shrink = _N_shrink(zabs, ws.depth)
-        if shrink.max() > 0.75:
+        # N's disc: off the axis the tail bound needs (|z| / (pi (2M+1)))^2 <= 0.75
+        shrink = (zabs / (math.pi * (2.0 * ws.depth + 1.0))) ** 2
+        if np.any(shrink > 0.75):
             raise TruncationBudgetError(
                 f"kernel_N: |z|={zabs.max():.6g} is within a factor 0.866 of the "
                 f"first omitted pole pi*{2 * ws.depth + 1}", achieved_bound=math.inf)
@@ -539,11 +542,6 @@ def kernel_N_with_bound(z, table: ArithTable):
     vals, remainder = _kernel_sum(_FORM_N, zs, ws)
     bound = bound + remainder
     return (complex(vals[0]), float(bound[0])) if scalar else (vals, bound)
-
-
-def _N_shrink(zabs, M: int):
-    # (|z| / (pi (2M+1)))^2; off the axis N's tail bound needs it <= 0.75
-    return (zabs / (math.pi * (2.0 * M + 1.0))) ** 2
 
 
 def _N_tail_bound(xabs, M: int):
@@ -688,7 +686,7 @@ def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
             bound is informational).
     """
     val, bound = kernel_M_with_bound(z, table, form)
-    worst, tol = float(np.max(bound)), _ws(table).tol
+    worst, tol = float(np.max(bound, initial=0.0)), _ws(table).tol
     # the plain form returns real values exactly when it ran on the real axis
     if form == "plain" and not np.iscomplexobj(val) and worst > tol:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
@@ -711,9 +709,8 @@ def kernel_M_prime(x, table: ArithTable):
         raise DomainError(f"kernel_M_prime requires real x >= 0, got {bad[0]}")
     ws = _ws(table)
     vals, remainder = _kernel_sum(_FORM_M_PRIME, xs, ws)
-    # remainder via summation by parts on phi(m) = sig/(2m+1)
-    phi_edge = 0.25 / (2.0 * ws.depth + 1.0)
-    bound = float(np.max(3.0 * ws.s_sup * phi_edge + remainder))
+    # summation by parts as for M, with sech^2(x/n)/(4n) <= M's g_edge at |z| = 1
+    bound = float(np.max(_abel_remainder_bound(1.0, ws) + remainder, initial=0.0))
     if bound > ws.tol:
         raise TruncationBudgetError(
             f"kernel_M_prime: remainder bound {bound:.3e} above tolerance",
@@ -763,8 +760,9 @@ def residue_estimate(kernel: str, l: int, table: ArithTable) -> complex:
     if l >= depth:
         raise RangeError(f"pole index l={l} outside the kernels' depth 0..{depth - 1}")
     z = 1j * math.pi * (2 * l + 1) + _CONTOUR
-    if kernel == "N" and _N_shrink(np.abs(z), depth).max() > 0.75:
+    try:
+        values = (kernel_N if kernel == "N" else kernel_M)(z, table)
+    except TruncationBudgetError:  # only kernel_N's disc raises off the real axis
         raise RangeError(f"pole index l={l}: the contour leaves kernel_N's disc "
-                         f"|z| <= 0.866 pi*{2 * depth + 1}")
-    values = (kernel_N if kernel == "N" else kernel_M)(z, table)
+                         f"|z| <= 0.866 pi*{2 * depth + 1}") from None
     return complex(np.mean(_CONTOUR * values))

@@ -14,7 +14,7 @@ from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, Rang
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin import kernels
-from liouville_mellin.arith import odd, pairwise_sum
+from liouville_mellin.arith import SCAN, odd, pairwise_sum
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
                                       _Workspace, _kernel_sum, _points,
                                       _tanh_coefficients, _ws,
@@ -274,8 +274,8 @@ NEAR_POLE = [1j * PI * (2 * l + 1) + 2.0 ** -j for l in range(3) for j in (4, 8,
 def _terms(table):
     # the oracles' own odd n, beta(n)/sqrt(n), nu(n) and S(n), read from the table
     n = np.arange(1, table.limit + 1, 2, dtype=np.float64)
-    return SimpleNamespace(n=n, coef_N=table.beta[1::2] / np.sqrt(n),
-                           nu=table.nu[1::2], S=table.nu_cumsum[1::2])
+    return SimpleNamespace(n=n, coef_N=table.beta_odd / np.sqrt(n),
+                           nu=table.nu_odd, S=table.nu_cumsum_odd)
 
 
 def _csum(terms):
@@ -606,6 +606,40 @@ def test_array_call_equals_scalar_calls_bit_for_bit(table_100k):
     assert kernel_M_prime(xs, t).tolist() == [kernel_M_prime(x, t) for x in xs.tolist()]
 
 
+def test_array_call_across_the_point_chunk_equals_scalar_calls(table_100k):
+    # more points than one chunk of the block heads (SCAN // _CHEB), so a
+    # block's points are summed in two chunks: every point equals its value
+    # from calls on slices shorter than a chunk, every 8th its scalar call
+    t, x = table_100k, np.geomspace(33.0, 1e5, 5_000)  # past the head prefix
+    assert len(x) > SCAN // kernels._CHEB > 1_000
+    calls = {"N": lambda x: kernel_N_with_bound(x, t), "M": lambda x: kernel_M_with_bound(x, t),
+             "plain": lambda x: kernel_M_with_bound(x, t, form="plain"),
+             "M'": lambda x: (kernel_M_prime(x, t),)}
+    for name, call in calls.items():
+        whole = call(x)
+        sliced = zip(*(call(x[a:a + 1_000]) for a in range(0, len(x), 1_000)))
+        assert [v.tobytes() for v in whole] == [np.concatenate(v).tobytes() for v in sliced]
+        for j in range(0, len(x), 8):
+            assert call(x[j].item()) == tuple(v[j] for v in whole), (name, j)
+
+
+def test_block_heads_work_in_point_chunks(table_100k):
+    # a warm call holds O(points) (the tail's _TAYLOR_TERMS moments and a dozen
+    # arrays per point, under 32 floats a point) and a few SCAN-value temporaries;
+    # a block head over all points at once would add 20 floats a point per temporary
+    t, x = table_100k, np.geomspace(33.0, 1e5, 20_000)
+    for call in (kernel_N_with_bound, kernel_M_prime):
+        call(x, t)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call(x, t)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (32 * len(x) + 4 * SCAN), (call, peak)
+
+
 def test_batch_of_panels_equals_calls_per_panel_bit_for_bit(table_100k):
     # theorem 2's nodes: all panels of both Gauss rules in one call, or one
     # call per panel, give the same values and bounds
@@ -649,6 +683,21 @@ def test_kernels_reject_non_finite_arguments(bad, table_100k):
     for call in (fermi, fermi_deficit, kernel_N_series):
         with pytest.raises(InvalidArgumentError, match="finite"):
             call(bad)
+
+
+def test_evaluators_take_scalars_and_1d_arrays_only(table_100k):
+    # an empty array gives empty arrays; more than one dimension is refused
+    # before numpy can fail on the shape
+    calls = (kernel_N_with_bound, kernel_N, kernel_M_with_bound, kernel_M, kernel_M_prime,
+             lambda z, t: kernel_M_with_bound(z, t, form="plain"),
+             lambda z, t: kernel_M(z, t, form="plain"))
+    for call in calls:
+        for empty in (np.array([]), np.array([], dtype=complex)):
+            out = call(empty, table_100k)
+            assert all(v.shape == (0,) for v in (out if isinstance(out, tuple) else (out,)))
+        for bad in (np.ones((2, 2)), np.ones((1, 3), dtype=complex), np.ones((0, 2))):
+            with pytest.raises(InvalidArgumentError, match="1-d"):
+                call(bad, table_100k)
 
 
 def _ref_nearest_pole(z: complex):

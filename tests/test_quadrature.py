@@ -156,7 +156,7 @@ def test_kernel_series_taylor_majorant_is_led_by_the_first_term(route, table_mai
     _, _, err_pow, err = kernel_series_with_bound(route, a, table_main)
     r2 = (a / PI) ** 2
     first = 0.25 * a * r2 ** 14 / (1.0 - r2) / a ** 29
-    v0 = abs(float(table_main.beta[1] if route == "N" else table_main.nu[1]))  # n = 1
+    v0 = abs(float(table_main.beta_odd[0] if route == "N" else table_main.nu_odd[0]))  # n = 1
     assert err_pow[-1] == 29
     assert first * v0 <= err[-1] <= 1.01 * first * v0
 
