@@ -3,16 +3,19 @@
 Subcommands:
     sieve    build (and cache) an arithmetic table
     eval     evaluate any zeta-family member or gamma at a complex point
-    kernel   evaluate N / M / Mprime / series at a point
+             (--mode for zeta-alpha only)
+    kernel   evaluate N / M / Mprime / series at a point (--form for M only)
     verify   run verification groups, emitting JSONL or CSV reports; --grid
              sets the s points of theorem2 and functional (both under all)
-    report   render a previously written report file
+    report   render a previously written report file of either format
 
 Structured output goes to --out when given, else to stdout; human progress
-goes to stderr.  Every report file embeds a manifest record (command,
-parameters, config snapshot, tool version, timestamps).  Reports themselves
-are deterministic for a fixed manifest; set LIOUMEL_TIMESTAMP to pin the
-manifest timestamps too (CI byte-identity).
+goes to stderr.  Every report file embeds a manifest record (MANIFEST_KEYS:
+command, parameters, config snapshot, tool version, timestamps).  Reports
+themselves are deterministic for a fixed manifest; set LIOUMEL_TIMESTAMP to
+pin the manifest timestamps too (CI byte-identity).  read_report_file is the
+one reader and checker of a report file: it returns rows of one shape from
+JSONL or CSV, or raises ValueError, which report turns into exit 2.
 
 Environment overrides (lowest precedence below explicit flags):
     LIOUMEL_LIMIT, LIOUMEL_CACHE_DIR, LIOUMEL_TIMESTAMP
@@ -22,9 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
-import io
 import json
 import os
 import re
@@ -78,47 +79,32 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    table_limit: int | None
-    config_snapshot: dict
-    tool_version: str
-    started: str
-    finished: str
-
-    def to_record(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["type"] = "manifest"
-        return d
-
-    @classmethod
-    def from_record(cls, record: dict) -> "RunManifest":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        missing = fields - record.keys()
-        if missing:
-            raise ValueError(f"manifest lacks {', '.join(sorted(missing))}")
-        return cls(**{k: v for k, v in record.items() if k in fields})
-
-
+# the manifest record of every report file; write_reports adds "type"
+MANIFEST_KEYS = ("command", "parameters", "table_limit", "config_snapshot",
+                 "tool_version", "started", "finished")
 CSV_COLUMNS = ("check_id", "inputs", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                "abs_err", "rel_err", "pass")
+# each column of a row read back: its type, its name in a read error, and the
+# parser of its CSV cell (or of a JSON integer where a float belongs)
+_COLUMNS = {key: (float, "a number", float) for key in CSV_COLUMNS} | {
+    "check_id": (str, "a string", str), "inputs": (dict, "an object", json.loads),
+    "pass": (bool, "a boolean", {"true": True, "false": False}.__getitem__)}
 
 
 def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def write_reports(stream, reports, manifest: RunManifest, fmt: str) -> None:
+def write_reports(stream, reports, manifest: dict, fmt: str) -> None:
+    head = json.dumps({**manifest, "type": "manifest"}, sort_keys=True)
     if fmt == "jsonl":
-        stream.write(json.dumps(manifest.to_record(), sort_keys=True) + "\n")
+        stream.write(head + "\n")
         for r in reports:
             rec = r.to_record()
             rec["type"] = "report"
             stream.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
-        stream.write("# manifest: " + json.dumps(manifest.to_record(), sort_keys=True) + "\n")
+        stream.write("# manifest: " + head + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in reports:
@@ -130,29 +116,60 @@ def write_reports(stream, reports, manifest: RunManifest, fmt: str) -> None:
                              str(rec["pass"]).lower()])
 
 
-def read_report_file(path: str) -> tuple[RunManifest | None, list[dict]]:
-    manifest = None
-    rows: list[dict] = []
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text else ""
-    if first.startswith("# manifest:"):
-        manifest = RunManifest.from_record(json.loads(first[len("# manifest:"):]))
-        rdr = csv.DictReader(io.StringIO("\n".join(text.splitlines()[1:])))
-        for row in rdr:
-            row["pass"] = {"true": True, "false": False}.get(row.get("pass"))
-            rows.append(row)
-        return manifest, rows
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if not isinstance(rec, dict):
-            raise ValueError(f"record is not an object: {line[:60]!r}")
-        if rec.get("type") == "manifest":
-            manifest = RunManifest.from_record(rec)
-        else:
-            rows.append(rec)
-    return manifest, rows
+def _record(text: str) -> dict:
+    rec = json.loads(text)
+    if not isinstance(rec, dict):
+        raise ValueError(f"record is not an object: {text[:60]!r}")
+    return rec
+
+
+def _typed_row(i: int, row: dict, csv_text: bool) -> dict:
+    """Row i with each CSV column present and of its one type, whichever
+    format it came from; a JSONL row keeps its other keys (budget, notes)."""
+    if None in row:  # csv.DictReader's key for cells past the header
+        raise ValueError(f"row {i} has more than {len(CSV_COLUMNS)} cells")
+    typed = dict(row)
+    for key, (want, name, parse) in _COLUMNS.items():
+        value = row.get(key)
+        if value is None:
+            raise ValueError(f"row {i} lacks {key}")
+        if csv_text or (want is float and type(value) is int):
+            try:
+                value = parse(value)
+            except (KeyError, ValueError, OverflowError):
+                pass  # the value stays as read, and is named below
+        if type(value) is not want:
+            raise ValueError(f"row {i}: {key} is {value!r}, not {name}")
+        typed[key] = value
+    return typed
+
+
+def read_report_file(path) -> tuple[dict, list[dict]]:
+    """The manifest and rows of a JSONL or CSV report file, as dicts of one
+    shape whichever the format.  Raises ValueError at the first defect: no
+    manifest, a manifest key missing, no rows, a row column missing or of
+    another type."""
+    lines = Path(path).read_text().splitlines()
+    csv_text = bool(lines) and lines[0].startswith("# manifest:")
+    if csv_text:
+        # a column the header lacks is missing from every row, and named there
+        head, rows = _record(lines[0][len("# manifest:"):]), list(csv.DictReader(lines[1:]))
+    else:
+        head, rows = None, []
+        for rec in map(_record, filter(str.strip, lines)):
+            if rec.get("type") == "manifest":
+                head = rec
+            else:
+                rows.append(rec)
+    if head is None:
+        raise ValueError("no manifest")
+    missing = set(MANIFEST_KEYS) - head.keys()
+    if missing:
+        raise ValueError(f"manifest lacks {', '.join(sorted(missing))}")
+    if not rows:
+        raise ValueError("no report rows")
+    return ({k: head[k] for k in MANIFEST_KEYS},
+            [_typed_row(i, row, csv_text) for i, row in enumerate(rows, 1)])
 
 
 def _default_cache_dir() -> Path:
@@ -206,12 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("eval", help="evaluate a zeta-family member or gamma")
     ep.add_argument("name", choices=sorted(_EVAL_DISPATCH))
     ep.add_argument("--s", type=parse_complex, required=True)
-    ep.add_argument("--mode", choices=["definition", "lambda-relation"], default=None)
+    ep.add_argument("--mode", choices=["definition", "lambda-relation"], default=None,
+                    help="zeta-alpha only (default: definition)")
 
     kp = sub.add_parser("kernel", help="evaluate a kernel at a point")
     kp.add_argument("name", choices=["N", "M", "Mprime", "series"])
     kp.add_argument("--z", type=parse_complex, required=True)
-    kp.add_argument("--form", choices=["half-shifted", "plain"], default="half-shifted")
+    kp.add_argument("--form", choices=["half-shifted", "plain"], default=None,
+                    help="M only (default: half-shifted)")
     kp.add_argument("--limit", type=int, default=None)
     kp.add_argument("--cache-dir", type=Path, default=None)
 
@@ -266,14 +285,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "eval":
-        value = _EVAL_DISPATCH[args.name](args.s, getattr(args, "mode", None))
+        if args.mode is not None and args.name != "zeta-alpha":
+            raise InvalidArgumentError(f"--mode applies to zeta-alpha only, not {args.name}")
+        value = _EVAL_DISPATCH[args.name](args.s, args.mode)
         print(format_complex(complex(value)))
         return 0
 
     if args.command == "kernel":
+        if args.form is not None and args.name != "M":
+            raise InvalidArgumentError(f"--form applies to M only, not {args.name}")
         if args.name == "Mprime" and (args.z.imag != 0.0 or args.z.real < 0.0):
-            print("error: Mprime takes a real nonnegative --z", file=sys.stderr)
-            return 2
+            raise InvalidArgumentError("Mprime takes a real nonnegative --z")
         bound = None
         if args.name == "series":  # needs no table
             value = kernel_N_series(args.z)
@@ -282,7 +304,7 @@ def _dispatch(args) -> int:
             if args.name == "N":
                 value, bound = kernel_N_with_bound(args.z, table)
             elif args.name == "M":
-                value, bound = kernel_M_with_bound(args.z, table, form=args.form)
+                value, bound = kernel_M_with_bound(args.z, table, form=args.form or "half-shifted")
             else:
                 value = kernel_M_prime(args.z, table)
         print(format_complex(complex(value)))
@@ -296,36 +318,18 @@ def _dispatch(args) -> int:
     if args.command == "report":
         try:
             manifest, rows = read_report_file(args.infile)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError, csv.Error) as exc:  # deep JSON, huge cell
             raise LiouvilleMellinError(f"cannot read report {args.infile}: {exc}")
-        _check_report(args.infile, manifest, rows)
-        print(f"manifest: {manifest.command} limit={manifest.table_limit} "
-              f"version={manifest.tool_version} finished={manifest.finished}")
-        bad = 0
+        print(f"manifest: {manifest['command']} limit={manifest['table_limit']} "
+              f"version={manifest['tool_version']} finished={manifest['finished']}")
         for row in rows:
-            ok = row["pass"] if isinstance(row["pass"], bool) else row["pass"] == "true"
-            bad += 0 if ok else 1
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} {row['check_id']} inputs={row.get('inputs')} "
-                  f"abs={row.get('abs_err')} rel={row.get('rel_err')}")
+            print(f"{'PASS' if row['pass'] else 'FAIL'} {row['check_id']} "
+                  f"inputs={row['inputs']} abs={row['abs_err']} rel={row['rel_err']}")
+        bad = sum(not row["pass"] for row in rows)
         print(f"{len(rows)} checks, {len(rows) - bad} passed, {bad} failed")
         return 0 if bad == 0 else 1
 
     raise LiouvilleMellinError(f"unhandled command {args.command}")
-
-
-def _check_report(path: str, manifest: RunManifest | None, rows: list[dict]) -> None:
-    """A report file must hold a manifest and at least one row, and every
-    row a check id and a pass flag; anything less is not a run to score."""
-    if manifest is None:
-        raise LiouvilleMellinError(f"report {path} has no manifest")
-    if not rows:
-        raise LiouvilleMellinError(f"report {path} has no report rows")
-    for i, row in enumerate(rows, 1):
-        missing = [key for key in ("check_id", "pass") if row.get(key) is None]
-        if missing:
-            raise LiouvilleMellinError(
-                f"report {path}: row {i} lacks {' and '.join(missing)}")
 
 
 def _run_verify(args) -> int:
@@ -347,15 +351,10 @@ def _run_verify(args) -> int:
     table = acquire_table(limit, cache)
     reports = run_group(args.group, table, grid)
 
-    manifest = RunManifest(
-        command=f"verify {args.group}",
-        parameters={"limit": limit, "grid": args.grid, "format": args.format},
-        table_limit=limit,
-        config_snapshot=config_snapshot(table),
-        tool_version=__version__,
-        started=started,
-        finished=_timestamp(),
-    )
+    manifest = {"command": f"verify {args.group}",
+                "parameters": {"limit": limit, "grid": args.grid, "format": args.format},
+                "table_limit": limit, "config_snapshot": config_snapshot(table),
+                "tool_version": __version__, "started": started, "finished": _timestamp()}
     if args.out:
         with open(args.out, "w") as fh:
             write_reports(fh, reports, manifest, args.format)

@@ -704,7 +704,9 @@ def kernel_M_prime(x, table: ArithTable):
     series.  A scalar x gives a float, an array x an array; complex x raises DomainError.
     """
     xs, scalar = _points(x, "kernel_M_prime")
-    bad = xs[np.iscomplexobj(xs) | (xs.real < 0.0)]
+    if np.iscomplexobj(xs):  # by dtype, so an empty complex array is refused too
+        raise DomainError("kernel_M_prime requires real x >= 0, got complex x")
+    bad = xs[xs < 0.0]
     if bad.size:
         raise DomainError(f"kernel_M_prime requires real x >= 0, got {bad[0]}")
     ws = _ws(table)

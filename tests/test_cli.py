@@ -1,6 +1,8 @@
 """Command-line surface: parsing, subcommands, report files, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from liouville_mellin import build_table, cli, kernel_N_series, save_table
-from liouville_mellin.cli import (RunManifest, format_complex, main,
+from liouville_mellin.cli import (CSV_COLUMNS, MANIFEST_KEYS, format_complex, main,
                                   parse_complex, read_report_file)
 from liouville_mellin.arith import CACHE_MAGIC
 from liouville_mellin.kernels import kernel_M_prime, kernel_M_with_bound
@@ -142,14 +144,20 @@ def test_verify_bounds_jsonl_roundtrip(cache_env, capsys, tmp_path):
     code = main(["verify", "bounds", "--limit", "50001", "--out", str(out_file)])
     assert code == 0
     manifest, rows = read_report_file(out_file)
-    assert isinstance(manifest, RunManifest)
-    assert manifest.command == "verify bounds"
-    assert manifest.table_limit == 50001
-    assert manifest.started == "2025-01-01T00:00:00+00:00"
+    assert manifest["command"] == "verify bounds"
+    assert manifest["table_limit"] == 50001
+    assert manifest["started"] == "2025-01-01T00:00:00+00:00"
     assert rows and all(r["pass"] for r in rows)
-    # manifest round-trips through serialization
-    again = RunManifest.from_record(json.loads(json.dumps(manifest.to_record())))
-    assert again == manifest
+
+
+def test_written_manifest_holds_the_manifest_keys_and_type(cache_env, tmp_path):
+    for fmt in ("jsonl", "csv"):
+        out_file = tmp_path / f"report.{fmt}"
+        assert main(["verify", "theorem1", "--limit", "3001", "--format", fmt,
+                     "--out", str(out_file)]) == 0
+        head = out_file.read_text().splitlines()[0].removeprefix("# manifest:")
+        assert sorted(json.loads(head)) == sorted(MANIFEST_KEYS + ("type",))
+        assert tuple(read_report_file(out_file)[0]) == MANIFEST_KEYS
 
 
 def test_verify_output_byte_identical(cache_env, tmp_path):
@@ -170,8 +178,28 @@ def test_verify_csv_format(cache_env, tmp_path):
     assert lines[1] == ("check_id,inputs,lhs_re,lhs_im,rhs_re,rhs_im,"
                         "abs_err,rel_err,pass")
     manifest, rows = read_report_file(out_file)
-    assert manifest.command == "verify theorem1"
+    assert manifest["command"] == "verify theorem1"
     assert all(isinstance(r["pass"], bool) for r in rows)
+
+
+def test_jsonl_and_csv_read_and_render_alike(cache_env, capsys, tmp_path):
+    # the same run in both formats: rows of the same key types, and the same
+    # rendered lines after the manifest line (its parameters name the format)
+    files = [tmp_path / f"t1.{fmt}" for fmt in ("jsonl", "csv")]
+    for f in files:
+        assert main(["verify", "theorem1", "--limit", "3001", "--format", f.suffix[1:],
+                     "--out", str(f)]) == 0
+    (_, jsonl_rows), (_, csv_rows) = map(read_report_file, files)
+    assert [{k: r[k] for k in CSV_COLUMNS} for r in jsonl_rows] == csv_rows
+    assert ([[type(r[k]) for k in CSV_COLUMNS] for r in jsonl_rows]
+            == [[type(r[k]) for k in CSV_COLUMNS] for r in csv_rows])
+    assert {type(r[k]) for r in csv_rows for k in CSV_COLUMNS[2:8]} == {float}
+    rendered = []
+    for f in files:
+        capsys.readouterr()
+        assert main(["report", "--in", str(f)]) == 0
+        rendered.append(capsys.readouterr().out.splitlines()[1:])
+    assert rendered[0] == rendered[1] and "inputs={'N': 1} " in rendered[0][0]
 
 
 def test_report_renders_and_propagates_failures(cache_env, capsys, tmp_path):
@@ -274,7 +302,7 @@ def test_verify_all_on_a_three_entry_table_reports_failures(cache_env, tmp_path)
     out_file = tmp_path / "tiny.jsonl"
     assert main(["verify", "all", "--limit", "3", "--out", str(out_file)]) == 1
     manifest, rows = read_report_file(out_file)
-    assert manifest.table_limit == 3
+    assert manifest["table_limit"] == 3
     residues = [r for r in rows if r["check_id"].startswith("identity.residue-")]
     assert sorted(r["inputs"]["l"] for r in residues) == [0, 0, 1, 1]
 
@@ -413,6 +441,72 @@ def test_report_row_missing_key_exits_2(cache_env, capsys, tmp_path, key):
     del rows[-1][key]
     _write_jsonl(out_file, [manifest] + rows)
     _assert_report_exits_2(out_file, capsys, f"row {len(rows)} lacks {key}")
+
+
+@pytest.mark.parametrize("value", ["true", 1])
+def test_report_refuses_a_jsonl_pass_that_is_not_a_boolean(cache_env, capsys, tmp_path, value):
+    # "true" once counted as passed and 1 as failed: neither is a check result
+    out_file, manifest, rows = _theorem1_report(tmp_path)
+    for row in rows:
+        row["pass"] = value
+    _write_jsonl(out_file, [manifest] + rows)
+    _assert_report_exits_2(out_file, capsys, f"row 1: pass is {value!r}, not a boolean")
+
+
+def test_report_reads_a_json_integer_as_a_float(cache_env, capsys, tmp_path):
+    out_file, manifest, rows = _theorem1_report(tmp_path)
+    rows[0]["abs_err"] = 0
+    _write_jsonl(out_file, [manifest] + rows)
+    abs_err = read_report_file(out_file)[1][0]["abs_err"]
+    assert type(abs_err) is float and abs_err == 0.0
+
+
+def _theorem1_csv(tmp_path):
+    out_file = tmp_path / "report.csv"
+    assert main(["verify", "theorem1", "--limit", "5001", "--format", "csv",
+                 "--out", str(out_file)]) == 0
+    return out_file, out_file.read_text().splitlines()
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda cells: cells[:-1], "row 4 lacks pass"),
+    (lambda cells: cells[:-1] + ["yes"], "row 4: pass is 'yes', not a boolean"),
+    (lambda cells: cells[:2] + ["x"] + cells[3:], "row 4: lhs_re is 'x', not a number"),
+    (lambda cells: cells[:1] + ["N=1"] + cells[2:], "row 4: inputs is 'N=1', not an object"),
+    (lambda cells: cells + ["1"], "row 4 has more than 9 cells"),
+], ids=["short", "pass-yes", "lhs-text", "inputs-text", "long"])
+def test_report_refuses_a_bad_csv_row(cache_env, capsys, tmp_path, doctor, message):
+    # the fourth row (file line 6) doctored; each cell is checked before it is
+    # converted, as float() of a short row's missing cell raises TypeError (exit 3)
+    out_file, lines = _theorem1_csv(tmp_path)
+    cells = next(csv.reader([lines[5]]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(doctor(cells))
+    lines[5] = buf.getvalue()
+    out_file.write_text("\n".join(lines) + "\n")
+    _assert_report_exits_2(out_file, capsys, message)
+
+
+def test_report_refuses_a_csv_header_a_huge_cell_and_deep_json(cache_env, capsys, tmp_path):
+    out_file, lines = _theorem1_csv(tmp_path)
+    out_file.write_text("\n".join([lines[0], lines[1].replace("abs_err", "err")] + lines[2:]))
+    _assert_report_exits_2(out_file, capsys, "row 1 lacks abs_err")
+    out_file.write_text("\n".join(lines[:2] + ["x" * 200_000]))  # past csv's field limit
+    _assert_report_exits_2(out_file, capsys, "field larger than field limit")
+    out_file.write_text("[" * 100_000)
+    _assert_report_exits_2(out_file, capsys, "cannot read report")
+
+
+def test_flags_are_refused_where_they_do_nothing(cache_env, capsys):
+    # --mode is zeta-alpha's and --form is M's, refused before any table is sieved
+    assert main(["eval", "zeta", "--s", "2", "--mode", "lambda-relation"]) == 2
+    assert "--mode applies to zeta-alpha only, not zeta" in capsys.readouterr().err
+    for name in ("N", "Mprime", "series"):
+        assert main(["kernel", name, "--z", "1", "--form", "plain", "--limit", "3001"]) == 2
+        assert f"--form applies to M only, not {name}" in capsys.readouterr().err
+    assert not (cache_env / "cache").exists() or not list((cache_env / "cache").iterdir())
+    assert main(["eval", "zeta-alpha", "--s=-0.75", "--mode", "definition"]) == 0
+    assert main(["kernel", "M", "--z", "1", "--form", "half-shifted", "--limit", "3001"]) == 0
 
 
 def test_sieve_force_rebuilds(cache_env, capsys):

@@ -1,12 +1,16 @@
-"""The demo scripts and the README's Python quick start run as written."""
+"""The demo scripts and the README's Python quick start run as written, and
+the README's command lines parse."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from liouville_mellin import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,6 +39,16 @@ def test_readme_quick_start_runs():
     assert len(blocks) == 1
     proc = _run(["-c", blocks[0]])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_lines_parse():
+    # every command of README's "Command line" block is one the parser takes
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 9 and all(words[0] == "liouville-mellin" for words in lines)
+    for words in lines:
+        cli.build_parser().parse_args(words[1:])  # SystemExit(2) on a stale flag
 
 
 def test_readme_environment_overrides_are_the_ones_cli_reads():
