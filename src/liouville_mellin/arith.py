@@ -43,11 +43,18 @@ nu is multiplicative with nu(p^e) = (-1)^e (1 + p^-1/2) / p^e, so for odd n
 a product of positive factors with no cancellation.  The defining
 convolution above stays an independent check (bounds.convolution).
 
+The kernels (kernels.py) take the tails of their sums from power moments of
+the weights beta(n)/sqrt(n) and nu(n) at fixed breakpoints, summed here
+(sum_tail_moments) once per table: ArithTable.tail_moments sums them on first
+use, and the cache holds them.
+
 The cache file (save_table/load_table) holds liouville_odd, mobius_odd,
-dcount_odd, beta_odd and nu_odd; nu_cumsum_odd is not stored but summed again
-on load, to the same bits.  Each array carries one sha256, hashed on
+dcount_odd, beta_odd and nu_odd, then the tail moments at the kernel depth,
+moments_beta and moments_nu; nu_cumsum_odd is not stored but summed again on
+load, to the same bits.  Each array carries one sha256, hashed on
 HASH_WORKERS threads (on load, while the next array is read); the header
-lengths are checked against limit and the file size.
+lengths are checked against limit and the file size, and the moments' layout
+(Taylor terms, exponent offsets, depth) against this code's.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import json
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +76,7 @@ __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
            "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
            "save_table", "load_table"]
 
-CACHE_MAGIC = b"ARITHv5"
+CACHE_MAGIC = b"ARITHv6"
 HASH_WORKERS = 2  # threads hashing cache fields; hashlib releases the GIL
 
 # fixed on-disk order, each array over the odd n <= limit: (name, dtype)
@@ -79,6 +87,10 @@ _CACHE_FIELDS = (
     ("beta_odd", np.int32),
     ("nu_odd", np.float64),
 )
+# then, after them, moments_beta and moments_nu: ArithTable.tail_moments at
+# the kernel depth
+
+_MOMENTS_LOCK = threading.Lock()  # held while a table's tail moments are summed
 
 # the 2-adic rule: f(2^a m) = _TWO_ADIC[f](a) * f(m) for odd m
 _TWO_ADIC = {
@@ -96,11 +108,14 @@ class ArithTable:
 
     Entry m of an _odd array is n = 2m + 1.  nu_cumsum_odd is summed from
     nu_odd when the table is made.  The full-length arrays (index 0 a
-    placeholder) are built on their first access.
+    placeholder) are built on their first access.  The kernels' tail moments
+    (tail_moments) come with a table loaded from the cache, and are summed
+    from beta_odd and nu_odd on first use otherwise.
 
     Point reads are pure.  What is built on a table later is a pure function
-    of its arrays: kernels builds its workspace under a lock, and two
-    threads that ask at once for a full-length array get the same bits.
+    of its arrays: the tail moments and the kernel workspace are built under
+    locks, and two threads that ask at once for a full-length array get the
+    same bits.
     """
 
     limit: int
@@ -113,6 +128,28 @@ class ArithTable:
 
     def __post_init__(self):
         self.nu_cumsum_odd = np.cumsum(self.nu_odd)
+        self._moments = {}  # (weights, depth) -> sum_tail_moments of those weights
+
+    def tail_moments(self, weights: str, depth: int | None = None) -> np.ndarray:
+        """sum_tail_moments of weights ("beta" or "nu") over m < depth, by
+        default kernel_depth(limit): those of the cache file, else summed on
+        first use under a lock, so threads sum them once."""
+        key = (weights, kernel_depth(self.limit) if depth is None else depth)
+        with _MOMENTS_LOCK:
+            if key not in self._moments:
+                self._moments[key] = sum_tail_moments(weight_readers(self)[weights],
+                                                      MOMENT_EXPONENTS[weights], key[1])
+            return self._moments[key]
+
+    @property
+    def moments_beta(self) -> np.ndarray:
+        """The stored field: tail_moments("beta") at the kernel depth."""
+        return self.tail_moments("beta")
+
+    @property
+    def moments_nu(self) -> np.ndarray:
+        """The stored field: tail_moments("nu") at the kernel depth."""
+        return self.tail_moments("nu")
 
     def spread(self, name: str, lo: int, hi: int) -> np.ndarray:
         """liouville, mobius, dcount, beta or nu at lo <= n < hi, from its odd
@@ -268,6 +305,73 @@ def abs_max(a: np.ndarray) -> float:
     return max(float(np.abs(a[lo:hi]).max()) for lo, hi in chunks(len(a)))
 
 
+# ---------------------------------------------------------------------------
+# the kernels' tail moments: summed once per table, stored in its cache
+# ---------------------------------------------------------------------------
+
+TAYLOR_TERMS = 14  # series terms of the kernels' tails: power moments per breakpoint
+# the exponent offset e0 = q + p0 of the kernel forms over each weight
+# (kernels._Form): 1 + 1 for N over beta(n)/sqrt(n), 0 + 1 (M) and 1 + 0 (M') over nu(n)
+MOMENT_EXPONENTS = {"beta": 2, "nu": 1}
+
+
+def kernel_depth(limit: int) -> int:
+    """The one depth rule of the kernel sums over a table to limit: 10^6
+    terms, or every odd n <= limit if fewer."""
+    return min(10 ** 6, (limit + 1) // 2)
+
+
+def weight_readers(table: ArithTable) -> dict:
+    """Per kernel weight, read(lo, hi) = v_m for lo <= m < hi, n = 2m + 1:
+    beta(n)/sqrt(n) and nu(n).  The readers hold the arrays, not the table,
+    so a workspace cached on the table makes no cycle with it."""
+    beta_odd, nu_odd = table.beta_odd, table.nu_odd
+    return {"beta": lambda lo, hi: beta_odd[lo:hi] / np.sqrt(odd(lo, hi)),
+            "nu": lambda lo, hi: nu_odd[lo:hi]}
+
+
+def moment_breaks(end: int) -> np.ndarray:
+    """The moments' breakpoints over m < end: 0, the powers of two and end."""
+    return np.array(sorted({0, end, *(1 << j for j in range(end.bit_length()))}),
+                    dtype=np.int64)
+
+
+def sum_tail_moments(read, e0: int, end: int) -> np.ndarray:
+    """Suffix power moments of one weight array at the breakpoints b of
+    moment_breaks(end), one row per breakpoint.
+
+    A breakpoint's tail is b <= m < end and starts at n_b = 2b + 1.  Row i is
+
+        [k < TAYLOR_TERMS]   sum_tail v_m (n_b / n_m)^(e0 + 2k),
+        [TAYLOR_TERMS]       sum_tail |v_m|,
+
+    scaled by n_b so that no power over- or underflows; read(lo, hi) is
+    v[lo:hi].  Each stretch between breakpoints is one pairwise_sum, whose
+    leaf holds one row at a time: each power is the last one times
+    (n_b/n_m)^2, in place, summed before the next.  The row of end is 0.
+    """
+    breaks = moment_breaks(end)
+    n_break = 2.0 * breaks + 1.0
+    sums = np.zeros((len(breaks), TAYLOR_TERMS + 1))
+    powers = e0 + 2.0 * np.arange(TAYLOR_TERMS)
+    for i in range(len(breaks) - 2, -1, -1):
+        lo, hi = int(breaks[i]), int(breaks[i + 1])
+        def rows(a: int, b: int):  # v_m (n_b/n_m)^(e0+2k) for each k, then |v_m|
+            v, r = read(a, b), n_break[i] / odd(a, b)
+            row = v * np.power(r, e0)
+            yield row
+            r *= r
+            for _ in range(1, TAYLOR_TERMS):
+                row *= r
+                yield row
+            yield np.abs(v, out=row)
+        seg = pairwise_sum(rows, lo, hi - lo)
+        shift = (n_break[i] / n_break[i + 1]) ** powers
+        sums[i, :-1] = seg[:-1] + shift * sums[i + 1, :-1]
+        sums[i, -1] = seg[-1] + sums[i + 1, -1]
+    return sums
+
+
 def _check_range(table: ArithTable, n: int) -> int:
     try:
         n = operator.index(n)
@@ -349,32 +453,51 @@ def _sha256(arr: np.ndarray) -> str:
     return hashlib.sha256(arr).hexdigest()
 
 
-def save_table(table: ArithTable, path: str | os.PathLike) -> None:
-    """Dump the table so later runs can skip the sieve.
+def _moment_layout(limit: int) -> dict:
+    """What the stored moments of a table to limit are: the header's "moments"."""
+    return {"taylor_terms": TAYLOR_TERMS, "exponents": MOMENT_EXPONENTS,
+            "depth": kernel_depth(limit)}
 
-    Layout: magic, one JSON header line (limit, and per array its name,
-    dtype, length and the sha256 of its bytes), then the raw little-endian
-    array bytes in fixed field order: liouville_odd, mobius_odd, dcount_odd,
-    beta_odd and nu_odd, each of length (limit + 1) // 2.  Integers
-    round-trip exactly and nu_odd bitwise; nu_cumsum_odd is summed again on
-    load.  The arrays are hashed on HASH_WORKERS threads, then written
-    straight from memory to a temporary file that replaces `path` once
-    complete, so no reader sees a short file.  The temporary file is first
-    preallocated to its full size where os has posix_fallocate: on ext4,
-    renaming a file with unallocated blocks over an existing one forces a
-    synchronous flush (about 1 s at 2,000,001 entries).
+
+def _layout(limit: int) -> list:
+    """(name, dtype, shape) of each stored field of a table to limit, in file order."""
+    rows = len(moment_breaks(kernel_depth(limit)))
+    return ([(name, np.dtype(dtype), ((limit + 1) // 2,)) for name, dtype in _CACHE_FIELDS]
+            + [(f"moments_{w}", np.dtype(np.float64), (rows, TAYLOR_TERMS + 1))
+               for w in MOMENT_EXPONENTS])
+
+
+def save_table(table: ArithTable, path: str | os.PathLike) -> None:
+    """Dump the table so later runs can skip the sieve and the moment sums.
+
+    Layout: magic, one JSON header line (limit; the moments' Taylor terms,
+    exponent offsets and depth; per field its name, dtype, length and the
+    sha256 of its bytes), then the raw little-endian field bytes in fixed
+    order: liouville_odd, mobius_odd, dcount_odd, beta_odd and nu_odd, each
+    of length (limit + 1) // 2, then moments_beta and moments_nu, the
+    tail moments at the kernel depth (summed first if the table has none
+    yet), each of len(moment_breaks(depth)) * (TAYLOR_TERMS + 1) float64.
+    Integers round-trip exactly and floats bitwise; nu_cumsum_odd is summed
+    again on load.  The fields are hashed on HASH_WORKERS threads, then
+    written straight from memory to a temporary file that replaces `path`
+    once complete, so no reader sees a short file.  The temporary file is
+    first preallocated to its full size where os has posix_fallocate: on
+    ext4, renaming a file with unallocated blocks over an existing one
+    forces a synchronous flush (about 1 s at 2,000,001 entries).
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
+    layout = _layout(table.limit)
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
-              for name, dtype in _CACHE_FIELDS]
+              for name, dtype, _ in layout]
     with ThreadPoolExecutor(HASH_WORKERS) as pool:
         digests = list(pool.map(_sha256, arrays))
     header = {
         "limit": table.limit,
-        "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.shape[0]),
+        "moments": _moment_layout(table.limit),
+        "fields": [{"name": name, "dtype": arr.dtype.str, "len": int(arr.size),
                     "sha256": digest}
-                   for (name, _), arr, digest in zip(_CACHE_FIELDS, arrays, digests)],
+                   for (name, _, _), arr, digest in zip(layout, arrays, digests)],
     }
     head = CACHE_MAGIC + b"\n" + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"  # same directory
@@ -393,14 +516,15 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 def load_table(path: str | os.PathLike) -> ArithTable:
     """Read a table written by save_table, verifying magic and checksums.
 
-    Every header length must be (limit + 1) // 2, the odd n <= limit, and
-    match the file size before anything is allocated.  The arrays
-    share one allocation.  Each is read in place and handed to one of
-    HASH_WORKERS threads at once, so reading the next array overlaps with
-    hashing this one and the payload is held once.  The largest field,
-    nu_odd (the last on disk), is read and hashed first, as its hash is the
-    longest; then the table, with its np.cumsum of S, is made while the
-    digests run.  They are compared in field order before it is returned.
+    Every header length must be that of save_table's layout for the header's
+    limit, the moments' layout that of this code, and the lengths must match
+    the file size, before anything is allocated.  The fields share one
+    allocation.  Each is read in place and handed to one of HASH_WORKERS
+    threads at once, so reading the next field overlaps with hashing this
+    one and the payload is held once.  The largest field, nu_odd, is read
+    and hashed first, as its hash is the longest; then the table, with its
+    np.cumsum of S and the moments read, is made while the digests run.
+    They are compared in field order before it is returned.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
@@ -418,28 +542,32 @@ def load_table(path: str | os.PathLike) -> ArithTable:
             raise CacheFormatError(f"unreadable header in {path}: a sha256 is not a string")
         if limit < 1:
             raise CacheFormatError(f"limit {limit} < 1 in {path}")
-        expected = [(name, np.dtype(dtype).str) for name, dtype in _CACHE_FIELDS]
-        if [(name, dtype) for name, dtype, _, _ in fields] != expected:
+        layout = _layout(limit)
+        if [(name, dtype) for name, dtype, _, _ in fields] != [(name, dtype.str)
+                                                                for name, dtype, _ in layout]:
             raise CacheFormatError(f"unexpected field layout in {path}")
-        half = (limit + 1) // 2
-        for name, _, length, _ in fields:
-            if length != half:
-                raise CacheFormatError(f"field length of {name} is {length}, not {half} "
-                                       f"for limit {limit} in {path}")
-        sizes = [half * np.dtype(dtype).itemsize for _, dtype in _CACHE_FIELDS]
+        for i, ((name, _, length, _), (_, _, shape)) in enumerate(zip(fields, layout)):
+            if i == len(_CACHE_FIELDS) and header.get("moments") != _moment_layout(limit):
+                # the odd halves fit limit; the moments must be those this code sums
+                raise CacheFormatError(f"moment layout {header.get('moments')} is not "
+                                       f"{_moment_layout(limit)} in {path}")
+            if length != math.prod(shape):
+                raise CacheFormatError(f"field length of {name} is {length}, not "
+                                       f"{math.prod(shape)} for limit {limit} in {path}")
+        sizes = [math.prod(shape) * dtype.itemsize for _, dtype, shape in layout]
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left != sum(sizes):
             raise CacheFormatError(f"{left} payload bytes disagree with the header in {path}")
-        # one block for the stored arrays, each a view starting on a 16-byte
+        # one block for the stored fields, each a view starting on a 16-byte
         # boundary; separate arrays can come from the heap after the first
         # load, where the hashing threads' small allocations can keep a freed
         # table resident (peak RSS +5 MB in repeated loads)
         spans = [-(-size // 16) * 16 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
         arrays, offsets, lo, at, digests = {}, {}, 0, fh.tell(), {}
-        for (name, dtype), span, size in zip(_CACHE_FIELDS, spans, sizes):
-            arrays[name], offsets[name] = block[lo:lo + span].view(dtype)[:half], at
-            lo, at = lo + span, at + size
+        for (name, dtype, shape), span, size in zip(layout, spans, sizes):
+            arrays[name] = block[lo:lo + span].view(dtype)[:math.prod(shape)].reshape(shape)
+            offsets[name], lo, at = at, lo + span, at + size
         with ThreadPoolExecutor(HASH_WORKERS) as pool:  # joins its threads on any exit
             # the largest field first: its hash is the longest
             for name in ("nu_odd", *(name for name in arrays if name != "nu_odd")):
@@ -448,7 +576,10 @@ def load_table(path: str | os.PathLike) -> ArithTable:
                 if fh.readinto(arr) != arr.nbytes:
                     raise CacheFormatError(f"short read of {name} in {path}")
                 digests[name] = pool.submit(_sha256, arr)
-            table = ArithTable(limit=limit, **arrays)  # sums S while the digests run
+            # sums S while the digests run
+            table = ArithTable(limit=limit, **{name: arrays[name] for name, _ in _CACHE_FIELDS})
+            table._moments.update({(w, kernel_depth(limit)): arrays[f"moments_{w}"]
+                                   for w in MOMENT_EXPONENTS})
             for name, _, _, sha in fields:
                 if digests[name].result() != sha:
                     raise CacheFormatError(f"checksum mismatch in field {name} of {path}")

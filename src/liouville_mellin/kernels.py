@@ -24,8 +24,9 @@ terms directly up to b, the first breakpoint with 2b+1 >= 2|z|; the
 breakpoints are the powers of two and the depth.  On the tail past b,
 |z/n| <= 1/2, so phi is replaced by _TAYLOR_TERMS terms of its power series
 and the tail becomes sum_k a_k z^p_k sum_{b<=m<depth} w_m n^-p_k.  Those
-inner sums, the power moments, are pairwise sums (arith.pairwise_sum)
-cached per weight array on the workspace.  tanh(u/2)/2 = sum_k c_k
+inner sums, the power moments, are pairwise sums (arith.sum_tail_moments)
+that the table holds: the cache file stores them at the full depth, and a
+table sieved in memory sums them once, on first use.  tanh(u/2)/2 = sum_k c_k
 u^(2k+1) has |c_k| <= pi^-2k/4 (c_k from the recurrence tanh' = 1 -
 tanh^2), as have N's coefficients, so the discarded series is below
 
@@ -80,7 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SCAN, ArithTable, odd, pairwise_sum
+from .arith import (SCAN, TAYLOR_TERMS, ArithTable, kernel_depth, moment_breaks, odd,
+                    pairwise_sum, weight_readers)
 from .errors import (DomainError, InvalidArgumentError, PoleError, RangeError,
                      TruncationBudgetError)
 from .special import POLE_TOL
@@ -121,7 +123,7 @@ class KernelConfig:
 def config_for_table(table: ArithTable) -> KernelConfig:
     """The one place the kernel sums' depths are decided: 10^6 terms, or
     every odd number the table holds if fewer; remainders up to 5e-8."""
-    depth = min(10 ** 6, (table.limit - 1) // 2 + 1)
+    depth = kernel_depth(table.limit)
     return KernelConfig(n_terms_N=depth, n_terms_M=depth, abel_tail_tol=5e-8)
 
 
@@ -186,7 +188,7 @@ def fermi_deficit(z: complex) -> complex:
 # kernel forms and their power series on the tail
 # ---------------------------------------------------------------------------
 
-_TAYLOR_TERMS = 14   # series terms of phi used on the tail, where |z/n| <= 1/2
+_TAYLOR_TERMS = TAYLOR_TERMS  # series terms of phi used on the tail, where |z/n| <= 1/2
 _HEAD_PREFIX = 32    # real head terms summed directly, before the blocks
 _CHEB = 20           # Chebyshev points per block of a real head
 _BLOCKS_PER_OCTAVE = 3
@@ -276,7 +278,8 @@ _FORM_M_PRIME = _Form("nu", 1, 0, np.array([(2 * k + 1) * c for k, c in enumerat
 # ---------------------------------------------------------------------------
 
 class _Moments:
-    """Suffix power moments of one weight array, cached at fixed breakpoints.
+    """Suffix power moments of one weight array at fixed breakpoints, read
+    from the table (ArithTable.tail_moments).
 
     A breakpoint b is a term index; its tail is b <= m < end and starts at
     n_b = 2b + 1.  The breakpoints are 0, the powers of two and end.
@@ -285,32 +288,13 @@ class _Moments:
         scaled[i, k] = sum_tail v_m (n_b / n_m)^(e0 + 2k),
         abs_sum[i]   = sum_tail |v_m|,
 
-    scaled by n_b so that no power over- or underflows; read(lo, hi) is v[lo:hi].
-    A leaf of the pairwise sum holds one row at a time: each power is the
-    last one times (n_b/n_m)^2, in place, summed before the next.
+    with e0 = q + p0 of the forms over the array (arith.MOMENT_EXPONENTS).
     """
 
-    def __init__(self, read: Callable[[int, int], np.ndarray], e0: int, end: int):
-        points = {0, end, *(1 << j for j in range(end.bit_length()))}
-        self.breaks = np.array(sorted(points), dtype=np.int64)
+    def __init__(self, sums: np.ndarray, end: int):
+        self.breaks = moment_breaks(end)
         self.n_break = 2.0 * self.breaks + 1.0
-        self.scaled = np.zeros((len(self.breaks), _TAYLOR_TERMS))
-        self.abs_sum = np.zeros(len(self.breaks))
-        for i in range(len(self.breaks) - 2, -1, -1):
-            lo, hi = int(self.breaks[i]), int(self.breaks[i + 1])
-            def rows(a: int, b: int):  # v_m (n_b/n_m)^(e0+2k) for each k, then |v_m|
-                v, r = read(a, b), self.n_break[i] / odd(a, b)
-                row = v * np.power(r, e0)
-                yield row
-                r *= r
-                for _ in range(1, _TAYLOR_TERMS):
-                    row *= r
-                    yield row
-                yield np.abs(v, out=row)
-            seg = pairwise_sum(rows, lo, hi - lo)
-            shift = (self.n_break[i] / self.n_break[i + 1]) ** (e0 + _K2)
-            self.scaled[i] = seg[:-1] + shift * self.scaled[i + 1]
-            self.abs_sum[i] = seg[-1] + self.abs_sum[i + 1]
+        self.scaled, self.abs_sum = sums[:, :-1], sums[:, -1]
 
     def index(self, z: np.ndarray) -> np.ndarray:
         """Per point, the first breakpoint with n_b >= 2|z| (else end)."""
@@ -434,34 +418,32 @@ class _HeadBlocks:
 class _Workspace:
     """The table's one truncation of the kernel sums: weight readers over
     the table's odd halves, the depth and tolerance of config_for_table (or
-    a shorter depth), sup |S| past it, and each array's moments and blocks,
-    built under a lock so that threads sharing the table build them once."""
+    a shorter depth), sup |S| past it, each array's tail moments at that
+    depth, read from the table, and its head blocks, made under a lock so
+    that threads sharing the table make them once."""
 
     def __init__(self, table: ArithTable, depth: int | None = None):
         config = config_for_table(table)
         self.depth = config.n_terms_M if depth is None else depth
         self.tol = config.abel_tail_tol
-        beta_odd, nu_odd = table.beta_odd, table.nu_odd
-        # v_m for lo <= m < hi, read from the arrays: no cycle with the caching table
-        self.weights = {"beta": lambda lo, hi: beta_odd[lo:hi] / np.sqrt(odd(lo, hi)),
-                        "nu": lambda lo, hi: nu_odd[lo:hi]}
+        self.weights = weight_readers(table)
         self.S_odd = table.nu_cumsum_odd
         # sup |S| over m >= depth: the table's values, floored by the frozen
         # beyond-table cap
         self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
                          S_TAIL_BEYOND_TABLE)
-        self._moments: dict[str, tuple[_Moments, _HeadBlocks]] = {}
+        self._tails = {name: _Moments(table.tail_moments(name, self.depth), self.depth)
+                       for name in self.weights}
+        self._blocks: dict[str, _HeadBlocks] = {}
         self._lock = threading.Lock()
 
     def moments(self, form: _Form) -> tuple[_Moments, _HeadBlocks]:
-        """Tail moments and head blocks of form's weights, built on first use;
-        M and M' share nu's, as they share the exponent q + p0 = 1."""
+        """Tail moments and head blocks of form's weights, the blocks made on
+        first use; M and M' share nu's, as they share the exponent q + p0 = 1."""
         with self._lock:
-            if form.weights not in self._moments:
-                read = self.weights[form.weights]
-                self._moments[form.weights] = (_Moments(read, form.q + form.p0, self.depth),
-                                               _HeadBlocks(self.depth, read))
-            return self._moments[form.weights]
+            if form.weights not in self._blocks:
+                self._blocks[form.weights] = _HeadBlocks(self.depth, self.weights[form.weights])
+            return self._tails[form.weights], self._blocks[form.weights]
 
 
 _WS_LOCK = threading.Lock()

@@ -423,6 +423,7 @@ def test_cache_rejects_short_read(table_small, tmp_path, monkeypatch):
 
 
 def test_cache_names_the_field_that_fails_its_checksum(table_small, tmp_path):
+    # one flipped byte in any field, the moments too, names that field
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)
     threads = threading.active_count()
@@ -477,7 +478,7 @@ def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_smal
     # allocated, where the table would take some 14 GB
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)
-    for field in header["fields"]:
+    for field in (f for f in header["fields"] if f["name"].endswith("_odd")):
         name = field["name"]
         fields = [dict(f, len=3002) if f["name"] == name else f for f in header["fields"]]
         extra = 1501 * np.dtype(field["dtype"]).itemsize
@@ -498,17 +499,65 @@ def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_smal
         assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("limit", [3001, 100_001])
+def test_loaded_moments_are_the_built_ones(limit, table_small, table_100k, tmp_path,
+                                           monkeypatch):
+    # save_table sums a sieved table's tail moments at the kernel depth; the
+    # table read back holds them, to the bit, and sums nothing on load or on
+    # first use
+    built = dataclasses.replace(table_small if limit == 3001 else table_100k)  # none summed
+    assert built.tail_moments("nu").tobytes() == arith.sum_tail_moments(
+        arith.weight_readers(built)["nu"], 1, arith.kernel_depth(limit)).tobytes()
+    save_table(built, tmp_path / "arith.bin")
+    monkeypatch.setattr(arith, "sum_tail_moments", None)  # a call raises TypeError
+    loaded = load_table(tmp_path / "arith.bin")
+    rows = len(arith.moment_breaks(arith.kernel_depth(limit)))
+    for w in ("beta", "nu"):
+        moments = loaded.tail_moments(w)
+        assert moments.shape == (rows, arith.TAYLOR_TERMS + 1)
+        assert moments.tobytes() == built.tail_moments(w).tobytes(), w
+    assert rows == {3001: 13, 100_001: 18}[limit]
+
+
+def test_cache_refuses_moments_of_another_layout(table_small, tmp_path, monkeypatch):
+    # moments summed with another Taylor-term count, exponent offset or depth
+    # are not those the kernels read: the header's layout must be this code's,
+    # and the moment fields as long as that layout makes them
+    path = tmp_path / "arith.bin"
+    monkeypatch.setattr(arith, "TAYLOR_TERMS", 13)
+    save_table(dataclasses.replace(table_small), path)
+    monkeypatch.undo()
+    with pytest.raises(CacheFormatError, match="moment layout"):
+        load_table(path)
+    header, payload = _saved_parts(table_small, path)
+    assert header["moments"] == {"depth": 1501, "exponents": {"beta": 2, "nu": 1},
+                                 "taylor_terms": 14}
+    without = {k: v for k, v in header.items() if k != "moments"}
+    for other in (dict(header, moments=dict(header["moments"], depth=1500)),
+                  dict(header, moments=dict(header["moments"], exponents={"beta": 2, "nu": 0})),
+                  without):
+        _write_cache(path, other, payload)
+        with pytest.raises(CacheFormatError, match="moment layout"):
+            load_table(path)
+    fields = [dict(f, len=210) if f["name"] == "moments_nu" else f for f in header["fields"]]
+    _write_cache(path, dict(header, fields=fields), payload + bytes(8 * 15), rehash=True)
+    with pytest.raises(CacheFormatError, match="field length of moments_nu is 210, not 195"):
+        load_table(path)
+
+
 def test_saved_bytes_pinned(table_small, tmp_path):
     # sha256 of the whole cache file for build_table(3001), recorded when
-    # ARITHv5 kept every array at odd n only and dropped spf: its payload is
-    # the ARITHv4 file's liouville, mobius and dcount at odd n, then its
-    # beta_odd and nu_odd, byte for byte
+    # ARITHv6 added the kernels' tail moments after the ARITHv5 payload: that
+    # payload is unchanged, the ARITHv4 file's liouville, mobius and dcount at
+    # odd n, then its beta_odd and nu_odd, byte for byte
     path = tmp_path / "arith.bin"
     _, payload = _saved_parts(table_small, path)
-    assert payload == b"".join(getattr(table_small, name)[1::2].tobytes()
-                               for name in ("liouville", "mobius", "dcount", "beta", "nu"))
+    arrays = b"".join(getattr(table_small, name)[1::2].tobytes()
+                      for name in ("liouville", "mobius", "dcount", "beta", "nu"))
+    moments = b"".join(table_small.tail_moments(w).tobytes() for w in ("beta", "nu"))
+    assert payload == arrays + moments
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f5203eec5dde774b7b1f61fd9b5ce4494ed4000f267e8a40e49ff1316adf78f0")
+        "77fc01d395f7231aa9948550b78330dbd09d05ea441e9730a9430d115c6e261d")
 
 
 def _table_bytes(table):
@@ -555,11 +604,13 @@ def test_save_over_a_cache_replaces_it_whole(tmp_path, monkeypatch):
         save_table(second, path)
         assert [p.name for p in tmp_path.iterdir()] == ["arith.bin"]
         magic, header, payload = path.read_bytes().split(b"\n", 2)
-        assert len(payload) == 18 * ((limit + 1) // 2)  # 1 + 1 + 4 + 4 + 8 bytes per odd n
+        # 1 + 1 + 4 + 4 + 8 bytes per odd n, then two weights' moments: 8 breakpoints
+        # (0, 1, 2, 4, 8, 16, 32 and the depth 51 or 50), 15 float64 each
+        assert len(payload) == 18 * ((limit + 1) // 2) + 2 * 8 * 15 * 8
         assert path.stat().st_size == len(magic) + len(header) + 2 + len(payload)
         loaded = load_table(path)
         assert loaded.limit == limit
-        for name, _ in arith._CACHE_FIELDS:
+        for name in [name for name, _ in arith._CACHE_FIELDS] + ["moments_beta", "moments_nu"]:
             assert getattr(loaded, name).tobytes() == getattr(second, name).tobytes(), name
         monkeypatch.delattr(os, "posix_fallocate", raising=False)  # the second save without
 

@@ -25,8 +25,12 @@ def test_bench_record_schema(workload):
     assert f"--workload {workload}" in record["command"]
     entries = record["entries"]
     assert entries and any(e["source"] == "measured" for e in entries)
-    for entry in entries:
+    for i, entry in enumerate(entries):
         assert entry["source"] in ("measured", "CHANGES.md"), entry["title"]
+        # sha.change is null only on the last entry: the change that adds it
+        change = entry["sha"]["change"]
+        if change is not None or i < len(entries) - 1:
+            assert isinstance(change, str) and len(change) >= 7, entry["title"]
         assert entry["title"] and entry["pair_count"] >= 1
         for key in ("machine", "python", "numpy"):
             assert isinstance(entry[key], str) and entry[key], key

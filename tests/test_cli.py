@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville_mellin import build_table, cli, kernel_N_series, save_table
+from liouville_mellin import arith, build_table, cli, kernel_N_series, save_table
 from liouville_mellin.cli import (CSV_COLUMNS, MANIFEST_KEYS, format_complex, main,
                                   parse_complex, read_report_file)
 from liouville_mellin.arith import CACHE_MAGIC
@@ -88,11 +88,13 @@ def _older_cache(table, magic: bytes, names: tuple) -> bytes:
             + b"".join(a.tobytes() for a in arrays))
 
 
-def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
+def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys, monkeypatch):
     # a truncated file, one whose magic is ARITHv2 (one sha256 over the
-    # payload), an ARITHv3 file (beta, nu and S over every n) and an ARITHv4
-    # file (spf, lambda, mu and d over every n, beta and nu over odd n; it
-    # hashes to the digest test_saved_bytes_pinned held for ARITHv4)
+    # payload), an ARITHv3 file (beta, nu and S over every n), an ARITHv4
+    # file (spf, lambda, mu and d over every n, beta and nu over odd n), an
+    # ARITHv5 file (every array over odd n, no moments; it hashes to the
+    # digest test_saved_bytes_pinned held for ARITHv5), and one whose moments
+    # have another layout (13 Taylor terms)
     path = cache_env / "cache" / "arith_3001.bin"
     assert main(["sieve", "--limit", "3001"]) == 0
     fresh = path.read_bytes()
@@ -102,7 +104,15 @@ def test_sieve_rebuilds_an_unusable_cache(cache_env, capsys):
                                           "beta", "nu", "nu_cumsum"))
     v4 = _older_cache(table, b"ARITHv4", ("spf", "liouville", "mobius", "dcount",
                                           "beta_odd", "nu_odd"))
-    for bad in (fresh[:-100], older, v3, v4):
+    v5 = _older_cache(table, b"ARITHv5", ("liouville_odd", "mobius_odd", "dcount_odd",
+                                          "beta_odd", "nu_odd"))
+    assert hashlib.sha256(v5).hexdigest() == (
+        "f5203eec5dde774b7b1f61fd9b5ce4494ed4000f267e8a40e49ff1316adf78f0")
+    with monkeypatch.context() as m:
+        m.setattr(arith, "TAYLOR_TERMS", 13)
+        save_table(build_table(3001), path)
+    other_layout = path.read_bytes()
+    for bad in (fresh[:-100], older, v3, v4, v5, other_layout):
         path.write_bytes(bad)
         capsys.readouterr()
         assert main(["sieve", "--limit", "3001"]) == 0
@@ -167,6 +177,18 @@ def test_verify_output_byte_identical(cache_env, tmp_path):
         for f in (f1, f2):
             assert main(["verify", *args, "--out", str(f)]) == code
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_verify_all_cold_and_warm_byte_identical(cache_env, tmp_path):
+    # from an empty cache dir the run sieves, and saving the table sums its
+    # kernel moments; warm, the run reads both from the cache: the same bytes
+    cache = cache_env / "cache" / "arith_20001.bin"
+    cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    assert not cache.exists()
+    assert main(["verify", "all", "--limit", "20001", "--out", str(cold)]) == 0
+    assert cache.exists()
+    assert main(["verify", "all", "--limit", "20001", "--out", str(warm)]) == 0
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_verify_csv_format(cache_env, tmp_path):

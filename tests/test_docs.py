@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liouville_mellin import cli
+from liouville_mellin import arith, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -58,3 +58,13 @@ def test_readme_environment_overrides_are_the_ones_cli_reads():
     cli = (ROOT / "src" / "liouville_mellin" / "cli.py").read_text()
     read = {f"LIOUMEL_{name}" for name in re.findall(r'_env\("(\w+)"', cli)}
     assert documented == read and read
+
+
+def test_readme_cache_paragraph_names_the_format():
+    # the README's table-cache paragraph names the magic save_table writes and
+    # every field it stores, so a format change cannot leave it stale
+    readme = (ROOT / "README.md").read_text()
+    paragraph = re.search(r"The table cache \(magic `(\w+)`\).*?\n\n", readme, re.S)
+    assert paragraph.group(1) == arith.CACHE_MAGIC.decode("ascii")
+    assert [name for name, _, _ in arith._layout(1)
+            if f"`{name}`" not in paragraph.group(0)] == []

@@ -13,7 +13,7 @@ from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, Rang
                               TruncationBudgetError, build_table, fermi, fermi_deficit, kernel_M,
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
-from liouville_mellin import kernels
+from liouville_mellin import arith, kernels
 from liouville_mellin.arith import SCAN, odd, pairwise_sum
 from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
                                       _Workspace, _kernel_sum, _points,
@@ -517,10 +517,14 @@ def _block_rows_whole_leaf(self, B, lo, hi):
 def test_row_at_a_time_leaves_keep_the_bits(form, table_100k):
     ws = _Workspace(table_100k)
     read, e0 = ws.weights[form.weights], form.q + form.p0
-    mom = kernels._Moments(read, e0, ws.depth)
-    scaled, abs_sum = _moments_whole_leaf(read, e0, mom.breaks)
-    assert np.array_equal(mom.scaled, scaled)
-    assert np.array_equal(mom.abs_sum, abs_sum)
+    assert arith.MOMENT_EXPONENTS[form.weights] == e0
+    sums = arith.sum_tail_moments(read, e0, ws.depth)
+    scaled, abs_sum = _moments_whole_leaf(read, e0, arith.moment_breaks(ws.depth))
+    assert np.array_equal(sums[:, :-1], scaled)
+    assert np.array_equal(sums[:, -1], abs_sum)
+    mom = ws.moments(form)[0]  # what the kernels read: the table's, the same bits
+    assert sums.tobytes() == table_100k.tail_moments(form.weights).tobytes()
+    assert np.array_equal(mom.scaled, scaled) and np.array_equal(mom.abs_sum, abs_sum)
     blocks, ref = kernels._HeadBlocks(ws.depth, read), kernels._HeadBlocks(ws.depth, read)
     ref._rows = functools.partial(_block_rows_whole_leaf, ref)
     for b in (blocks, ref):
