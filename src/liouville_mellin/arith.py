@@ -49,7 +49,7 @@ the weights beta(n)/sqrt(n) and nu(n) at fixed breakpoints, summed here
 use, and the cache holds them.
 
 The cache file (save_table/load_table) holds liouville_odd, mobius_odd,
-dcount_odd, beta_odd and nu_odd, then the tail moments at the kernel depth,
+dcount_odd, beta_odd and nu_odd, then the tail moments of beta and nu,
 moments_beta and moments_nu; nu_cumsum_odd is not stored but summed again on
 load, to the same bits.  Each array carries one sha256, hashed on
 HASH_WORKERS threads (on load, while the next array is read); the header
@@ -87,8 +87,7 @@ _CACHE_FIELDS = (
     ("beta_odd", np.int32),
     ("nu_odd", np.float64),
 )
-# then, after them, moments_beta and moments_nu: ArithTable.tail_moments at
-# the kernel depth
+# then, after them, moments_beta and moments_nu: ArithTable.tail_moments
 
 _MOMENTS_LOCK = threading.Lock()  # held while a table's tail moments are summed
 
@@ -113,9 +112,9 @@ class ArithTable:
     from beta_odd and nu_odd on first use otherwise.
 
     Point reads are pure.  What is built on a table later is a pure function
-    of its arrays: the tail moments and the kernel workspace are built under
-    locks, and two threads that ask at once for a full-length array get the
-    same bits.
+    of its arrays: the tail moments, the kernel workspace and each of its
+    head-block sets are built under a lock of their own, and two threads
+    that ask at once for a full-length array get the same bits.
     """
 
     limit: int
@@ -128,28 +127,18 @@ class ArithTable:
 
     def __post_init__(self):
         self.nu_cumsum_odd = np.cumsum(self.nu_odd)
-        self._moments = {}  # (weights, depth) -> sum_tail_moments of those weights
+        self._moments = {}  # weights -> their tail moments
 
-    def tail_moments(self, weights: str, depth: int | None = None) -> np.ndarray:
-        """sum_tail_moments of weights ("beta" or "nu") over m < depth, by
-        default kernel_depth(limit): those of the cache file, else summed on
-        first use under a lock, so threads sum them once."""
-        key = (weights, kernel_depth(self.limit) if depth is None else depth)
+    def tail_moments(self, weights: str) -> np.ndarray:
+        """sum_tail_moments of weights ("beta" or "nu") over m <
+        kernel_depth(limit): those of the cache file, else summed on first
+        use under a lock, so threads sum them once."""
         with _MOMENTS_LOCK:
-            if key not in self._moments:
-                self._moments[key] = sum_tail_moments(weight_readers(self)[weights],
-                                                      MOMENT_EXPONENTS[weights], key[1])
-            return self._moments[key]
-
-    @property
-    def moments_beta(self) -> np.ndarray:
-        """The stored field: tail_moments("beta") at the kernel depth."""
-        return self.tail_moments("beta")
-
-    @property
-    def moments_nu(self) -> np.ndarray:
-        """The stored field: tail_moments("nu") at the kernel depth."""
-        return self.tail_moments("nu")
+            if weights not in self._moments:
+                self._moments[weights] = sum_tail_moments(
+                    weight_readers(self)[weights], MOMENT_EXPONENTS[weights],
+                    kernel_depth(self.limit))
+            return self._moments[weights]
 
     def spread(self, name: str, lo: int, hi: int) -> np.ndarray:
         """liouville, mobius, dcount, beta or nu at lo <= n < hi, from its odd
@@ -475,8 +464,8 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
     sha256 of its bytes), then the raw little-endian field bytes in fixed
     order: liouville_odd, mobius_odd, dcount_odd, beta_odd and nu_odd, each
     of length (limit + 1) // 2, then moments_beta and moments_nu, the
-    tail moments at the kernel depth (summed first if the table has none
-    yet), each of len(moment_breaks(depth)) * (TAYLOR_TERMS + 1) float64.
+    table's tail_moments("beta") and ("nu") (summed first if the table has
+    none yet), each of len(moment_breaks(depth)) * (TAYLOR_TERMS + 1) float64.
     Integers round-trip exactly and floats bitwise; nu_cumsum_odd is summed
     again on load.  The fields are hashed on HASH_WORKERS threads, then
     written straight from memory to a temporary file that replaces `path`
@@ -489,7 +478,8 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 
     layout = _layout(table.limit)
     arrays = [np.ascontiguousarray(getattr(table, name), dtype=dtype)
-              for name, dtype, _ in layout]
+              for name, dtype in _CACHE_FIELDS]
+    arrays += [table.tail_moments(w) for w in MOMENT_EXPONENTS]  # moments_beta, moments_nu
     with ThreadPoolExecutor(HASH_WORKERS) as pool:
         digests = list(pool.map(_sha256, arrays))
     header = {
@@ -516,15 +506,16 @@ def save_table(table: ArithTable, path: str | os.PathLike) -> None:
 def load_table(path: str | os.PathLike) -> ArithTable:
     """Read a table written by save_table, verifying magic and checksums.
 
-    Every header length must be that of save_table's layout for the header's
-    limit, the moments' layout that of this code, and the lengths must match
-    the file size, before anything is allocated.  The fields share one
-    allocation.  Each is read in place and handed to one of HASH_WORKERS
-    threads at once, so reading the next field overlaps with hashing this
-    one and the payload is held once.  The largest field, nu_odd, is read
-    and hashed first, as its hash is the longest; then the table, with its
-    np.cumsum of S and the moments read, is made while the digests run.
-    They are compared in field order before it is returned.
+    The limit and every header length must be JSON integers, the moments'
+    layout that of this code, each length that of save_table's layout for
+    the limit, and the lengths must match the file size, before anything is
+    allocated.  The fields share one allocation.  Each is read in place and
+    handed to one of HASH_WORKERS threads at once, so reading the next field
+    overlaps with hashing this one and the payload is held once.  The
+    largest field, nu_odd, is read and hashed first, as its hash is the
+    longest; then the table, with its np.cumsum of S and the moments read,
+    is made while the digests run.  They are compared in field order before
+    it is returned.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up path
 
@@ -534,23 +525,26 @@ def load_table(path: str | os.PathLike) -> ArithTable:
             raise CacheFormatError(f"bad magic {magic!r} in {path}")
         try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             header = json.loads(fh.readline().decode("ascii"))
-            limit = int(header["limit"])
+            limit = header["limit"]
             fields = [(f["name"], f["dtype"], f["len"], f["sha256"]) for f in header["fields"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheFormatError(f"unreadable header in {path}: {exc}") from exc
         if not all(isinstance(sha, str) for *_, sha in fields):
             raise CacheFormatError(f"unreadable header in {path}: a sha256 is not a string")
+        if type(limit) is not int or not all(type(length) is int for _, _, length, _ in fields):
+            # a JSON integer, not a float, a string or a boolean
+            raise CacheFormatError(f"unreadable header in {path}: the limit or a length "
+                                   "is not an integer")
         if limit < 1:
             raise CacheFormatError(f"limit {limit} < 1 in {path}")
         layout = _layout(limit)
         if [(name, dtype) for name, dtype, _, _ in fields] != [(name, dtype.str)
                                                                 for name, dtype, _ in layout]:
             raise CacheFormatError(f"unexpected field layout in {path}")
-        for i, ((name, _, length, _), (_, _, shape)) in enumerate(zip(fields, layout)):
-            if i == len(_CACHE_FIELDS) and header.get("moments") != _moment_layout(limit):
-                # the odd halves fit limit; the moments must be those this code sums
-                raise CacheFormatError(f"moment layout {header.get('moments')} is not "
-                                       f"{_moment_layout(limit)} in {path}")
+        if header.get("moments") != _moment_layout(limit):  # the moments this code sums
+            raise CacheFormatError(f"moment layout {header.get('moments')} is not "
+                                   f"{_moment_layout(limit)} in {path}")
+        for (name, _, length, _), (_, _, shape) in zip(fields, layout):
             if length != math.prod(shape):
                 raise CacheFormatError(f"field length of {name} is {length}, not "
                                        f"{math.prod(shape)} for limit {limit} in {path}")
@@ -578,8 +572,7 @@ def load_table(path: str | os.PathLike) -> ArithTable:
                 digests[name] = pool.submit(_sha256, arr)
             # sums S while the digests run
             table = ArithTable(limit=limit, **{name: arrays[name] for name, _ in _CACHE_FIELDS})
-            table._moments.update({(w, kernel_depth(limit)): arrays[f"moments_{w}"]
-                                   for w in MOMENT_EXPONENTS})
+            table._moments.update({w: arrays[f"moments_{w}"] for w in MOMENT_EXPONENTS})
             for name, _, _, sha in fields:
                 if digests[name].result() != sha:
                     raise CacheFormatError(f"checksum mismatch in field {name} of {path}")

@@ -147,8 +147,8 @@ def _typed_row(i: int, row: dict, csv_text: bool) -> dict:
 def read_report_file(path) -> tuple[dict, list[dict]]:
     """The manifest and rows of a JSONL or CSV report file, as dicts of one
     shape whichever the format.  Raises ValueError at the first defect: no
-    manifest, a manifest key missing, no rows, a row column missing or of
-    another type."""
+    manifest or a second one, a manifest key missing, no rows, a row column
+    missing or of another type."""
     lines = Path(path).read_text().splitlines()
     csv_text = bool(lines) and lines[0].startswith("# manifest:")
     if csv_text:
@@ -157,10 +157,13 @@ def read_report_file(path) -> tuple[dict, list[dict]]:
     else:
         head, rows = None, []
         for rec in map(_record, filter(str.strip, lines)):
-            if rec.get("type") == "manifest":
-                head = rec
-            else:
+            if rec.get("type") != "manifest":
                 rows.append(rec)
+            elif head is None:
+                head = rec
+            else:  # two runs concatenated: they are not one report
+                raise ValueError(f"a second manifest, limit={rec.get('table_limit')}, "
+                                 f"after row {len(rows)}")
     if head is None:
         raise ValueError("no manifest")
     missing = set(MANIFEST_KEYS) - head.keys()

@@ -17,16 +17,17 @@ analytic for |u| < pi:
     M, half-shifted:  w = nu(n),            phi(u) = tanh(u/2)/2
     M' (real axis):   w = nu(n)/n,          phi(u) = sech^2(u/2)/4
 
-Each is truncated at the depth config_for_table decides, which the table's
-one workspace (_Workspace) holds with the tolerance, sup |S| past the depth
-and the moments below, and evaluated in two zones over m.  The head sums the
+Each is truncated at the table's kernel depth (arith.kernel_depth), and
+evaluated in two zones over m.  The table's one workspace (_Workspace)
+holds the depth, sup |S| past the depth, and per weight array the moments
+and head blocks below.  The head sums the
 terms directly up to b, the first breakpoint with 2b+1 >= 2|z|; the
 breakpoints are the powers of two and the depth.  On the tail past b,
-|z/n| <= 1/2, so phi is replaced by _TAYLOR_TERMS terms of its power series
+|z/n| <= 1/2, so phi is replaced by TAYLOR_TERMS terms of its power series
 and the tail becomes sum_k a_k z^p_k sum_{b<=m<depth} w_m n^-p_k.  Those
 inner sums, the power moments, are pairwise sums (arith.sum_tail_moments)
-that the table holds: the cache file stores them at the full depth, and a
-table sieved in memory sums them once, on first use.  tanh(u/2)/2 = sum_k c_k
+that the table holds: the cache file stores them, and a table sieved in
+memory sums them once, on first use.  tanh(u/2)/2 = sum_k c_k
 u^(2k+1) has |c_k| <= pi^-2k/4 (c_k from the recurrence tanh' = 1 -
 tanh^2), as have N's coefficients, so the discarded series is below
 
@@ -81,8 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (SCAN, TAYLOR_TERMS, ArithTable, kernel_depth, moment_breaks, odd,
-                    pairwise_sum, weight_readers)
+from .arith import (MOMENT_EXPONENTS, SCAN, TAYLOR_TERMS, ArithTable, kernel_depth,
+                    moment_breaks, odd, pairwise_sum, sum_tail_moments, weight_readers)
 from .errors import (DomainError, InvalidArgumentError, PoleError, RangeError,
                      TruncationBudgetError)
 from .special import POLE_TOL
@@ -103,6 +104,10 @@ S_TAIL_BEYOND_TABLE = 5.4e-4
 # |z| <= 1 well before this
 SERIES_ORDER_K = 30
 
+# the largest remainder bound kernel_M (plain form, real axis) and
+# kernel_M_prime accept
+ABEL_TAIL_TOL = 5e-8
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -121,10 +126,10 @@ class KernelConfig:
 
 
 def config_for_table(table: ArithTable) -> KernelConfig:
-    """The one place the kernel sums' depths are decided: 10^6 terms, or
-    every odd number the table holds if fewer; remainders up to 5e-8."""
+    """The kernel sums' depths and tolerance over table, as the run manifest
+    records them: kernel_depth(limit) terms for both sums, ABEL_TAIL_TOL."""
     depth = kernel_depth(table.limit)
-    return KernelConfig(n_terms_N=depth, n_terms_M=depth, abel_tail_tol=5e-8)
+    return KernelConfig(n_terms_N=depth, n_terms_M=depth, abel_tail_tol=ABEL_TAIL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +193,10 @@ def fermi_deficit(z: complex) -> complex:
 # kernel forms and their power series on the tail
 # ---------------------------------------------------------------------------
 
-_TAYLOR_TERMS = TAYLOR_TERMS  # series terms of phi used on the tail, where |z/n| <= 1/2
 _HEAD_PREFIX = 32    # real head terms summed directly, before the blocks
 _CHEB = 20           # Chebyshev points per block of a real head
 _BLOCKS_PER_OCTAVE = 3
-_K2 = np.array([2.0 * k for k in range(_TAYLOR_TERMS)])
+_K2 = np.array([2.0 * k for k in range(TAYLOR_TERMS)])
 # first-kind points tau_j = cos(theta_j); S[k, j] = (2 - [k=0])/K T_k(tau_j)
 _THETA = [(j + 0.5) * math.pi / _CHEB for j in range(_CHEB)]
 _TAU = np.array([math.cos(t) for t in _THETA])
@@ -232,17 +236,17 @@ class _Form:
     outer: Callable[[np.ndarray], np.ndarray] = lambda z: 1.0
 
     def remainder(self, r: np.ndarray) -> np.ndarray:
-        """Bound on |phi(u) - first _TAYLOR_TERMS series terms| for |u| <= r < pi.
+        """Bound on |phi(u) - first TAYLOR_TERMS series terms| for |u| <= r < pi.
 
         The odd forms have |coef[k]| <= pi^-2k / 4 (tanh: c_k =
         2 (-1)^k pi^-(2k+2) lambda(2k+2) with lambda(2k+2) <= pi^2/8; N:
         2 pi^-(2k+2) <= pi^-2k / 4); M' has (2k+1) times the tanh bound.
         """
         x = (r / math.pi) ** 2
-        geometric = x ** _TAYLOR_TERMS / (1.0 - x)
+        geometric = x ** TAYLOR_TERMS / (1.0 - x)
         if self.p0:
             return 0.25 * r * geometric
-        return 0.25 * geometric * (2 * _TAYLOR_TERMS + 1 + 2.0 * x / (1.0 - x))
+        return 0.25 * geometric * (2 * TAYLOR_TERMS + 1 + 2.0 * x / (1.0 - x))
 
 
 def _head_N(z: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -260,10 +264,10 @@ def _head_M_prime(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     return e / (1.0 + e) ** 2 / n
 
 
-_TANH = _tanh_coefficients(_TAYLOR_TERMS)
+_TANH = _tanh_coefficients(TAYLOR_TERMS)
 # N: w = beta/n^(3/2), phi(u) = 2u/(u^2 + pi^2) = sum_k 2 (-1)^k pi^-(2k+2) u^(2k+1)
 _FORM_N = _Form("beta", 1, 1, np.array([2.0 * (-1.0) ** k * math.pi ** -(2 * k + 2)
-                                          for k in range(_TAYLOR_TERMS)]),
+                                          for k in range(TAYLOR_TERMS)]),
                 _head_N, lambda u0, w0: 18.0 * w0 / np.abs(u0), lambda z: 2.0 * z)
 # half-shifted M: w = nu, phi(u) = tanh(u/2)/2
 _FORM_M = _Form("nu", 0, 1, _TANH, _head_M, lambda u0, w0: 0.5 / np.tanh(0.25 * np.abs(u0)))
@@ -313,7 +317,7 @@ class _Moments:
         u2 = u * u
         moments = self.scaled[i]
         acc = form.coef[-1] * moments[:, -1]
-        for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        for k in range(TAYLOR_TERMS - 2, -1, -1):
             acc = acc * u2 + form.coef[k] * moments[:, k]
         if form.p0:
             acc = acc * u
@@ -416,34 +420,25 @@ class _HeadBlocks:
 
 
 class _Workspace:
-    """The table's one truncation of the kernel sums: weight readers over
-    the table's odd halves, the depth and tolerance of config_for_table (or
-    a shorter depth), sup |S| past it, each array's tail moments at that
-    depth, read from the table, and its head blocks, made under a lock so
-    that threads sharing the table make them once."""
+    """The table's one truncation of the kernel sums, made whole: weight
+    readers over the table's odd halves, the depth kernel_depth(limit) (or
+    a shorter one, whose moments it sums itself), sup |S| past the depth,
+    and per weight array its tail moments at that depth and its head
+    blocks.  M and M' share nu's, as they share the exponent q + p0 = 1.
+    The blocks sum nothing until a call extends them, under their own lock."""
 
     def __init__(self, table: ArithTable, depth: int | None = None):
-        config = config_for_table(table)
-        self.depth = config.n_terms_M if depth is None else depth
-        self.tol = config.abel_tail_tol
+        self.depth = kernel_depth(table.limit) if depth is None else depth
         self.weights = weight_readers(table)
         self.S_odd = table.nu_cumsum_odd
         # sup |S| over m >= depth: the table's values, floored by the frozen
         # beyond-table cap
         self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
                          S_TAIL_BEYOND_TABLE)
-        self._tails = {name: _Moments(table.tail_moments(name, self.depth), self.depth)
-                       for name in self.weights}
-        self._blocks: dict[str, _HeadBlocks] = {}
-        self._lock = threading.Lock()
-
-    def moments(self, form: _Form) -> tuple[_Moments, _HeadBlocks]:
-        """Tail moments and head blocks of form's weights, the blocks made on
-        first use; M and M' share nu's, as they share the exponent q + p0 = 1."""
-        with self._lock:
-            if form.weights not in self._blocks:
-                self._blocks[form.weights] = _HeadBlocks(self.depth, self.weights[form.weights])
-            return self._tails[form.weights], self._blocks[form.weights]
+        self.tails = {w: _Moments(table.tail_moments(w) if depth is None else
+                                  sum_tail_moments(read, MOMENT_EXPONENTS[w], depth), self.depth)
+                      for w, read in self.weights.items()}
+        self.blocks = {w: _HeadBlocks(self.depth, read) for w, read in self.weights.items()}
 
 
 _WS_LOCK = threading.Lock()
@@ -479,7 +474,7 @@ def _kernel_sum(form: _Form, z: np.ndarray, ws: _Workspace) -> tuple[np.ndarray,
     """sum_{m<depth} w_m phi(z/n_m) per point: head plus moment tail, and the
     bound on the discarded series.  On the real axis the head past its first
     _HEAD_PREFIX terms comes from the blocks, elsewhere it is summed directly."""
-    mom, blocks = ws.moments(form)
+    mom, blocks = ws.tails[form.weights], ws.blocks[form.weights]
     i = mom.index(z)
     heads = mom.breaks[i]
     tail, remainder = mom.tail(form, z, i)
@@ -579,7 +574,7 @@ def fermi_series(a: float):
     """1/(e^t + 1) = 1/2 - sum_k c_k t^(2k+1) on 0 < t <= a < pi, c_k the tanh
     coefficients, in the format of kernel_series_with_bound."""
     _series_disc(a)
-    order = 2 * _TAYLOR_TERMS + 1
+    order = 2 * TAYLOR_TERMS + 1
     return (np.concatenate([[0.0], 1.0 + _K2]), np.concatenate([[0.5], -_TANH]),
             np.array([order]), np.array([_FORM_M.remainder(a) / a ** order]))
 
@@ -605,8 +600,8 @@ def kernel_series_with_bound(kernel: str, a: float, table: ArithTable):
         form, slope = _FORM_N, _N_tail_bound(1.0, ws.depth)
     else:
         form, slope = _FORM_M, float(_abel_remainder_bound(1.0, ws))
-    mom = ws.moments(form)[0]
-    order = form.p0 + 2 * _TAYLOR_TERMS
+    mom = ws.tails[form.weights]
+    order = form.p0 + 2 * TAYLOR_TERMS
     v0 = abs(float(ws.weights[form.weights](0, 1)[0]))
     weight = v0 + 3.0 ** -(form.q + order) * (mom.abs_sum[0] - v0)
     return (form.p0 + _K2, form.coef * mom.scaled[0], np.array([1.0, order]),
@@ -628,15 +623,15 @@ def kernel_M_with_bound(z, table: ArithTable, form: str = "half-shifted"):
         2 sup|S| |g(z/(2M+1))| on the real axis, where g is monotone in m,
         and the half-shifted form's bound off it.
     Both bounds carry sup|S| past M (the workspace's s_sup) and the
-    remainders of the moment tail and head blocks; abel_tail_tol plays no
+    remainders of the moment tail and head blocks; ABEL_TAIL_TOL plays no
     part here, only kernel_M checks the bound against it.  A scalar z gives
     (value, float), the value real for the plain form on the real axis and
     complex otherwise; an array z gives two arrays.
     """
     if form not in ("half-shifted", "plain"):
         raise DomainError(f"unknown kernel_M form {form!r}")
-    ws = _ws(table)
     zs, scalar = _points(z, "kernel_M")
+    ws = _ws(table)
     vals, bound = _kernel_sum(_FORM_M, zs, ws)
     if form == "plain":
         g_next = _head_M(zs, 2.0 * ws.depth + 1.0)
@@ -664,16 +659,16 @@ def kernel_M(z, table: ArithTable, form: str = "half-shifted"):
 
     Raises:
         TruncationBudgetError: when the remainder bound exceeds
-            abel_tail_tol (plain form on the real axis only; elsewhere the
+            ABEL_TAIL_TOL (plain form on the real axis only; elsewhere the
             bound is informational).
     """
     val, bound = kernel_M_with_bound(z, table, form)
-    worst, tol = float(np.max(bound, initial=0.0)), _ws(table).tol
+    worst = float(np.max(bound, initial=0.0))
     # the plain form returns real values exactly when it ran on the real axis
-    if form == "plain" and not np.iscomplexobj(val) and worst > tol:
+    if form == "plain" and not np.iscomplexobj(val) and worst > ABEL_TAIL_TOL:
         x = float(np.atleast_1d(z).real[np.argmax(bound)])
         raise TruncationBudgetError(
-            f"kernel_M: remainder bound {worst:.3e} (> {tol:.1e}) for x={x}",
+            f"kernel_M: remainder bound {worst:.3e} (> {ABEL_TAIL_TOL:.1e}) for x={x}",
             achieved_bound=worst)
     return val
 
@@ -695,7 +690,7 @@ def kernel_M_prime(x, table: ArithTable):
     vals, remainder = _kernel_sum(_FORM_M_PRIME, xs, ws)
     # summation by parts as for M, with sech^2(x/n)/(4n) <= M's g_edge at |z| = 1
     bound = float(np.max(_abel_remainder_bound(1.0, ws) + remainder, initial=0.0))
-    if bound > ws.tol:
+    if bound > ABEL_TAIL_TOL:
         raise TruncationBudgetError(
             f"kernel_M_prime: remainder bound {bound:.3e} above tolerance",
             achieved_bound=bound)

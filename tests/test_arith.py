@@ -368,7 +368,8 @@ def test_cache_rejects_lengths_that_disagree_with_limit(table_small, tmp_path):
     # each sha covers its field's bytes only, so both headers below carry valid ones
     path = tmp_path / "arith.bin"
     header, payload = _saved_parts(table_small, path)
-    _write_cache(path, dict(header, limit=10), payload)
+    # limit 10 with its own moment layout, so that only the lengths disagree
+    _write_cache(path, dict(header, limit=10, moments=arith._moment_layout(10)), payload)
     with pytest.raises(CacheFormatError, match="field length"):
         load_table(path)
     fields = [dict(f) for f in header["fields"]]
@@ -390,12 +391,29 @@ def test_cache_rejects_an_unreadable_header_or_another_field_order(table_small, 
         load_table(path)
 
 
+def test_cache_refuses_a_limit_or_length_that_is_not_a_json_integer(table_small, tmp_path):
+    # int() would read 3001.5 and "3001" as 3001, and 1501.0 equals 1501: each
+    # header below once loaded as the 3001 table
+    path = tmp_path / "arith.bin"
+    header, payload = _saved_parts(table_small, path)
+    assert load_table(path).limit == 3001
+    float_len = [dict(f, len=float(f["len"])) if f["name"] == "mobius_odd" else f
+                 for f in header["fields"]]
+    for other in (dict(header, limit=3001.5), dict(header, limit="3001"),
+                  dict(header, limit=True), dict(header, fields=float_len)):
+        _write_cache(path, other, payload)
+        with pytest.raises(CacheFormatError, match="is not an integer"):
+            load_table(path)
+
+
 def test_cache_rejects_limit_below_one(table_small, tmp_path):
     # a self-consistent header and payload for limit 0, which build_table refuses
     path = tmp_path / "arith.bin"
     header, _ = _saved_parts(table_small, path)
     fields = [dict(f, len=1) for f in header["fields"]]
-    payload = b"".join(getattr(table_small, f["name"])[:1].tobytes() for f in fields)
+    stored = dict(vars(table_small), **{f"moments_{w}": table_small.tail_moments(w)
+                                        for w in arith.MOMENT_EXPONENTS})
+    payload = b"".join(stored[f["name"]][:1].tobytes() for f in fields)
     _write_cache(path, dict(header, limit=0, fields=fields), payload, rehash=True)
     with pytest.raises(CacheFormatError, match="limit 0"):
         load_table(path)
@@ -488,7 +506,9 @@ def test_cache_refuses_odd_halves_of_another_length_before_allocating(table_smal
         limit = 2 ** 30
         fields = [dict(f, len=limit + 1 if f["name"] == name else limit // 2)
                   for f in header["fields"]]
-        _write_cache(path, dict(header, limit=limit, fields=fields), payload)
+        # the moments' layout of that limit, so that only the lengths disagree
+        _write_cache(path, dict(header, limit=limit, moments=arith._moment_layout(limit),
+                                fields=fields), payload)
         tracemalloc.start()
         try:
             with pytest.raises(CacheFormatError, match=f"field length of {name}"):
@@ -610,8 +630,10 @@ def test_save_over_a_cache_replaces_it_whole(tmp_path, monkeypatch):
         assert path.stat().st_size == len(magic) + len(header) + 2 + len(payload)
         loaded = load_table(path)
         assert loaded.limit == limit
-        for name in [name for name, _ in arith._CACHE_FIELDS] + ["moments_beta", "moments_nu"]:
+        for name, _ in arith._CACHE_FIELDS:
             assert getattr(loaded, name).tobytes() == getattr(second, name).tobytes(), name
+        for w in arith.MOMENT_EXPONENTS:
+            assert loaded.tail_moments(w).tobytes() == second.tail_moments(w).tobytes(), w
         monkeypatch.delattr(os, "posix_fallocate", raising=False)  # the second save without
 
 

@@ -1,6 +1,7 @@
 """Fermi kernel, the two meromorphic kernel sums, derivative, residues."""
 
 import copy
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -14,10 +15,9 @@ from liouville_mellin import (DomainError, InvalidArgumentError, PoleError, Rang
                               kernel_M_prime, kernel_N, kernel_N_series,
                               residue_estimate, zeta_beta, zeta_imp, zeta_nu)
 from liouville_mellin import arith, kernels
-from liouville_mellin.arith import SCAN, odd, pairwise_sum
-from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _TAYLOR_TERMS,
-                                      _Workspace, _kernel_sum, _points,
-                                      _tanh_coefficients, _ws,
+from liouville_mellin.arith import SCAN, TAYLOR_TERMS, odd, pairwise_sum
+from liouville_mellin.kernels import (_FORM_M_PRIME, S_TAIL_BEYOND_TABLE, _Workspace,
+                                      _kernel_sum, _points, _tanh_coefficients, _ws,
                                       config_for_table, kernel_M_with_bound,
                                       kernel_N_with_bound)
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
@@ -368,8 +368,8 @@ def test_plain_form_sums_all_terms_on_2e6_table(table_main):
 
 
 def test_tanh_coefficients_from_recurrence():
-    c = _tanh_coefficients(_TAYLOR_TERMS)
-    for k in range(_TAYLOR_TERMS):
+    c = _tanh_coefficients(TAYLOR_TERMS)
+    for k in range(TAYLOR_TERMS):
         want = 2.0 * (-1.0) ** k * PI ** (-(2 * k + 2)) * zeta_imp(2.0 * k + 2.0).real
         assert c[k] == pytest.approx(want, rel=1e-13)
 
@@ -390,7 +390,7 @@ def _tail_remainder(x, t, M):
         return 0.0
     u = x / (2.0 * b + 1.0)
     r2 = (u / PI) ** 2
-    return 0.25 * u * r2 ** _TAYLOR_TERMS / (1.0 - r2) * float(np.abs(t.nu[b:M]).sum())
+    return 0.25 * u * r2 ** TAYLOR_TERMS / (1.0 - r2) * float(np.abs(t.nu[b:M]).sum())
 
 
 def _sup_M(u0, w0):
@@ -477,18 +477,18 @@ def test_plain_block_head_matches_fsum(table_main):
 
 def _moments_whole_leaf(read, e0, breaks):
     # scaled and abs_sum of a moment build with every leaf as one
-    # (_TAYLOR_TERMS + 1)-row array
+    # (TAYLOR_TERMS + 1)-row array
     n_break = 2.0 * breaks + 1.0
-    scaled, abs_sum = np.zeros((len(breaks), _TAYLOR_TERMS)), np.zeros(len(breaks))
+    scaled, abs_sum = np.zeros((len(breaks), TAYLOR_TERMS)), np.zeros(len(breaks))
     for i in range(len(breaks) - 2, -1, -1):
         lo, hi = int(breaks[i]), int(breaks[i + 1])
 
         def rows(a, b):
             v, r = read(a, b), n_break[i] / odd(a, b)
-            out = np.empty((_TAYLOR_TERMS + 1, b - a))
+            out = np.empty((TAYLOR_TERMS + 1, b - a))
             np.multiply(v, np.power(r, e0), out=out[0])
             r *= r
-            for k in range(1, _TAYLOR_TERMS):
+            for k in range(1, TAYLOR_TERMS):
                 np.multiply(out[k - 1], r, out=out[k])
             np.abs(v, out=out[-1])
             return out
@@ -513,6 +513,16 @@ def _block_rows_whole_leaf(self, B, lo, hi):
     return out
 
 
+def test_every_form_shares_the_exponent_of_its_moments():
+    # the table sums one moment set per weight array, at MOMENT_EXPONENTS; a
+    # form reads it only if its own e0 = q + p0 is that exponent, which lets
+    # M and M' share nu's rows
+    forms = [f for f in vars(kernels).values() if isinstance(f, kernels._Form)]
+    assert {f.weights for f in forms} == set(arith.MOMENT_EXPONENTS) and len(forms) == 3
+    for f in forms:
+        assert arith.MOMENT_EXPONENTS[f.weights] == f.q + f.p0, f.weights
+
+
 @pytest.mark.parametrize("form", [kernels._FORM_N, kernels._FORM_M], ids=["beta", "nu"])
 def test_row_at_a_time_leaves_keep_the_bits(form, table_100k):
     ws = _Workspace(table_100k)
@@ -522,7 +532,7 @@ def test_row_at_a_time_leaves_keep_the_bits(form, table_100k):
     scaled, abs_sum = _moments_whole_leaf(read, e0, arith.moment_breaks(ws.depth))
     assert np.array_equal(sums[:, :-1], scaled)
     assert np.array_equal(sums[:, -1], abs_sum)
-    mom = ws.moments(form)[0]  # what the kernels read: the table's, the same bits
+    mom = ws.tails[form.weights]  # what the kernels read: the table's, the same bits
     assert sums.tobytes() == table_100k.tail_moments(form.weights).tobytes()
     assert np.array_equal(mom.scaled, scaled) and np.array_equal(mom.abs_sum, abs_sum)
     blocks, ref = kernels._HeadBlocks(ws.depth, read), kernels._HeadBlocks(ws.depth, read)
@@ -628,7 +638,7 @@ def test_array_call_across_the_point_chunk_equals_scalar_calls(table_100k):
 
 
 def test_block_heads_work_in_point_chunks(table_100k):
-    # a warm call holds O(points) (the tail's _TAYLOR_TERMS moments and a dozen
+    # a warm call holds O(points) (the tail's TAYLOR_TERMS moments and a dozen
     # arrays per point, under 32 floats a point) and a few SCAN-value temporaries;
     # a block head over all points at once would add 20 floats a point per temporary
     t, x = table_100k, np.geomspace(33.0, 1e5, 20_000)
@@ -687,6 +697,18 @@ def test_kernels_reject_non_finite_arguments(bad, table_100k):
     for call in (fermi, fermi_deficit, kernel_N_series):
         with pytest.raises(InvalidArgumentError, match="finite"):
             call(bad)
+
+
+def test_kernels_gate_the_argument_before_the_workspace(table_small, monkeypatch):
+    # a refused argument costs no workspace: on a table with no moments
+    # summed, every evaluator refuses nan before it would sum them
+    fresh = dataclasses.replace(table_small)
+    monkeypatch.setattr(arith, "sum_tail_moments", None)  # a call raises TypeError
+    for call in (kernel_N_with_bound, kernel_N, kernel_M_with_bound, kernel_M, kernel_M_prime,
+                 lambda z, t: kernel_M_with_bound(z, t, form="plain")):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            call(math.nan, fresh)
+    assert "_kernel_ws" not in vars(fresh) and not fresh._moments
 
 
 def test_evaluators_take_scalars_and_1d_arrays_only(table_100k):
@@ -777,7 +799,7 @@ def test_workspace_keeps_views_of_the_table_only(table_main):
         kept, peak = (b - start for b in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    blocks = _ws(table_main).moments(_FORM_M_PRIME)[1]
+    blocks = _ws(table_main).blocks[_FORM_M_PRIME.weights]
     assert blocks.edges[len(blocks.abs_sum)] == 2 ** 17
     assert kept < 0.01 * array_bytes, kept / array_bytes
     assert peak < 0.2 * array_bytes, peak / array_bytes
