@@ -149,11 +149,20 @@ def read_report_file(path) -> tuple[dict, list[dict]]:
     shape whichever the format.  Raises ValueError at the first defect: no
     manifest or a second one, a manifest key missing, no rows, a row column
     missing or of another type."""
+    def second_manifest(rec: dict, rows: list) -> ValueError:  # two runs concatenated
+        return ValueError(f"a second manifest, limit={rec.get('table_limit')}, "
+                          f"after row {len(rows)}")
+
     lines = Path(path).read_text().splitlines()
     csv_text = bool(lines) and lines[0].startswith("# manifest:")
     if csv_text:
         # a column the header lacks is missing from every row, and named there
-        head, rows = _record(lines[0][len("# manifest:"):]), list(csv.DictReader(lines[1:]))
+        head = _record(lines[0][len("# manifest:"):])
+        second = next((i for i, line in enumerate(lines[1:], 1)
+                       if line.startswith("# manifest:")), len(lines))
+        rows = list(csv.DictReader(lines[1:second]))
+        if second < len(lines):
+            raise second_manifest(_record(lines[second][len("# manifest:"):]), rows)
     else:
         head, rows = None, []
         for rec in map(_record, filter(str.strip, lines)):
@@ -161,9 +170,8 @@ def read_report_file(path) -> tuple[dict, list[dict]]:
                 rows.append(rec)
             elif head is None:
                 head = rec
-            else:  # two runs concatenated: they are not one report
-                raise ValueError(f"a second manifest, limit={rec.get('table_limit')}, "
-                                 f"after row {len(rows)}")
+            else:
+                raise second_manifest(rec, rows)
     if head is None:
         raise ValueError("no manifest")
     missing = set(MANIFEST_KEYS) - head.keys()

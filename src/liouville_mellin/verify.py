@@ -524,25 +524,34 @@ def probe_decay(table: ArithTable) -> list[VerificationReport]:
 # sieve-level bounds and Dirichlet-sum oracles
 # --------------------------------------------------------------------------
 
-def _odd_pass(table: ArithTable, s: float, ends: dict[int, int]) -> dict:
-    """verify_bounds' one pass over odd n, along the pairwise tree of the
-    second-form series sum_m beta(n)/sqrt(n) (pi n)^(s-1/2), n = 2m+1, whose
-    leaves come in ascending order (arith.pairwise_sum).  Each leaf also
-    scans -1 < beta(n)/sqrt(n) <= 1, with equality exactly at odd squares,
-    and the divisor bound |nu(n)| <= d(n)/n (1e-15 rounding slack), and
-    carries the running sums of |beta(n)| n^-3/2 and of mu(n)/n (the latter
-    only up to the last of `ends`) into the next leaf.  Counts, extremes and
-    sequential sums do not depend on where the leaves split, and each term is
-    computed as a whole-range scan computes it, so every value keeps its bits.
+def _odd_pass(table: ArithTable, s: float, ends: dict[int, int], n_dir: int) -> dict:
+    """verify_bounds' pass over odd n, reading the odd halves only.
 
-    Returns the series, the violation, mismatch and nu_viol counts, the min
-    and max of beta(n)/sqrt(n), the last running sum of |beta(n)| n^-3/2
-    (their maximum, as the terms are >= 0), and |sum of mu(n)/n| at each end.
+    First along the pairwise tree of the second-form series
+    sum_m beta(n)/sqrt(n) (pi n)^(s-1/2), n = 2m+1 (arith.pairwise_sum): each
+    leaf also scans -1 < beta(n)/sqrt(n) <= 1, with equality exactly at odd
+    squares, and the divisor bound |nu(n)| <= d(n)/n (1e-15 rounding slack),
+    and sums |beta(n)/sqrt(n)| / n = |beta(n)| n^-3/2 as a second row of the
+    tree.  Then over segments of odd n cut at each of `ends` and where
+    n 2^a <= n_dir < n 2^(a+1) changes a: one pairwise_sum per segment of
+    mu(n)/n (up to the last end), and of lambda, mu and nu over n^3 and nu
+    over n (for n <= n_dir).  The sum of mu(n)/n at an end adds the segment
+    sums up to it in ascending order.  The Dirichlet sums over every n <= n_dir
+    fold the even n in by the 2-adic rule: the segment of a has weight
+    sum_{i<=a} (-1/8)^i for lambda, 1 (a = 0) or 7/8 for mu, and 1 for nu,
+    which is 0 at even n; the weighted segment sums are added from the
+    largest n down.  Counts and extremes do not depend on where the leaves
+    split, and each sum is np.sum's over its whole range, so every value
+    keeps its bits whatever arith.SCAN is.
+
+    Returns the series and the sum of |beta(n)| n^-3/2 (the maximum of its
+    running sums, the terms being >= 0), the violation, mismatch and
+    nu_viol counts, the min and max of beta(n)/sqrt(n), |sum of mu(n)/n| at
+    each end, and the sums of lambda, mu and nu over n^3 and of nu over n,
+    n <= n_dir.
     """
     n_half = (table.limit + 1) // 2
-    newman_stop = max(ends.values(), default=-1) + 1
-    scan = {"viol": 0, "mismatches": 0, "nu_viol": 0, "min": math.inf, "max": -math.inf,
-            "beta_abs": 0.0, "newman": 0.0, "at": {}}
+    scan = {"viol": 0, "mismatches": 0, "nu_viol": 0, "min": math.inf, "max": -math.inf}
     # work rows as long as a leaf, allocated once: fresh leaf-long temporaries
     # may come from mmap, or from a heap trimmed after each leaf, and then
     # page-fault on every leaf.  rows[0] = odd(0, length), summed in place as
@@ -552,22 +561,12 @@ def _odd_pass(table: ArithTable, s: float, ends: dict[int, int]) -> dict:
     rows[0, 0] = 1.0
     np.cumsum(rows[0], out=rows[0])
 
-    def leaf(lo, hi):
+    def leaf(lo, hi):  # the series, then |beta(n)| n^-3/2
         odd0, n, buf, r = rows[:, :hi - lo]
         np.add(odd0, 2 * lo, out=n)  # odd(lo, hi)
         np.divide(table.dcount_odd[lo:hi], n, out=buf)
         buf += 1e-15
         scan["nu_viol"] += int(np.count_nonzero(np.abs(table.nu_odd[lo:hi], out=r) > buf))
-        np.divide(np.abs(table.beta_odd[lo:hi], out=r), np.power(n, 1.5, out=buf), out=r)
-        r[0] += scan["beta_abs"]
-        scan["beta_abs"] = float(np.cumsum(r, out=r)[-1])
-        if lo < newman_stop:
-            row = r[:newman_stop - lo]
-            np.divide(table.mobius_odd[lo:lo + len(row)], n[:len(row)], out=row)
-            row[0] += scan["newman"]
-            scan["newman"] = float(np.cumsum(row, out=row)[-1])
-            scan["at"].update((k, abs(float(row[j - lo]))) for k, j in ends.items()
-                              if lo <= j < lo + len(row))
         ratio = np.divide(table.beta_odd[lo:hi], np.sqrt(n, out=r), out=r)
         low, high = float(ratio.min()), float(ratio.max())
         scan["min"], scan["max"] = min(scan["min"], low), max(scan["max"], high)
@@ -580,9 +579,45 @@ def _odd_pass(table: ArithTable, s: float, ends: dict[int, int]) -> dict:
         scan["mismatches"] += len(np.setxor1d(idx[np.abs(ratio[idx] - 1.0) < 1e-12],
                                               h * h // 2 - lo))
         term = np.power(np.multiply(n, math.pi, out=buf), s - 0.5, out=buf)
-        return np.multiply(ratio, term, out=term)
+        yield np.multiply(ratio, term, out=term)
+        yield np.divide(np.abs(ratio, out=ratio), n, out=ratio)
 
-    scan["series"] = float(pairwise_sum(leaf, 0, n_half))
+    scan["series"], scan["beta_abs"] = map(float, pairwise_sum(leaf, 0, n_half))
+
+    # segments of odd n, cut past each Newman end and past each n_dir 2^-a:
+    # dyadic[a] counts the odd n <= n_dir 2^-a
+    end_of = {j + 1: k for k, j in ends.items()}
+    newman_stop = max(end_of, default=0)
+    dyadic = [((n_dir >> a) + 1) // 2 for a in range(n_dir.bit_length())]
+    cuts = sorted({0, *end_of, *dyadic})
+
+    def segment(lo, hi):  # mu/n below newman_stop; lambda, mu, nu / n^3 and nu/n to n_dir
+        odd0, n, cube, r = rows[:, :hi - lo]
+        np.add(odd0, 2 * lo, out=n)
+        if lo < newman_stop:
+            yield np.divide(table.mobius_odd[lo:hi], n, out=r)
+        if lo < dyadic[0]:
+            np.multiply(np.multiply(n, n, out=cube), n, out=cube)  # n*n is exact
+            for x in (table.liouville_odd, table.mobius_odd, table.nu_odd):
+                yield np.divide(x[lo:hi], cube, out=r)
+            yield np.divide(table.nu_odd[lo:hi], n, out=r)
+
+    newman, at, folded = 0.0, {}, []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sums = pairwise_sum(segment, lo, hi - lo)
+        if lo < newman_stop:
+            newman += float(sums[0])
+            if hi in end_of:
+                at[end_of[hi]] = abs(newman)
+        if lo < dyadic[0]:  # n 2^a <= n_dir < n 2^(a+1) over the segment
+            folded.append(((n_dir // (2 * lo + 1)).bit_length() - 1, sums[-4:]))
+    c = [1.0]  # c[a] = sum_{i<=a} (-1/8)^i
+    while len(c) < len(dyadic):
+        c.append(c[-1] + (-0.125) ** len(c))
+    dirichlet = np.zeros(4)
+    for a, sums in reversed(folded):
+        dirichlet += np.array([c[a], 1.0 if a == 0 else 0.875, 1.0, 1.0]) * sums
+    scan["at"], scan["dirichlet"] = at, dirichlet.tolist()
     return scan
 
 
@@ -590,25 +625,28 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     """Inequality scans over the full table plus table-partial-sum vs
     closed-form checks for every generating function.
 
-    The odd halves are read in one pass (_odd_pass): the leaves of the
-    second-form series' pairwise sum also give the ratio, equality and
-    divisor scans and the running sums of the partial-sum and Newman rows.
-    Every other scan walks its range in leaves of at most arith.SCAN terms.
-    The bits stay those of whole-range scans: each term is the same IEEE
-    operations on the same operands wherever a leaf starts, counts and
-    extremes do not depend on the split, each pairwise sum splits where
-    numpy's np.sum splits, and each running sum carries its last value into
-    the next leaf's first term, so its additions stay those of one np.cumsum.
+    Only the odd halves are read.  One pass (_odd_pass) gives the ratio,
+    equality and divisor scans, the second-form series and the partial-sum
+    row along one pairwise tree, then the Newman ends and the Dirichlet sums
+    over every n <= N from segment sums over odd n, the even n folded in by
+    the 2-adic rule.  Every other scan walks its range in leaves of at most
+    arith.SCAN terms.  The bits do not depend on arith.SCAN: each term is
+    the same IEEE operations on the same operands wherever a leaf starts,
+    counts and extremes do not depend on the split, each pairwise sum splits
+    where numpy's np.sum splits, and the segment sums are combined in a
+    fixed order.  Each sum's rounding error is that of pairwise summation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
     """
     reports = []
     limit = table.limit
     n_half = (limit + 1) // 2  # odd n <= limit
     s = -1.25  # the second form of the alpha/beta equation, below
-    # the running sums of mu(n)/n at the ends of the Newman trend's octaves:
-    # the sum at j covers the odd n <= 2j + 1, so n <= 2^k ends at j = 2^(k-1) - 1
+    # the sums of mu(n)/n at the ends of the Newman trend's octaves: the sum
+    # at j covers the odd n <= 2j + 1, so n <= 2^k ends at j = 2^(k-1) - 1
     ends = {k: 2 ** (k - 1) - 1 for k in (*range(8, 13), *range(16, 22))
             if 2 ** k <= limit}
-    scan = _odd_pass(table, s, ends)
+    N_l = min(10 ** 6, limit)
+    scan = _odd_pass(table, s, ends, N_l)
     reports.append(make_report(
         "bounds.beta-ratio-scan", {"n_max": limit}, float(scan["viol"]), 0.0, tol_abs=0.0,
         budget={"min_ratio": scan["min"], "max_ratio": scan["max"]},
@@ -639,20 +677,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     def tail_power(N, p):  # sum_{n>N} n^-p upper bound
         return N ** (1.0 - p) / (p - 1.0) + N ** (-p)
 
-    def dirichlet(lo, hi):  # lambda, mu, nu over n^3 and nu over n, lo < n <= hi
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        cube = n ** 3
-        row = np.empty(hi - lo)  # one row at a time (arith.pairwise_sum)
-        for name in ("liouville", "mobius"):
-            row[:] = table.spread(name, lo + 1, hi + 1)
-            yield np.divide(row, cube, out=row)
-        for d in (cube, n):
-            row[:] = 0.0  # nu = 0 at even n
-            row[lo % 2::2] = table.nu_odd[(lo + 1) // 2:(hi + 1) // 2]
-            yield np.divide(row, d, out=row)
-
-    N_l = min(10 ** 6, limit)
-    lam3, mu3, nu3, nu1 = pairwise_sum(dirichlet, 0, N_l)
+    lam3, mu3, nu3, nu1 = scan["dirichlet"]
     reports.append(make_report(
         "bounds.dirichlet-lambda", {"s": 3, "N": N_l}, lam3, zeta(6.0) / zeta(3.0),
         tol_abs=tail_power(N_l, 3.0),
@@ -691,7 +716,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_nu(1)"))
 
     # the running sums of |beta(n)| n^-3/2 stay under the squarefree-times-square
-    # double sum
+    # double sum; their maximum is the whole sum, as the terms are >= 0
     partial_max = scan["beta_abs"]
     cap = (zeta(1.5) * zeta(2.0)).real
     reports.append(make_report(

@@ -433,14 +433,17 @@ def test_report_skips_blank_lines_and_refuses_a_non_object(cache_env, capsys, tm
 
 
 def test_report_refuses_two_concatenated_reports(cache_env, capsys, tmp_path):
-    # two runs in one file once rendered as one, under the last manifest
-    files = [tmp_path / f"{limit}.jsonl" for limit in (3001, 5001)]
-    for limit, path in zip((3001, 5001), files):
-        assert main(["verify", "theorem1", "--limit", str(limit), "--out", str(path)]) == 0
-    both = tmp_path / "both.jsonl"
-    both.write_text(files[0].read_text() + files[1].read_text())
-    rows = len(files[0].read_text().splitlines()) - 1
-    _assert_report_exits_2(both, capsys, f"a second manifest, limit=5001, after row {rows}")
+    # two runs in one file once rendered as one, under the last manifest; a
+    # CSV file's second manifest was read as a row of too many cells
+    for fmt, head_lines in (("jsonl", 1), ("csv", 2)):  # the manifest, and CSV's header
+        files = [tmp_path / f"{limit}.{fmt}" for limit in (3001, 5001)]
+        for limit, path in zip((3001, 5001), files):
+            assert main(["verify", "theorem1", "--limit", str(limit), "--format", fmt,
+                         "--out", str(path)]) == 0
+        both = tmp_path / f"both.{fmt}"
+        both.write_text(files[0].read_text() + files[1].read_text())
+        rows = len(files[0].read_text().splitlines()) - head_lines
+        _assert_report_exits_2(both, capsys, f"a second manifest, limit=5001, after row {rows}")
 
 
 def test_report_empty_file_exits_2(cache_env, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import sys
 import threading
 import time
@@ -73,7 +74,6 @@ def test_identity_group(table_100k):
 
 
 def test_identity_skips_pole_points(table_100k):
-    import math
     reports = verify_identity_MN(table_100k, points=[complex(0.0, math.pi)])
     pt = [r for r in reports if r.check_id == "identity.point"][0]
     assert pt.passed and "skipped" in pt.notes
@@ -81,7 +81,6 @@ def test_identity_skips_pole_points(table_100k):
 
 def test_identity_points_in_arrays_match_the_point_by_point_rows(table_100k):
     # one array per kernel and kind (real, complex); i pi and 3 i pi are poles
-    import math
     points = (0.3, 2.5, 1j * math.pi, 1.0 + 1.0j, -1.5, 3j * math.pi, 0.5 - 0.5j, 2.0 + 2.5j)
     rows = [r for r in verify_identity_MN(table_100k, points=points)
             if r.check_id == "identity.point"]
@@ -138,10 +137,12 @@ def test_bounds_group(table_100k):
 
 
 # (check_id, inputs, lhs, rhs, abs_err, budget) of every bounds row at
-# limit 100_001, recorded before verify_bounds shared its arrays across checks
+# limit 100_001, recorded before verify_bounds shared its arrays across checks;
+# the partial-sum, Newman and four Dirichlet rows re-recorded when their sums
+# became segment sums over odd n
 BOUNDS_PINS_100K = [
-    ("bounds.beta-abs-partial", {"n_max": 100001}, 1.9692848639623333 + 0j,
-     4.297185206447276 + 0j, 2.3279003424849427, {"cap": 4.297185206447276}),
+    ("bounds.beta-abs-partial", {"n_max": 100001}, 1.9692848639623224 + 0j,
+     4.297185206447276 + 0j, 2.327900342484954, {"cap": 4.297185206447276}),
     ("bounds.beta-ratio-equality", {"n_max": 100001}, 0j, 0j, 0.0, {"tol_abs": 0.0}),
     ("bounds.beta-ratio-scan", {"n_max": 100001}, 0j, 0j, 0.0,
      {"min_ratio": -0.5773502691896258, "max_ratio": 1.0, "tol_abs": 0.0}),
@@ -150,23 +151,23 @@ BOUNDS_PINS_100K = [
     ("bounds.dirichlet-beta", {"s": 3, "N": 100000}, 0.955052256230813 + 0j,
      0.9550522562306174 + 0j, 1.9562129693895258e-13,
      {"analytic_tail": 4.743416490252569e-08, "tol_abs": 4.743416490252569e-08}),
-    ("bounds.dirichlet-lambda", {"s": 3, "N": 100001}, 0.8463351937086586 + 0j,
-     0.8463351937086947 + 0j, 3.608224830031759e-14,
+    ("bounds.dirichlet-lambda", {"s": 3, "N": 100001}, 0.8463351937086587 + 0j,
+     0.8463351937086947 + 0j, 3.597122599785507e-14,
      {"analytic_tail": 4.99999999850004e-11, "tol_abs": 4.99999999850004e-11}),
-    ("bounds.dirichlet-mu", {"s": 3, "N": 100001}, 0.8319073725806563 + 0j,
-     0.8319073725807073 + 0j, 5.10702591327572e-14,
+    ("bounds.dirichlet-mu", {"s": 3, "N": 100001}, 0.831907372580656 + 0j,
+     0.8319073725807073 + 0j, 5.140332604014475e-14,
      {"analytic_tail": 4.99999999850004e-11, "tol_abs": 4.99999999850004e-11}),
-    ("bounds.dirichlet-nu", {"s": 3, "N": 100001}, 0.9777715988856751 + 0j,
-     0.977771598885675 + 0j, 1.1102230246251565e-16,
+    ("bounds.dirichlet-nu", {"s": 3, "N": 100001}, 0.9777715988856752 + 0j,
+     0.977771598885675 + 0j, 2.220446049250313e-16,
      {"analytic_tail": 4.7025060169927817e-14,
       "note": "d(n)/n^4 tail plus double-precision allowance",
       "tol_abs": 4.7025060169927817e-14}),
-    ("bounds.dirichlet-nu-s1", {"s": 1, "N": 100001}, 0.7447564796542109 + 0j,
-     0.744756481075786 + 0j, 1.42157507987406e-09,
+    ("bounds.dirichlet-nu-s1", {"s": 1, "N": 100001}, 0.7447564796542107 + 0j,
+     0.744756481075786 + 0j, 1.421575301918665e-09,
      {"abel_tail": 1.079989200107999e-08, "tail_kind": "empirical S envelope",
       "tol_abs": 1.079989200107999e-08}),
     ("bounds.newman-trend", {"early": "2^8..2^12", "late": "2^16.."},
-     0.000411902821066646 + 0j, 0.014334880019169771 + 0j, 0.013922977198103125, {}),
+     0.000411902821066611 + 0j, 0.014334880019169745 + 0j, 0.013922977198103134, {}),
     ("bounds.nu-divisor-scan", {"n_max": 100001}, 0j, 0j, 0.0, {"tol_abs": 0.0}),
     ("bounds.second-form", {"s": -1.25, "terms": 50001}, 0.12014319892055798 + 0j,
      0.12014319877165915 + 0j, 1.488988377040812e-10,
@@ -179,17 +180,25 @@ BOUNDS_PINS_100K = [
 
 
 def _odd_scans_apart(table):
-    """The values of verify_bounds' odd-n pass as three scans over whole
-    arrays, as they were computed before the pass was fused: the ratio and
-    divisor scan, the running sums, and the second-form series."""
+    """The values of verify_bounds' odd-n pass as separate scans over whole
+    arrays: the ratio and divisor scan, the second-form series and the sum
+    of |beta(n)| n^-3/2, each one np.sum, and the Newman ends as per-segment
+    np.sums added in ascending order, the segments cut at the Newman ends and
+    where n 2^a <= min(10^6, limit) < n 2^(a+1) changes a."""
     n = arith.odd(0, (table.limit + 1) // 2)
     root = np.sqrt(n)
     r = table.beta_odd / root
     is_square = root.astype(np.int64) ** 2 == n
-    running = np.cumsum(np.abs(table.beta_odd) / n ** 1.5)
-    newman = np.cumsum(table.mobius_odd / n)
-    at = {k: abs(newman[2 ** (k - 1) - 1]) for k in (*range(8, 13), *range(16, 22))
-          if 2 ** k <= table.limit}
+    ends = {2 ** (k - 1): k for k in (*range(8, 13), *range(16, 22)) if 2 ** k <= table.limit}
+    n_dir = min(10 ** 6, table.limit)
+    cuts = sorted({0, *ends, *(((n_dir >> a) + 1) // 2 for a in range(n_dir.bit_length()))})
+    mu_n, newman, at = table.mobius_odd / n, 0.0, {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo >= max(ends, default=0):
+            break
+        newman += float(np.sum(mu_n[lo:hi]))
+        if hi in ends:
+            at[ends[hi]] = abs(newman)
     early = [at[k] for k in range(8, 13) if k in at]
     late = [at[k] for k in range(16, 22) if k in at]
     return {
@@ -200,7 +209,7 @@ def _odd_scans_apart(table):
             (np.abs(r - 1.0) < 1e-12) != is_square)),
         "bounds.nu-divisor-scan": float(np.count_nonzero(
             np.abs(table.nu_odd) > table.dcount_odd / n + 1e-15)),
-        "bounds.beta-abs-partial": float(running.max()),
+        "bounds.beta-abs-partial": float(np.sum(np.abs(r) / n)),
         "bounds.newman-trend": (max(late), max(early)) if early and late else None,
         "bounds.second-form": float(np.sum(table.beta_odd / np.sqrt(n)
                                            * (np.pi * n) ** (-1.25 - 0.5))),
@@ -252,6 +261,40 @@ def test_bounds_rows_reproduce_recorded_values(table_100k):
     rows = [repr((r.check_id, r.inputs, r.lhs, r.rhs, r.abs_err, r.budget))
             for r in verify_bounds(table_100k)]
     assert rows == [repr(pin) for pin in BOUNDS_PINS_100K]
+
+
+_BOUNDS_LIMITS = [1, 2, 3, 5, 9, 3001, 100_001]
+
+
+@pytest.mark.parametrize("limit", _BOUNDS_LIMITS)
+def test_bounds_read_the_odd_halves_only(limit, table_100k, monkeypatch):
+    table = table_100k if limit == 100_001 else build_table(limit)
+    want = [repr(r.to_record()) for r in verify_bounds(table)]
+
+    def refuse(*args):
+        raise AssertionError("verify_bounds read a full-length view")
+
+    monkeypatch.setattr(arith.ArithTable, "spread", refuse)
+    for name in ("liouville", "mobius", "dcount", "beta", "nu", "nu_cumsum", "spf"):
+        monkeypatch.setattr(arith.ArithTable, name, property(refuse))  # over any cached value
+    assert [repr(r.to_record()) for r in verify_bounds(table)] == want
+
+
+@pytest.mark.parametrize("limit", _BOUNDS_LIMITS)
+def test_folded_dirichlet_sums_match_the_sums_over_every_n(limit, table_100k):
+    # the 2-adic fold over odd n against an exact sum over every n <= N, within
+    # the pairwise-summation bound (log2 N + 2) u sum |terms| (Higham, sec. 4.2)
+    table = table_100k if limit == 100_001 else build_table(limit)
+    N = min(10 ** 6, limit)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    rows = {r.check_id: r.lhs.real for r in verify_bounds(table)}
+    for check_id, name, power in (("bounds.dirichlet-lambda", "liouville", 3),
+                                  ("bounds.dirichlet-mu", "mobius", 3),
+                                  ("bounds.dirichlet-nu", "nu", 3),
+                                  ("bounds.dirichlet-nu-s1", "nu", 1)):
+        terms = table.spread(name, 1, N + 1) / n ** power
+        bound = (math.ceil(math.log2(N)) + 2) * 2.0 ** -53 * math.fsum(np.abs(terms))
+        assert abs(rows[check_id] - math.fsum(terms)) <= bound, check_id
 
 
 @pytest.mark.parametrize("limit", [3001, 20001, 100_001])
