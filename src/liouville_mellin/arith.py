@@ -73,8 +73,8 @@ import numpy as np
 from .errors import CacheFormatError, DomainError, InvalidArgumentError, RangeError
 
 __all__ = ["ArithTable", "build_table", "liouville", "mobius", "divisor_count",
-           "beta_value", "nu_value", "nu_partial_sum", "sqfree_square_split",
-           "save_table", "load_table"]
+           "beta_value", "nu_value", "nu_partial_sum", "partial_sums", "two_adic_weights",
+           "sqfree_square_split", "save_table", "load_table"]
 
 CACHE_MAGIC = b"ARITHv6"
 HASH_WORKERS = 2  # threads hashing cache fields; hashlib releases the GIL
@@ -290,8 +290,8 @@ def pairwise_sum(term, lo: int, n: int):
 
 
 def abs_max(a: np.ndarray) -> float:
-    """max |a| over a non-empty 1-d array, one chunk at a time."""
-    return max(float(np.abs(a[lo:hi]).max()) for lo, hi in chunks(len(a)))
+    """max |a| over a 1-d array, one chunk at a time; 0 if it is empty."""
+    return max((float(np.abs(a[lo:hi]).max()) for lo, hi in chunks(len(a))), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +420,24 @@ def nu_partial_sum(table: ArithTable, n: int) -> float:
     """S(n) = sum_{m<=n} nu(m), read from the cached cumulative array;
     S(2k) = S(2k-1)."""
     return float(table.nu_cumsum_odd[(_check_range(table, n) - 1) // 2])
+
+
+def partial_sums(table: ArithTable, lo: int, hi: int) -> np.ndarray:
+    """A view holding the values of S(n) over lo <= n < hi (lo >= 1): as
+    S(2k) = S(2k-1), those of S at the odd n in [lo - 1, hi), or none if
+    hi <= lo."""
+    return table.nu_cumsum_odd[(lo - 1) // 2:hi // 2 if lo < hi else 0]
+
+
+def two_adic_weights(name: str, s: float, count: int) -> np.ndarray:
+    """w[a] = sum_{i<=a} t(i) 2^(-s i), a < count, t = _TWO_ADIC[name], added
+    left to right: by the 2-adic rule, sum_{n<=N} f(n) n^-s is the sum over
+    odd m <= N of w[a] f(m) m^-s, m 2^a <= N < m 2^(a+1), f the function name."""
+    w, acc = np.empty(count), 0.0
+    for a in range(count):
+        acc += _TWO_ADIC[name](a) * 2.0 ** (-s * a)
+        w[a] = acc
+    return w
 
 
 def sqfree_square_split(table: ArithTable, n: int) -> tuple[int, int]:

@@ -48,13 +48,14 @@ On the real axis every head (N, M, M') past its first _HEAD_PREFIX terms is
 interpolated per block (_HeadBlocks), so a node costs O(log |x|); complex
 arguments keep the direct head, as a pole may lie inside a block's ellipse.
 
-The sup factor is the largest |S| the table holds past the depth, floored by
-the frozen S_TAIL_BEYOND_TABLE for what lies beyond the table.  That cap is
-empirical and understates sup|S| past tables below about 1e6 (1.05e-3 past
-200,001), so at such a table's full depth these bounds are not bounds: the
-half-shifted values of a 10,001 table differ from a 100,001 table's by 3.0
-times the sum of both printed bounds, where the same truncation inside the
-100,001 table, which holds the sup, differs by 0.31 times.
+The sup factor (s_sup_past, as in verify's bounds.dirichlet-nu-s1) is the
+largest |S| past the depth, floored by the frozen S_TAIL_BEYOND_TABLE past
+the table.  That cap is empirical and understates sup|S| past tables below
+about 1e6 (1.05e-3 past 200,001), so at such a table's full depth these
+bounds are not bounds: the half-shifted values of a 10,001 table differ from
+a 100,001 table's by 3.0 times the sum of both printed bounds, where the
+same truncation inside the 100,001 table, which holds the sup, differs by
+0.31 times.
 
 Each evaluator (kernel_N_with_bound, kernel_M_with_bound in either form,
 kernel_M_prime) takes a scalar or a 1-d array, possibly empty, and gives
@@ -82,8 +83,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (MOMENT_EXPONENTS, SCAN, TAYLOR_TERMS, ArithTable, kernel_depth,
-                    moment_breaks, odd, pairwise_sum, sum_tail_moments, weight_readers)
+from .arith import (MOMENT_EXPONENTS, SCAN, TAYLOR_TERMS, ArithTable, abs_max, kernel_depth,
+                    moment_breaks, odd, pairwise_sum, partial_sums, sum_tail_moments,
+                    weight_readers)
 from .errors import (DomainError, InvalidArgumentError, PoleError, RangeError,
                      TruncationBudgetError)
 from .special import POLE_TOL
@@ -92,7 +94,7 @@ from .zeta_family import zeta_beta
 __all__ = ["KernelConfig", "config_for_table", "fermi", "fermi_deficit",
            "kernel_N", "kernel_N_series", "kernel_M", "kernel_M_prime",
            "residue_estimate", "kernel_N_with_bound", "kernel_M_with_bound",
-           "fermi_series", "kernel_series_with_bound", "SERIES_ORDER_K"]
+           "fermi_series", "kernel_series_with_bound", "s_sup_past", "SERIES_ORDER_K"]
 
 # floor for sup |S(n)| past the table, empirical; frozen from a sieve run to
 # 2e6 where the suffix envelope had decayed to 1.2e-4 (last-octave max
@@ -431,14 +433,17 @@ class _Workspace:
         self.depth = kernel_depth(table.limit) if depth is None else depth
         self.weights = weight_readers(table)
         self.S_odd = table.nu_cumsum_odd
-        # sup |S| over m >= depth: the table's values, floored by the frozen
-        # beyond-table cap
-        self.s_sup = max(float(np.abs(self.S_odd[self.depth:]).max(initial=0.0)),
-                         S_TAIL_BEYOND_TABLE)
+        self.s_sup = s_sup_past(table, 2 * self.depth + 1)  # sup |S| over m >= depth
         self.tails = {w: _Moments(table.tail_moments(w) if depth is None else
                                   sum_tail_moments(read, MOMENT_EXPONENTS[w], depth), self.depth)
                       for w, read in self.weights.items()}
         self.blocks = {w: _HeadBlocks(self.depth, read) for w, read in self.weights.items()}
+
+
+def s_sup_past(table: ArithTable, n: int) -> float:
+    """max |S(n')| over n' >= n: the table's values from n on, floored by
+    the frozen S_TAIL_BEYOND_TABLE for the n' past the table."""
+    return max(abs_max(partial_sums(table, n, table.limit + 1)), S_TAIL_BEYOND_TABLE)
 
 
 _WS_LOCK = threading.Lock()

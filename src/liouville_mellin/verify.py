@@ -12,10 +12,12 @@ The two headline certificates:
         exponential) differ only on (0, KERNEL_SPLICE_X]; past it both
         integrate the same plain-form values from one shared cache.
 
-Supporting groups: identity (kernel M == N and the power-series coefficient
-identities), functional (classical and derived functional equations), decay
-(kernel behavior on the real axis), bounds (sieve-level inequality scans and
-table-vs-closed-form Dirichlet sums).
+Supporting groups: identity (kernel M == N, the power-series coefficient
+identities and the residues), functional (classical and derived functional
+equations), decay (kernel behavior on the real axis), bounds (sieve-level
+inequality scans and table-vs-closed-form Dirichlet sums).  The rules of the
+layers below stay there: the 2-adic fold and S at even n in arith
+(two_adic_weights, partial_sums), the floored sup |S| in kernels (s_sup_past).
 
 run_group("all") uses two threads, as its two halves share only the table:
 bounds and theorem1, which scan the table, run on the calling thread, and
@@ -39,15 +41,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import ArithTable, abs_max, nu_partial_sum, odd, pairwise_sum
-from .errors import (InvalidArgumentError, NonConvergenceError, PoleError,
-                     TruncationBudgetError)
-from .kernels import (S_TAIL_BEYOND_TABLE, SERIES_ORDER_K, config_for_table, fermi_deficit,
-                      kernel_M, kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
-                      kernel_series_with_bound, residue_estimate)
+from .arith import (ArithTable, abs_max, nu_partial_sum, odd, pairwise_sum, partial_sums,
+                    two_adic_weights)
+from .errors import InvalidArgumentError, NonConvergenceError, TruncationBudgetError
+from .kernels import (SERIES_ORDER_K, config_for_table, fermi_deficit, kernel_M,
+                      kernel_M_prime, kernel_M_with_bound, kernel_N_with_bound,
+                      kernel_series_with_bound, residue_estimate, s_sup_past)
 from .quadrature import (DECAY_CONST, MAX_PANELS, MELLIN_STRIP, PANEL_NODES, SPLIT_POINT,
                          integrate_gamma_zeta_a, integrate_mellin)
-from .special import DEFAULT_EVAL_CONFIG, POLE_TOL, eta_continued, gamma, zeta, zeta_alternating
+from .special import DEFAULT_EVAL_CONFIG, eta_continued, gamma, zeta, zeta_alternating
 from .zeta_family import (alpha_to_lambda_factor, functional_eq_rhs_zeta_a,
                           functional_eq_rhs_zeta_alpha, mellin_prefactor,
                           zeta_alpha, zeta_beta, zeta_imp, zeta_lambda,
@@ -166,12 +168,6 @@ def default_theorem1_checkpoints(limit: int) -> list[int]:
     return sorted(pts)
 
 
-def _partial_sums(table: ArithTable, lo: int, hi: int) -> np.ndarray:
-    """The values of S(n) over lo <= n < hi (lo >= 1): as S(2k) = S(2k-1),
-    those of S at the odd n in [lo - 1, hi)."""
-    return table.nu_cumsum_odd[(lo - 1) // 2:hi // 2]
-
-
 def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
     """Partial sums of nu at checkpoints, the frozen final threshold, and the
     per-octave decay of max |S|."""
@@ -201,7 +197,7 @@ def verify_theorem1(table: ArithTable) -> list[VerificationReport]:
     k = THEOREM1_ENVELOPE_OCTAVE
     while 2 ** k < table.limit:
         lo, hi = 2 ** k, min(2 ** (k + 1), table.limit + 1)
-        octmax.append(abs_max(_partial_sums(table, lo, hi)))
+        octmax.append(abs_max(partial_sums(table, lo, hi)))
         k += 1
     if len(octmax) >= 2:
         increases = sum(1 for a, b in zip(octmax, octmax[1:]) if b > a)
@@ -229,38 +225,32 @@ DEFAULT_IDENTITY_POINTS = (
 )
 
 
-def verify_identity_MN(table: ArithTable,
-                       points=DEFAULT_IDENTITY_POINTS) -> list[VerificationReport]:
-    """M(z) == N(z) pointwise, plus the power-series coefficient identity and
-    the Fermi-kernel power series.
-
-    The real points go to each kernel as one float array and the others as
-    one complex array; a point's values do not depend on the points beside
-    it.  A point on a pole, the first of which kernel_N's PoleError names,
-    gives a skipped row, and the other points run again.  The rows are
-    returned sorted (_sorted, by z's string), not in the order of `points`.
-    """
+def verify_identity_MN(table: ArithTable) -> list[VerificationReport]:
+    """The identity group, sorted: M(z) == N(z) at DEFAULT_IDENTITY_POINTS, the
+    power-series coefficient identity, the Fermi-kernel power series, and both
+    kernels' residues at i pi (2l+1) vs beta(2l+1)/sqrt(2l+1), l = 0, 1, 2,
+    where the table holds beta(2l+1).  The real points go to each kernel as
+    one float array, the others as one complex array.  Each is at least 0.53
+    from a pole, so an error there is a bug, and propagates."""
     reports = []
-    zs = [complex(z) for z in points]
-    for batch in ([z for z in zs if z.imag == 0.0], [z for z in zs if z.imag != 0.0]):
-        while batch:
-            arg = np.array(batch) if batch[0].imag else np.array([z.real for z in batch])
-            try:
-                n_vals, n_bounds = kernel_N_with_bound(arg, table)
-            except PoleError as exc:
-                z = next(z for z in batch if abs(z - exc.location) < POLE_TOL)
-                reports.append(make_report("identity.point", {"z": str(z)}, 0.0, 0.0,
-                                           notes=f"skipped: {exc}"))
-                batch.remove(z)
-                continue
-            m_vals, m_bounds = kernel_M_with_bound(arg, table, form="half-shifted")
-            for z, nv, nb, mv, mb in zip(batch, n_vals.tolist(), n_bounds.tolist(),
-                                         m_vals.tolist(), m_bounds.tolist()):
-                reports.append(make_report(
-                    "identity.point", {"z": str(z)}, mv, nv, tol_abs=IDENTITY_ABS_TOL,
-                    budget={"n_tail_bound": nb, "m_tail_bound": mb, "combined": nb + mb},
-                    notes="exponential vs partial-fraction kernel"))
-            break
+    zs = [complex(z) for z in DEFAULT_IDENTITY_POINTS]
+    for arg in (np.array([z.real for z in zs if not z.imag]), np.array([z for z in zs if z.imag])):
+        n_vals, n_bounds = kernel_N_with_bound(arg, table)
+        m_vals, m_bounds = kernel_M_with_bound(arg, table, form="half-shifted")
+        for z, nv, nb, mv, mb in zip(arg.tolist(), n_vals.tolist(), n_bounds.tolist(),
+                                     m_vals.tolist(), m_bounds.tolist()):
+            reports.append(make_report(
+                "identity.point", {"z": str(complex(z))}, mv, nv, tol_abs=IDENTITY_ABS_TOL,
+                budget={"n_tail_bound": nb, "m_tail_bound": mb, "combined": nb + mb},
+                notes="exponential vs partial-fraction kernel"))
+
+    for l in range(min(3, (table.limit + 1) // 2)):  # the odd n = 2l + 1 <= limit
+        n = 2 * l + 1
+        expect = table.beta_odd[l] / math.sqrt(n)
+        for kernel in ("N", "M"):
+            reports.append(make_report(
+                f"identity.residue-{kernel}", {"l": l}, residue_estimate(kernel, l, table),
+                expect, tol_abs=1e-4, notes=f"32-point contour-mean residue at i pi ({n})"))
 
     # coefficient identity: zeta_imp(2k+2) zeta_nu(2k+1) = zeta_beta(2k+5/2)
     for k in range(11):
@@ -538,11 +528,10 @@ def _odd_pass(table: ArithTable, s: float, ends: dict[int, int], n_dir: int) -> 
     over n (for n <= n_dir).  The sum of mu(n)/n at an end adds the segment
     sums up to it in ascending order.  The Dirichlet sums over every n <= n_dir
     fold the even n in by the 2-adic rule: the segment of a has weight
-    sum_{i<=a} (-1/8)^i for lambda, 1 (a = 0) or 7/8 for mu, and 1 for nu,
-    which is 0 at even n; the weighted segment sums are added from the
-    largest n down.  Counts and extremes do not depend on where the leaves
-    split, and each sum is np.sum's over its whole range, so every value
-    keeps its bits whatever arith.SCAN is.
+    arith.two_adic_weights(f, p)[a] in the sum of f(n)/n^p, and the weighted
+    segment sums are added from the largest n down.  Counts and extremes do
+    not depend on where the leaves split, and each sum is np.sum's over its
+    whole range, so every value keeps its bits whatever arith.SCAN is.
 
     Returns the series and the sum of |beta(n)| n^-3/2 (the maximum of its
     running sums, the terms being >= 0), the violation, mismatch and
@@ -574,10 +563,12 @@ def _odd_pass(table: ArithTable, s: float, ends: dict[int, int], n_dir: int) -> 
             scan["viol"] += int(np.count_nonzero((ratio <= -1.0) | (ratio > 1.0 + 1e-12)))
         # the ratio is 1 at an odd square h^2, elsewhere +-k^-1/2 with k >= 3 (n = k h^2)
         h = np.arange((math.isqrt(2 * lo) + 1) | 1, math.isqrt(2 * hi - 1) + 1, 2)
-        # |ratio - 1| < 1e-12 implies ratio > 0.75 (a NaN fails both)
-        idx = np.flatnonzero(ratio > 0.75)
-        scan["mismatches"] += len(np.setxor1d(idx[np.abs(ratio[idx] - 1.0) < 1e-12],
-                                              h * h // 2 - lo))
+        # mark |ratio - 1| < 1e-12 (so ratio > 0.75; a NaN fails both), flip at the h^2
+        mark = ratio > 0.75
+        idx = np.flatnonzero(mark)
+        mark[idx] = np.abs(ratio[idx] - 1.0) < 1e-12
+        mark[h * h // 2 - lo] ^= True
+        scan["mismatches"] += int(np.count_nonzero(mark))
         term = np.power(np.multiply(n, math.pi, out=buf), s - 0.5, out=buf)
         yield np.multiply(ratio, term, out=term)
         yield np.divide(np.abs(ratio, out=ratio), n, out=ratio)
@@ -611,12 +602,11 @@ def _odd_pass(table: ArithTable, s: float, ends: dict[int, int], n_dir: int) -> 
                 at[end_of[hi]] = abs(newman)
         if lo < dyadic[0]:  # n 2^a <= n_dir < n 2^(a+1) over the segment
             folded.append(((n_dir // (2 * lo + 1)).bit_length() - 1, sums[-4:]))
-    c = [1.0]  # c[a] = sum_{i<=a} (-1/8)^i
-    while len(c) < len(dyadic):
-        c.append(c[-1] + (-0.125) ** len(c))
+    weights = np.array([two_adic_weights(name, p, len(dyadic))
+                        for name, p in (("liouville", 3), ("mobius", 3), ("nu", 3), ("nu", 1))])
     dirichlet = np.zeros(4)
     for a, sums in reversed(folded):
-        dirichlet += np.array([c[a], 1.0 if a == 0 else 0.875, 1.0, 1.0]) * sums
+        dirichlet += weights[:, a] * sums
     scan["at"], scan["dirichlet"] = at, dirichlet.tolist()
     return scan
 
@@ -629,7 +619,8 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
     equality and divisor scans, the second-form series and the partial-sum
     row along one pairwise tree, then the Newman ends and the Dirichlet sums
     over every n <= N from segment sums over odd n, the even n folded in by
-    the 2-adic rule.  Every other scan walks its range in leaves of at most
+    arith.two_adic_weights; bounds.dirichlet-nu-s1's tail is 2
+    kernels.s_sup_past(N)/N.  Every other scan walks its range in leaves of at most
     arith.SCAN terms.  The bits do not depend on arith.SCAN: each term is
     the same IEEE operations on the same operands wherever a leaf starts,
     counts and extremes do not depend on the split, each pairwise sum splits
@@ -708,8 +699,7 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
         notes="table partial sum vs zeta_beta(4.5)/zeta_imp(4)"))
 
     # nu at s = 1, remainder bounded by summation by parts
-    s_sup = abs_max(_partial_sums(table, N_l, limit + 1))
-    tail_s1 = 2.0 * max(s_sup, S_TAIL_BEYOND_TABLE) / N_l
+    tail_s1 = 2.0 * s_sup_past(table, N_l) / N_l
     reports.append(make_report(
         "bounds.dirichlet-nu-s1", {"s": 1, "N": N_l}, nu1, zeta_nu(1.0), tol_abs=tail_s1,
         budget={"abel_tail": tail_s1, "tail_kind": "empirical S envelope"},
@@ -762,36 +752,15 @@ def verify_bounds(table: ArithTable) -> list[VerificationReport]:
 
 
 # --------------------------------------------------------------------------
-# residues (exercised through the identity group's CLI name "identity")
-# --------------------------------------------------------------------------
-
-def verify_residues(table: ArithTable, l_values=(0, 1, 2)) -> list[VerificationReport]:
-    """Numerical residues of both kernels at i pi (2l+1) vs beta(2l+1)/sqrt(2l+1),
-    at the poles whose beta(2l+1) the table holds."""
-    reports = []
-    for l in l_values:
-        n = 2 * l + 1
-        if n > table.limit:
-            continue
-        expect = table.beta_odd[l] / math.sqrt(n)
-        for kernel in ("N", "M"):
-            est = residue_estimate(kernel, l, table)
-            reports.append(make_report(
-                f"identity.residue-{kernel}", {"l": l}, est, expect, tol_abs=1e-4,
-                notes=f"32-point contour-mean residue at i pi ({n})"))
-    return _sorted(reports)
-
-
-# --------------------------------------------------------------------------
 # registry: per group its runner (table, grid), whether a grid of s applies, its check ids
 # --------------------------------------------------------------------------
 
 _GROUP_TABLE = {
     "theorem1": (lambda table, grid: verify_theorem1(table), False,
                  ("theorem1.checkpoint", "theorem1.final", "theorem1.envelope")),
-    "identity": (lambda table, grid: _sorted(verify_identity_MN(table) + verify_residues(table)),
-                 False, ("identity.point", "identity.series-coeff", "identity.fermi-power-series",
-                         "identity.residue-N", "identity.residue-M")),
+    "identity": (lambda table, grid: verify_identity_MN(table), False,
+                 ("identity.point", "identity.series-coeff", "identity.fermi-power-series",
+                  "identity.residue-N", "identity.residue-M")),
     "theorem2": (verify_theorem2, True, ("theorem2.n-form", "theorem2.m-form")),
     "functional": (lambda table, grid: verify_functional_equations(grid), True,
                    ("functional.riemann-classical", "functional.riemann-selfconsistency",

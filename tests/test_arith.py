@@ -110,6 +110,44 @@ def test_nu_partial_sums(table_small):
     assert np.allclose(diffs, table_small.nu[1:], rtol=0, atol=1e-16)
 
 
+@pytest.mark.parametrize("lo,hi", [(1, 2), (1, 3001), (2, 9), (3, 10), (4, 4), (5, 4),
+                                   (1000, 1001), (1001, 2002), (2999, 3002), (3001, 3002)])
+def test_partial_sums_hold_the_values_of_s_over_the_range(table_small, lo, hi):
+    got = arith.partial_sums(table_small, lo, hi)
+    want = table_small.nu_cumsum[lo:hi]
+    assert set(got.tolist()) == set(want.tolist())
+    assert arith.abs_max(got) == (float(np.abs(want).max()) if len(want) else 0.0)
+
+
+def _two_adic_exponent(m: int, N: int) -> int:
+    """a with m 2^a <= N < m 2^(a+1)."""
+    return (N // m).bit_length() - 1
+
+
+@pytest.mark.parametrize("name", ["liouville", "mobius", "dcount", "beta", "nu"])
+def test_two_adic_weights_fold_the_sum_over_every_n(table_small, name):
+    for s in (1, 2, 3):
+        w = arith.two_adic_weights(name, s, 8)  # a < 8: N <= 200 < 2^8
+        for N in range(1, 201):
+            f = table_small.spread(name, 1, N + 1).tolist()  # f(n) at n = 1..N
+            every = [f[n - 1] * n ** -s for n in range(1, N + 1)]
+            folded = [w[_two_adic_exponent(m, N)] * f[m - 1] * m ** -s
+                      for m in range(1, N + 1, 2)]
+            scale = math.fsum(map(abs, every))
+            assert abs(math.fsum(every) - math.fsum(folded)) <= 1e-15 * scale, (s, N)
+
+
+def test_two_adic_weights_keep_the_folded_constants():
+    # the fold's weights as verify_bounds first wrote them, bit for bit
+    c = [1.0]
+    while len(c) < 22:
+        c.append(c[-1] + (-0.125) ** len(c))
+    assert [x.hex() for x in arith.two_adic_weights("liouville", 3, 22)] == [x.hex() for x in c]
+    assert arith.two_adic_weights("mobius", 3, 22).tolist() == [1.0] + [0.875] * 21
+    for s in (1, 3):
+        assert arith.two_adic_weights("nu", s, 22).tolist() == [1.0] * 22
+
+
 def test_convolution_identity(table_small):
     # sum_{l|n} l nu(l) = beta(n)/sqrt(n) for odd n
     for n in range(1, 3001, 2):

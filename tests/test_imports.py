@@ -7,6 +7,7 @@ package imports only on first use."""
 import ast
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +129,49 @@ def test_cli_import_leaves_lazy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "[] 0"
+
+
+def test_verify_all_leaves_numpy_ma_unloaded():
+    # numpy.ma costs every cold `verify all` about 1.3 MB and 6 ms, and a
+    # memory bound passes or fails on whether an earlier test loaded it
+    # (np.setxor1d, np.unique and np.isin load it on first use)
+    probe = ("import sys; from liouville_mellin import build_table, run_group; "
+             "run_group('all', build_table(3001)); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "False"
+
+
+def _memory_bounded_tests() -> list[str]:
+    """The node ids of the module-level tests in tests/ whose body calls
+    tracemalloc.start."""
+    nodes = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_") and any(
+                    isinstance(call, ast.Call) and ast.unparse(call.func) == "tracemalloc.start"
+                    for call in ast.walk(fn)):
+                nodes.append(f"tests/{path.name}::{fn.name}")
+    return nodes
+
+
+def test_memory_bounds_hold_in_a_fresh_interpreter():
+    # what an earlier test loaded (a lazy module, a warm allocator) must not be
+    # what keeps an allocation under its bound: each such test runs alone
+    from concurrent.futures import ThreadPoolExecutor
+
+    nodes = _memory_bounded_tests()
+    assert len(nodes) >= 8, nodes
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH"))))}
+
+    def run(node: str):
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              node], capture_output=True, text=True, env=env,
+                             cwd=Path(__file__).parent.parent)
+        return node, out.returncode, out.stdout[-2000:]
+
+    with ThreadPoolExecutor(2) as pool:
+        failed = [r for r in pool.map(run, nodes) if r[1] != 0]
+    assert failed == []

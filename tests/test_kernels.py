@@ -557,6 +557,13 @@ def test_s_sup_beyond_is_the_suffix_sup(table_100k):
         assert _Workspace(table_100k, m + 1).s_sup == want, m
 
 
+def test_s_sup_past_is_the_floored_suffix_sup(table_100k):
+    for n in (1, 2, 1000, 1001, 100_001, 100_002):
+        want = max(np.abs(table_100k.nu_cumsum[n:]).max(initial=0.0), S_TAIL_BEYOND_TABLE)
+        assert kernels.s_sup_past(table_100k, n) == want, n
+    assert _ws(table_100k).s_sup == kernels.s_sup_past(table_100k, 2 * _ws(table_100k).depth + 1)
+
+
 def test_short_truncation_within_both_bounds(table_100k):
     # a truncation at M terms and the full one differ by the terms between,
     # which both remainder bounds must cover; the short truncation reads the

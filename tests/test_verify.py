@@ -21,7 +21,7 @@ from liouville_mellin import (InvalidArgumentError, NonConvergenceError, arith,
 from liouville_mellin.quadrature import PANEL_NODES, panel_sequence
 from liouville_mellin.verify import (GRID_GROUPS, GROUPS, KERNEL_SPLICE_X,
                                      default_theorem2_grid, list_checks, make_report,
-                                     theorem2_max_x, verify_residues)
+                                     theorem2_max_x)
 
 
 def test_report_invariants():
@@ -73,27 +73,21 @@ def test_identity_group(table_100k):
     assert len(coeffs) == 11 and all(r.rel_err <= 1e-10 for r in coeffs)
 
 
-def test_identity_skips_pole_points(table_100k):
-    reports = verify_identity_MN(table_100k, points=[complex(0.0, math.pi)])
-    pt = [r for r in reports if r.check_id == "identity.point"][0]
-    assert pt.passed and "skipped" in pt.notes
+def test_identity_points_keep_off_the_poles():
+    # a PoleError at a default point is a bug, not a skipped row
+    for z in map(complex, verify.DEFAULT_IDENTITY_POINTS):
+        assert all(abs(z - 1j * math.pi * (2 * l + 1)) >= 0.5 for l in range(-3, 3)), z
 
 
 def test_identity_points_in_arrays_match_the_point_by_point_rows(table_100k):
-    # one array per kernel and kind (real, complex); i pi and 3 i pi are poles
-    points = (0.3, 2.5, 1j * math.pi, 1.0 + 1.0j, -1.5, 3j * math.pi, 0.5 - 0.5j, 2.0 + 2.5j)
-    rows = [r for r in verify_identity_MN(table_100k, points=points)
-            if r.check_id == "identity.point"]
+    # one array per kernel and kind (real, complex)
+    points = verify.DEFAULT_IDENTITY_POINTS
+    rows = [r for r in verify_identity_MN(table_100k) if r.check_id == "identity.point"]
     # the rows come back in the group's sorted order (by z's string), whatever
-    # the batches and the skips, as when each point was evaluated on its own
+    # the batches, as when each point was evaluated on its own
     assert [r.inputs["z"] for r in rows] == sorted(str(complex(z)) for z in points)
     for r in rows:
         z = complex(r.inputs["z"])
-        if z.real == 0.0 and z.imag > 0.0:
-            with pytest.raises(kernels.PoleError) as err:
-                kernels.kernel_N_with_bound(z, table_100k)
-            assert r.notes == f"skipped: {err.value}" and r.passed
-            continue
         nv, nb = kernels.kernel_N_with_bound(z, table_100k)
         mv, mb = kernels.kernel_M_with_bound(z, table_100k, form="half-shifted")
         assert (r.lhs, r.rhs) == (mv, nv)
@@ -487,10 +481,14 @@ def test_theorem2_rows_do_not_depend_on_the_rest_of_the_grid(table_100k):
 
 
 def test_residues_group(table_100k):
-    reports = verify_residues(table_100k, l_values=(0, 1))
+    reports = [r for r in verify_identity_MN(table_100k) if "residue" in r.check_id]
     assert all(r.passed for r in reports)
     assert {r.check_id for r in reports} == {"identity.residue-N",
                                              "identity.residue-M"}
+    assert sorted(r.inputs["l"] for r in reports) == [0, 0, 1, 1, 2, 2]
+    # only the poles whose beta(2l+1) the table holds
+    assert [r.inputs["l"] for r in verify_identity_MN(build_table(3))
+            if r.check_id == "identity.residue-N"] == [0, 1]
 
 
 def test_run_group_all_covers_registry(table_100k):
